@@ -78,13 +78,36 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# what malformed JSON shapes raise inside the loaders (a missing key, a
+# scalar where a list or an object belongs)
+_SHAPE_ERRORS = (KeyError, TypeError, AttributeError)
+
+
+def _malformed(what: str, exc: Exception) -> UsageError:
+    if isinstance(exc, KeyError):
+        return UsageError(f"malformed {what}: missing key {exc.args[0]!r}")
+    return UsageError(f"malformed {what}: {exc}")
+
+
+def _check_atoms(algebra_obj) -> None:
+    # a string would be read as its characters, so "pq" would mean p, q
+    if isinstance(algebra_obj, dict) and "atoms" in algebra_obj:
+        atoms = algebra_obj["atoms"]
+        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+            raise UsageError(f"algebra atoms must be a list of names: {atoms!r}")
+
+
 def _load_algebra(path: str | None) -> Algebra:
     if path is None:
         raise UsageError("this subcommand needs --algebra")
+    obj = _load_json(path)
+    _check_atoms(obj)
     try:
-        return algebra_from_json(_load_json(path))
+        return algebra_from_json(obj)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except _SHAPE_ERRORS as exc:
+        raise _malformed(f"algebra JSON in {path}", exc) from exc
 
 
 def _load_element(algebra: Algebra, path: str) -> Element:
@@ -95,6 +118,8 @@ def _load_element(algebra: Algebra, path: str) -> Element:
         return orth_from_json(algebra, obj)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+    except _SHAPE_ERRORS as exc:
+        raise _malformed(f"element JSON in {path}", exc) from exc
 
 
 def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
@@ -104,13 +129,22 @@ def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
         return prox_from_json(algebra, _load_json(spec))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except _SHAPE_ERRORS as exc:
+        raise _malformed(f"proximity JSON in {spec}", exc) from exc
 
 
 def _load_morphism(path: str) -> DVMorphism:
+    obj = _load_json(path)
     try:
-        return morphism_from_json(_load_json(path))
+        if isinstance(obj, dict):
+            for side in ("source", "target"):
+                if isinstance(obj.get(side), dict):
+                    _check_atoms(obj[side].get("algebra"))
+        return morphism_from_json(obj)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except _SHAPE_ERRORS as exc:
+        raise _malformed(f"morphism JSON in {path}", exc) from exc
 
 
 def _element_json(elem: Element) -> dict:
@@ -404,6 +438,8 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.samples < 1:
+            raise UsageError(f"--samples must be at least 1, got {args.samples}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

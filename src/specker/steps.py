@@ -22,12 +22,22 @@ each evaluated only at candidate thresholds, which suffices because both
 sides are step functions whose breakpoints lie in those candidate sets.
 Every direct formula is cross-checked against transport through the
 bijection with orthogonal form.  Meet, join, and the order are pointwise.
+
+Inside the layer the components are plain ``int`` masks over the atom
+order: validation, assembly, the bijection, negation, meet, join, and the
+order all work on masks, and :class:`BoolElem` objects are built only for
+the components of a returned element (or taken from the caller at the
+public boundary, where mixed algebras are rejected).
+:func:`from_decomposition` rebuilds ``a0 + sum(b_i * e_i)`` by refining
+value classes: starting from ``{a0: 1}``, each pair splits every class
+into its part inside ``e_i`` (value raised by ``b_i``) and its part
+outside, and classes with equal values merge.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .boolalg import (
@@ -37,14 +47,7 @@ from .boolalg import (
     element_to_json,
     element_to_literal,
 )
-from .orthogonal import (
-    OrthElem,
-    orth_add,
-    orth_const,
-    orth_embed,
-    orth_mul,
-    orth_scale,
-)
+from .orthogonal import OrthElem, orth_add, orth_mul, orth_scale
 from .scalars import Scalar, format_scalar, parse_scalar
 
 __all__ = [
@@ -89,22 +92,34 @@ class StepElem:
     algebra: Algebra
     thresholds: tuple[Scalar, ...]
     idems: tuple[BoolElem, ...]
+    # the components as masks, for the mask-level operations of this module
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.thresholds or len(self.thresholds) != len(self.idems):
+        thresholds, idems, algebra = self.thresholds, self.idems, self.algebra
+        if not thresholds or len(thresholds) != len(idems):
             raise ValueError("thresholds and components must align and be nonempty")
-        if not self.idems[0].is_one:
+        masks = tuple(idem.mask for idem in idems)
+        if masks[0] != idems[0].algebra.full_mask:
             raise ValueError("the first step must have component 1")
-        if self.idems[-1].is_zero:
+        if masks[-1] == 0:
             raise ValueError("the last step must have a nonzero component")
-        for i in range(1, len(self.thresholds)):
-            if not self.thresholds[i - 1] < self.thresholds[i]:
+        first_home = _same_algebra(idems[0].algebra, algebra)
+        for i in range(1, len(thresholds)):
+            if not thresholds[i - 1] < thresholds[i]:
                 raise ValueError("thresholds must strictly increase")
-            below, here = self.idems[i - 1], self.idems[i]
-            if here.algebra != self.algebra or not (here <= below and here != below):
+            home = idems[i].algebra
+            if home is not algebra and home != algebra:
                 raise ValueError("components must strictly decrease")
-        if self.idems[0].algebra != self.algebra:
+            if not first_home:
+                # idems[1] belongs here and idems[0] does not: a mixed pair
+                raise ValueError(_MIXED)
+            below, here = masks[i - 1], masks[i]
+            if here & below != here or here == below:
+                raise ValueError("components must strictly decrease")
+        if not first_home:
             raise ValueError("component from a different algebra")
+        object.__setattr__(self, "_masks", masks)
 
     def value(self, a: Scalar) -> BoolElem:
         """Evaluate the step function at ``a``."""
@@ -156,9 +171,16 @@ class CompatibleSteps:
     right: tuple[BoolElem, ...]
 
 
+_MIXED = "mixed algebras: operands belong to different algebras"
+
+
+def _same_algebra(a: Algebra, b: Algebra) -> bool:
+    return a is b or a == b
+
+
 def _check_same_algebra(f: StepElem, g: StepElem) -> Algebra:
-    if f.algebra != g.algebra:
-        raise ValueError("mixed algebras: operands belong to different algebras")
+    if not _same_algebra(f.algebra, g.algebra):
+        raise ValueError(_MIXED)
     return f.algebra
 
 
@@ -168,48 +190,82 @@ def _assemble(algebra: Algebra, points: Sequence[tuple[Scalar, BoolElem]]) -> St
     ``points`` must be sorted by strictly increasing scalar with
     decreasing component values starting at 1; runs of equal components
     merge (keeping the largest scalar of each run) and a trailing zero
-    run is dropped.
+    run is dropped.  All components must share one algebra.
     """
     if not points:
         raise ValueError("cannot assemble a step function from no points")
-    if not points[0][1].is_one:
+    home = points[0][1].algebra
+    if points[0][1].mask != home.full_mask:
+        raise ValueError("assembly requires the first sampled value to be 1")
+    for _, component in points:
+        if not _same_algebra(component.algebra, home):
+            raise ValueError(_MIXED)
+    result = _assemble_masks(home, [(scalar, c.mask) for scalar, c in points])
+    if _same_algebra(home, algebra):
+        return result
+    # the constructor rejects components of another algebra, with its message
+    return StepElem(algebra, result.thresholds, result.idems)
+
+
+def _assemble_masks(algebra: Algebra, points: Sequence[tuple[Scalar, int]]) -> StepElem:
+    """:func:`_assemble` on component masks of ``algebra``."""
+    if not points:
+        raise ValueError("cannot assemble a step function from no points")
+    if points[0][1] != algebra.full_mask:
         raise ValueError("assembly requires the first sampled value to be 1")
     thresholds: list[Scalar] = []
-    idems: list[BoolElem] = []
-    for scalar, component in points:
-        if idems:
-            if not component <= idems[-1]:
-                raise ValueError("assembly requires decreasing sampled values")
-            if component == idems[-1]:
-                thresholds[-1] = scalar
-                continue
+    masks: list[int] = []
+    last = -1
+    for scalar, mask in points:
+        if mask & last != mask:
+            raise ValueError("assembly requires decreasing sampled values")
+        if mask == last:
+            thresholds[-1] = scalar
+            continue
         thresholds.append(scalar)
-        idems.append(component)
-    if idems[-1].is_zero:
+        masks.append(mask)
+        last = mask
+    if last == 0:
         thresholds.pop()
-        idems.pop()
-    return StepElem(algebra, tuple(thresholds), tuple(idems))
+        masks.pop()
+    return _from_masks(algebra, thresholds, masks)
+
+
+def _from_masks(
+    algebra: Algebra, thresholds: Sequence[Scalar], masks: Sequence[int]
+) -> StepElem:
+    return StepElem(
+        algebra, tuple(thresholds), tuple(BoolElem(algebra, m) for m in masks)
+    )
 
 
 # --- the bijection with orthogonal form ----------------------------------
 
 
-def _to_steps_raw(f: OrthElem) -> StepElem:
-    tails: list[BoolElem] = []
-    acc = f.algebra.zero
-    for _, component in reversed(f.entries):
-        acc = acc | component
+def _tail_masks(masks: Sequence[int]) -> list[int]:
+    """Upper-tail joins: entry ``i`` is the join of ``masks[i:]``."""
+    tails = []
+    acc = 0
+    for mask in reversed(masks):
+        acc |= mask
         tails.append(acc)
     tails.reverse()
-    return StepElem(f.algebra, f.values(), tuple(tails))
+    return tails
+
+
+def _to_steps_raw(f: OrthElem) -> StepElem:
+    masks = [component.mask for _, component in f.entries]
+    return _from_masks(f.algebra, f.values(), _tail_masks(masks))
 
 
 def _to_orth_raw(g: StepElem) -> OrthElem:
-    entries = []
-    for i in range(len(g.thresholds) - 1):
-        entries.append((g.thresholds[i], g.idems[i] & ~g.idems[i + 1]))
+    algebra, masks = g.algebra, g._masks
+    entries = [
+        (g.thresholds[i], BoolElem(algebra, masks[i] & ~masks[i + 1]))
+        for i in range(len(masks) - 1)
+    ]
     entries.append((g.thresholds[-1], g.idems[-1]))
-    return OrthElem(g.algebra, tuple(entries))
+    return OrthElem(algebra, tuple(entries))
 
 
 def to_steps(f: OrthElem) -> StepElem:
@@ -306,11 +362,15 @@ def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
 
 def step_neg(f: StepElem) -> StepElem:
     # (-f)(a) = meet of ~f(b) over b > -a, which collapses to the
-    # complement of the value just past -a
+    # complement of the value just past -a: at a = -thresholds[i] that
+    # is the complement of idems[i + 1] (of 0 past the last threshold)
     algebra = f.algebra
-    candidates = [-t for t in reversed(f.thresholds)]
-    points = [(c, ~f.value_right(-c)) for c in candidates]
-    result = _assemble(algebra, points)
+    full = algebra.full_mask
+    points = [
+        (-t, full ^ past)
+        for t, past in zip(reversed(f.thresholds), reversed(f._masks[1:] + (0,)))
+    ]
+    result = _assemble_masks(algebra, points)
     assert result == _transport(lambda x: orth_scale(-1, x), f)
     return result
 
@@ -346,22 +406,38 @@ def _merged_grid(f: StepElem, g: StepElem) -> list[Scalar]:
     return sorted(set(f.thresholds) | set(g.thresholds))
 
 
+def _masks_at(f: StepElem, grid: Sequence[Scalar]) -> list[int]:
+    """The values of ``f`` at the scalars of ``grid``, as masks."""
+    padded = f._masks + (0,)
+    return [padded[bisect_left(f.thresholds, c)] for c in grid]
+
+
 def step_meet(f: StepElem, g: StepElem) -> StepElem:
     algebra = _check_same_algebra(f, g)
-    points = [(c, f.value(c) & g.value(c)) for c in _merged_grid(f, g)]
-    return _assemble(algebra, points)
+    grid = _merged_grid(f, g)
+    points = [
+        (c, a & b) for c, a, b in zip(grid, _masks_at(f, grid), _masks_at(g, grid))
+    ]
+    return _assemble_masks(algebra, points)
 
 
 def step_join(f: StepElem, g: StepElem) -> StepElem:
     algebra = _check_same_algebra(f, g)
-    points = [(c, f.value(c) | g.value(c)) for c in _merged_grid(f, g)]
-    return _assemble(algebra, points)
+    grid = _merged_grid(f, g)
+    points = [
+        (c, a | b) for c, a, b in zip(grid, _masks_at(f, grid), _masks_at(g, grid))
+    ]
+    return _assemble_masks(algebra, points)
 
 
 def step_leq(f: StepElem, g: StepElem) -> bool:
     """Pointwise order; checking the merged thresholds is exhaustive."""
     _check_same_algebra(f, g)
-    return all(f.value(c) <= g.value(c) for c in _merged_grid(f, g))
+    fm, gm = f._masks + (0,), g._masks + (0,)
+    return all(
+        fm[bisect_left(f.thresholds, c)] & ~gm[bisect_left(g.thresholds, c)] == 0
+        for c in _merged_grid(f, g)
+    )
 
 
 # --- decompositions ---------------------------------------------------------
@@ -383,11 +459,24 @@ def decreasing_decomposition(
 def from_decomposition(
     algebra: Algebra, a0: Scalar, pairs: Iterable[tuple[Scalar, BoolElem]]
 ) -> StepElem:
-    """Rebuild the element ``a0 + sum(b * e)`` via orthogonal arithmetic."""
-    acc = orth_const(algebra, a0)
+    """Rebuild the element ``a0 + sum(b * e)`` by refining value classes.
+
+    ``classes`` maps each value to the mask of the atoms that take it;
+    each pair moves the part of every class inside ``e`` up by ``b``.
+    """
+    classes = {a0: algebra.full_mask}
     for b, e in pairs:
-        acc = orth_add(acc, orth_scale(b, orth_embed(e)))
-    return _to_steps_raw(acc)
+        if not _same_algebra(e.algebra, algebra):
+            raise ValueError(_MIXED)
+        inside = e.mask
+        refined: dict[Scalar, int] = {}
+        for value, mask in classes.items():
+            for moved, part in ((value, mask & ~inside), (value + b, mask & inside)):
+                if part:
+                    refined[moved] = refined.get(moved, 0) | part
+        classes = refined
+    values = sorted(classes)
+    return _from_masks(algebra, values, _tail_masks([classes[v] for v in values]))
 
 
 def orth_to_decreasing(

@@ -1,18 +1,27 @@
-"""Shared test utilities: a term-level oracle and random term generation.
+"""Shared test utilities: a term-level oracle, random term generation, and
+a brute-force reference for the step-function layer.
 
 The term oracle evaluates a term tree directly on scalars, one atom at a
 time (a bound generator contributes 1 on the atoms it contains and 0
 elsewhere, meet/join are min/max).  It never touches the orthogonal-form
 arithmetic it is used to check.
+
+The step reference reads a :class:`StepElem` as a plain list of
+``(threshold, mask)`` pairs and evaluates each formula of the
+``specker.steps`` module docstring literally at every candidate
+threshold, as a join or meet over sample points; it shares no code with
+the mask kernel it checks.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable, Iterable, Sequence
 
 from specker.boolalg import Algebra, BoolElem
 from specker.pointwise import PointFn
 from specker.scalars import Scalar
+from specker.steps import StepElem
 from specker.terms import BinOp, Lit, Neg, Pow, Term, Var
 
 
@@ -63,4 +72,151 @@ def random_term(
         kind,
         random_term(rng, names, depth - 1, coeff_bound),
         random_term(rng, names, depth - 1, coeff_bound),
+    )
+
+
+# --- brute-force reference for specker.steps ----------------------------------
+
+Table = tuple[tuple[Scalar, int], ...]
+
+
+def table_from_values(values: Sequence[Scalar]) -> Table:
+    """Step table of the function taking ``values[i]`` at atom ``i``."""
+    return tuple(
+        (t, sum(1 << i for i, value in enumerate(values) if value >= t))
+        for t in sorted(set(values))
+    )
+
+
+def steps_from_values(algebra: Algebra, values: Sequence[Scalar]) -> StepElem:
+    """The step element taking ``values[i]`` at atom ``i``, built directly."""
+    table = table_from_values(values)
+    return StepElem(
+        algebra,
+        tuple(t for t, _ in table),
+        tuple(algebra.from_mask(mask) for _, mask in table),
+    )
+
+
+def table_of(f: StepElem) -> Table:
+    return tuple((t, e.mask) for t, e in zip(f.thresholds, f.idems))
+
+
+def value_at(table: Table, a: Scalar) -> int:
+    """The step function at ``a``: the first step whose threshold is >= ``a``."""
+    for threshold, mask in table:
+        if a <= threshold:
+            return mask
+    return 0
+
+
+def canonical(samples: Iterable[tuple[Scalar, int]]) -> Table:
+    """Canonical table from values sampled at every breakpoint.
+
+    The value on ``(c[k-1], c[k]]`` is the one sampled at ``c[k]``; runs of
+    equal values keep their largest point and a trailing zero run goes.
+    """
+    out: list[tuple[Scalar, int]] = []
+    for c, mask in sorted(samples):
+        if out and out[-1][1] == mask:
+            out[-1] = (c, mask)
+        else:
+            out.append((c, mask))
+    if out and out[-1][1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _join(masks: Iterable[int]) -> int:
+    acc = 0
+    for mask in masks:
+        acc |= mask
+    return acc
+
+
+def _pairwise(f: StepElem, g: StepElem, combine: Callable) -> Table:
+    # join of f(b1) & g(b2) over combine(b1, b2) >= a; the thresholds are
+    # enough for b1 and b2, since rounding b up to the next threshold keeps
+    # the value and does not lower combine(b1, b2) for these operations
+    tf, tg = table_of(f), table_of(g)
+    candidates = {combine(u, v) for u, _ in tf for v, _ in tg}
+    return canonical(
+        (
+            a,
+            _join(
+                value_at(tf, u) & value_at(tg, v)
+                for u, _ in tf
+                for v, _ in tg
+                if combine(u, v) >= a
+            ),
+        )
+        for a in candidates
+    )
+
+
+def ref_add(f: StepElem, g: StepElem) -> Table:
+    """(f + g)(a) = join of f(b1) & g(b2) over b1 + b2 >= a."""
+    return _pairwise(f, g, lambda u, v: u + v)
+
+
+def ref_mul_nonneg(f: StepElem, g: StepElem) -> Table:
+    """(f g)(a) = join of f(b1) & g(b2) over b1, b2 >= 0, b1 b2 >= a."""
+    return _pairwise(f, g, lambda u, v: u * v)
+
+
+def ref_scale_pos(b: Scalar, f: StepElem) -> Table:
+    """(b f)(a) = join of f(c) over b c >= a, for b > 0."""
+    tf = table_of(f)
+    return canonical(
+        (b * t, _join(value_at(tf, c) for c, _ in tf if b * c >= b * t))
+        for t, _ in tf
+    )
+
+
+def ref_neg(f: StepElem) -> Table:
+    """(-f)(a) = meet of ~f(b) over b > -a.
+
+    Over ``b > -a`` the function takes the values at the thresholds above
+    ``-a`` and 0 past the last one, so the meet runs over those points.
+    """
+    tf = table_of(f)
+    full = f.algebra.full_mask
+    samples = []
+    for t, _ in tf:
+        a = -t
+        meet = full  # ~0, the value past the last threshold
+        for b, _ in tf:
+            if b > -a:
+                meet &= full ^ value_at(tf, b)
+        samples.append((a, meet))
+    return canonical(samples)
+
+
+def _pointwise(f: StepElem, g: StepElem) -> list[tuple[Scalar, int, int]]:
+    tf, tg = table_of(f), table_of(g)
+    grid = {t for t, _ in tf} | {t for t, _ in tg}
+    return [(a, value_at(tf, a), value_at(tg, a)) for a in grid]
+
+
+def ref_meet(f: StepElem, g: StepElem) -> Table:
+    return canonical((a, x & y) for a, x, y in _pointwise(f, g))
+
+
+def ref_join(f: StepElem, g: StepElem) -> Table:
+    return canonical((a, x | y) for a, x, y in _pointwise(f, g))
+
+
+def ref_leq(f: StepElem, g: StepElem) -> bool:
+    return all(x & y == x for _, x, y in _pointwise(f, g))
+
+
+def ref_from_decomposition(
+    algebra: Algebra, a0: Scalar, pairs: Sequence[tuple[Scalar, BoolElem]]
+) -> Table:
+    """``a0 + sum(b * e)`` summed atom by atom, read back as a table."""
+    return table_from_values(
+        [
+            a0 + sum(b for b, e in pairs if e.mask >> i & 1)
+            for i in range(len(algebra.atoms))
+        ]
     )

@@ -251,3 +251,88 @@ def test_normalize_json_reloads(files, capsys):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert run(["convert", "--algebra", files["b4"], str(path)]) == 0
     assert capsys.readouterr().out.strip() == "[1 | 0] [q | 1]"
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_element_without_idem_is_usage_error(files, capsys):
+    path = files["dir"] / "no_idem.json"
+    path.write_text(
+        json.dumps({"rep": "perp", "entries": [{"value": "2"}]}), encoding="utf-8"
+    )
+    assert run(["convert", "--algebra", files["b4"], str(path)]) == 2
+    assert "missing key 'idem'" in _one_line_error(capsys)
+    flat = files["dir"] / "flat_no_idem.json"
+    flat.write_text(
+        json.dumps({"rep": "flat", "steps": [{"upto": "0"}]}), encoding="utf-8"
+    )
+    assert run(["convert", "--algebra", files["b4"], str(flat)]) == 2
+    _one_line_error(capsys)
+    scalar_entries = files["dir"] / "scalar_entries.json"
+    scalar_entries.write_text(
+        json.dumps({"rep": "perp", "entries": 5}), encoding="utf-8"
+    )
+    assert run(["convert", "--algebra", files["b4"], str(scalar_entries)]) == 2
+    _one_line_error(capsys)
+
+
+def test_atoms_string_is_usage_error(files, capsys):
+    path = files["dir"] / "atoms_string.json"
+    path.write_text(json.dumps({"atoms": "pq"}), encoding="utf-8")
+    assert run(["check-devries", "--algebra", str(path)]) == 2
+    assert "atoms must be a list" in _one_line_error(capsys)
+    morphism = files["dir"] / "atoms_string_morphism.json"
+    morphism.write_text(
+        json.dumps(
+            {
+                "source": {"algebra": {"atoms": "pq"}, "proximity": "leq"},
+                "target": {"algebra": {"atoms": ["x"]}, "proximity": "leq"},
+                "map": {"0": "0", "[p]": "1", "[q]": "0", "1": "1"},
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert run(["check-morphism", "--morphism", str(morphism)]) == 2
+    assert "atoms must be a list" in _one_line_error(capsys)
+
+
+def test_malformed_proximity_and_morphism_shapes_are_usage_errors(files, capsys):
+    prox = files["dir"] / "pairs_scalar.json"
+    prox.write_text(json.dumps({"proximity": {"pairs": [5]}}), encoding="utf-8")
+    assert run(["check-devries", "--algebra", files["b4"], "--proximity", str(prox)]) == 2
+    _one_line_error(capsys)
+    morphism = files["dir"] / "no_algebra.json"
+    morphism.write_text(
+        json.dumps({"source": {}, "target": {}, "map": {}}), encoding="utf-8"
+    )
+    assert run(["check-morphism", "--morphism", str(morphism)]) == 2
+    assert "missing key 'algebra'" in _one_line_error(capsys)
+    listed_map = files["dir"] / "listed_map.json"
+    listed_map.write_text(
+        json.dumps(
+            {
+                "source": {"algebra": {"atoms": ["x"]}},
+                "target": {"algebra": {"atoms": ["x"]}},
+                "map": [["0", "0"]],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert run(["check-morphism", "--morphism", str(listed_map)]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_is_usage_error(files, capsys, samples):
+    code = run(
+        ["check-prox", "--algebra", files["b4"], "--proximity", "leq", "--samples", samples]
+    )
+    assert code == 2
+    assert "--samples must be at least 1" in _one_line_error(capsys)
