@@ -285,7 +285,15 @@ def algebra_from_json(obj) -> Algebra:
     if not isinstance(obj, dict):
         raise ValueError(f"bad algebra JSON: {obj!r}")
     if "atoms" in obj:
-        return make_algebra(obj["atoms"])
+        atoms = obj["atoms"]
+        # a string would be read as its characters, so "pq" would mean p, q
+        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+            raise ValueError(f"algebra atoms must be a list of names: {atoms!r}")
+        return make_algebra(atoms)
     if "free_generators" in obj:
-        return make_free_algebra(int(obj["free_generators"]))
+        count = obj["free_generators"]
+        # no truncation of 2.5 to 2, and true is not the count 1
+        if type(count) is not int:
+            raise ValueError(f"free_generators must be an integer: {count!r}")
+        return make_free_algebra(count)
     raise ValueError("algebra JSON needs 'atoms' or 'free_generators'")

@@ -45,6 +45,7 @@ from .proximity import (
     AxiomResult,
     ProxRel,
     ProxReport,
+    _record,
     _require_devries,
     leq_proximity,
     lift_check,
@@ -54,7 +55,7 @@ from .proximity import (
 )
 from .steps import (
     StepElem,
-    _assemble,
+    _assemble_masks,
     decreasing_decomposition,
     from_decomposition,
     step_add,
@@ -153,48 +154,39 @@ def check_dv_morphism(m: DVMorphism) -> ProxReport:
     """Exhaustive verification of M1-M4 over the finite source algebra."""
     src, tgt = m.source, m.target
     src_alg, tgt_alg = src.algebra, tgt.algebra
-    results = []
+    table = m.table
+    results: list = []
 
-    m1_ok = m.table[0] == 0
+    m1_ok = table[0] == 0
     results.append(
-        AxiomResult("M1", m1_ok, 1, () if m1_ok else (tgt_alg.from_mask(m.table[0]),))
+        AxiomResult("M1", m1_ok, 1, () if m1_ok else (tgt_alg.from_mask(table[0]),))
     )
-
-    def run(name, generator):
-        checked = 0
-        for condition, witness in generator:
-            checked += 1
-            if not condition:
-                results.append(AxiomResult(name, False, checked, witness))
-                return
-        results.append(AxiomResult(name, True, checked))
 
     def m2_cases():
         for e in range(src_alg.size):
+            image = table[e]
             for f in range(src_alg.size):
-                ok = m.table[e & f] == m.table[e] & m.table[f]
-                yield ok, (src_alg.from_mask(e), src_alg.from_mask(f))
+                yield None if table[e & f] == image & table[f] else (e, f)
 
-    run("M2", m2_cases())
+    _record(results, "M2", m2_cases(), src_alg.from_mask)
 
     def m3_cases():
         src_full, tgt_full = src_alg.full_mask, tgt_alg.full_mask
         for e, f in src.sorted_pairs():
-            lower = tgt_full & ~m.table[src_full & ~e]
-            ok = (lower, m.table[f]) in tgt.pairs
-            yield ok, (src_alg.from_mask(e), src_alg.from_mask(f))
+            lower = tgt_full & ~table[src_full & ~e]
+            yield None if (lower, table[f]) in tgt.pairs else (e, f)
 
-    run("M3", m3_cases())
+    _record(results, "M3", m3_cases(), src_alg.from_mask)
 
     def m4_cases():
-        approximants: dict[int, int] = {f: 0 for f in range(src_alg.size)}
-        for e, f in src.pairs:
-            approximants[f] |= m.table[e]
+        lefts = src._lefts
         for f in range(src_alg.size):
-            ok = m.table[f] == approximants[f]
-            yield ok, (src_alg.from_mask(f),)
+            joined = 0
+            for e in lefts.get(f, ()):
+                joined |= table[e]
+            yield None if table[f] == joined else (f,)
 
-    run("M4", m4_cases())
+    _record(results, "M4", m4_cases(), src_alg.from_mask)
 
     return ProxReport("de Vries morphism axioms", tuple(results))
 
@@ -231,13 +223,12 @@ def star_compose_dv(m2: DVMorphism, m1: DVMorphism) -> DVMorphism:
     """Star composition: join of the two-step images over approximants."""
     if m1.target != m2.source:
         raise ValueError("morphism endpoints do not match")
-    size = m1.source.algebra.size
+    lefts = m1.source._lefts
     table = []
-    for e in range(size):
+    for e in range(m1.source.algebra.size):
         mask = 0
-        for f, g in m1.source.pairs:
-            if g == e:
-                mask |= m2.table[m1.table[f]]
+        for f in lefts.get(e, ()):
+            mask |= m2.table[m1.table[f]]
         table.append(mask)
     return DVMorphism(m1.source, m2.target, tuple(table))
 
@@ -246,14 +237,11 @@ def star_compose_dv(m2: DVMorphism, m1: DVMorphism) -> DVMorphism:
 
 
 def _compose_with_steps(m: DVMorphism) -> Callable[[StepElem], StepElem]:
-    tgt_alg = m.target.algebra
+    tgt_alg, table = m.target.algebra, m.table
 
     def act(f: StepElem) -> StepElem:
-        points = [
-            (threshold, tgt_alg.from_mask(m.table[idem.mask]))
-            for threshold, idem in zip(f.thresholds, f.idems)
-        ]
-        return _assemble(tgt_alg, points)
+        points = [(t, table[mask]) for t, mask in zip(f.thresholds, f._masks)]
+        return _assemble_masks(tgt_alg, points)
 
     return act
 
@@ -352,11 +340,10 @@ def _approximant_join(
     src = pm.source
     src_alg = src.algebra
     a0, pairs = decreasing_decomposition(t)
-    approximant_sets = []
-    for _, e in pairs:
-        approximant_sets.append(
-            [src_alg.from_mask(k) for k, g in src.sorted_pairs() if g == e.mask]
-        )
+    lefts = src._lefts
+    approximant_sets = [
+        [src_alg.from_mask(k) for k in lefts.get(e.mask, ())] for _, e in pairs
+    ]
     combos = list(itertools.product(*approximant_sets))
     if len(combos) > tuple_cap:
         combos = rng.sample(combos, tuple_cap)

@@ -23,6 +23,12 @@ Axioms on the boolean algebra:
     D7  e != 0 implies f < e for some f != 0
 
 (writing ``<`` for the proximity).
+
+The checkers work on ``int`` masks over the atom order: relations are
+sets of mask pairs, with their sorted pairs and the approximants of each
+element indexed once per relation, and lifted checks read the component
+masks of step elements.  :class:`BoolElem` objects are built only for
+returned values and for the witnesses of a failing axiom.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .boolalg import Algebra, BoolElem, element_from_json, element_to_json
 from .steps import (
@@ -47,7 +53,10 @@ from .steps import (
     step_one,
     step_scale_pos,
     step_zero,
-    _assemble,
+    _assemble_masks,
+    _masks_at,
+    _merged_grid,
+    _same_algebra,
 )
 
 __all__ = [
@@ -81,11 +90,32 @@ class ProxRel:
             raise ValueError("elements from a different algebra")
         return (e.mask, f.mask) in self.pairs
 
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
+        return self._sorted
+
+    @cached_property
+    def _sorted(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.pairs))
+
+    @cached_property
+    def _rights(self) -> dict[int, tuple[int, ...]]:
+        """``e -> (f, ...)`` for ``e < f``, each tuple ascending."""
+        return _group(self._sorted, 0)
+
+    @cached_property
+    def _lefts(self) -> dict[int, tuple[int, ...]]:
+        """``f -> (e, ...)`` for ``e < f`` (the approximants), ascending."""
+        return _group(self._sorted, 1)
 
     def __repr__(self) -> str:
         return f"ProxRel({len(self.pairs)} pairs on {self.algebra!r})"
+
+
+def _group(ordered: Sequence[tuple[int, int]], key: int) -> dict[int, tuple[int, ...]]:
+    grouped: dict[int, list[int]] = {}
+    for pair in ordered:
+        grouped.setdefault(pair[key], []).append(pair[1 - key])
+    return {k: tuple(v) for k, v in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -140,12 +170,7 @@ class ProxReport:
 
 def leq_proximity(algebra: Algebra) -> ProxRel:
     """The order relation itself, the canonical de Vries proximity."""
-    pairs = frozenset(
-        (e, f)
-        for e in range(algebra.size)
-        for f in range(algebra.size)
-        if e & f == e
-    )
+    pairs = frozenset((e, f) for f in range(algebra.size) for e in _submasks(f))
     return ProxRel(algebra, pairs)
 
 
@@ -158,6 +183,24 @@ def _submasks(mask: int) -> Iterable[int]:
         sub = (sub - 1) & mask
 
 
+def _record(
+    results: list, name: str, cases: Iterator, elem: Callable[[int], BoolElem]
+) -> None:
+    """Run one exhaustive axiom and append its result.
+
+    Each case yields ``None`` when it holds and its witness masks when it
+    fails; only the first failing case becomes elements, through ``elem``.
+    """
+    checked = 0
+    for failure in cases:
+        checked += 1
+        if failure is not None:
+            witness = tuple(elem(mask) for mask in failure)
+            results.append(AxiomResult(name, False, checked, witness))
+            return
+    results.append(AxiomResult(name, True, checked))
+
+
 def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
     """Exhaustively verify the de Vries axioms D1-D7 on a finite algebra."""
     algebra = rel.algebra
@@ -166,82 +209,80 @@ def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
             f"algebra with {algebra.size} elements exceeds the exhaustive "
             f"bound of {max_elements}"
         )
-    full = algebra.full_mask
-    pairs = rel.pairs
+    size, full = algebra.size, algebra.full_mask
+    pairs, ordered = rel.pairs, rel.sorted_pairs()
     elem = algebra.from_mask
-    results = []
+    results: list = []
 
     d1_ok = (0, 0) in pairs and (full, full) in pairs
     results.append(
         AxiomResult("D1", d1_ok, 2, () if d1_ok else (elem(0), elem(full)))
     )
 
-    def run(name, generator):
-        checked = 0
-        for condition, witness in generator:
-            checked += 1
-            if not condition:
-                results.append(AxiomResult(name, False, checked, witness))
-                return
-        results.append(AxiomResult(name, True, checked))
-
-    run(
+    _record(
+        results,
         "D2",
-        (
-            (e & f == e, (elem(e), elem(f)))
-            for e, f in rel.sorted_pairs()
-        ),
+        (None if e & f == e else (e, f) for e, f in ordered),
+        elem,
     )
 
     def d3_cases():
-        for f, g in rel.sorted_pairs():
+        for f, g in ordered:
+            extensions = [g | extension for extension in _submasks(full & ~g)]
             for e in _submasks(f):
-                for extension in _submasks(full & ~g):
-                    h = g | extension
-                    yield (e, h) in pairs, (elem(e), elem(f), elem(g), elem(h))
+                for h in extensions:
+                    yield None if (e, h) in pairs else (e, f, g, h)
 
-    run("D3", d3_cases())
+    _record(results, "D3", d3_cases(), elem)
 
     def d4_cases():
-        by_left: dict[int, list[int]] = {}
-        for e, f in rel.sorted_pairs():
-            by_left.setdefault(e, []).append(f)
-        for e, rights in sorted(by_left.items()):
-            for f, g in itertools.product(rights, rights):
-                yield (e, f & g) in pairs, (elem(e), elem(f), elem(g))
+        for e, rights in sorted(rel._rights.items()):
+            for f in rights:
+                for g in rights:
+                    yield None if (e, f & g) in pairs else (e, f, g)
 
-    run("D4", d4_cases())
+    _record(results, "D4", d4_cases(), elem)
 
-    run(
+    _record(
+        results,
         "D5",
         (
-            ((full & ~f, full & ~e) in pairs, (elem(e), elem(f)))
-            for e, f in rel.sorted_pairs()
+            None if (full & ~f, full & ~e) in pairs else (e, f)
+            for e, f in ordered
         ),
+        elem,
     )
 
     def d6_cases():
-        for e, f in rel.sorted_pairs():
-            found = any(
-                (e, g) in pairs and (g, f) in pairs for g in range(algebra.size)
-            )
-            yield found, (elem(e), elem(f))
+        # here and below only elements of the algebra count as witnesses:
+        # a relation built by hand may hold masks outside it
+        rights = rel._rights
+        for e, f in ordered:
+            found = any(0 <= g < size and (g, f) in pairs for g in rights[e])
+            yield None if found else (e, f)
 
-    run("D6", d6_cases())
+    _record(results, "D6", d6_cases(), elem)
 
     def d7_cases():
-        for e in range(1, algebra.size):
-            found = any((f, e) in pairs for f in range(1, algebra.size))
-            yield found, (elem(e),)
+        lefts = rel._lefts
+        for e in range(1, size):
+            found = any(0 < f < size for f in lefts.get(e, ()))
+            yield None if found else (e,)
 
-    run("D7", d7_cases())
+    _record(results, "D7", d7_cases(), elem)
 
     return ProxReport("de Vries axioms", tuple(results))
 
 
 @lru_cache(maxsize=None)
+def _devries_report(rel: ProxRel) -> ProxReport:
+    """:func:`check_devries` once per relation (equal relations share it)."""
+    return check_devries(rel)
+
+
+@lru_cache(maxsize=None)
 def _devries_ok(rel: ProxRel) -> bool:
-    return check_devries(rel).ok
+    return _devries_report(rel).ok
 
 
 def _require_devries(rel: ProxRel) -> None:
@@ -284,17 +325,33 @@ def interpolant(rel: ProxRel, e: BoolElem, f: BoolElem) -> BoolElem:
     """
     if not rel.related(e, f):
         raise ValueError("interpolant requires a related pair")
-    algebra = rel.algebra
+    return rel.algebra.from_mask(_interpolant_mask(rel, e.mask, f.mask))
+
+
+def _interpolant_mask(rel: ProxRel, e: int, f: int) -> int:
+    algebra, pairs = rel.algebra, rel.pairs
     candidates = [
-        algebra.from_mask(g)
-        for g in range(algebra.size)
-        if (e.mask, g) in rel.pairs and (g, f.mask) in rel.pairs
+        g
+        for g in rel._rights.get(e, ())
+        if 0 <= g < algebra.size and (g, f) in pairs
     ]
     if not candidates:
+        elem = algebra.from_mask
         raise ValueError(
-            f"no interpolant between {e} and {f}: not a de Vries proximity"
+            f"no interpolant between {elem(e)} and {elem(f)}: not a de Vries proximity"
         )
-    return min(candidates, key=lambda g: (g.atom_count(), g.atom_names()))
+    return _smallest(algebra, candidates)
+
+
+def _smallest(algebra: Algebra, masks: Sequence[int]) -> int:
+    """The mask with fewest atoms, then lexicographically first atom names."""
+    atoms = algebra.atoms
+
+    def key(mask: int):
+        names = tuple(name for i, name in enumerate(atoms) if mask >> i & 1)
+        return len(names), names
+
+    return min(masks, key=key)
 
 
 def lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
@@ -304,11 +361,17 @@ def lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
     between them, below the grid both are 1 (related by D1), and past it
     both are 0 (related by D1).
     """
-    if s.algebra != rel.algebra or t.algebra != rel.algebra:
+    algebra = rel.algebra
+    if not (_same_algebra(s.algebra, algebra) and _same_algebra(t.algebra, algebra)):
         raise ValueError("mixed algebras in lifted proximity check")
     _require_devries(rel)
-    grid = sorted(set(s.thresholds) | set(t.thresholds))
-    return all((s.value(b).mask, t.value(b).mask) in rel.pairs for b in grid)
+    return _lifted(rel.pairs, s, t)
+
+
+def _lifted(pairs: frozenset[tuple[int, int]], s: StepElem, t: StepElem) -> bool:
+    """:func:`lift_check` on one algebra, for a de Vries relation's pairs."""
+    grid = _merged_grid(s, t)
+    return all(pair in pairs for pair in zip(_masks_at(s, grid), _masks_at(t, grid)))
 
 
 def restrict_lift(rel: ProxRel) -> ProxRel:
@@ -318,13 +381,12 @@ def restrict_lift(rel: ProxRel) -> ProxRel:
     """
     _require_devries(rel)
     algebra = rel.algebra
+    embedded = [step_embed(e) for e in algebra.elements()]
     pairs = frozenset(
         (e, f)
-        for e in range(algebra.size)
-        for f in range(algebra.size)
-        if lift_check(
-            rel, step_embed(algebra.from_mask(e)), step_embed(algebra.from_mask(f))
-        )
+        for e, s in enumerate(embedded)
+        for f, t in enumerate(embedded)
+        if _lifted(rel.pairs, s, t)
     )
     restricted = ProxRel(algebra, pairs)
     assert restricted == rel
@@ -376,12 +438,8 @@ def sample_related_pair(
     chosen += [rng.choice(choices) for _ in range(len(grid) - 1)]
     lefts = _prefix_meets([pair[0] for pair in chosen])
     rights = _prefix_meets([pair[1] for pair in chosen])
-    s = _assemble(
-        algebra, [(a, algebra.from_mask(m)) for a, m in zip(grid, lefts)]
-    )
-    t = _assemble(
-        algebra, [(a, algebra.from_mask(m)) for a, m in zip(grid, rights)]
-    )
+    s = _assemble_masks(algebra, list(zip(grid, lefts)))
+    t = _assemble_masks(algebra, list(zip(grid, rights)))
     assert lift_check(rel, s, t)
     return s, t
 
@@ -536,13 +594,11 @@ def interpolate_lifted(rel: ProxRel, s: StepElem, t: StepElem) -> StepElem:
         raise ValueError("interpolation requires a related pair")
     shared = compatible_decreasing(s, t)
     witnesses = [
-        interpolant(rel, e, f).mask for e, f in zip(shared.left, shared.right)
+        _interpolant_mask(rel, e.mask, f.mask)
+        for e, f in zip(shared.left, shared.right)
     ]
     met = _prefix_meets(witnesses)
-    points = [
-        (a, rel.algebra.from_mask(m)) for a, m in zip(shared.thresholds, met)
-    ]
-    return _assemble(rel.algebra, points)
+    return _assemble_masks(rel.algebra, list(zip(shared.thresholds, met)))
 
 
 def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
@@ -556,20 +612,15 @@ def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
     zero = step_zero(algebra)
     if not (step_leq(zero, s) and s != zero):
         raise ValueError("a positive approximant needs s > 0")
-    smallest = s.idems[-1]
-    candidates = [
-        algebra.from_mask(f)
-        for f in range(1, algebra.size)
-        if (f, smallest.mask) in rel.pairs
-    ]
+    smallest = s._masks[-1]
+    candidates = [f for f in rel._lefts.get(smallest, ()) if 0 < f < algebra.size]
     if not candidates:
         raise ValueError(
-            f"no nonzero witness below {smallest}: not a de Vries proximity"
+            f"no nonzero witness below {s.idems[-1]}: not a de Vries proximity"
         )
-    e = min(candidates, key=lambda g: (g.atom_count(), g.atom_names()))
+    e = _smallest(algebra, candidates)
     top = s.thresholds[-1]
-    points = [(0, algebra.one), (top, e)]
-    return _assemble(algebra, points)
+    return _assemble_masks(algebra, [(0, algebra.full_mask), (top, e)])
 
 
 # --- JSON ---------------------------------------------------------------

@@ -11,15 +11,25 @@ The step reference reads a :class:`StepElem` as a plain list of
 ``specker.steps`` module docstring literally at every candidate
 threshold, as a join or meet over sample points; it shares no code with
 the mask kernel it checks.
+
+The eager checker reference is the object-based form of the de Vries
+axiom checker, the morphism axiom checker and the lifted-proximity check:
+every case builds its witnesses as :class:`BoolElem` objects before its
+condition is tested, and the lift reads step values through
+``StepElem.value``.  The mask-based checkers must agree with it on every
+report, verdict and counterexample.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable, Iterable, Sequence
 
 from specker.boolalg import Algebra, BoolElem
+from specker.morphisms import DVMorphism
 from specker.pointwise import PointFn
+from specker.proximity import AxiomResult, ProxRel, ProxReport
 from specker.scalars import Scalar
 from specker.steps import StepElem
 from specker.terms import BinOp, Lit, Neg, Pow, Term, Var
@@ -220,3 +230,147 @@ def ref_from_decomposition(
             for i in range(len(algebra.atoms))
         ]
     )
+
+
+# --- eager reference for the de Vries, morphism and lift checkers -------------
+
+
+def _submasks(mask: int) -> Iterable[int]:
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _run_cases(results: list, name: str, generator) -> None:
+    checked = 0
+    for condition, witness in generator:
+        checked += 1
+        if not condition:
+            results.append(AxiomResult(name, False, checked, witness))
+            return
+    results.append(AxiomResult(name, True, checked))
+
+
+def ref_check_devries(rel: ProxRel) -> ProxReport:
+    """D1-D7 with every witness built before its condition is tested."""
+    algebra = rel.algebra
+    full = algebra.full_mask
+    pairs = rel.pairs
+    ordered = sorted(pairs)
+    elem = algebra.from_mask
+    results: list = []
+
+    d1_ok = (0, 0) in pairs and (full, full) in pairs
+    results.append(
+        AxiomResult("D1", d1_ok, 2, () if d1_ok else (elem(0), elem(full)))
+    )
+    _run_cases(
+        results, "D2", ((e & f == e, (elem(e), elem(f))) for e, f in ordered)
+    )
+
+    def d3_cases():
+        for f, g in ordered:
+            for e in _submasks(f):
+                for extension in _submasks(full & ~g):
+                    h = g | extension
+                    yield (e, h) in pairs, (elem(e), elem(f), elem(g), elem(h))
+
+    _run_cases(results, "D3", d3_cases())
+
+    def d4_cases():
+        by_left: dict[int, list[int]] = {}
+        for e, f in ordered:
+            by_left.setdefault(e, []).append(f)
+        for e, rights in sorted(by_left.items()):
+            for f, g in itertools.product(rights, rights):
+                yield (e, f & g) in pairs, (elem(e), elem(f), elem(g))
+
+    _run_cases(results, "D4", d4_cases())
+    _run_cases(
+        results,
+        "D5",
+        (
+            ((full & ~f, full & ~e) in pairs, (elem(e), elem(f)))
+            for e, f in ordered
+        ),
+    )
+
+    def d6_cases():
+        for e, f in ordered:
+            found = any(
+                (e, g) in pairs and (g, f) in pairs for g in range(algebra.size)
+            )
+            yield found, (elem(e), elem(f))
+
+    _run_cases(results, "D6", d6_cases())
+
+    def d7_cases():
+        for e in range(1, algebra.size):
+            found = any((f, e) in pairs for f in range(1, algebra.size))
+            yield found, (elem(e),)
+
+    _run_cases(results, "D7", d7_cases())
+    return ProxReport("de Vries axioms", tuple(results))
+
+
+def ref_check_dv_morphism(m: DVMorphism) -> ProxReport:
+    """M1-M4 with every witness built before its condition is tested."""
+    src, tgt = m.source, m.target
+    src_alg, tgt_alg = src.algebra, tgt.algebra
+    results: list = []
+
+    m1_ok = m.table[0] == 0
+    results.append(
+        AxiomResult("M1", m1_ok, 1, () if m1_ok else (tgt_alg.from_mask(m.table[0]),))
+    )
+
+    def m2_cases():
+        for e in range(src_alg.size):
+            for f in range(src_alg.size):
+                ok = m.table[e & f] == m.table[e] & m.table[f]
+                yield ok, (src_alg.from_mask(e), src_alg.from_mask(f))
+
+    _run_cases(results, "M2", m2_cases())
+
+    def m3_cases():
+        src_full, tgt_full = src_alg.full_mask, tgt_alg.full_mask
+        for e, f in sorted(src.pairs):
+            lower = tgt_full & ~m.table[src_full & ~e]
+            ok = (lower, m.table[f]) in tgt.pairs
+            yield ok, (src_alg.from_mask(e), src_alg.from_mask(f))
+
+    _run_cases(results, "M3", m3_cases())
+
+    def m4_cases():
+        approximants: dict[int, int] = {f: 0 for f in range(src_alg.size)}
+        for e, f in src.pairs:
+            approximants[f] |= m.table[e]
+        for f in range(src_alg.size):
+            ok = m.table[f] == approximants[f]
+            yield ok, (src_alg.from_mask(f),)
+
+    _run_cases(results, "M4", m4_cases())
+    return ProxReport("de Vries morphism axioms", tuple(results))
+
+
+def ref_lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
+    """The lifted relation read through ``value`` at every merged threshold."""
+    if s.algebra != rel.algebra or t.algebra != rel.algebra:
+        raise ValueError("mixed algebras in lifted proximity check")
+    grid = sorted(set(s.thresholds) | set(t.thresholds))
+    return all((s.value(b).mask, t.value(b).mask) in rel.pairs for b in grid)
+
+
+def ref_star_compose_table(m2: DVMorphism, m1: DVMorphism) -> tuple[int, ...]:
+    """The star composite's table, scanning every pair for each element."""
+    table = []
+    for e in range(m1.source.algebra.size):
+        mask = 0
+        for f, g in m1.source.pairs:
+            if g == e:
+                mask |= m2.table[m1.table[f]]
+        table.append(mask)
+    return tuple(table)

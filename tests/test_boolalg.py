@@ -137,3 +137,15 @@ def test_algebra_json_round_trip(b4):
     assert free.size == 16
     with pytest.raises(ValueError):
         algebra_from_json({"neither": 1})
+
+
+@pytest.mark.parametrize("atoms", ["pq", ["p", 1], {"p": 1}, None])
+def test_algebra_json_atoms_must_be_a_list_of_names(atoms):
+    with pytest.raises(ValueError, match="atoms must be a list of names"):
+        algebra_from_json({"atoms": atoms})
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2", None])
+def test_algebra_json_free_generators_must_be_an_int(count):
+    with pytest.raises(ValueError, match="free_generators must be an integer"):
+        algebra_from_json({"free_generators": count})

@@ -199,6 +199,26 @@ def test_check_prox_and_morphism(files, capsys):
     assert "PASS (7 axioms)" in capsys.readouterr().out
 
 
+def test_check_prox_checks_devries_once(files, capsys, monkeypatch):
+    from specker import cli, proximity
+
+    checked = []
+    original = proximity.check_devries
+
+    def counted(rel, *args, **kwargs):
+        checked.append(rel)
+        return original(rel, *args, **kwargs)
+
+    for module in (cli, proximity):
+        monkeypatch.setattr(module, "check_devries", counted)
+    proximity._devries_report.cache_clear()
+    proximity._devries_ok.cache_clear()
+    args = ["check-prox", "--algebra", files["b4"], "--samples", "5"]
+    assert run(args) == 0
+    assert "PASS (10 axioms)" in capsys.readouterr().out
+    assert len(checked) == 1
+
+
 def test_compose_json_reloads(files, capsys):
     assert run(["compose", files["at_p"], files["id4"], "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -301,6 +321,14 @@ def test_atoms_string_is_usage_error(files, capsys):
     )
     assert run(["check-morphism", "--morphism", str(morphism)]) == 2
     assert "atoms must be a list" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("count", [2.5, True])
+def test_free_generators_not_an_int_is_usage_error(files, capsys, count):
+    path = files["dir"] / "free.json"
+    path.write_text(json.dumps({"free_generators": count}), encoding="utf-8")
+    assert run(["check-devries", "--algebra", str(path)]) == 2
+    assert "free_generators must be an integer" in _one_line_error(capsys)
 
 
 def test_malformed_proximity_and_morphism_shapes_are_usage_errors(files, capsys):
