@@ -4,30 +4,17 @@ Finite boolean algebras, boolean powers in orthogonal and decreasing
 step-function form, the unique lattice order, de Vries proximities and
 their pointwise lift, proximity morphisms with star composition, and an
 independent pointwise oracle for differential verification.
+
+``import specker`` loads the Specker-algebra core: ``boolalg``,
+``scalars``, ``orthogonal`` and ``steps``.  The de Vries layer
+(``proximity``, ``morphisms``), the oracle (``pointwise``) and the term
+front end (``terms``) load on first use of one of their names.
 """
 
+import importlib as _importlib
+from types import ModuleType as _ModuleType
+
 from .boolalg import Algebra, BoolElem, ba_apply, make_algebra, make_free_algebra
-from .morphisms import (
-    DVMorphism,
-    ProxMorphism,
-    apply_prox_morphism,
-    check_dv_morphism,
-    enumerate_boolean_homs,
-    eta,
-    functor_id,
-    functor_id_morphism,
-    functor_sp,
-    functor_sp_morphism,
-    identity_dv,
-    identity_prox,
-    lift_morphism,
-    naturality_check,
-    restrict_prox_morphism,
-    sample_morphism_axioms,
-    star_compose_dv,
-    star_compose_prox,
-    tau,
-)
 from .orthogonal import (
     OrthElem,
     annihilator_idempotent,
@@ -45,30 +32,6 @@ from .orthogonal import (
     orth_sub,
     orth_unit,
     orth_zero,
-)
-from .pointwise import (
-    PointFn,
-    atom_values,
-    oracle_diff,
-    orth_of_pointfn,
-    pointwise_apply,
-    random_orth,
-    random_pointfn,
-    random_steps,
-    steps_of_pointfn,
-)
-from .proximity import (
-    AxiomResult,
-    ProxRel,
-    ProxReport,
-    check_devries,
-    enumerate_devries,
-    interpolant,
-    leq_proximity,
-    lift_check,
-    restrict_lift,
-    sample_proximity_axioms,
-    sample_related_pair,
 )
 from .scalars import Scalar, format_scalar, parse_scalar
 from .steps import (
@@ -96,4 +59,78 @@ from .steps import (
     to_orth,
     to_steps,
 )
-from .terms import ParseError, Term, default_binding, normalize_term, parse_term
+
+# name -> submodule, for the names that load on first use; each access
+# reads the submodule's attribute and is never cached here
+_LAZY = {
+    name: module
+    for module, names in {
+        "morphisms": (
+            "DVMorphism",
+            "ProxMorphism",
+            "apply_prox_morphism",
+            "check_dv_morphism",
+            "enumerate_boolean_homs",
+            "eta",
+            "functor_id",
+            "functor_id_morphism",
+            "functor_sp",
+            "functor_sp_morphism",
+            "identity_dv",
+            "identity_prox",
+            "lift_morphism",
+            "naturality_check",
+            "restrict_prox_morphism",
+            "sample_morphism_axioms",
+            "star_compose_dv",
+            "star_compose_prox",
+            "tau",
+        ),
+        "pointwise": (
+            "PointFn",
+            "atom_values",
+            "oracle_diff",
+            "orth_of_pointfn",
+            "pointwise_apply",
+            "random_orth",
+            "random_pointfn",
+            "random_steps",
+            "steps_of_pointfn",
+        ),
+        "proximity": (
+            "AxiomResult",
+            "ProxRel",
+            "ProxReport",
+            "check_devries",
+            "enumerate_devries",
+            "interpolant",
+            "leq_proximity",
+            "lift_check",
+            "restrict_lift",
+            "sample_proximity_axioms",
+            "sample_related_pair",
+        ),
+        "terms": ("ParseError", "Term", "default_binding", "normalize_term", "parse_term"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(
+    [
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, _ModuleType)
+    ]
+    + list(_LAZY)
+)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

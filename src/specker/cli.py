@@ -6,6 +6,10 @@ output (or machine-readable JSON with ``--json``).
 
 Exit codes: 0 on success or a passing check, 1 when a verification
 fails, 2 on usage, file, or parse errors.
+
+Only the Specker-algebra core (``boolalg``, ``orthogonal``, ``steps``) is
+imported here; each subcommand imports the de Vries, oracle or term
+layer it runs, so a run loads no layer it does not use.
 """
 
 from __future__ import annotations
@@ -13,23 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-from .boolalg import Algebra, algebra_from_json
-from .morphisms import (
-    DVMorphism,
-    check_dv_morphism,
-    enumerate_boolean_homs,
-    functor_id,
-    functor_sp,
-    lift_morphism,
-    morphism_from_json,
-    morphism_to_json,
-    naturality_check,
-    restrict_prox_morphism,
-    sample_morphism_axioms,
-    star_compose_dv,
-)
+from .boolalg import Algebra, algebra_from_json, make_algebra
 from .orthogonal import (
     OrthElem,
     orth_from_json,
@@ -37,19 +27,6 @@ from .orthogonal import (
     orth_leq,
     orth_meet,
     orth_to_json,
-)
-from .pointwise import atom_values, oracle_diff
-from .proximity import (
-    ProxRel,
-    _devries_report,
-    check_devries,
-    enumerate_devries,
-    leq_proximity,
-    lift_check,
-    prox_from_json,
-    prox_to_json,
-    restrict_lift,
-    sample_proximity_axioms,
 )
 from .steps import (
     StepElem,
@@ -60,7 +37,10 @@ from .steps import (
     to_orth,
     to_steps,
 )
-from .terms import ParseError, normalize_term, parse_term
+
+if TYPE_CHECKING:
+    from .morphisms import DVMorphism
+    from .proximity import ProxRel
 
 Element = Union[OrthElem, StepElem]
 
@@ -115,6 +95,8 @@ def _load_element(algebra: Algebra, path: str) -> Element:
 
 
 def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
+    from .proximity import leq_proximity, prox_from_json
+
     if spec == "leq":
         return leq_proximity(algebra)
     try:
@@ -126,6 +108,8 @@ def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
 
 
 def _load_morphism(path: str) -> DVMorphism:
+    from .morphisms import morphism_from_json
+
     obj = _load_json(path)
     try:
         return morphism_from_json(obj)
@@ -153,40 +137,24 @@ def _print_report(report, as_json: bool) -> int:
     return 0 if report.ok else 1
 
 
-_SUBCOMMANDS = (
-    "normalize",
-    "eval",
-    "convert",
-    "order",
-    "meet",
-    "join",
-    "check-devries",
-    "enumerate-devries",
-    "lift",
-    "check-prox",
-    "check-morphism",
-    "compose",
-    "equiv-check",
-    "oracle-diff",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specker",
         description="Exact computation in Specker algebras over finite boolean algebras.",
     )
+    # the options every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--algebra", help="algebra JSON file")
+    common.add_argument("--proximity", default="leq", help="proximity JSON file or 'leq'")
+    common.add_argument("--expr", help="term to normalize or evaluate")
+    common.add_argument("--morphism", action="append", default=[], help="morphism JSON file")
+    common.add_argument("--samples", type=int, default=200)
+    common.add_argument("--coeff-bound", type=int, default=10)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--json", action="store_true", dest="as_json")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--algebra", help="algebra JSON file")
-        p.add_argument("--proximity", default="leq", help="proximity JSON file or 'leq'")
-        p.add_argument("--expr", help="term to normalize or evaluate")
-        p.add_argument("--morphism", action="append", default=[], help="morphism JSON file")
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--coeff-bound", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", dest="as_json")
+    for name in _COMMANDS:
+        p = sub.add_parser(name, parents=[common])
         if name == "convert":
             p.add_argument("element", help="element JSON file")
         elif name in ("order", "meet", "join"):
@@ -201,23 +169,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_normalize(args) -> int:
+def _normalized_expr(args) -> OrthElem:
+    from .terms import normalize_term, parse_term
+
     algebra = _load_algebra(args.algebra)
     if args.expr is None:
-        raise UsageError("normalize needs --expr")
-    elem = normalize_term(parse_term(args.expr), algebra)
-    _print_element(elem, args.as_json)
+        raise UsageError(f"{args.command} needs --expr")
+    return normalize_term(parse_term(args.expr), algebra)
+
+
+def _cmd_normalize(args) -> int:
+    _print_element(_normalized_expr(args), args.as_json)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    if args.expr is None:
-        raise UsageError("eval needs --expr")
-    elem = normalize_term(parse_term(args.expr), algebra)
+    elem = _normalized_expr(args)
     if args.as_json:
         _print_element(elem, True)
     else:
+        from .pointwise import atom_values
+
         print(atom_values(elem))
     return 0
 
@@ -268,12 +240,16 @@ def _cmd_lattice(args, op_name: str) -> int:
 
 
 def _cmd_check_devries(args) -> int:
+    from .proximity import check_devries
+
     algebra = _load_algebra(args.algebra)
     rel = _load_proximity(algebra, args.proximity)
     return _print_report(check_devries(rel), args.as_json)
 
 
 def _cmd_enumerate_devries(args) -> int:
+    from .proximity import enumerate_devries, prox_to_json
+
     algebra = _load_algebra(args.algebra)
     relations = enumerate_devries(algebra)
     if args.as_json:
@@ -287,6 +263,8 @@ def _cmd_enumerate_devries(args) -> int:
 
 def _cmd_lift(args) -> int:
     if args.morphism:
+        from .morphisms import lift_morphism, morphism_to_json, restrict_prox_morphism
+
         m = _load_morphism(args.morphism[0])
         lifted = lift_morphism(m)
         restricted = restrict_prox_morphism(lifted)
@@ -296,6 +274,8 @@ def _cmd_lift(args) -> int:
         else:
             print(f"lifted morphism; restriction round-trip {status}")
         return 0 if status == "OK" else 1
+    from .proximity import lift_check, prox_to_json, restrict_lift
+
     algebra = _load_algebra(args.algebra)
     rel = _load_proximity(algebra, args.proximity)
     if args.left and args.right:
@@ -315,6 +295,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_check_prox(args) -> int:
+    from .proximity import _devries_report, sample_proximity_axioms
+
     algebra = _load_algebra(args.algebra)
     rel = _load_proximity(algebra, args.proximity)
     # the same report the sampled axioms require, so D1-D7 run once
@@ -330,6 +312,8 @@ def _cmd_check_prox(args) -> int:
 
 
 def _cmd_check_morphism(args) -> int:
+    from .morphisms import check_dv_morphism, lift_morphism, sample_morphism_axioms
+
     if not args.morphism:
         raise UsageError("check-morphism needs --morphism")
     m = _load_morphism(args.morphism[0])
@@ -348,6 +332,8 @@ def _cmd_check_morphism(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from .morphisms import morphism_to_json, star_compose_dv
+
     outer = _load_morphism(args.outer)
     inner = _load_morphism(args.inner)
     try:
@@ -362,11 +348,12 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_equiv_check(args) -> int:
+    from .morphisms import enumerate_boolean_homs, functor_id, functor_sp, naturality_check
+    from .proximity import leq_proximity
+
     if args.algebra:
         algebras = [_load_algebra(args.algebra)]
     else:
-        from .boolalg import make_algebra
-
         algebras = [make_algebra(["x"]), make_algebra(["p", "q"])]
     print(f"seed={args.seed} samples={args.samples}")
     failures = 0
@@ -389,6 +376,8 @@ def _cmd_equiv_check(args) -> int:
 
 
 def _cmd_oracle_diff(args) -> int:
+    from .pointwise import oracle_diff
+
     algebra = _load_algebra(args.algebra)
     records = oracle_diff(
         algebra,
@@ -430,14 +419,11 @@ def run(argv: Sequence[str]) -> int:
         if args.samples < 1:
             raise UsageError(f"--samples must be at least 1, got {args.samples}")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a UsageError, or a library's own
+        # a ParseError can only come from the term layer once it is loaded
+        terms = sys.modules.get("specker.terms")
+        syntax = terms is not None and isinstance(exc, terms.ParseError)
+        print(f"{'syntax error' if syntax else 'error'}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -85,6 +85,14 @@ class ProxRel:
     algebra: Algebra
     pairs: frozenset[tuple[int, int]]
 
+    def __post_init__(self) -> None:
+        limit = self.algebra.size
+        outside = [p for p in self.pairs if not (0 <= p[0] < limit and 0 <= p[1] < limit)]
+        if outside:
+            raise ValueError(
+                f"proximity pair {min(outside)} outside the masks 0..{limit - 1}"
+            )
+
     def related(self, e: BoolElem, f: BoolElem) -> bool:
         if e.algebra != self.algebra or f.algebra != self.algebra:
             raise ValueError("elements from a different algebra")

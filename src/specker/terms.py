@@ -22,7 +22,9 @@ Grammar::
             | "meet(" expr "," expr ")" | "join(" expr "," expr ")"
 
 Unary minus binds tighter than ``^``, which binds tighter than ``*``,
-which binds tighter than binary ``+``/``-``.
+which binds tighter than binary ``+``/``-``.  A term nests at most
+``MAX_DEPTH`` (100) levels, counting each operator and each pair of
+parentheses; deeper input is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ class BinOp:
 Term = Union[Lit, Var, Neg, Pow, BinOp]
 
 
+# the most levels a parsed term may nest; see parse_term
+MAX_DEPTH = 100
+
+
 class ParseError(ValueError):
     """Syntax error with the 0-based input position where it occurred."""
 
@@ -133,10 +139,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each rule returns ``(term, depth)``.
+
+    ``depth`` counts the levels from the term down to its deepest literal
+    or generator: one per operator and one per pair of parentheses.
+    ``nesting`` counts the levels open around the rule being parsed, so
+    that a too deeply nested input is refused before it can exhaust the
+    interpreter's stack.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.nesting = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
         if self.index < len(self.tokens):
@@ -153,36 +169,50 @@ class _Parser:
             raise ParseError(f"expected {value!r}", self._position())
         self.index += 1
 
+    def _level(self, depth: int, position: int) -> int:
+        """``depth``, or a ParseError when it is over ``MAX_DEPTH``."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_DEPTH} levels", position)
+        return depth
+
+    def _enter(self, position: int) -> None:
+        """Open one nesting level; the caller closes it when its rule returns."""
+        self.nesting = self._level(self.nesting + 1, position)
+
     def parse(self) -> Term:
-        term = self.expr()
+        term, _ = self.expr()
         if self._peek() is not None:
             raise ParseError(
                 f"unexpected token {self._peek()[1]!r}", self._position()
             )
         return term
 
-    def expr(self) -> Term:
-        term = self.addend()
+    def expr(self) -> tuple[Term, int]:
+        term, depth = self.addend()
         while True:
             token = self._peek()
             if token and token[0] == "punct" and token[1] in "+-":
                 self.index += 1
-                term = BinOp(token[1], term, self.addend())
+                right, right_depth = self.addend()
+                term = BinOp(token[1], term, right)
+                depth = self._level(1 + max(depth, right_depth), token[2])
             else:
-                return term
+                return term, depth
 
-    def addend(self) -> Term:
-        term = self.factor()
+    def addend(self) -> tuple[Term, int]:
+        term, depth = self.factor()
         while True:
             token = self._peek()
             if token and token[0] == "punct" and token[1] == "*":
                 self.index += 1
-                term = BinOp("*", term, self.factor())
+                right, right_depth = self.factor()
+                term = BinOp("*", term, right)
+                depth = self._level(1 + max(depth, right_depth), token[2])
             else:
-                return term
+                return term, depth
 
-    def factor(self) -> Term:
-        term = self.unary()
+    def factor(self) -> tuple[Term, int]:
+        term, depth = self.unary()
         while True:
             token = self._peek()
             if token and token[0] == "punct" and token[1] == "^":
@@ -197,44 +227,58 @@ class _Parser:
                     )
                 self.index += 1
                 term = Pow(term, int(exponent_token[1]))
+                depth = self._level(depth + 1, token[2])
             else:
-                return term
+                return term, depth
 
-    def unary(self) -> Term:
+    def unary(self) -> tuple[Term, int]:
         token = self._peek()
         if token and token[0] == "punct" and token[1] == "-":
             self.index += 1
-            return Neg(self.unary())
+            self._enter(token[2])
+            operand, depth = self.unary()
+            self.nesting -= 1
+            return Neg(operand), self._level(depth + 1, token[2])
         return self.atom()
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         token = self._peek()
         if token is None:
             raise ParseError("unexpected end of input", self._position())
         kind, value, position = token
         if kind == "number":
             self.index += 1
-            return Lit(parse_scalar(value))
+            return Lit(parse_scalar(value)), 0
         if kind == "ident":
             self.index += 1
             if value in ("meet", "join"):
                 self._take_punct("(")
-                left = self.expr()
+                self._enter(position)
+                left, left_depth = self.expr()
                 self._take_punct(",")
-                right = self.expr()
+                right, right_depth = self.expr()
                 self._take_punct(")")
-                return BinOp(value, left, right)
-            return Var(value)
+                self.nesting -= 1
+                depth = self._level(1 + max(left_depth, right_depth), position)
+                return BinOp(value, left, right), depth
+            return Var(value), 0
         if kind == "punct" and value == "(":
             self.index += 1
-            term = self.expr()
+            self._enter(position)
+            term, depth = self.expr()
             self._take_punct(")")
-            return term
+            self.nesting -= 1
+            return term, self._level(depth + 1, position)
         raise ParseError(f"unexpected token {value!r}", position)
 
 
 def parse_term(text: str) -> Term:
-    """Parse an expression into a term tree, or raise :class:`ParseError`."""
+    """Parse an expression into a term tree, or raise :class:`ParseError`.
+
+    A term may nest at most :data:`MAX_DEPTH` levels (each operator and
+    each pair of parentheses is one level), so that parsing and
+    normalizing it stay well inside the interpreter's recursion limit.
+    """
     return _Parser(text).parse()
 
 

@@ -108,6 +108,14 @@ def test_usage_errors_exit_2(files, capsys):
     capsys.readouterr()
 
 
+def test_deep_term_is_a_one_line_syntax_error(files, capsys):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    assert run(["normalize", "--algebra", files["b4"], "--expr", deep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "syntax error: term nested deeper than 100 levels at position 100\n"
+
+
 def test_convert_round_trip(files, capsys):
     assert run(["convert", "--algebra", files["b4"], files["s"], "--json"]) == 0
     flat = json.loads(capsys.readouterr().out)
@@ -200,7 +208,7 @@ def test_check_prox_and_morphism(files, capsys):
 
 
 def test_check_prox_checks_devries_once(files, capsys, monkeypatch):
-    from specker import cli, proximity
+    from specker import proximity
 
     checked = []
     original = proximity.check_devries
@@ -209,8 +217,7 @@ def test_check_prox_checks_devries_once(files, capsys, monkeypatch):
         checked.append(rel)
         return original(rel, *args, **kwargs)
 
-    for module in (cli, proximity):
-        monkeypatch.setattr(module, "check_devries", counted)
+    monkeypatch.setattr(proximity, "check_devries", counted)
     proximity._devries_report.cache_clear()
     proximity._devries_ok.cache_clear()
     args = ["check-prox", "--algebra", files["b4"], "--samples", "5"]

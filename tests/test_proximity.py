@@ -57,6 +57,14 @@ def test_check_devries_on_top_closed_relation(b2):
     assert rel == leq_proximity(b2)
 
 
+@pytest.mark.parametrize("pair", [(0, 7), (7, 1), (2, 1), (1, 2), (-1, 0)])
+def test_prox_rel_rejects_masks_outside_the_algebra(b2, pair):
+    # such a relation used to pass check_devries (<= plus (0, 7) on one
+    # atom) and make check_dv_morphism raise IndexError
+    with pytest.raises(ValueError, match="outside the masks 0..1"):
+        ProxRel(b2, leq_proximity(b2).pairs | {pair})
+
+
 def test_check_devries_size_guard():
     big = make_algebra([f"a{i}" for i in range(6)])
     with pytest.raises(ValueError, match="exceeds"):

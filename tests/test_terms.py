@@ -7,6 +7,7 @@ from helpers import random_term, term_oracle
 from specker.orthogonal import orth_unit, orth_zero
 from specker.pointwise import atom_values, orth_of_pointfn
 from specker.terms import (
+    MAX_DEPTH,
     BinOp,
     Lit,
     Neg,
@@ -64,6 +65,32 @@ def test_parse_error_positions():
         parse_term("x_p^-1")
     with pytest.raises(ParseError):
         parse_term("x_p x_q")
+
+
+def _nested(depth: int) -> dict[str, str]:
+    """Inputs that nest ``depth`` levels, one per way of nesting."""
+    return {
+        "parens": "(" * depth + "1" + ")" * depth,
+        "minus": "-" * depth + "1",
+        "meet": "meet(" * depth + "1" + ", 1)" * depth,
+        "sum": "1+" * depth + "1",
+        "product": "2*" * depth + "1",
+        "power": "x_p" + "^1" * depth,
+        # two levels per group, a parenthesis and a sum
+        "mixed": "(1+" * ((depth + 1) // 2) + "1" + ")" * ((depth + 1) // 2),
+    }
+
+
+def test_nesting_bound_accepts_max_depth(b4):
+    for text in _nested(MAX_DEPTH).values():
+        normalize_term(parse_term(text), b4)  # parses and evaluates
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+def test_nesting_bound_is_a_parse_error(depth):
+    for text in _nested(depth).values():
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse_term(text)
 
 
 def test_normalize_examples(b4):
