@@ -12,7 +12,6 @@ operands from different algebras rather than coercing silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -34,24 +33,55 @@ __all__ = [
 _FORBIDDEN_IN_NAMES = set("[],|\"' \t\r\n")
 _RESERVED_NAMES = {"0", "1"}
 
+# Value types are plain classes with their methods written out: the
+# ``dataclasses`` module and the code it generates per class cost about
+# 20 ms at every start of the command line.  A frozen value is filled in
+# by ``_setattr`` in its ``__init__``; equality and hashing read the same
+# field tuple a generated ``__eq__``/``__hash__`` would.
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
-class Algebra:
+
+class _Frozen:
+    """Base of the immutable value types: no attribute can be set or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:
+        # what copy and pickle restore: ``(None, {slot: value})`` for a
+        # class with ``__slots__``, else the instance ``__dict__``
+        if isinstance(state, tuple):
+            state = state[1]
+        for name, value in state.items():
+            _setattr(self, name, value)
+
+
+class Algebra(_Frozen):
     """Powerset boolean algebra over a fixed tuple of atom names."""
 
+    __slots__ = ("atoms", "generators")
     atoms: tuple[str, ...]
-    generators: tuple[tuple[str, int], ...] = ()
+    generators: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(
+        self, atoms: tuple[str, ...], generators: tuple[tuple[str, int], ...] = ()
+    ) -> None:
+        if not atoms:
             raise ValueError("an algebra needs at least one atom")
         seen = set()
-        for name in self.atoms:
+        for name in atoms:
             if not name or name in _RESERVED_NAMES or set(name) & _FORBIDDEN_IN_NAMES:
                 raise ValueError(f"bad atom name: {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate atom name: {name!r}")
             seen.add(name)
+        _setattr(self, "atoms", atoms)
+        _setattr(self, "generators", generators)
 
     @property
     def size(self) -> int:
@@ -97,20 +127,43 @@ class Algebra:
         for mask in range(self.size):
             yield BoolElem(self, mask)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atoms, self.generators) == (other.atoms, other.generators)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.generators))
+
     def __repr__(self) -> str:
         return f"Algebra(atoms={list(self.atoms)!r})"
 
 
-@dataclass(frozen=True)
-class BoolElem:
+class BoolElem(_Frozen):
     """Element of a finite boolean algebra: a subset of its atoms."""
 
+    __slots__ = ("algebra", "mask")
     algebra: Algebra
     mask: int
 
+    def __init__(self, algebra: Algebra, mask: int) -> None:
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "mask", mask)
+        self.__post_init__()
+
+    # a method of its own, so that a profiler can wrap it to count the
+    # elements built (the benchmark's tracer does)
     def __post_init__(self) -> None:
         if not 0 <= self.mask <= self.algebra.full_mask:
             raise ValueError(f"mask {self.mask} out of range for {self.algebra!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.algebra, self.mask) == (other.algebra, other.mask)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.mask))
 
     # --- boolean operations -------------------------------------------------
 

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .boolalg import (
     Algebra,
     BoolElem,
+    _Frozen,
+    _setattr,
     algebra_from_json,
     algebra_to_json,
     element_from_literal,
@@ -46,6 +47,7 @@ from .proximity import (
     ProxRel,
     ProxReport,
     _record,
+    _record_sampled,
     _require_devries,
     leq_proximity,
     lift_check,
@@ -56,6 +58,9 @@ from .proximity import (
 from .steps import (
     StepElem,
     _assemble_masks,
+    _from_masks,
+    _join_all,
+    _refine_classes,
     decreasing_decomposition,
     from_decomposition,
     step_add,
@@ -93,8 +98,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DVMorphism:
+class DVMorphism(_Frozen):
     """Total map between proximity boolean algebras, given by a table.
 
     ``table[mask]`` is the target mask of the source element ``mask``.
@@ -102,16 +106,34 @@ class DVMorphism:
     homomorphism structure.
     """
 
+    __slots__ = ("source", "target", "table")
     source: ProxRel
     target: ProxRel
     table: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.table) != self.source.algebra.size:
+    def __init__(
+        self, source: ProxRel, target: ProxRel, table: tuple[int, ...]
+    ) -> None:
+        if len(table) != source.algebra.size:
             raise ValueError("morphism table must cover every source element")
-        limit = self.target.algebra.size
-        if any(not 0 <= m < limit for m in self.table):
+        limit = target.algebra.size
+        if any(not 0 <= m < limit for m in table):
             raise ValueError("morphism table value out of range")
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "table", table)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.table) == (
+                other.source,
+                other.target,
+                other.table,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.table))
 
     def apply(self, e: BoolElem) -> BoolElem:
         if e.algebra != self.source.algebra:
@@ -126,19 +148,33 @@ class DVMorphism:
         return f"DVMorphism({pairs})"
 
 
-@dataclass(eq=False)
 class ProxMorphism:
     """Action on step functions between two proximity algebras.
 
     Lifted morphisms carry their boolean-level table in ``base``; a bare
     action (as used by fault-injection tests) may leave it ``None``.
+    Mutable, and equal only to itself.
     """
 
     source: ProxRel
     target: ProxRel
     action: Callable[[StepElem], StepElem]
-    base: DVMorphism | None = None
-    label: str = ""
+    base: DVMorphism | None
+    label: str
+
+    def __init__(
+        self,
+        source: ProxRel,
+        target: ProxRel,
+        action: Callable[[StepElem], StepElem],
+        base: DVMorphism | None = None,
+        label: str = "",
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.action = action
+        self.base = base
+        self.label = label
 
     def __call__(self, f: StepElem) -> StepElem:
         return apply_prox_morphism(self, f)
@@ -335,27 +371,24 @@ def _approximant_join(
 
     Every element below-related to ``t`` is dominated by one built from
     idempotent approximants of the decomposition components, so this
-    finite join computes the supremum in the morphism axiom M4.
+    finite join computes the supremum in the morphism axiom M4.  Each
+    combination of approximant masks becomes one source element by
+    refining value classes, the action runs once on it, and all images
+    are joined in one pass.
     """
-    src = pm.source
-    src_alg = src.algebra
-    a0, pairs = decreasing_decomposition(t)
-    lefts = src._lefts
-    approximant_sets = [
-        [src_alg.from_mask(k) for k in lefts.get(e.mask, ())] for _, e in pairs
-    ]
-    combos = list(itertools.product(*approximant_sets))
+    src_alg = pm.source.algebra
+    full = src_alg.full_mask
+    thresholds = t.thresholds
+    a0 = thresholds[0]
+    gaps = [thresholds[i] - thresholds[i - 1] for i in range(1, len(thresholds))]
+    lefts = pm.source._lefts
+    combos = list(itertools.product(*(lefts.get(e, ()) for e in t._masks[1:])))
     if len(combos) > tuple_cap:
         combos = rng.sample(combos, tuple_cap)
-    joined: StepElem | None = None
-    for combo in combos:
-        s = from_decomposition(
-            src_alg, a0, [(b, k) for (b, _), k in zip(pairs, combo)]
-        )
-        image = pm.action(s)
-        joined = image if joined is None else step_join(joined, image)
-    assert joined is not None  # the empty product still yields one combo
-    return joined
+    return _join_all(
+        pm.action(_from_masks(src_alg, *_refine_classes(full, a0, zip(gaps, combo))))
+        for combo in combos
+    )
 
 
 def sample_morphism_axioms(
@@ -375,16 +408,7 @@ def sample_morphism_axioms(
     src_alg = pm.source.algebra
     tgt_alg = pm.target.algebra
     rng = random.Random(f"{seed}:morphism-axioms")
-    results = []
-
-    def run(name, generator):
-        checked = 0
-        for condition, witness in generator:
-            checked += 1
-            if not condition:
-                results.append(AxiomResult(name, False, checked, witness))
-                return
-        results.append(AxiomResult(name, True, checked))
+    results: list = []
 
     zero_src = step_zero(src_alg)
     zero_tgt = step_zero(tgt_alg)
@@ -400,7 +424,7 @@ def sample_morphism_axioms(
             ok = pm.action(step_meet(s, t)) == step_meet(pm.action(s), pm.action(t))
             yield ok, (s, t)
 
-    run("M2", m2_cases())
+    _record_sampled(results, "M2", m2_cases())
 
     def m3_cases():
         for _ in range(samples):
@@ -408,14 +432,14 @@ def sample_morphism_axioms(
             lower = step_neg(pm.action(step_neg(s)))
             yield lift_check(pm.target, lower, pm.action(t)), (s, t)
 
-    run("M3", m3_cases())
+    _record_sampled(results, "M3", m3_cases())
 
     def m4_cases():
         for _ in range(samples):
             t = random_steps(rng, src_alg, coeff_bound)
             yield _approximant_join(pm, t, rng) == pm.action(t), (t,)
 
-    run("M4", m4_cases())
+    _record_sampled(results, "M4", m4_cases())
 
     def m5_cases():
         for _ in range(samples):
@@ -425,7 +449,7 @@ def sample_morphism_axioms(
             right = step_add(pm.action(s), step_const(tgt_alg, a))
             yield left == right, (s, a)
 
-    run("M5", m5_cases())
+    _record_sampled(results, "M5", m5_cases())
 
     def m6_cases():
         for _ in range(samples):
@@ -433,7 +457,7 @@ def sample_morphism_axioms(
             a = rng.randint(0, coeff_bound)
             yield pm.action(step_scale(a, s)) == step_scale(a, pm.action(s)), (s, a)
 
-    run("M6", m6_cases())
+    _record_sampled(results, "M6", m6_cases())
 
     def m7_cases():
         for _ in range(samples):
@@ -443,7 +467,7 @@ def sample_morphism_axioms(
             right = step_join(pm.action(s), step_const(tgt_alg, a))
             yield left == right, (s, a)
 
-    run("M7", m7_cases())
+    _record_sampled(results, "M7", m7_cases())
 
     return ProxReport("proximity morphism axioms", tuple(results))
 
@@ -513,29 +537,28 @@ def naturality_check(
 
     lifted = lift_morphism(m)
     rng = random.Random(f"{seed}:naturality")
-    results = []
+    results: list = []
 
-    checked = 0
-    failure: tuple = ()
-    for e in m.source.algebra.elements():
-        checked += 1
-        if lifted.action(tau(e)) != tau(m.apply(e)):
-            failure = (e,)
-            break
-    results.append(AxiomResult("tau-square", not failure, checked, failure))
+    _record_sampled(
+        results,
+        "tau-square",
+        (
+            (lifted.action(tau(e)) == tau(m.apply(e)), (e,))
+            for e in m.source.algebra.elements()
+        ),
+    )
 
     relifted = lift_morphism(restrict_prox_morphism(lifted))
     eta_src = eta(m.source)
     eta_tgt = eta(m.target)
-    checked = 0
-    failure = ()
-    for _ in range(samples):
-        s = random_steps(rng, m.source.algebra, 10)
-        checked += 1
-        if relifted.action(eta_src.action(s)) != eta_tgt.action(lifted.action(s)):
-            failure = (s,)
-            break
-    results.append(AxiomResult("eta-square", not failure, checked, failure))
+
+    def eta_cases():
+        for _ in range(samples):
+            s = random_steps(rng, m.source.algebra, 10)
+            twice = relifted.action(eta_src.action(s))
+            yield twice == eta_tgt.action(lifted.action(s)), (s,)
+
+    _record_sampled(results, "eta-square", eta_cases())
 
     return ProxReport("naturality squares", tuple(results))
 

@@ -20,12 +20,13 @@ Everything is immutable and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .boolalg import (
     Algebra,
     BoolElem,
+    _Frozen,
+    _setattr,
     element_from_json,
     element_to_json,
     element_to_literal,
@@ -54,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrthElem:
+class OrthElem(_Frozen):
     """Canonical full orthogonal decomposition over a finite algebra.
 
     ``entries`` is sorted by ascending value; values are distinct, every
@@ -63,27 +63,40 @@ class OrthElem:
     join is 1.  Equality of elements is equality of these tuples.
     """
 
+    __slots__ = ("algebra", "entries")
     algebra: Algebra
     entries: tuple[tuple[Scalar, BoolElem], ...]
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(
+        self, algebra: Algebra, entries: tuple[tuple[Scalar, BoolElem], ...]
+    ) -> None:
+        if not entries:
             raise ValueError("an orthogonal decomposition cannot be empty")
         covered = 0
         previous = None
-        for value, component in self.entries:
+        for value, component in entries:
             if previous is not None and not previous < value:
                 raise ValueError("values must be strictly increasing")
             previous = value
-            if component.algebra != self.algebra:
+            if component.algebra != algebra:
                 raise ValueError("component from a different algebra")
             if component.mask == 0:
                 raise ValueError("zero component in canonical form")
             if component.mask & covered:
                 raise ValueError("components overlap")
             covered |= component.mask
-        if covered != self.algebra.full_mask:
+        if covered != algebra.full_mask:
             raise ValueError("components do not join to 1")
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.algebra, self.entries) == (other.algebra, other.entries)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.entries))
 
     def value(self, a: Scalar) -> BoolElem:
         """The component at ``a`` (0 for values not present)."""

@@ -11,11 +11,10 @@ that agreement between the two is evidence, not tautology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .boolalg import Algebra
+from .boolalg import Algebra, _Frozen, _setattr
 from .orthogonal import OrthElem
 from .scalars import Scalar, format_scalar
 from .steps import StepElem
@@ -33,16 +32,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointFn:
+class PointFn(_Frozen):
     """Total map from the atoms of a finite algebra to exact scalars."""
 
+    __slots__ = ("algebra", "values")
     algebra: Algebra
     values: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.algebra.atoms):
+    def __init__(self, algebra: Algebra, values: tuple[Scalar, ...]) -> None:
+        if len(values) != len(algebra.atoms):
             raise ValueError("one value per atom required")
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.algebra, self.values) == (other.algebra, other.values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.values))
 
     def value_at(self, atom_name: str) -> Scalar:
         return self.values[self.algebra.atoms.index(atom_name)]

@@ -35,11 +35,17 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .boolalg import Algebra, BoolElem, element_from_json, element_to_json
+from .boolalg import (
+    Algebra,
+    BoolElem,
+    _Frozen,
+    _setattr,
+    element_from_json,
+    element_to_json,
+)
 from .steps import (
     StepElem,
     compatible_decreasing,
@@ -78,20 +84,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProxRel:
-    """A binary relation on a finite boolean algebra, as mask pairs."""
+class ProxRel(_Frozen):
+    """A binary relation on a finite boolean algebra, as mask pairs.
+
+    No ``__slots__``: the cached indexes below live in the instance
+    ``__dict__``.
+    """
 
     algebra: Algebra
     pairs: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        limit = self.algebra.size
-        outside = [p for p in self.pairs if not (0 <= p[0] < limit and 0 <= p[1] < limit)]
+    def __init__(self, algebra: Algebra, pairs: frozenset[tuple[int, int]]) -> None:
+        limit = algebra.size
+        outside = [p for p in pairs if not (0 <= p[0] < limit and 0 <= p[1] < limit)]
         if outside:
             raise ValueError(
                 f"proximity pair {min(outside)} outside the masks 0..{limit - 1}"
             )
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "pairs", pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.algebra, self.pairs) == (other.algebra, other.pairs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.pairs))
 
     def related(self, e: BoolElem, f: BoolElem) -> bool:
         if e.algebra != self.algebra or f.algebra != self.algebra:
@@ -126,26 +145,70 @@ def _group(ordered: Sequence[tuple[int, int]], key: int) -> dict[int, tuple[int,
     return {k: tuple(v) for k, v in grouped.items()}
 
 
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(_Frozen):
+    __slots__ = ("name", "passed", "checked", "counterexample")
     name: str
     passed: bool
     checked: int
-    counterexample: tuple = ()
+    counterexample: tuple
+
+    def __init__(
+        self, name: str, passed: bool, checked: int, counterexample: tuple = ()
+    ) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "passed", passed)
+        _setattr(self, "checked", checked)
+        _setattr(self, "counterexample", counterexample)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.passed, self.checked, self.counterexample) == (
+                other.name,
+                other.passed,
+                other.checked,
+                other.counterexample,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.passed, self.checked, self.counterexample))
+
+    def __repr__(self) -> str:
+        return (
+            f"AxiomResult(name={self.name!r}, passed={self.passed!r}, "
+            f"checked={self.checked!r}, counterexample={self.counterexample!r})"
+        )
 
     def __str__(self) -> str:
         if self.passed:
             return f"{self.name}: pass ({self.checked} checks)"
+        if not self.checked:
+            return f"{self.name}: FAIL (no cases checked)"
         witness = ", ".join(str(x) for x in self.counterexample)
         return f"{self.name}: FAIL ({witness})"
 
 
-@dataclass(frozen=True)
-class ProxReport:
+class ProxReport(_Frozen):
     """Outcome of an axiom check, one result per axiom."""
 
+    __slots__ = ("subject", "results")
     subject: str
     results: tuple[AxiomResult, ...]
+
+    def __init__(self, subject: str, results: tuple[AxiomResult, ...]) -> None:
+        _setattr(self, "subject", subject)
+        _setattr(self, "results", results)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.subject, self.results) == (other.subject, other.results)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.results))
+
+    def __repr__(self) -> str:
+        return f"ProxReport(subject={self.subject!r}, results={self.results!r})"
 
     @property
     def ok(self) -> bool:
@@ -207,6 +270,22 @@ def _record(
             results.append(AxiomResult(name, False, checked, witness))
             return
     results.append(AxiomResult(name, True, checked))
+
+
+def _record_sampled(results: list, name: str, cases: Iterable) -> None:
+    """Run one sampled axiom and append its result.
+
+    Each case yields ``(holds, witness)``; the first case that does not
+    hold fails the axiom with its witness.  An axiom that checked no case
+    fails too: a sample of nothing is no evidence.
+    """
+    checked = 0
+    for holds, witness in cases:
+        checked += 1
+        if not holds:
+            results.append(AxiomResult(name, False, checked, witness))
+            return
+    results.append(AxiomResult(name, checked > 0, checked))
 
 
 def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
@@ -477,18 +556,10 @@ def sample_proximity_axioms(
     rng = random.Random(f"{seed}:proximity-axioms")
     zero = step_zero(algebra)
     one = step_one(algebra)
-    results = []
+    results: list = []
 
-    def run(name: str, generator) -> None:
-        checked = 0
-        for condition, witness in generator:
-            checked += 1
-            if not condition:
-                results.append(AxiomResult(name, False, checked, witness))
-                return
-        results.append(AxiomResult(name, True, checked))
-
-    run(
+    _record_sampled(
+        results,
         "P1",
         [
             (lift_check(rel, zero, zero), (zero, zero)),
@@ -501,7 +572,7 @@ def sample_proximity_axioms(
             s, t = sample_related_pair(rng, rel, coeff_bound)
             yield step_leq(s, t), (s, t)
 
-    run("P2", p2_cases())
+    _record_sampled(results, "P2", p2_cases())
 
     def p3_cases():
         for _ in range(samples):
@@ -512,7 +583,7 @@ def sample_proximity_axioms(
             u = step_add(r, up)
             yield lift_check(rel, s, u), (s, t, r, u)
 
-    run("P3", p3_cases())
+    _record_sampled(results, "P3", p3_cases())
 
     def p4_cases():
         for _ in range(samples):
@@ -526,14 +597,14 @@ def sample_proximity_axioms(
                 return
             yield lift_check(rel, s, step_meet(t, r)), (s, t, r)
 
-    run("P4", p4_cases())
+    _record_sampled(results, "P4", p4_cases())
 
     def p5_cases():
         for _ in range(samples):
             s, t = sample_related_pair(rng, rel, coeff_bound)
             yield lift_check(rel, step_neg(t), step_neg(s)), (s, t)
 
-    run("P5", p5_cases())
+    _record_sampled(results, "P5", p5_cases())
 
     def p6_cases():
         for _ in range(samples):
@@ -541,7 +612,7 @@ def sample_proximity_axioms(
             r, u = sample_related_pair(rng, rel, coeff_bound)
             yield lift_check(rel, step_add(s, r), step_add(t, u)), (s, t, r, u)
 
-    run("P6", p6_cases())
+    _record_sampled(results, "P6", p6_cases())
 
     def p7_cases():
         for _ in range(samples):
@@ -555,7 +626,7 @@ def sample_proximity_axioms(
             plain = lift_check(rel, s, t)
             yield scaled == plain, (a, s, t)
 
-    run("P7", p7_cases())
+    _record_sampled(results, "P7", p7_cases())
 
     def p8_cases():
         for _ in range(samples):
@@ -565,7 +636,7 @@ def sample_proximity_axioms(
                 rel, step_mul_nonneg(s, r), step_mul_nonneg(t, u)
             ), (s, t, r, u)
 
-    run("P8", p8_cases())
+    _record_sampled(results, "P8", p8_cases())
 
     def p9_cases():
         for _ in range(samples):
@@ -573,7 +644,7 @@ def sample_proximity_axioms(
             r = interpolate_lifted(rel, s, t)
             yield lift_check(rel, s, r) and lift_check(rel, r, t), (s, r, t)
 
-    run("P9", p9_cases())
+    _record_sampled(results, "P9", p9_cases())
 
     def p10_cases():
         for _ in range(samples):
@@ -586,7 +657,7 @@ def sample_proximity_axioms(
             positive = step_leq(zero, t) and t != zero
             yield positive and lift_check(rel, t, s), (t, s)
 
-    run("P10", p10_cases())
+    _record_sampled(results, "P10", p10_cases())
 
     return ProxReport("lifted proximity axioms", tuple(results))
 

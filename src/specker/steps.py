@@ -37,12 +37,13 @@ outside, and classes with equal values merge.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .boolalg import (
     Algebra,
     BoolElem,
+    _Frozen,
+    _setattr,
     element_from_json,
     element_to_json,
     element_to_literal,
@@ -79,8 +80,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StepElem:
+class StepElem(_Frozen):
     """Decreasing step function in canonical form.
 
     ``thresholds`` strictly increase; ``idems`` strictly decrease with
@@ -89,14 +89,21 @@ class StepElem:
     thresholds[i]]``, and 0 past ``thresholds[-1]``.
     """
 
+    # ``_masks`` holds the components as masks, for the mask-level
+    # operations of this module; it is derived, so equality, hashing and
+    # the repr leave it out
+    __slots__ = ("algebra", "thresholds", "idems", "_masks")
     algebra: Algebra
     thresholds: tuple[Scalar, ...]
     idems: tuple[BoolElem, ...]
-    # the components as masks, for the mask-level operations of this module
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        thresholds, idems, algebra = self.thresholds, self.idems, self.algebra
+    def __init__(
+        self,
+        algebra: Algebra,
+        thresholds: tuple[Scalar, ...],
+        idems: tuple[BoolElem, ...],
+    ) -> None:
         if not thresholds or len(thresholds) != len(idems):
             raise ValueError("thresholds and components must align and be nonempty")
         masks = tuple(idem.mask for idem in idems)
@@ -119,7 +126,22 @@ class StepElem:
                 raise ValueError("components must strictly decrease")
         if not first_home:
             raise ValueError("component from a different algebra")
-        object.__setattr__(self, "_masks", masks)
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "thresholds", thresholds)
+        _setattr(self, "idems", idems)
+        _setattr(self, "_masks", masks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.algebra, self.thresholds, self.idems) == (
+                other.algebra,
+                other.thresholds,
+                other.idems,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.thresholds, self.idems))
 
     def value(self, a: Scalar) -> BoolElem:
         """Evaluate the step function at ``a``."""
@@ -162,13 +184,41 @@ class StepElem:
         return f"StepElem({self})"
 
 
-@dataclass(frozen=True)
-class CompatibleSteps:
+class CompatibleSteps(_Frozen):
     """Two step functions re-expressed over one shared threshold grid."""
 
+    __slots__ = ("thresholds", "left", "right")
     thresholds: tuple[Scalar, ...]
     left: tuple[BoolElem, ...]
     right: tuple[BoolElem, ...]
+
+    def __init__(
+        self,
+        thresholds: tuple[Scalar, ...],
+        left: tuple[BoolElem, ...],
+        right: tuple[BoolElem, ...],
+    ) -> None:
+        _setattr(self, "thresholds", thresholds)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.thresholds, self.left, self.right) == (
+                other.thresholds,
+                other.left,
+                other.right,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.thresholds, self.left, self.right))
+
+    def __repr__(self) -> str:
+        return (
+            f"CompatibleSteps(thresholds={self.thresholds!r}, "
+            f"left={self.left!r}, right={self.right!r})"
+        )
 
 
 _MIXED = "mixed algebras: operands belong to different algebras"
@@ -430,6 +480,27 @@ def step_join(f: StepElem, g: StepElem) -> StepElem:
     return _assemble_masks(algebra, points)
 
 
+def _join_all(elems: Iterable[StepElem]) -> StepElem:
+    """The join of one or more step functions of one algebra, in one pass.
+
+    A step function is at ``c`` the union of its components at thresholds
+    ``>= c``, so the join is the upper-tail union of all their steps.
+    Each element's algebra is checked as it arrives; no elements at all
+    leave no points, which ``_assemble_masks`` refuses.
+    """
+    algebra = None
+    at: dict[Scalar, int] = {}
+    for f in elems:
+        if algebra is None:
+            algebra = f.algebra
+        elif not _same_algebra(f.algebra, algebra):
+            raise ValueError(_MIXED)
+        for threshold, mask in zip(f.thresholds, f._masks):
+            at[threshold] = at.get(threshold, 0) | mask
+    grid = sorted(at)
+    return _assemble_masks(algebra, list(zip(grid, _tail_masks([at[c] for c in grid]))))
+
+
 def step_leq(f: StepElem, g: StepElem) -> bool:
     """Pointwise order; checking the merged thresholds is exhaustive."""
     _check_same_algebra(f, g)
@@ -459,16 +530,25 @@ def decreasing_decomposition(
 def from_decomposition(
     algebra: Algebra, a0: Scalar, pairs: Iterable[tuple[Scalar, BoolElem]]
 ) -> StepElem:
-    """Rebuild the element ``a0 + sum(b * e)`` by refining value classes.
+    """Rebuild the element ``a0 + sum(b * e)`` by refining value classes."""
+    masks = []
+    for b, e in pairs:
+        if not _same_algebra(e.algebra, algebra):
+            raise ValueError(_MIXED)
+        masks.append((b, e.mask))
+    return _from_masks(algebra, *_refine_classes(algebra.full_mask, a0, masks))
+
+
+def _refine_classes(
+    full: int, a0: Scalar, pairs: Iterable[tuple[Scalar, int]]
+) -> tuple[list[Scalar], list[int]]:
+    """The thresholds and component masks of ``a0 + sum(b * e)``.
 
     ``classes`` maps each value to the mask of the atoms that take it;
     each pair moves the part of every class inside ``e`` up by ``b``.
     """
-    classes = {a0: algebra.full_mask}
-    for b, e in pairs:
-        if not _same_algebra(e.algebra, algebra):
-            raise ValueError(_MIXED)
-        inside = e.mask
+    classes = {a0: full}
+    for b, inside in pairs:
         refined: dict[Scalar, int] = {}
         for value, mask in classes.items():
             for moved, part in ((value, mask & ~inside), (value + b, mask & inside)):
@@ -476,7 +556,7 @@ def from_decomposition(
                     refined[moved] = refined.get(moved, 0) | part
         classes = refined
     values = sorted(classes)
-    return _from_masks(algebra, values, _tail_masks([classes[v] for v in values]))
+    return values, _tail_masks([classes[v] for v in values])
 
 
 def orth_to_decreasing(

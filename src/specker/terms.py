@@ -24,16 +24,17 @@ Grammar::
 Unary minus binds tighter than ``^``, which binds tighter than ``*``,
 which binds tighter than binary ``+``/``-``.  A term nests at most
 ``MAX_DEPTH`` (100) levels, counting each operator and each pair of
-parentheses; deeper input is a :class:`ParseError`.
+parentheses, and its exponents, each alone and multiplied along any
+root-to-leaf path, are at most ``MAX_EXPONENT`` (1000); other input is a
+:class:`ParseError`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .boolalg import Algebra, BoolElem
+from .boolalg import Algebra, BoolElem, _Frozen, _setattr
 from .orthogonal import (
     OrthElem,
     orth_add,
@@ -62,40 +63,113 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(_Frozen):
+    __slots__ = ("value",)
     value: Scalar
 
+    def __init__(self, value: Scalar) -> None:
+        _setattr(self, "value", value)
 
-@dataclass(frozen=True)
-class Var:
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"Lit(value={self.value!r})"
+
+
+class Var(_Frozen):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        _setattr(self, "name", name)
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Term"
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Term"
+class Neg(_Frozen):
+    __slots__ = ("operand",)
+    operand: Term
+
+    def __init__(self, operand: Term) -> None:
+        _setattr(self, "operand", operand)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.operand,) == (other.operand,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.operand,))
+
+    def __repr__(self) -> str:
+        return f"Neg(operand={self.operand!r})"
+
+
+class Pow(_Frozen):
+    __slots__ = ("base", "exponent")
+    base: Term
     exponent: int
 
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
+    def __init__(self, base: Term, exponent: int) -> None:
+        if exponent < 0:
             raise ValueError("exponents must be nonnegative")
+        _setattr(self, "base", base)
+        _setattr(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.exponent) == (other.base, other.exponent)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.exponent))
+
+    def __repr__(self) -> str:
+        return f"Pow(base={self.base!r}, exponent={self.exponent!r})"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(_Frozen):
+    __slots__ = ("op", "left", "right")
     op: str  # one of + - * meet join
-    left: "Term"
-    right: "Term"
+    left: Term
+    right: Term
 
-    def __post_init__(self) -> None:
-        if self.op not in {"+", "-", "*", "meet", "join"}:
-            raise ValueError(f"unknown operator {self.op!r}")
+    def __init__(self, op: str, left: Term, right: Term) -> None:
+        if op not in {"+", "-", "*", "meet", "join"}:
+            raise ValueError(f"unknown operator {op!r}")
+        _setattr(self, "op", op)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.left, self.right) == (
+                other.op,
+                other.left,
+                other.right,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.left, self.right))
+
+    def __repr__(self) -> str:
+        return f"BinOp(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
 
 Term = Union[Lit, Var, Neg, Pow, BinOp]
@@ -103,6 +177,10 @@ Term = Union[Lit, Var, Neg, Pow, BinOp]
 
 # the most levels a parsed term may nest; see parse_term
 MAX_DEPTH = 100
+
+# the largest exponent, and the largest product of the exponents on any
+# root-to-leaf path, that a parsed term may hold; see parse_term
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -226,7 +304,12 @@ class _Parser:
                         exponent_token[2],
                     )
                 self.index += 1
-                term = Pow(term, int(exponent_token[1]))
+                exponent = _exponent(exponent_token)
+                if exponent * _power(term) > MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponents multiply to more than {MAX_EXPONENT}", token[2]
+                    )
+                term = Pow(term, exponent)
                 depth = self._level(depth + 1, token[2])
             else:
                 return term, depth
@@ -272,12 +355,39 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", position)
 
 
+def _exponent(token: tuple[str, str, int]) -> int:
+    """The integer an exponent token spells, at most ``MAX_EXPONENT``."""
+    digits = token[1].lstrip("0") or "0"
+    # lengths first: int() refuses digit strings over 4300 digits long
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise ParseError(f"exponent larger than {MAX_EXPONENT}", token[2])
+    return int(digits)
+
+
+def _power(term: Term) -> int:
+    """The largest product of exponents on a path from ``term`` to a leaf."""
+    if isinstance(term, Pow):
+        return term.exponent * _power(term.base)
+    if isinstance(term, BinOp):
+        return max(_power(term.left), _power(term.right))
+    if isinstance(term, Neg):
+        return _power(term.operand)
+    return 1
+
+
 def parse_term(text: str) -> Term:
     """Parse an expression into a term tree, or raise :class:`ParseError`.
 
     A term may nest at most :data:`MAX_DEPTH` levels (each operator and
     each pair of parentheses is one level), so that parsing and
     normalizing it stay well inside the interpreter's recursion limit.
+
+    Every exponent, and the product of the exponents on any path from the
+    root to a leaf, is at most :data:`MAX_EXPONENT`.  ``normalize_term``
+    computes ``t^n`` by ``n`` multiplications, and the product bounds how
+    far a value can grow, so the cost of normalizing stays polynomial in
+    the length of the text: ``(x_p+2)^2000000`` is a :class:`ParseError`,
+    not hours of arithmetic.
     """
     return _Parser(text).parse()
 

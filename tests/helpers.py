@@ -17,21 +17,32 @@ axiom checker, the morphism axiom checker and the lifted-proximity check:
 every case builds its witnesses as :class:`BoolElem` objects before its
 condition is tested, and the lift reads step values through
 ``StepElem.value``.  The mask-based checkers must agree with it on every
-report, verdict and counterexample.
+report, verdict and counterexample.  ``ref_approximant_join`` is the
+object-based M4 join: one ``from_decomposition`` per combination of
+approximants, joined pairwise with ``step_join``.
+
+``within`` fails a test whose block runs longer than a given time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
-from typing import Callable, Iterable, Sequence
+import signal
+from typing import Callable, Iterable, Iterator, Sequence
 
 from specker.boolalg import Algebra, BoolElem
-from specker.morphisms import DVMorphism
+from specker.morphisms import DVMorphism, ProxMorphism
 from specker.pointwise import PointFn
 from specker.proximity import AxiomResult, ProxRel, ProxReport
 from specker.scalars import Scalar
-from specker.steps import StepElem
+from specker.steps import (
+    StepElem,
+    decreasing_decomposition,
+    from_decomposition,
+    step_join,
+)
 from specker.terms import BinOp, Lit, Neg, Pow, Term, Var
 
 
@@ -374,3 +385,52 @@ def ref_star_compose_table(m2: DVMorphism, m1: DVMorphism) -> tuple[int, ...]:
                 mask |= m2.table[m1.table[f]]
         table.append(mask)
     return tuple(table)
+
+
+def ref_approximant_join(
+    pm: ProxMorphism, t: StepElem, rng: random.Random, tuple_cap: int = 4096
+) -> StepElem:
+    """The M4 join over approximant combinations, on :class:`BoolElem` objects."""
+    src = pm.source
+    src_alg = src.algebra
+    a0, pairs = decreasing_decomposition(t)
+    lefts = src._lefts
+    approximant_sets = [
+        [src_alg.from_mask(k) for k in lefts.get(e.mask, ())] for _, e in pairs
+    ]
+    combos = list(itertools.product(*approximant_sets))
+    if len(combos) > tuple_cap:
+        combos = rng.sample(combos, tuple_cap)
+    joined: StepElem | None = None
+    for combo in combos:
+        s = from_decomposition(
+            src_alg, a0, [(b, k) for (b, _), k in zip(pairs, combo)]
+        )
+        image = pm.action(s)
+        joined = image if joined is None else step_join(joined, image)
+    assert joined is not None  # the empty product still yields one combo
+    return joined
+
+
+class Overtime(Exception):
+    """Raised inside a :func:`within` block that runs past its time."""
+
+
+@contextlib.contextmanager
+def within(seconds: float) -> Iterator[None]:
+    """Raise :class:`Overtime` if the block runs longer than ``seconds``.
+
+    Uses the real-time interval timer, so it works in the main thread of
+    a POSIX process only, as pytest runs its tests.
+    """
+
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -5,8 +5,11 @@ Relations and morphism tables are drawn at random over 1-3 atoms, most of
 them not de Vries proximities and not homomorphisms, so that every axiom
 fails somewhere and the counterexamples are compared too.  The lifted
 check is compared on step elements with integer or rational thresholds.
+The M4 approximant join is compared on ``<=`` over 1-4 atoms, for lifted
+homomorphisms and for actions broken on purpose.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ref_approximant_join,
     ref_check_devries,
     ref_check_dv_morphism,
     ref_lift_check,
@@ -21,8 +25,16 @@ from helpers import (
     steps_from_values,
 )
 from specker.boolalg import make_algebra
-from specker.morphisms import DVMorphism, check_dv_morphism, star_compose_dv
+from specker.morphisms import (
+    DVMorphism,
+    ProxMorphism,
+    _approximant_join,
+    _compose_with_steps,
+    check_dv_morphism,
+    star_compose_dv,
+)
 from specker.proximity import ProxRel, check_devries, leq_proximity, lift_check
+from specker.steps import step_add, step_const, step_neg, step_one, step_zero
 
 ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
 
@@ -154,3 +166,68 @@ def test_lift_check_rejects_mixed_algebras(b4):
     # an equal algebra built separately is the same algebra
     twin = steps_from_values(make_algebra(["p", "q"]), [2, 1])
     assert lift_check(rel, s, twin) == ref_lift_check(rel, s, twin) is True
+
+
+def _broken(kind: str, lifted, target):
+    """An action that is not a proximity morphism, of the given kind."""
+    if kind == "shifted":
+        return lambda f: step_add(lifted(f), step_one(target))
+    if kind == "negated":
+        return lambda f: step_neg(lifted(f))
+    if kind == "constant":
+        return lambda f: step_const(target, f.thresholds[-1])
+    # an image in another algebra once the argument has three steps or more
+    foreign = ALGEBRAS[5]
+    return lambda f: step_zero(foreign) if len(f.thresholds) > 2 else lifted(f)
+
+
+@st.composite
+def approximant_cases(draw):
+    """A morphism action on ``<=`` over 1-4 atoms, an element, a cap, a seed."""
+    source = leq_proximity(ALGEBRAS[draw(st.integers(1, 4))])
+    target = leq_proximity(ALGEBRAS[draw(st.integers(1, 3))])
+    n, m = len(source.algebra.atoms), len(target.algebra.atoms)
+    dual = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    table = [
+        sum(1 << t for t, s in enumerate(dual) if mask >> s & 1)
+        for mask in range(source.algebra.size)
+    ]
+    kinds = ["lifted", "table", "shifted", "negated", "constant", "mixed"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "table":
+        # the stepwise action of a table that is no homomorphism
+        spots = st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=2)
+        for spot in draw(spots):
+            table[spot] = draw(st.integers(0, target.algebra.size - 1))
+    action = _compose_with_steps(DVMorphism(source, target, tuple(table)))
+    if kind not in ("lifted", "table"):
+        action = _broken(kind, action, target.algebra)
+    scalar = draw(st.sampled_from([ints, fractions]))
+    values = draw(st.lists(scalar, min_size=n, max_size=n))
+    return (
+        ProxMorphism(source, target, action, label=kind),
+        steps_from_values(source.algebra, values),
+        draw(st.sampled_from([1, 2, 5, 17, 4096])),
+        draw(st.integers(0, 2**32)),
+    )
+
+
+def _outcome(join, pm, t, cap, seed):
+    rng = random.Random(seed)
+    try:
+        result = join(pm, t, rng, cap)
+    except ValueError as exc:
+        result = exc.args
+    return result, rng.getstate()
+
+
+@kernel
+@given(approximant_cases())
+def test_approximant_join_matches_reference(case):
+    pm, t, cap, seed = case
+    joined, state = _outcome(_approximant_join, pm, t, cap, seed)
+    expected, expected_state = _outcome(ref_approximant_join, pm, t, cap, seed)
+    assert joined == expected
+    assert str(joined) == str(expected)
+    # the same combinations are drawn, so the random stream moves alike
+    assert state == expected_state

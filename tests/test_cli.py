@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import within
 from specker.cli import run
 
 
@@ -114,6 +115,15 @@ def test_deep_term_is_a_one_line_syntax_error(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "syntax error: term nested deeper than 100 levels at position 100\n"
+
+
+def test_huge_exponent_is_a_one_line_syntax_error(files, capsys):
+    with within(1.0):
+        code = run(["normalize", "--algebra", files["b4"], "--expr", "(x_p+2)^2000000"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "syntax error: exponent larger than 1000 at position 8\n"
 
 
 def test_convert_round_trip(files, capsys):

@@ -2,7 +2,9 @@
 
 ``import specker`` loads the Specker-algebra core (``boolalg``,
 ``scalars``, ``orthogonal``, ``steps``) and serves the names of the other
-layers on first use; each subcommand imports the layers it runs.  A
+layers on first use; each subcommand imports the layers it runs.  None of
+them loads ``dataclasses`` or the ``inspect`` module it pulls in, which
+would add about 20 ms to every start.  A
 handler that forgets such an import only fails in a process that has not
 loaded the layer yet, and in-process tests never are one (an earlier test
 has loaded every module), so these tests run fresh child processes.
@@ -23,6 +25,8 @@ import specker
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CORE = {"specker.boolalg", "specker.scalars", "specker.orthogonal", "specker.steps"}
+# modules no fresh process may load: the value types are plain classes
+UNWANTED = {"dataclasses", "inspect"}
 
 # subcommand argv -> (exit code, first stdout line, layers loaded beyond the core)
 RUNS = {
@@ -117,9 +121,14 @@ def _python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
+def _all_imported(importtime_log: str) -> set[str]:
+    """Every module a ``-X importtime`` log shows imported."""
+    return {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()}
+
+
 def _imported(importtime_log: str) -> set[str]:
     """The ``specker`` modules a ``-X importtime`` log shows imported."""
-    names = {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()}
+    names = _all_imported(importtime_log)
     return {name for name in names if name.startswith("specker.")}
 
 
@@ -138,12 +147,14 @@ def test_subcommand_in_a_fresh_process(inputs, command):
     assert "Traceback" not in done.stderr
     # ``-m`` runs the CLI as ``__main__``, so it is not listed itself
     assert _imported(done.stderr) == CORE | {f"specker.{name}" for name in layers}
+    assert not _all_imported(done.stderr) & UNWANTED
 
 
 def test_import_specker_loads_the_core_only(inputs):
     done = _python(["-X", "importtime", "-c", "import specker"], inputs)
     assert done.returncode == 0, done.stderr
     assert _imported(done.stderr) == CORE
+    assert not _all_imported(done.stderr) & UNWANTED
 
 
 def test_check_devries_loads_no_morphisms_oracle_or_terms(inputs):

@@ -325,3 +325,20 @@ def test_morphism_json_requires_total_map(at_p):
     del obj["map"]["[p]"]
     with pytest.raises(ValueError, match="cover"):
         morphism_from_json(obj)
+
+
+def test_sampled_morphism_axioms_with_no_samples_fail(b4, leq4):
+    report = sample_morphism_axioms(identity_prox(leq4), samples=0)
+    assert not report.ok
+    assert [(r.name, r.passed, r.checked) for r in report.results] == [
+        ("M1", True, 1)
+    ] + [(f"M{i}", False, 0) for i in range(2, 8)]
+    assert report.summary().startswith("FAIL (M2: FAIL (no cases checked), M3: ")
+
+
+def test_naturality_check_with_no_samples_fails(b4, leq4):
+    report = naturality_check(identity_dv(leq4), samples=0)
+    assert [(r.name, r.passed, r.checked) for r in report.results] == [
+        ("tau-square", True, 4),
+        ("eta-square", False, 0),
+    ]

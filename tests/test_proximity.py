@@ -204,3 +204,13 @@ def test_prox_json_round_trip(b2, b4):
         assert prox_from_json(alg, {"proximity": "leq"}) == leq
     with pytest.raises(ValueError):
         prox_from_json(b2, {"nope": 1})
+
+
+def test_sampled_axioms_with_no_samples_fail(b4):
+    report = sample_proximity_axioms(leq_proximity(b4), samples=0)
+    assert not report.ok
+    assert [(r.name, r.passed, r.checked) for r in report.results] == [
+        ("P1", True, 2)
+    ] + [(f"P{i}", False, 0) for i in range(2, 11)]
+    assert str(report.results[1]) == "P2: FAIL (no cases checked)"
+    assert report.summary().startswith("FAIL (P2: FAIL (no cases checked), P3: ")

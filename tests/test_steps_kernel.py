@@ -2,10 +2,12 @@
 
 Elements are drawn as atom valuations on 1-6 atoms, with integer or
 rational values, and built with the constructor alone; every operation
-is compared with the docstring formula evaluated in ``helpers``.
+is compared with the docstring formula evaluated in ``helpers``, and the
+one-pass join of many elements with pairwise joins.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from specker.boolalg import make_algebra
 from specker.steps import (
     StepElem,
     _assemble,
+    _join_all,
     from_decomposition,
     step_add,
     step_join,
@@ -100,6 +103,16 @@ def test_meet_join_leq_match_reference(case):
     assert step_leq(f, join) and ref_leq(f, join)
 
 
+@kernel
+@given(st.integers(1, 5).flatmap(lambda count: operands(count=count)))
+def test_join_all_matches_pairwise_joins(case):
+    _, elems = case
+    joined = _join_all(iter(elems))
+    assert joined == reduce(step_join, elems)
+    if len(elems) == 2:
+        assert table_of(joined) == ref_join(*elems)
+
+
 @st.composite
 def decompositions(draw):
     """``a0`` and pairs ``(b, e)`` with arbitrary, not nested, idempotents."""
@@ -147,6 +160,10 @@ def test_mixed_algebras_rejected_with_old_messages(b4, b2, b8):
         _assemble(b4, [(0, b2.one), (1, b2.zero)])
     with pytest.raises(ValueError, match="^mixed algebras"):
         from_decomposition(b4, 0, [(1, p), (2, b2.one)])
+    with pytest.raises(ValueError, match="^mixed algebras"):
+        _join_all([StepElem(b4, (0,), (b4.one,)), StepElem(b2, (0,), (b2.one,))])
+    with pytest.raises(ValueError, match="^cannot assemble a step function from no"):
+        _join_all([])
 
 
 def test_equal_algebras_are_one_algebra(b4):

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from helpers import random_term, term_oracle
+from helpers import random_term, term_oracle, within
 from specker.orthogonal import orth_unit, orth_zero
 from specker.pointwise import atom_values, orth_of_pointfn
 from specker.terms import (
     MAX_DEPTH,
+    MAX_EXPONENT,
     BinOp,
     Lit,
     Neg,
@@ -185,3 +186,38 @@ def test_idempotent_semantics_match_pointwise(b4):
     got = normalize_term(parse_term("x_p"), b4, binding)
     assert atom_values(got).values == (1, 0)
     assert orth_of_pointfn(atom_values(got)) == got
+
+
+def test_exponent_bound_accepts_max_exponent(b4):
+    binding = default_binding(b4)
+    accepted = [
+        f"(x_p+2)^{MAX_EXPONENT}",
+        f"x_p^{MAX_EXPONENT} * x_q^{MAX_EXPONENT}",  # products are per path
+        f"((x_p+2)^40)^{MAX_EXPONENT // 40}",
+        f"((x_p+2)^0)^{MAX_EXPONENT}",
+        f"meet(-(x_p+1/3)^{MAX_EXPONENT // 2}, 1)^2",
+    ]
+    with within(1.0):
+        for text in accepted:
+            term = parse_term(text)
+            result = normalize_term(term, b4, binding)
+            assert atom_values(result) == term_oracle(term, b4, binding), text
+    assert parse_term("x_p^0002") == Pow(Var("x_p"), 2)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("(x_p+2)^2000000", f"exponent larger than {MAX_EXPONENT}", 8),
+        (f"x_p^{MAX_EXPONENT + 1}", f"exponent larger than {MAX_EXPONENT}", 4),
+        ("x_p^" + "9" * 5000, f"exponent larger than {MAX_EXPONENT}", 4),
+        ("((x_p+2)^40)^26", f"exponents multiply to more than {MAX_EXPONENT}", 12),
+        ("(-(x_p^2)+1)^501", f"exponents multiply to more than {MAX_EXPONENT}", 12),
+        ("x_p" + "^2" * 10, f"exponents multiply to more than {MAX_EXPONENT}", 21),
+    ],
+)
+def test_exponent_bound_is_a_parse_error(text, message, position):
+    with within(1.0):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_term(text)
+    assert info.value.position == position
