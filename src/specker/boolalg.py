@@ -210,11 +210,20 @@ class BoolElem(_Frozen):
         return element_to_literal(self)
 
 
+_MIXED = "mixed algebras: operands belong to different algebras"
+
+
 def _check_same_algebra(*items) -> Algebra:
+    """The algebra that all ``items`` belong to; ``ValueError`` if they differ.
+
+    Every layer checks its operands with this one helper.  Identity is
+    compared first: operands almost always share one ``Algebra`` object.
+    """
     algebra = items[0].algebra
     for item in items[1:]:
-        if item.algebra != algebra:
-            raise ValueError("mixed algebras: operands belong to different algebras")
+        other = item.algebra
+        if other is not algebra and other != algebra:
+            raise ValueError(_MIXED)
     return algebra
 
 

@@ -287,11 +287,12 @@ def _cmd_lift(args) -> int:
         print("RELATED" if related else "NOT RELATED")
         return 0
     restricted = restrict_lift(rel)
+    status = "OK" if restricted == rel else "MISMATCH"
     if args.as_json:
         print(json.dumps(prox_to_json(restricted)))
     else:
-        print(f"lift restricts to {len(restricted.pairs)} pairs; round-trip OK")
-    return 0
+        print(f"lift restricts to {len(restricted.pairs)} pairs; round-trip {status}")
+    return 0 if status == "OK" else 1
 
 
 def _cmd_check_prox(args) -> int:
@@ -418,6 +419,8 @@ def run(argv: Sequence[str]) -> int:
     try:
         if args.samples < 1:
             raise UsageError(f"--samples must be at least 1, got {args.samples}")
+        if args.coeff_bound < 1:
+            raise UsageError(f"--coeff-bound must be at least 1, got {args.coeff_bound}")
         return _COMMANDS[args.command](args)
     except ValueError as exc:  # a UsageError, or a library's own
         # a ParseError can only come from the term layer once it is loaded

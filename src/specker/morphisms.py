@@ -61,8 +61,6 @@ from .steps import (
     _from_masks,
     _join_all,
     _refine_classes,
-    decreasing_decomposition,
-    from_decomposition,
     step_add,
     step_const,
     step_embed,
@@ -285,17 +283,16 @@ def _compose_with_steps(m: DVMorphism) -> Callable[[StepElem], StepElem]:
 def lift_morphism(m: DVMorphism) -> ProxMorphism:
     """Lift a de Vries morphism to step functions by composing stepwise.
 
-    Requires a valid source morphism; the square against the idempotent
-    embedding (lift of an embedded idempotent = embedding of its image)
-    is asserted exhaustively.
+    Requires a valid source morphism.  The tier-1 tests check the square
+    against the idempotent embedding (lift of an embedded idempotent =
+    embedding of its image) on every idempotent.
     """
     report = check_dv_morphism(m)
     if not report.ok:
         raise ValueError(f"invalid source morphism: {report.summary()}")
-    action = _compose_with_steps(m)
-    for e in m.source.algebra.elements():
-        assert action(step_embed(e)) == step_embed(m.apply(e))
-    return ProxMorphism(m.source, m.target, action, base=m, label="lifted")
+    return ProxMorphism(
+        m.source, m.target, _compose_with_steps(m), base=m, label="lifted"
+    )
 
 
 def identity_prox(rel: ProxRel) -> ProxMorphism:
@@ -326,21 +323,12 @@ def restrict_prox_morphism(pm: ProxMorphism) -> DVMorphism:
 def apply_prox_morphism(pm: ProxMorphism, f: StepElem) -> StepElem:
     """Apply a proximity morphism to an element.
 
-    For lifted morphisms the result is cross-checked against the
+    For lifted morphisms the tier-1 tests compare the result with the
     decreasing-decomposition formula ``a0 + sum(b_i * m(e_i))``.
     """
     if f.algebra != pm.source.algebra:
         raise ValueError("element from a different algebra")
-    result = pm.action(f)
-    if pm.base is not None:
-        a0, pairs = decreasing_decomposition(f)
-        rebuilt = from_decomposition(
-            pm.target.algebra,
-            a0,
-            [(b, pm.base.apply(e)) for b, e in pairs],
-        )
-        assert rebuilt == result
-    return result
+    return pm.action(f)
 
 
 def star_compose_prox(p2: ProxMorphism, p1: ProxMorphism) -> ProxMorphism:

@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .boolalg import (
     Algebra,
     BoolElem,
+    _check_same_algebra,
     _Frozen,
     _setattr,
     element_from_json,
@@ -62,7 +63,6 @@ from .steps import (
     _assemble_masks,
     _masks_at,
     _merged_grid,
-    _same_algebra,
 )
 
 __all__ = [
@@ -448,9 +448,10 @@ def lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
     between them, below the grid both are 1 (related by D1), and past it
     both are 0 (related by D1).
     """
-    algebra = rel.algebra
-    if not (_same_algebra(s.algebra, algebra) and _same_algebra(t.algebra, algebra)):
-        raise ValueError("mixed algebras in lifted proximity check")
+    try:
+        _check_same_algebra(rel, s, t)
+    except ValueError:
+        raise ValueError("mixed algebras in lifted proximity check") from None
     _require_devries(rel)
     return _lifted(rel.pairs, s, t)
 
@@ -464,7 +465,8 @@ def _lifted(pairs: frozenset[tuple[int, int]], s: StepElem, t: StepElem) -> bool
 def restrict_lift(rel: ProxRel) -> ProxRel:
     """Restrict the lifted relation back to embedded idempotents.
 
-    The round trip is the identity, which is asserted.
+    The round trip is the identity: the tier-1 tests check it, and
+    ``specker lift`` reports it.
     """
     _require_devries(rel)
     algebra = rel.algebra
@@ -475,9 +477,7 @@ def restrict_lift(rel: ProxRel) -> ProxRel:
         for f, t in enumerate(embedded)
         if _lifted(rel.pairs, s, t)
     )
-    restricted = ProxRel(algebra, pairs)
-    assert restricted == rel
-    return restricted
+    return ProxRel(algebra, pairs)
 
 
 # --- sampling machinery -----------------------------------------------------
@@ -527,7 +527,6 @@ def sample_related_pair(
     rights = _prefix_meets([pair[1] for pair in chosen])
     s = _assemble_masks(algebra, list(zip(grid, lefts)))
     t = _assemble_masks(algebra, list(zip(grid, rights)))
-    assert lift_check(rel, s, t)
     return s, t
 
 

@@ -20,8 +20,10 @@ The direct arithmetic formulas on step functions are
 
 each evaluated only at candidate thresholds, which suffices because both
 sides are step functions whose breakpoints lie in those candidate sets.
-Every direct formula is cross-checked against transport through the
-bijection with orthogonal form.  Meet, join, and the order are pointwise.
+Addition and nonnegative multiplication run these formulas; general
+multiplication and scaling go through orthogonal form.  The tier-1 tests
+compare every formula with transport through the bijection.  Meet, join,
+and the order are pointwise.
 
 Inside the layer the components are plain ``int`` masks over the atom
 order: validation, assembly, the bijection, negation, meet, join, and the
@@ -40,15 +42,17 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 from .boolalg import (
+    _MIXED,
     Algebra,
     BoolElem,
+    _check_same_algebra,
     _Frozen,
     _setattr,
     element_from_json,
     element_to_json,
     element_to_literal,
 )
-from .orthogonal import OrthElem, orth_add, orth_mul, orth_scale
+from .orthogonal import OrthElem, orth_mul, orth_scale
 from .scalars import Scalar, format_scalar, parse_scalar
 
 __all__ = [
@@ -111,7 +115,7 @@ class StepElem(_Frozen):
             raise ValueError("the first step must have component 1")
         if masks[-1] == 0:
             raise ValueError("the last step must have a nonzero component")
-        first_home = _same_algebra(idems[0].algebra, algebra)
+        first_home = idems[0].algebra is algebra or idems[0].algebra == algebra
         for i in range(1, len(thresholds)):
             if not thresholds[i - 1] < thresholds[i]:
                 raise ValueError("thresholds must strictly increase")
@@ -221,19 +225,6 @@ class CompatibleSteps(_Frozen):
         )
 
 
-_MIXED = "mixed algebras: operands belong to different algebras"
-
-
-def _same_algebra(a: Algebra, b: Algebra) -> bool:
-    return a is b or a == b
-
-
-def _check_same_algebra(f: StepElem, g: StepElem) -> Algebra:
-    if not _same_algebra(f.algebra, g.algebra):
-        raise ValueError(_MIXED)
-    return f.algebra
-
-
 def _assemble(algebra: Algebra, points: Sequence[tuple[Scalar, BoolElem]]) -> StepElem:
     """Canonical step function from samples at its candidate breakpoints.
 
@@ -247,11 +238,9 @@ def _assemble(algebra: Algebra, points: Sequence[tuple[Scalar, BoolElem]]) -> St
     home = points[0][1].algebra
     if points[0][1].mask != home.full_mask:
         raise ValueError("assembly requires the first sampled value to be 1")
-    for _, component in points:
-        if not _same_algebra(component.algebra, home):
-            raise ValueError(_MIXED)
+    _check_same_algebra(*(component for _, component in points))
     result = _assemble_masks(home, [(scalar, c.mask) for scalar, c in points])
-    if _same_algebra(home, algebra):
+    if home is algebra or home == algebra:
         return result
     # the constructor rejects components of another algebra, with its message
     return StepElem(algebra, result.thresholds, result.idems)
@@ -303,12 +292,14 @@ def _tail_masks(masks: Sequence[int]) -> list[int]:
     return tails
 
 
-def _to_steps_raw(f: OrthElem) -> StepElem:
+def to_steps(f: OrthElem) -> StepElem:
+    """Convert orthogonal form to step form by upper-tail joins."""
     masks = [component.mask for _, component in f.entries]
     return _from_masks(f.algebra, f.values(), _tail_masks(masks))
 
 
-def _to_orth_raw(g: StepElem) -> OrthElem:
+def to_orth(g: StepElem) -> OrthElem:
+    """Convert step form back to orthogonal form (inverse of to_steps)."""
     algebra, masks = g.algebra, g._masks
     entries = [
         (g.thresholds[i], BoolElem(algebra, masks[i] & ~masks[i + 1]))
@@ -316,20 +307,6 @@ def _to_orth_raw(g: StepElem) -> OrthElem:
     ]
     entries.append((g.thresholds[-1], g.idems[-1]))
     return OrthElem(algebra, tuple(entries))
-
-
-def to_steps(f: OrthElem) -> StepElem:
-    """Convert orthogonal form to step form by upper-tail joins."""
-    result = _to_steps_raw(f)
-    assert _to_orth_raw(result) == f
-    return result
-
-
-def to_orth(g: StepElem) -> OrthElem:
-    """Convert step form back to orthogonal form (inverse of to_steps)."""
-    result = _to_orth_raw(g)
-    assert _to_steps_raw(result) == g
-    return result
 
 
 # --- distinguished elements ----------------------------------------------
@@ -360,10 +337,6 @@ def step_embed(e: BoolElem) -> StepElem:
 # --- arithmetic -----------------------------------------------------------
 
 
-def _transport(op, *elems: StepElem) -> StepElem:
-    return _to_steps_raw(op(*(_to_orth_raw(f) for f in elems)))
-
-
 def step_add(f: StepElem, g: StepElem) -> StepElem:
     algebra = _check_same_algebra(f, g)
     candidates = sorted({u + v for u in f.thresholds for v in g.thresholds})
@@ -375,20 +348,14 @@ def step_add(f: StepElem, g: StepElem) -> StepElem:
                 if u + v >= c:
                     mask |= (f.value(u) & g.value(v)).mask
         points.append((c, algebra.from_mask(mask)))
-    result = _assemble(algebra, points)
-    assert result == _transport(orth_add, f, g)
-    return result
+    return _assemble(algebra, points)
 
 
 def step_scale_pos(b: Scalar, f: StepElem) -> StepElem:
     """Multiply by a strictly positive scalar: thresholds scale, steps stay."""
     if not b > 0:
         raise ValueError("scalar must be > 0 here; use step_scale for general b")
-    result = StepElem(
-        f.algebra, tuple(b * t for t in f.thresholds), f.idems
-    )
-    assert result == _transport(lambda x: orth_scale(b, x), f)
-    return result
+    return StepElem(f.algebra, tuple(b * t for t in f.thresholds), f.idems)
 
 
 def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
@@ -405,9 +372,7 @@ def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
                 if u * v >= c:
                     mask |= (f.value(u) & g.value(v)).mask
         points.append((c, algebra.from_mask(mask)))
-    result = _assemble(algebra, points)
-    assert result == _transport(orth_mul, f, g)
-    return result
+    return _assemble(algebra, points)
 
 
 def step_neg(f: StepElem) -> StepElem:
@@ -420,29 +385,17 @@ def step_neg(f: StepElem) -> StepElem:
         (-t, full ^ past)
         for t, past in zip(reversed(f.thresholds), reversed(f._masks[1:] + (0,)))
     ]
-    result = _assemble_masks(algebra, points)
-    assert result == _transport(lambda x: orth_scale(-1, x), f)
-    return result
+    return _assemble_masks(algebra, points)
 
 
 def step_mul(f: StepElem, g: StepElem) -> StepElem:
     """General multiplication, via transport through orthogonal form."""
-    _check_same_algebra(f, g)
-    result = _transport(orth_mul, f, g)
-    zero = step_zero(f.algebra)
-    if step_leq(zero, f) and step_leq(zero, g):
-        assert result == step_mul_nonneg(f, g)
-    return result
+    return to_steps(orth_mul(to_orth(f), to_orth(g)))
 
 
 def step_scale(b: Scalar, f: StepElem) -> StepElem:
     """General scalar action, via transport through orthogonal form."""
-    result = _transport(lambda x: orth_scale(b, x), f)
-    if b > 0:
-        assert result == step_scale_pos(b, f)
-    elif b == -1:
-        assert result == step_neg(f)
-    return result
+    return to_steps(orth_scale(b, to_orth(f)))
 
 
 def step_sub(f: StepElem, g: StepElem) -> StepElem:
@@ -485,16 +438,12 @@ def _join_all(elems: Iterable[StepElem]) -> StepElem:
 
     A step function is at ``c`` the union of its components at thresholds
     ``>= c``, so the join is the upper-tail union of all their steps.
-    Each element's algebra is checked as it arrives; no elements at all
-    leave no points, which ``_assemble_masks`` refuses.
+    No elements at all leave no points, which ``_assemble_masks`` refuses.
     """
-    algebra = None
+    elems = list(elems)
+    algebra = _check_same_algebra(*elems) if elems else None
     at: dict[Scalar, int] = {}
     for f in elems:
-        if algebra is None:
-            algebra = f.algebra
-        elif not _same_algebra(f.algebra, algebra):
-            raise ValueError(_MIXED)
         for threshold, mask in zip(f.thresholds, f._masks):
             at[threshold] = at.get(threshold, 0) | mask
     grid = sorted(at)
@@ -518,13 +467,11 @@ def decreasing_decomposition(
     f: StepElem,
 ) -> tuple[Scalar, tuple[tuple[Scalar, BoolElem], ...]]:
     """Read off ``a0 + sum(b_i * e_i)`` with ``b_i > 0`` from the steps."""
-    a0 = f.thresholds[0]
     pairs = tuple(
         (f.thresholds[i] - f.thresholds[i - 1], f.idems[i])
         for i in range(1, len(f.thresholds))
     )
-    assert from_decomposition(f.algebra, a0, pairs) == f
-    return a0, pairs
+    return f.thresholds[0], pairs
 
 
 def from_decomposition(
@@ -533,7 +480,7 @@ def from_decomposition(
     """Rebuild the element ``a0 + sum(b * e)`` by refining value classes."""
     masks = []
     for b, e in pairs:
-        if not _same_algebra(e.algebra, algebra):
+        if e.algebra is not algebra and e.algebra != algebra:
             raise ValueError(_MIXED)
         masks.append((b, e.mask))
     return _from_masks(algebra, *_refine_classes(algebra.full_mask, a0, masks))
@@ -579,9 +526,7 @@ def orth_to_decreasing(
     tails.reverse()
     for i in range(1, len(values)):
         pairs.append((values[i] - values[i - 1], tails[i]))
-    result = (a0, tuple(pairs))
-    assert result == decreasing_decomposition(_to_steps_raw(f))
-    return result
+    return a0, tuple(pairs)
 
 
 def compatible_decreasing(s: StepElem, t: StepElem) -> CompatibleSteps:
@@ -589,35 +534,24 @@ def compatible_decreasing(s: StepElem, t: StepElem) -> CompatibleSteps:
 
     The grid starts at a scalar lower bound of both elements and ends at
     an upper bound; when both elements are nonnegative the grid starts
-    at 0.  Both elements reconstruct from their grid values, which is
-    asserted.
+    at 0.  Both elements reconstruct from their grid values, which the
+    tier-1 tests check.
     """
     algebra = _check_same_algebra(s, t)
     grid = _merged_grid(s, t)
     zero = step_zero(algebra)
     if step_leq(zero, s) and step_leq(zero, t) and grid[0] != 0:
         grid = [0] + grid
-    result = CompatibleSteps(
+    return CompatibleSteps(
         thresholds=tuple(grid),
         left=tuple(s.value(a) for a in grid),
         right=tuple(t.value(a) for a in grid),
     )
-    assert result.left[0].is_one and result.right[0].is_one
-    for elem, values in ((s, result.left), (t, result.right)):
-        pairs = [
-            (grid[i] - grid[i - 1], values[i]) for i in range(1, len(grid))
-        ]
-        assert from_decomposition(algebra, grid[0], pairs) == elem
-    return result
 
 
 def is_idempotent(f: StepElem) -> bool:
     """Order-theoretic idempotence test: ``f == (2 f) meet 1``."""
-    doubled = step_scale_pos(2, f)
-    by_order = step_meet(doubled, step_one(f.algebra)) == f
-    g = _to_orth_raw(f)
-    assert by_order == (orth_mul(g, g) == g)
-    return by_order
+    return step_meet(step_scale_pos(2, f), step_one(f.algebra)) == f
 
 
 # --- JSON ---------------------------------------------------------------

@@ -408,7 +408,8 @@ def ref_approximant_join(
         )
         image = pm.action(s)
         joined = image if joined is None else step_join(joined, image)
-    assert joined is not None  # the empty product still yields one combo
+    if joined is None:  # the empty product still yields one combo
+        raise RuntimeError("no approximant combination to join")
     return joined
 
 

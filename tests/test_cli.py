@@ -3,6 +3,7 @@ import json
 import pytest
 
 from helpers import within
+from specker.boolalg import make_algebra
 from specker.cli import run
 
 
@@ -381,3 +382,33 @@ def test_samples_below_one_is_usage_error(files, capsys, samples):
     )
     assert code == 2
     assert "--samples must be at least 1" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check-prox", "--algebra", "b4"],
+        ["check-morphism", "--morphism", "at_p"],
+        ["oracle-diff", "--algebra", "b4"],
+    ],
+)
+def test_coeff_bound_below_one_is_usage_error(files, capsys, command, bound):
+    argv = [files.get(word, word) for word in command]
+    assert run([*argv, "--samples", "2", "--coeff-bound", bound]) == 2
+    assert _one_line_error(capsys) == f"error: --coeff-bound must be at least 1, got {bound}"
+
+
+def test_lift_round_trip_verdict_is_computed(files, capsys, monkeypatch):
+    from specker import proximity
+
+    argv = ["lift", "--algebra", files["b4"], "--proximity", "leq"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.strip() == "lift restricts to 9 pairs; round-trip OK"
+
+    other = proximity.ProxRel(make_algebra(["p", "q"]), frozenset({(0, 0), (3, 3)}))
+    monkeypatch.setattr(proximity, "restrict_lift", lambda rel: other)
+    assert run(argv) == 1
+    assert capsys.readouterr().out.strip() == "lift restricts to 2 pairs; round-trip MISMATCH"
+    assert run([*argv, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == proximity.prox_to_json(other)

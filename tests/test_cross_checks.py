@@ -1,0 +1,189 @@
+"""Each operation against a second derivation of the same result.
+
+The library runs one path per operation.  These tests compare that path
+with another way to compute the same thing: general multiplication and
+scaling (transport through orthogonal form) with the direct step
+formulas, the decompositions with their reconstructions, the
+order-theoretic idempotence test with squaring, the sampled related
+pairs with the lifted relation, and the lifted action of a morphism with
+the decomposition formula ``a0 + sum(b_i * m(e_i))`` and with the
+idempotent embedding.  The bijection, meet and join, the annihilator and
+the round trip of the lift are compared in ``test_steps.py``,
+``test_orthogonal.py`` and ``test_proximity.py``.
+
+Elements are drawn as atom valuations on 1-5 atoms with integer or
+rational values; relations are ``<=`` (on a finite algebra the only de
+Vries proximity); morphisms are boolean homomorphisms drawn as dual atom
+maps.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import steps_from_values
+from specker.boolalg import make_algebra
+from specker.morphisms import DVMorphism, apply_prox_morphism, lift_morphism
+from specker.orthogonal import orth_mul
+from specker.proximity import leq_proximity, lift_check, sample_related_pair
+from specker.steps import (
+    compatible_decreasing,
+    decreasing_decomposition,
+    from_decomposition,
+    is_idempotent,
+    orth_to_decreasing,
+    step_embed,
+    step_leq,
+    step_mul,
+    step_mul_nonneg,
+    step_neg,
+    step_scale,
+    step_scale_pos,
+    step_zero,
+    to_orth,
+)
+
+ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
+
+ints = st.integers(-6, 6)
+fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+# 0/1 valuations are the idempotents, which random values rarely hit
+bits = st.integers(0, 1)
+cross = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def operands(draw, count=2, nonneg=False):
+    """An algebra and ``count`` step elements on it, in one scalar domain."""
+    algebra = ALGEBRAS[draw(st.integers(1, 5))]
+    scalar = draw(st.sampled_from([ints, fractions, bits]))
+    if nonneg:
+        scalar = scalar.map(abs)
+    n = len(algebra.atoms)
+    elems = [
+        steps_from_values(algebra, draw(st.lists(scalar, min_size=n, max_size=n)))
+        for _ in range(count)
+    ]
+    return algebra, elems
+
+
+@st.composite
+def homomorphisms(draw):
+    """A boolean homomorphism between ``<=`` relations on 1-3 atoms."""
+    source = ALGEBRAS[draw(st.integers(1, 3))]
+    target = ALGEBRAS[draw(st.integers(1, 3))]
+    n, m = len(source.atoms), len(target.atoms)
+    dual = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    table = tuple(
+        sum(1 << t for t, s in enumerate(dual) if mask >> s & 1)
+        for mask in range(source.size)
+    )
+    return DVMorphism(leq_proximity(source), leq_proximity(target), table)
+
+
+@cross
+@given(operands(nonneg=True))
+def test_step_mul_matches_mul_nonneg(case):
+    _, (f, g) = case
+    assert step_mul(f, g) == step_mul_nonneg(f, g)
+
+
+@cross
+@given(operands(count=1), st.one_of(ints, fractions))
+def test_step_scale_matches_scale_pos_and_neg(case, b):
+    _, (f,) = case
+    if b > 0:
+        assert step_scale(b, f) == step_scale_pos(b, f)
+    elif b < 0:
+        assert step_scale(b, f) == step_neg(step_scale_pos(-b, f))
+    assert step_scale(-1, f) == step_neg(f)
+
+
+@cross
+@given(operands(count=1))
+def test_decreasing_decomposition_round_trip(case):
+    algebra, (f,) = case
+    a0, pairs = decreasing_decomposition(f)
+    assert from_decomposition(algebra, a0, pairs) == f
+    assert all(b > 0 for b, _ in pairs)
+    idems = [algebra.one] + [e for _, e in pairs]
+    assert all(
+        later <= earlier and later != earlier
+        for earlier, later in zip(idems, idems[1:])
+    )
+
+
+@cross
+@given(operands(count=1))
+def test_orth_to_decreasing_matches_step_decomposition(case):
+    algebra, (f,) = case
+    decomposition = orth_to_decreasing(to_orth(f))
+    assert decomposition == decreasing_decomposition(f)
+    assert from_decomposition(algebra, *decomposition) == f
+
+
+@cross
+@given(operands())
+def test_compatible_decreasing_reconstructs_both(case):
+    algebra, (s, t) = case
+    shared = compatible_decreasing(s, t)
+    grid = shared.thresholds
+    assert set(s.thresholds) | set(t.thresholds) <= set(grid)
+    assert list(grid) == sorted(set(grid))
+    zero = step_zero(algebra)
+    if step_leq(zero, s) and step_leq(zero, t):
+        assert grid[0] == 0
+    for elem, values in ((s, shared.left), (t, shared.right)):
+        assert values[0].is_one
+        pairs = [(grid[i] - grid[i - 1], values[i]) for i in range(1, len(grid))]
+        assert from_decomposition(algebra, grid[0], pairs) == elem
+
+
+@cross
+@given(operands(count=1))
+def test_is_idempotent_matches_orth_square(case):
+    _, (f,) = case
+    g = to_orth(f)
+    assert is_idempotent(f) == (orth_mul(g, g) == g)
+
+
+@cross
+@given(
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.booleans(),
+)
+def test_sample_related_pair_is_related(atoms, seed, coeff_bound, nonneg):
+    rel = leq_proximity(ALGEBRAS[atoms])
+    s, t = sample_related_pair(random.Random(seed), rel, coeff_bound, nonneg=nonneg)
+    assert lift_check(rel, s, t)
+    if nonneg:
+        zero = step_zero(rel.algebra)
+        assert step_leq(zero, s) and step_leq(zero, t)
+
+
+@cross
+@given(homomorphisms())
+def test_lift_morphism_square_with_embedding(m):
+    pm = lift_morphism(m)
+    for e in m.source.algebra.elements():
+        assert pm.action(step_embed(e)) == step_embed(m.apply(e))
+
+
+@cross
+@given(homomorphisms(), st.data())
+def test_lifted_action_matches_decomposition_formula(m, data):
+    pm = lift_morphism(m)
+    n = len(m.source.algebra.atoms)
+    scalar = data.draw(st.sampled_from([ints, fractions]))
+    f = steps_from_values(
+        m.source.algebra, data.draw(st.lists(scalar, min_size=n, max_size=n))
+    )
+    a0, pairs = decreasing_decomposition(f)
+    expected = from_decomposition(
+        m.target.algebra, a0, [(b, m.apply(e)) for b, e in pairs]
+    )
+    assert apply_prox_morphism(pm, f) == expected

@@ -7,7 +7,6 @@ import pytest
 from specker.orthogonal import (
     OrthElem,
     _lattice_by_formula,
-    _lattice_by_refinement,
     annihilator_idempotent,
     orth_add,
     orth_const,
@@ -228,8 +227,8 @@ def test_meet_join_paths_agree(b4, b8):
         for _ in range(100):
             f = orth_of_pointfn(random_pointfn(rng, algebra, 8))
             g = orth_of_pointfn(random_pointfn(rng, algebra, 8))
-            assert _lattice_by_refinement(f, g, min) == _lattice_by_formula(f, g, min)
-            assert _lattice_by_refinement(f, g, max) == _lattice_by_formula(f, g, max)
+            assert orth_meet(f, g) == _lattice_by_formula(f, g, min)
+            assert orth_join(f, g) == _lattice_by_formula(f, g, max)
 
 
 def test_rational_coefficients(b4):
