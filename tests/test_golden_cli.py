@@ -133,6 +133,15 @@ _BASE = {
     "lift-restrict": ["lift", "--algebra", "b3.json"],
     "lift-morphism": ["lift", "--morphism", "hom3.json"],
     "compose": ["compose", "outer.json", "inner.json"],
+    "equiv-check": ["equiv-check", "--samples", "6"],
+    "oracle-1-atom": ["oracle-diff", "--algebra", "b2.json", "--samples", "20"],
+    "oracle-1-atom-seed-7": [
+        "oracle-diff", "--algebra", "b2.json", "--samples", "20", "--seed", "7",
+    ],
+    "oracle-2-atoms": ["oracle-diff", "--algebra", "b4.json", "--samples", "20"],
+    "oracle-2-atoms-seed-7": [
+        "oracle-diff", "--algebra", "b4.json", "--samples", "20", "--seed", "7",
+    ],
 }
 
 CASES = {
