@@ -227,6 +227,22 @@ def _check_same_algebra(*items) -> Algebra:
     return algebra
 
 
+def _first_failure(cases: Iterable) -> tuple[int, object]:
+    """Run ``cases`` up to the first failure: ``(checked, witness)``.
+
+    A case is ``None`` when it holds and its witness when it fails; the
+    witness returned is ``None`` when every case held.  Every verdict in
+    the package reads this pair the same way: a failure, or no case
+    checked at all, fails the axiom or identity.
+    """
+    checked = 0
+    for witness in cases:
+        checked += 1
+        if witness is not None:
+            return checked, witness
+    return checked, None
+
+
 def make_algebra(atoms: Sequence[str]) -> Algebra:
     """Powerset algebra over the given distinct, nonempty atom names."""
     return Algebra(tuple(atoms))

@@ -6,17 +6,23 @@ that naive model directly: a :class:`PointFn` stores one exact scalar
 per atom, and operations act coordinatewise.  It deliberately shares no
 arithmetic code with the orthogonal or step-function representations so
 that agreement between the two is evidence, not tautology.
+
+:func:`oracle_diff` checks every public orthogonal and step operation
+against this model from one table: each row names the operation, how its
+operands are drawn, its pointwise reference and the form of its expected
+value, and one generic check runs every row.  An operation passes when
+every case held and at least one case ran; a check of nothing fails.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
-from .boolalg import Algebra, _Frozen, _setattr
+from .boolalg import Algebra, _first_failure, _Frozen, _setattr
 from .orthogonal import OrthElem
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, _require_coeff_bound, format_scalar
 from .steps import StepElem
 
 __all__ = [
@@ -74,26 +80,19 @@ def atom_values(elem: Union[OrthElem, StepElem]) -> PointFn:
     whose component still contains it (the first threshold when only the
     leading 1-component does).
     """
-    algebra = elem.algebra
-    values: list[Scalar] = []
     if isinstance(elem, OrthElem):
-        for i in range(len(algebra.atoms)):
-            bit = 1 << i
-            for value, component in elem.entries:
-                if component.mask & bit:
-                    values.append(value)
-                    break
+        layers = elem.entries
     elif isinstance(elem, StepElem):
-        for i in range(len(algebra.atoms)):
-            bit = 1 << i
-            best = elem.thresholds[0]
-            for threshold, idem in zip(elem.thresholds, elem.idems):
-                if idem.mask & bit:
-                    best = threshold
-            values.append(best)
+        # thresholds ascend, so the largest one containing an atom is set last
+        layers = zip(elem.thresholds, elem.idems)
     else:
         raise TypeError(f"cannot evaluate {type(elem).__name__} at atoms")
-    return PointFn(algebra, tuple(values))
+    values: list[Scalar] = [0] * len(elem.algebra.atoms)
+    for value, component in layers:
+        for i in range(len(values)):
+            if component.mask >> i & 1:
+                values[i] = value
+    return PointFn(elem.algebra, tuple(values))
 
 
 _POINTWISE_OPS: dict[str, Callable] = {
@@ -133,34 +132,33 @@ def pointwise_apply(
     )
 
 
-def orth_of_pointfn(pf: PointFn) -> OrthElem:
-    """Group atoms by value; inverse of ``atom_values`` on orthogonal form."""
-    algebra = pf.algebra
+def _value_classes(pf: PointFn) -> list[tuple[Scalar, int]]:
+    """``(value, mask of the atoms taking it)`` per distinct value, ascending."""
     classes: dict[Scalar, int] = {}
     for i, value in enumerate(pf.values):
         classes[value] = classes.get(value, 0) | (1 << i)
-    entries = tuple(
-        (value, algebra.from_mask(mask))
-        for value, mask in sorted(classes.items(), key=lambda item: item[0])
+    return sorted(classes.items(), key=lambda item: item[0])
+
+
+def orth_of_pointfn(pf: PointFn) -> OrthElem:
+    """Group atoms by value; inverse of ``atom_values`` on orthogonal form."""
+    algebra = pf.algebra
+    return OrthElem(
+        algebra,
+        tuple((value, algebra.from_mask(mask)) for value, mask in _value_classes(pf)),
     )
-    return OrthElem(algebra, entries)
 
 
 def steps_of_pointfn(pf: PointFn) -> StepElem:
     """Build step form directly: distinct values ascending, tail unions."""
     algebra = pf.algebra
-    classes: dict[Scalar, int] = {}
-    for i, value in enumerate(pf.values):
-        classes[value] = classes.get(value, 0) | (1 << i)
-    ordered = sorted(classes.items(), key=lambda item: item[0])
-    thresholds = tuple(value for value, _ in ordered)
-    tails = []
-    mask = 0
+    ordered = _value_classes(pf)
+    tails, mask = [], 0
     for _, class_mask in reversed(ordered):
         mask |= class_mask
         tails.append(algebra.from_mask(mask))
-    tails.reverse()
-    return StepElem(algebra, thresholds, tuple(tails))
+    thresholds = tuple(value for value, _ in ordered)
+    return StepElem(algebra, thresholds, tuple(reversed(tails)))
 
 
 def random_pointfn(
@@ -173,9 +171,7 @@ def random_pointfn(
     rationals with numerator in that range and denominator in 1..4.
     """
     if domain == "int":
-        values = tuple(
-            rng.randint(-bound, bound) for _ in algebra.atoms
-        )
+        values = tuple(rng.randint(-bound, bound) for _ in algebra.atoms)
     elif domain == "fraction":
         values = tuple(
             Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
@@ -200,15 +196,89 @@ def random_steps(
 
 # --- differential runner ---------------------------------------------------
 
+# The checked operations in run order: name, operand shape, the form the
+# operands are handed over in, pointwise reference, and the form of the
+# expected value: "orth" or "steps" (the reference in that form), "bool"
+# (the reference itself), or "conversion" (the reference in step form,
+# which must also evaluate back to it at every atom).
+_ORACLE = (
+    ("orth_add", "pair", "orth", "add", "orth"),
+    ("orth_mul", "pair", "orth", "mul", "orth"),
+    ("orth_meet", "pair", "orth", "min", "orth"),
+    ("orth_join", "pair", "orth", "max", "orth"),
+    ("orth_scale", "scalar", "orth", "scalar", "orth"),
+    ("orth_leq", "pair", "orth", "leq", "bool"),
+    ("orth_is_nonneg", "one", "orth", "nonneg", "bool"),
+    ("to_steps", "one", "orth", "same", "conversion"),
+    ("to_orth", "one", "steps", "same", "orth"),
+    ("step_add", "pair", "steps", "add", "steps"),
+    ("step_mul", "pair", "steps", "mul", "steps"),
+    ("step_mul_nonneg", "nonneg pair", "steps", "mul", "steps"),
+    ("step_meet", "pair", "steps", "min", "steps"),
+    ("step_join", "pair", "steps", "max", "steps"),
+    ("step_scale_pos", "positive scalar", "steps", "scalar", "steps"),
+    ("step_scale", "scalar", "steps", "scalar", "steps"),
+    ("step_neg", "one", "steps", "neg", "steps"),
+    ("step_leq", "pair", "steps", "leq", "bool"),
+)
 
-def _witness(op: str, case: int, operands, got, expected) -> dict:
-    return {
-        "op": op,
-        "case": case,
-        "operands": [str(x) for x in operands],
-        "got": str(got),
-        "expected": str(expected),
-    }
+
+def _draw(shape: str, rng: random.Random, algebra: Algebra, bound: int) -> tuple:
+    """The operands of one case; a scalar comes first but is drawn last."""
+    first = random_pointfn(rng, algebra, bound)
+    if shape == "one":
+        return (first,)
+    if shape.endswith("scalar"):
+        return rng.randint(1 if shape == "positive scalar" else -bound, bound), first
+    pair = (first, random_pointfn(rng, algebra, bound))
+    if shape == "pair":
+        return pair
+    # "nonneg pair": the absolute values
+    return tuple(
+        pointwise_apply("max", [pf, pointwise_apply("neg", [pf])]) for pf in pair
+    )
+
+
+def _reference(name: str, operands: tuple):
+    """What the pointwise model says one case's operation gives."""
+    if name == "scalar":
+        return pointwise_apply("scalar", operands[1:], scalar=operands[0])
+    if name == "leq":
+        return all(a <= b for a, b in zip(operands[0].values, operands[1].values))
+    if name == "nonneg":
+        return all(v >= 0 for v in operands[0].values)
+    if name == "same":
+        return operands[0]
+    return pointwise_apply(name, operands)
+
+
+def _represent(form: str, pf: PointFn) -> Union[OrthElem, StepElem]:
+    return orth_of_pointfn(pf) if form == "orth" else steps_of_pointfn(pf)
+
+
+def _oracle_cases(
+    row: tuple, op: Callable, rng: random.Random, algebra: Algebra, bound: int,
+    samples: int,
+) -> Iterator[dict | None]:
+    """Each case of one table row: ``None`` when it holds, else its witness."""
+    name, shape, given, reference, form = row
+    for case in range(samples):
+        operands = _draw(shape, rng, algebra, bound)
+        got = op(
+            *(_represent(given, x) if isinstance(x, PointFn) else x for x in operands)
+        )
+        value = _reference(reference, operands)
+        expected = value if form == "bool" else _represent(form, value)
+        if got != expected or (form == "conversion" and atom_values(got) != value):
+            yield {
+                "op": name,
+                "case": case,
+                "operands": [str(x) for x in operands],
+                "got": str(got),
+                "expected": str(expected),
+            }
+        else:
+            yield None
 
 
 def oracle_diff(
@@ -220,193 +290,41 @@ def oracle_diff(
 ) -> list[dict]:
     """Run every public arithmetic/order operation against this oracle.
 
-    Returns one record per checked identity with fields ``op``, ``seed``,
-    ``case`` (cases run, or the failing case index), ``status``, and a
-    ``witness`` on failure.  Deterministic for a fixed seed.  ``overrides``
-    substitutes implementations by name, which is how fault-injection
-    tests exercise the mismatch path.
+    Returns one record per checked operation, in a fixed order, with
+    fields ``op``, ``seed``, ``case`` (cases run, or the failing case
+    index), ``status``, and a ``witness`` on a failing case.  An operation
+    that checked no case (``samples=0``) fails, with ``case`` 0 and no
+    witness.  Each operation draws its cases from its own generator,
+    seeded by ``seed`` and its name, so a record does not depend on the
+    others.  ``overrides`` substitutes implementations by name, which is
+    how fault-injection tests exercise the mismatch path; a name that is
+    not checked is refused.  ``coeff_bound`` must be at least 1.
     """
     from . import orthogonal as og
     from . import steps as st
 
+    _require_coeff_bound(coeff_bound)
     ops = {
-        "orth_add": og.orth_add,
-        "orth_mul": og.orth_mul,
-        "orth_scale": og.orth_scale,
-        "orth_meet": og.orth_meet,
-        "orth_join": og.orth_join,
-        "orth_leq": og.orth_leq,
-        "orth_is_nonneg": og.orth_is_nonneg,
-        "to_steps": st.to_steps,
-        "to_orth": st.to_orth,
-        "step_add": st.step_add,
-        "step_scale_pos": st.step_scale_pos,
-        "step_mul_nonneg": st.step_mul_nonneg,
-        "step_neg": st.step_neg,
-        "step_mul": st.step_mul,
-        "step_scale": st.step_scale,
-        "step_meet": st.step_meet,
-        "step_join": st.step_join,
-        "step_leq": st.step_leq,
+        name: getattr(og if name.startswith("orth_") else st, name)
+        for name, *_ in _ORACLE
     }
-    if overrides:
-        ops.update(overrides)
+    for name in overrides or {}:
+        if name not in ops:
+            raise ValueError(f"cannot override {name!r}: the oracle checks no such op")
+    ops.update(overrides or {})
 
     records: list[dict] = []
-
-    def run(op_name: str, check: Callable[[random.Random, int], dict | None]) -> None:
+    for row in _ORACLE:
+        name = row[0]
         # string seeding is stable across processes, unlike hash() of a str
-        rng = random.Random(f"{seed}:{op_name}")
-        for case in range(samples):
-            witness = check(rng, case)
-            if witness is not None:
-                records.append(
-                    {
-                        "op": op_name,
-                        "seed": seed,
-                        "case": case,
-                        "status": "fail",
-                        "witness": witness,
-                    }
-                )
-                return
-        records.append(
-            {"op": op_name, "seed": seed, "case": samples, "status": "pass"}
+        rng = random.Random(f"{seed}:{name}")
+        checked, witness = _first_failure(
+            _oracle_cases(row, ops[name], rng, algebra, coeff_bound, samples)
         )
-
-    def pf_pair(rng):
-        return (
-            random_pointfn(rng, algebra, coeff_bound),
-            random_pointfn(rng, algebra, coeff_bound),
-        )
-
-    def binary_orth(op_name: str, pointwise_op: str):
-        def check(rng, case):
-            pa, pb = pf_pair(rng)
-            got = ops[op_name](orth_of_pointfn(pa), orth_of_pointfn(pb))
-            expected = orth_of_pointfn(pointwise_apply(pointwise_op, [pa, pb]))
-            if got != expected:
-                return _witness(op_name, case, (pa, pb), got, expected)
-            return None
-
-        return check
-
-    def binary_steps(op_name: str, pointwise_op: str, nonneg: bool = False):
-        def check(rng, case):
-            pa, pb = pf_pair(rng)
-            if nonneg:
-                pa = pointwise_apply("max", [pa, pointwise_apply("neg", [pa])])
-                pb = pointwise_apply("max", [pb, pointwise_apply("neg", [pb])])
-            got = ops[op_name](steps_of_pointfn(pa), steps_of_pointfn(pb))
-            expected = steps_of_pointfn(pointwise_apply(pointwise_op, [pa, pb]))
-            if got != expected:
-                return _witness(op_name, case, (pa, pb), got, expected)
-            return None
-
-        return check
-
-    run("orth_add", binary_orth("orth_add", "add"))
-    run("orth_mul", binary_orth("orth_mul", "mul"))
-    run("orth_meet", binary_orth("orth_meet", "min"))
-    run("orth_join", binary_orth("orth_join", "max"))
-
-    def check_orth_scale(rng, case):
-        pa = random_pointfn(rng, algebra, coeff_bound)
-        b = rng.randint(-coeff_bound, coeff_bound)
-        got = ops["orth_scale"](b, orth_of_pointfn(pa))
-        expected = orth_of_pointfn(pointwise_apply("scalar", [pa], scalar=b))
-        if got != expected:
-            return _witness("orth_scale", case, (b, pa), got, expected)
-        return None
-
-    run("orth_scale", check_orth_scale)
-
-    def check_orth_leq(rng, case):
-        pa, pb = pf_pair(rng)
-        got = ops["orth_leq"](orth_of_pointfn(pa), orth_of_pointfn(pb))
-        expected = all(a <= b for a, b in zip(pa.values, pb.values))
-        if got != expected:
-            return _witness("orth_leq", case, (pa, pb), got, expected)
-        return None
-
-    run("orth_leq", check_orth_leq)
-
-    def check_orth_is_nonneg(rng, case):
-        pa = random_pointfn(rng, algebra, coeff_bound)
-        got = ops["orth_is_nonneg"](orth_of_pointfn(pa))
-        expected = all(v >= 0 for v in pa.values)
-        if got != expected:
-            return _witness("orth_is_nonneg", case, (pa,), got, expected)
-        return None
-
-    run("orth_is_nonneg", check_orth_is_nonneg)
-
-    def check_to_steps(rng, case):
-        pa = random_pointfn(rng, algebra, coeff_bound)
-        f = orth_of_pointfn(pa)
-        g = ops["to_steps"](f)
-        if g != steps_of_pointfn(pa) or atom_values(g) != pa:
-            return _witness("to_steps", case, (pa,), g, steps_of_pointfn(pa))
-        return None
-
-    run("to_steps", check_to_steps)
-
-    def check_to_orth(rng, case):
-        pa = random_pointfn(rng, algebra, coeff_bound)
-        g = steps_of_pointfn(pa)
-        f = ops["to_orth"](g)
-        if f != orth_of_pointfn(pa):
-            return _witness("to_orth", case, (pa,), f, orth_of_pointfn(pa))
-        return None
-
-    run("to_orth", check_to_orth)
-
-    run("step_add", binary_steps("step_add", "add"))
-    run("step_mul", binary_steps("step_mul", "mul"))
-    run("step_mul_nonneg", binary_steps("step_mul_nonneg", "mul", nonneg=True))
-    run("step_meet", binary_steps("step_meet", "min"))
-    run("step_join", binary_steps("step_join", "max"))
-
-    def check_step_scale_pos(rng, case):
-        pa = random_pointfn(rng, algebra, coeff_bound)
-        b = rng.randint(1, coeff_bound)
-        got = ops["step_scale_pos"](b, steps_of_pointfn(pa))
-        expected = steps_of_pointfn(pointwise_apply("scalar", [pa], scalar=b))
-        if got != expected:
-            return _witness("step_scale_pos", case, (b, pa), got, expected)
-        return None
-
-    run("step_scale_pos", check_step_scale_pos)
-
-    def check_step_scale(rng, case):
-        pa = random_pointfn(rng, algebra, coeff_bound)
-        b = rng.randint(-coeff_bound, coeff_bound)
-        got = ops["step_scale"](b, steps_of_pointfn(pa))
-        expected = steps_of_pointfn(pointwise_apply("scalar", [pa], scalar=b))
-        if got != expected:
-            return _witness("step_scale", case, (b, pa), got, expected)
-        return None
-
-    run("step_scale", check_step_scale)
-
-    def check_step_neg(rng, case):
-        pa = random_pointfn(rng, algebra, coeff_bound)
-        got = ops["step_neg"](steps_of_pointfn(pa))
-        expected = steps_of_pointfn(pointwise_apply("neg", [pa]))
-        if got != expected:
-            return _witness("step_neg", case, (pa,), got, expected)
-        return None
-
-    run("step_neg", check_step_neg)
-
-    def check_step_leq(rng, case):
-        pa, pb = pf_pair(rng)
-        got = ops["step_leq"](steps_of_pointfn(pa), steps_of_pointfn(pb))
-        expected = all(a <= b for a, b in zip(pa.values, pb.values))
-        if got != expected:
-            return _witness("step_leq", case, (pa, pb), got, expected)
-        return None
-
-    run("step_leq", check_step_leq)
-
+        record = {"op": name, "seed": seed, "case": checked, "status": "pass"}
+        if witness is not None:
+            record.update(case=witness["case"], status="fail", witness=witness)
+        elif not checked:  # a check of nothing is no evidence
+            record["status"] = "fail"
+        records.append(record)
     return records

@@ -12,6 +12,12 @@ bounded random sampling plus constructive witnesses for the two
 existential axioms (interpolation and positive approximation), with all
 randomness seeded.
 
+Every axiom, exhaustive or sampled, here and in :mod:`specker.morphisms`,
+is recorded by one recorder: its cases yield ``None`` when they hold and
+a witness when they fail, ``boolalg._first_failure`` counts them up to
+the first failure, and an axiom that failed or checked no case at all
+fails.
+
 Axioms on the boolean algebra:
 
     D1  0 < 0 and 1 < 1
@@ -36,17 +42,19 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .boolalg import (
     Algebra,
     BoolElem,
     _check_same_algebra,
+    _first_failure,
     _Frozen,
     _setattr,
     element_from_json,
     element_to_json,
 )
+from .scalars import _require_coeff_bound
 from .steps import (
     StepElem,
     compatible_decreasing,
@@ -255,37 +263,26 @@ def _submasks(mask: int) -> Iterable[int]:
 
 
 def _record(
-    results: list, name: str, cases: Iterator, elem: Callable[[int], BoolElem]
+    results: list,
+    name: str,
+    cases: Iterable,
+    elem: Callable[[int], BoolElem] | None = None,
 ) -> None:
-    """Run one exhaustive axiom and append its result.
+    """Run one axiom's cases and append its result.
 
-    Each case yields ``None`` when it holds and its witness masks when it
-    fails; only the first failing case becomes elements, through ``elem``.
+    Each case yields ``None`` when it holds and its witness when it
+    fails.  The axiom fails at its first failing case, and also when it
+    checked no case: a check of nothing is no evidence.  Exhaustive
+    axioms yield witness masks, and only the failing case's masks become
+    elements, through ``elem``.
     """
-    checked = 0
-    for failure in cases:
-        checked += 1
-        if failure is not None:
-            witness = tuple(elem(mask) for mask in failure)
-            results.append(AxiomResult(name, False, checked, witness))
-            return
-    results.append(AxiomResult(name, True, checked))
-
-
-def _record_sampled(results: list, name: str, cases: Iterable) -> None:
-    """Run one sampled axiom and append its result.
-
-    Each case yields ``(holds, witness)``; the first case that does not
-    hold fails the axiom with its witness.  An axiom that checked no case
-    fails too: a sample of nothing is no evidence.
-    """
-    checked = 0
-    for holds, witness in cases:
-        checked += 1
-        if not holds:
-            results.append(AxiomResult(name, False, checked, witness))
-            return
-    results.append(AxiomResult(name, checked > 0, checked))
+    checked, failure = _first_failure(cases)
+    if failure is None:
+        results.append(AxiomResult(name, checked > 0, checked))
+        return
+    if elem is not None:
+        failure = tuple(elem(mask) for mask in failure)
+    results.append(AxiomResult(name, False, checked, failure))
 
 
 def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
@@ -301,6 +298,8 @@ def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
     elem = algebra.from_mask
     results: list = []
 
+    # D1 is one statement about two fixed pairs, not a case loop: it counts
+    # both and names both elements whichever pair is missing
     d1_ok = (0, 0) in pairs and (full, full) in pairs
     results.append(
         AxiomResult("D1", d1_ok, 2, () if d1_ok else (elem(0), elem(full)))
@@ -530,12 +529,6 @@ def sample_related_pair(
     return s, t
 
 
-def _random_element(rng: random.Random, algebra: Algebra, coeff_bound: int) -> StepElem:
-    from .pointwise import random_steps
-
-    return random_steps(rng, algebra, coeff_bound)
-
-
 def sample_proximity_axioms(
     rel: ProxRel,
     samples: int = 200,
@@ -548,8 +541,11 @@ def sample_proximity_axioms(
     interpolating element from idempotent interpolants on a compatible
     grid; P10 constructs the positive approximant from an approximation
     witness below the smallest step component.  A failing axiom reports
-    the offending tuple.
+    the offending tuple.  ``coeff_bound`` must be at least 1.
     """
+    from .pointwise import random_steps
+
+    _require_coeff_bound(coeff_bound)
     _require_devries(rel)
     algebra = rel.algebra
     rng = random.Random(f"{seed}:proximity-axioms")
@@ -557,106 +553,106 @@ def sample_proximity_axioms(
     one = step_one(algebra)
     results: list = []
 
-    _record_sampled(
+    _record(
         results,
         "P1",
         [
-            (lift_check(rel, zero, zero), (zero, zero)),
-            (lift_check(rel, one, one), (one, one)),
+            None if lift_check(rel, zero, zero) else (zero, zero),
+            None if lift_check(rel, one, one) else (one, one),
         ],
     )
 
     def p2_cases():
         for _ in range(samples):
             s, t = sample_related_pair(rng, rel, coeff_bound)
-            yield step_leq(s, t), (s, t)
+            yield None if step_leq(s, t) else (s, t)
 
-    _record_sampled(results, "P2", p2_cases())
+    _record(results, "P2", p2_cases())
 
     def p3_cases():
         for _ in range(samples):
             t, r = sample_related_pair(rng, rel, coeff_bound)
-            down = step_join(_random_element(rng, algebra, coeff_bound), zero)
-            up = step_join(_random_element(rng, algebra, coeff_bound), zero)
+            down = step_join(random_steps(rng, algebra, coeff_bound), zero)
+            up = step_join(random_steps(rng, algebra, coeff_bound), zero)
             s = step_add(t, step_neg(down))
             u = step_add(r, up)
-            yield lift_check(rel, s, u), (s, t, r, u)
+            yield None if lift_check(rel, s, u) else (s, t, r, u)
 
-    _record_sampled(results, "P3", p3_cases())
+    _record(results, "P3", p3_cases())
 
     def p4_cases():
         for _ in range(samples):
             s1, t = sample_related_pair(rng, rel, coeff_bound)
             s2, r = sample_related_pair(rng, rel, coeff_bound)
             s = step_meet(s1, s2)
-            if not (lift_check(rel, s, t) and lift_check(rel, s, r)):
-                # meets of related pairs stay related; if this fires the
-                # relation itself is broken, so report it
-                yield False, (s, t, r)
-                return
-            yield lift_check(rel, s, step_meet(t, r)), (s, t, r)
+            # meets of related pairs stay related; if the first two checks
+            # fail the relation itself is broken, so report it the same way
+            holds = (
+                lift_check(rel, s, t)
+                and lift_check(rel, s, r)
+                and lift_check(rel, s, step_meet(t, r))
+            )
+            yield None if holds else (s, t, r)
 
-    _record_sampled(results, "P4", p4_cases())
+    _record(results, "P4", p4_cases())
 
     def p5_cases():
         for _ in range(samples):
             s, t = sample_related_pair(rng, rel, coeff_bound)
-            yield lift_check(rel, step_neg(t), step_neg(s)), (s, t)
+            yield None if lift_check(rel, step_neg(t), step_neg(s)) else (s, t)
 
-    _record_sampled(results, "P5", p5_cases())
+    _record(results, "P5", p5_cases())
 
     def p6_cases():
         for _ in range(samples):
             s, t = sample_related_pair(rng, rel, coeff_bound)
             r, u = sample_related_pair(rng, rel, coeff_bound)
-            yield lift_check(rel, step_add(s, r), step_add(t, u)), (s, t, r, u)
+            holds = lift_check(rel, step_add(s, r), step_add(t, u))
+            yield None if holds else (s, t, r, u)
 
-    _record_sampled(results, "P6", p6_cases())
+    _record(results, "P6", p6_cases())
 
     def p7_cases():
         for _ in range(samples):
             if rng.random() < 0.5:
                 s, t = sample_related_pair(rng, rel, coeff_bound)
             else:
-                s = _random_element(rng, algebra, coeff_bound)
-                t = _random_element(rng, algebra, coeff_bound)
+                s = random_steps(rng, algebra, coeff_bound)
+                t = random_steps(rng, algebra, coeff_bound)
             a = rng.randint(1, coeff_bound)
             scaled = lift_check(rel, step_scale_pos(a, s), step_scale_pos(a, t))
-            plain = lift_check(rel, s, t)
-            yield scaled == plain, (a, s, t)
+            yield None if scaled == lift_check(rel, s, t) else (a, s, t)
 
-    _record_sampled(results, "P7", p7_cases())
+    _record(results, "P7", p7_cases())
 
     def p8_cases():
         for _ in range(samples):
             s, t = sample_related_pair(rng, rel, coeff_bound, nonneg=True)
             r, u = sample_related_pair(rng, rel, coeff_bound, nonneg=True)
-            yield lift_check(
-                rel, step_mul_nonneg(s, r), step_mul_nonneg(t, u)
-            ), (s, t, r, u)
+            holds = lift_check(rel, step_mul_nonneg(s, r), step_mul_nonneg(t, u))
+            yield None if holds else (s, t, r, u)
 
-    _record_sampled(results, "P8", p8_cases())
+    _record(results, "P8", p8_cases())
 
     def p9_cases():
         for _ in range(samples):
             s, t = sample_related_pair(rng, rel, coeff_bound)
             r = interpolate_lifted(rel, s, t)
-            yield lift_check(rel, s, r) and lift_check(rel, r, t), (s, r, t)
+            holds = lift_check(rel, s, r) and lift_check(rel, r, t)
+            yield None if holds else (s, r, t)
 
-    _record_sampled(results, "P9", p9_cases())
+    _record(results, "P9", p9_cases())
 
     def p10_cases():
         for _ in range(samples):
-            s = step_join(
-                _random_element(rng, algebra, coeff_bound), zero
-            )
+            s = step_join(random_steps(rng, algebra, coeff_bound), zero)
             if s == zero:
                 s = step_add(s, one)
             t = positive_approximant(rel, s)
             positive = step_leq(zero, t) and t != zero
-            yield positive and lift_check(rel, t, s), (t, s)
+            yield None if positive and lift_check(rel, t, s) else (t, s)
 
-    _record_sampled(results, "P10", p10_cases())
+    _record(results, "P10", p10_cases())
 
     return ProxReport("lifted proximity axioms", tuple(results))
 

@@ -49,3 +49,9 @@ def format_scalar(value: Scalar) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     return str(value)
+
+
+def _require_coeff_bound(coeff_bound: int) -> None:
+    """Refuse a sampling bound below 1: its range holds only constants or nothing."""
+    if coeff_bound < 1:
+        raise ValueError(f"coeff_bound must be at least 1, got {coeff_bound}")

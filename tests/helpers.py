@@ -256,13 +256,14 @@ def _submasks(mask: int) -> Iterable[int]:
 
 
 def _run_cases(results: list, name: str, generator) -> None:
+    """Record one axiom; like the library, no case checked is a failure."""
     checked = 0
     for condition, witness in generator:
         checked += 1
         if not condition:
             results.append(AxiomResult(name, False, checked, witness))
             return
-    results.append(AxiomResult(name, True, checked))
+    results.append(AxiomResult(name, checked > 0, checked))
 
 
 def ref_check_devries(rel: ProxRel) -> ProxReport:

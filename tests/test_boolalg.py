@@ -149,3 +149,20 @@ def test_algebra_json_atoms_must_be_a_list_of_names(atoms):
 def test_algebra_json_free_generators_must_be_an_int(count):
     with pytest.raises(ValueError, match="free_generators must be an integer"):
         algebra_from_json({"free_generators": count})
+
+
+def test_first_failure_counts_up_to_the_first_witness():
+    from specker.boolalg import _first_failure
+
+    assert _first_failure([]) == (0, None)
+    assert _first_failure([None, None]) == (2, None)
+    drawn = []
+
+    def cases():
+        for i in range(5):
+            drawn.append(i)
+            yield None if i != 1 else ("witness", i)
+
+    assert _first_failure(cases()) == (2, ("witness", 1))
+    # the runner stops at the first failure and draws no further case
+    assert drawn == [0, 1]

@@ -27,7 +27,7 @@ from specker.morphisms import (
     tau,
 )
 from specker.pointwise import random_pointfn, steps_of_pointfn
-from specker.proximity import leq_proximity, lift_check
+from specker.proximity import ProxRel, leq_proximity, lift_check
 from specker.steps import (
     from_decomposition,
     decreasing_decomposition,
@@ -342,3 +342,18 @@ def test_naturality_check_with_no_samples_fails(b4, leq4):
         ("tau-square", True, 4),
         ("eta-square", False, 0),
     ]
+
+
+def test_morphism_out_of_empty_relation_fails_m3(b4, leq4):
+    # the empty relation gives M3 no case: that fails, it does not pass
+    m = DVMorphism(ProxRel(b4, frozenset()), leq4, (0, 0, 0, 0))
+    report = check_dv_morphism(m)
+    assert report.summary() == "FAIL (M3: FAIL (no cases checked))"
+    assert [result.checked for result in report.results] == [1, 16, 0, 4]
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_sample_morphism_axioms_rejects_coeff_bound_below_1(leq4, bound):
+    pm = lift_morphism(identity_dv(leq4))
+    with pytest.raises(ValueError, match=f"coeff_bound must be at least 1, got {bound}"):
+        sample_morphism_axioms(pm, samples=3, coeff_bound=bound)

@@ -107,5 +107,20 @@ def test_oracle_diff_fault_injection(b4):
 
 
 def test_oracle_diff_zero_samples_vacuous(b4):
+    # a check of nothing is no evidence: every operation fails, no witness
     records = oracle_diff(b4, seed=1, samples=0, coeff_bound=10)
-    assert all(r["status"] == "pass" and r["case"] == 0 for r in records)
+    assert len(records) == 18
+    assert all(r["status"] == "fail" and r["case"] == 0 for r in records)
+    assert not any("witness" in r for r in records)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_oracle_diff_rejects_coeff_bound_below_1(b4, bound):
+    with pytest.raises(ValueError, match=f"coeff_bound must be at least 1, got {bound}"):
+        oracle_diff(b4, samples=3, coeff_bound=bound)
+
+
+def test_oracle_diff_refuses_unknown_override(b4):
+    # a misspelt name would otherwise check the real operation and pass
+    with pytest.raises(ValueError, match="'step_ad'"):
+        oracle_diff(b4, samples=3, overrides={"step_ad": step_add})

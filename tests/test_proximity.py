@@ -214,3 +214,24 @@ def test_sampled_axioms_with_no_samples_fail(b4):
     ] + [(f"P{i}", False, 0) for i in range(2, 11)]
     assert str(report.results[1]) == "P2: FAIL (no cases checked)"
     assert report.summary().startswith("FAIL (P2: FAIL (no cases checked), P3: ")
+
+
+def test_empty_relation_fails_unchecked_axioms(b4):
+    # no pair to check is no evidence: D2-D6 fail with no cases checked
+    report = check_devries(ProxRel(b4, frozenset()))
+    assert [str(result) for result in report.results] == [
+        "D1: FAIL (0, 1)",
+        "D2: FAIL (no cases checked)",
+        "D3: FAIL (no cases checked)",
+        "D4: FAIL (no cases checked)",
+        "D5: FAIL (no cases checked)",
+        "D6: FAIL (no cases checked)",
+        "D7: FAIL ([p])",
+    ]
+    assert [result.checked for result in report.results] == [2, 0, 0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("bound", [0, -1, -5])
+def test_sample_proximity_axioms_rejects_coeff_bound_below_1(b4, bound):
+    with pytest.raises(ValueError, match=f"coeff_bound must be at least 1, got {bound}"):
+        sample_proximity_axioms(leq_proximity(b4), samples=3, coeff_bound=bound)
