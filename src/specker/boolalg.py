@@ -64,9 +64,11 @@ class _Frozen:
 class Algebra(_Frozen):
     """Powerset boolean algebra over a fixed tuple of atom names."""
 
-    __slots__ = ("atoms", "generators")
+    # ``full_mask`` is derived from ``atoms``: equality and hashing skip it
+    __slots__ = ("atoms", "generators", "full_mask")
     atoms: tuple[str, ...]
     generators: tuple[tuple[str, int], ...]
+    full_mask: int
 
     def __init__(
         self, atoms: tuple[str, ...], generators: tuple[tuple[str, int], ...] = ()
@@ -82,15 +84,12 @@ class Algebra(_Frozen):
             seen.add(name)
         _setattr(self, "atoms", atoms)
         _setattr(self, "generators", generators)
+        _setattr(self, "full_mask", (1 << len(atoms)) - 1)
 
     @property
     def size(self) -> int:
         """Number of elements, ``2 ** len(atoms)``."""
         return 1 << len(self.atoms)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.atoms)) - 1
 
     @property
     def zero(self) -> "BoolElem":

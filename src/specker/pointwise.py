@@ -170,6 +170,7 @@ def random_pointfn(
     draws integers in [-bound, bound], ``"fraction"`` draws normalized
     rationals with numerator in that range and denominator in 1..4.
     """
+    _require_coeff_bound(bound)
     if domain == "int":
         values = tuple(rng.randint(-bound, bound) for _ in algebra.atoms)
     elif domain == "fraction":

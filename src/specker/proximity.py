@@ -515,6 +515,7 @@ def sample_related_pair(
     guarantee the met pairs stay related, hence the construction is
     sound for any relation passing the de Vries axioms.
     """
+    _require_coeff_bound(coeff_bound)
     _require_devries(rel)
     algebra = rel.algebra
     full = algebra.full_mask

@@ -21,24 +21,20 @@ The direct arithmetic formulas on step functions are
 each evaluated only at candidate thresholds, which suffices because both
 sides are step functions whose breakpoints lie in those candidate sets.
 Addition and nonnegative multiplication run these formulas; general
-multiplication and scaling go through orthogonal form.  The tier-1 tests
-compare every formula with transport through the bijection.  Meet, join,
-and the order are pointwise.
+multiplication and scaling go through orthogonal form, whose kernel works
+atom by atom.  The tier-1 tests compare every formula with transport
+through the bijection.  Meet, join, and the order are pointwise.
 
-Inside the layer the components are plain ``int`` masks over the atom
-order: validation, assembly, the bijection, negation, meet, join, and the
-order all work on masks, and :class:`BoolElem` objects are built only for
-the components of a returned element (or taken from the caller at the
-public boundary, where mixed algebras are rejected).
-:func:`from_decomposition` rebuilds ``a0 + sum(b_i * e_i)`` by refining
-value classes: starting from ``{a0: 1}``, each pair splits every class
-into its part inside ``e_i`` (value raised by ``b_i``) and its part
-outside, and classes with equal values merge.
+Elements keep their components as ``int`` masks over the atom order,
+which every operation here reads; the :class:`BoolElem` components
+(``idems``) are built on first read.  :func:`from_decomposition` rebuilds
+``a0 + sum(b_i * e_i)`` by refining value classes: each pair moves the
+part of every class inside ``e_i`` up by ``b_i``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .boolalg import (
@@ -93,13 +89,11 @@ class StepElem(_Frozen):
     thresholds[i]]``, and 0 past ``thresholds[-1]``.
     """
 
-    # ``_masks`` holds the components as masks, for the mask-level
-    # operations of this module; it is derived, so equality, hashing and
-    # the repr leave it out
-    __slots__ = ("algebra", "thresholds", "idems", "_masks")
+    # the operations read the components as masks; ``idems`` builds them
+    # once, on first read.  Equality reads the masks, the hash ``idems``.
+    __slots__ = ("algebra", "thresholds", "_masks", "_idems")
     algebra: Algebra
     thresholds: tuple[Scalar, ...]
-    idems: tuple[BoolElem, ...]
     _masks: tuple[int, ...]
 
     def __init__(
@@ -108,39 +102,28 @@ class StepElem(_Frozen):
         thresholds: tuple[Scalar, ...],
         idems: tuple[BoolElem, ...],
     ) -> None:
-        if not thresholds or len(thresholds) != len(idems):
-            raise ValueError("thresholds and components must align and be nonempty")
-        masks = tuple(idem.mask for idem in idems)
-        if masks[0] != idems[0].algebra.full_mask:
-            raise ValueError("the first step must have component 1")
-        if masks[-1] == 0:
-            raise ValueError("the last step must have a nonzero component")
-        first_home = idems[0].algebra is algebra or idems[0].algebra == algebra
-        for i in range(1, len(thresholds)):
-            if not thresholds[i - 1] < thresholds[i]:
-                raise ValueError("thresholds must strictly increase")
-            home = idems[i].algebra
-            if home is not algebra and home != algebra:
-                raise ValueError("components must strictly decrease")
-            if not first_home:
-                # idems[1] belongs here and idems[0] does not: a mixed pair
-                raise ValueError(_MIXED)
-            below, here = masks[i - 1], masks[i]
-            if here & below != here or here == below:
-                raise ValueError("components must strictly decrease")
-        if not first_home:
-            raise ValueError("component from a different algebra")
-        _setattr(self, "algebra", algebra)
-        _setattr(self, "thresholds", thresholds)
-        _setattr(self, "idems", idems)
-        _setattr(self, "_masks", masks)
+        homes = [idem.algebra is algebra or idem.algebra == algebra for idem in idems]
+        full = idems[0].algebra.full_mask if idems else 0
+        _fill(self, algebra, full, thresholds, tuple(e.mask for e in idems), homes)
+        _setattr(self, "_idems", idems)
+
+    @property
+    def idems(self) -> tuple[BoolElem, ...]:
+        """The components as elements, built from the masks on first read."""
+        try:
+            return self._idems
+        except AttributeError:
+            algebra = self.algebra
+            idems = tuple(BoolElem(algebra, mask) for mask in self._masks)
+            _setattr(self, "_idems", idems)
+            return idems
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.algebra, self.thresholds, self.idems) == (
+            return (self.algebra, self.thresholds, self._masks) == (
                 other.algebra,
                 other.thresholds,
-                other.idems,
+                other._masks,
             )
         return NotImplemented
 
@@ -152,14 +135,10 @@ class StepElem(_Frozen):
         index = bisect_left(self.thresholds, a)
         if index == len(self.thresholds):
             return self.algebra.zero
-        return self.idems[index]
-
-    def value_right(self, a: Scalar) -> BoolElem:
-        """The value just past ``a``: join of the values at points > ``a``."""
-        index = bisect_right(self.thresholds, a)
-        if index == len(self.thresholds):
-            return self.algebra.zero
-        return self.idems[index]
+        try:  # the slot, not the property: this runs in the formula loops
+            return self._idems[index]
+        except AttributeError:
+            return self.idems[index]
 
     def __add__(self, other: "StepElem") -> "StepElem":
         return step_add(self, other)
@@ -174,13 +153,8 @@ class StepElem(_Frozen):
         return step_neg(self)
 
     def __str__(self) -> str:
-        def bare(idem: BoolElem) -> str:
-            if idem.is_zero or idem.is_one:
-                return element_to_literal(idem)
-            return ",".join(idem.atom_names())
-
         return " ".join(
-            f"[{bare(idem)} | {format_scalar(threshold)}]"
+            f"[{element_to_literal(idem).strip('[]')} | {format_scalar(threshold)}]"
             for threshold, idem in zip(self.thresholds, self.idems)
         )
 
@@ -270,12 +244,50 @@ def _assemble_masks(algebra: Algebra, points: Sequence[tuple[Scalar, int]]) -> S
     return _from_masks(algebra, thresholds, masks)
 
 
+def _fill(
+    elem: StepElem,
+    algebra: Algebra,
+    full: int,
+    thresholds: tuple[Scalar, ...],
+    masks: tuple[int, ...],
+    homes: Sequence[bool] = (),
+) -> StepElem:
+    """Check the invariants of a step element on its masks, then store them.
+
+    ``full`` is the mask of 1; ``homes`` tells which given components are
+    of ``algebra``.
+    """
+    if not thresholds or len(thresholds) != len(masks):
+        raise ValueError("thresholds and components must align and be nonempty")
+    if masks[0] != full:
+        raise ValueError("the first step must have component 1")
+    if masks[-1] == 0:
+        raise ValueError("the last step must have a nonzero component")
+    for i in range(1, len(masks)):
+        if not thresholds[i - 1] < thresholds[i]:
+            raise ValueError("thresholds must strictly increase")
+        if homes and not homes[i]:
+            raise ValueError("components must strictly decrease")
+        if homes and not homes[0]:
+            # idems[i] belongs here and idems[0] does not: a mixed pair
+            raise ValueError(_MIXED)
+        below, here = masks[i - 1], masks[i]
+        if here & below != here or here == below:
+            raise ValueError("components must strictly decrease")
+    if homes and not homes[0]:
+        raise ValueError("component from a different algebra")
+    _setattr(elem, "algebra", algebra)
+    _setattr(elem, "thresholds", thresholds)
+    _setattr(elem, "_masks", masks)
+    return elem
+
+
 def _from_masks(
     algebra: Algebra, thresholds: Sequence[Scalar], masks: Sequence[int]
 ) -> StepElem:
-    return StepElem(
-        algebra, tuple(thresholds), tuple(BoolElem(algebra, m) for m in masks)
-    )
+    """The step element with these component masks; builds no ``BoolElem``."""
+    elem = StepElem.__new__(StepElem)
+    return _fill(elem, algebra, algebra.full_mask, tuple(thresholds), tuple(masks))
 
 
 # --- the bijection with orthogonal form ----------------------------------
@@ -300,20 +312,18 @@ def to_steps(f: OrthElem) -> StepElem:
 
 def to_orth(g: StepElem) -> OrthElem:
     """Convert step form back to orthogonal form (inverse of to_steps)."""
-    algebra, masks = g.algebra, g._masks
-    entries = [
-        (g.thresholds[i], BoolElem(algebra, masks[i] & ~masks[i + 1]))
-        for i in range(len(masks) - 1)
-    ]
-    entries.append((g.thresholds[-1], g.idems[-1]))
-    return OrthElem(algebra, tuple(entries))
+    algebra, masks = g.algebra, g._masks + (0,)
+    return OrthElem(algebra, tuple(
+        (t, BoolElem(algebra, masks[i] & ~masks[i + 1]))
+        for i, t in enumerate(g.thresholds)
+    ))
 
 
 # --- distinguished elements ----------------------------------------------
 
 
 def step_const(algebra: Algebra, a: Scalar) -> StepElem:
-    return StepElem(algebra, (a,), (algebra.one,))
+    return _from_masks(algebra, (a,), (algebra.full_mask,))
 
 
 def step_zero(algebra: Algebra) -> StepElem:
@@ -326,12 +336,7 @@ def step_one(algebra: Algebra) -> StepElem:
 
 def step_embed(e: BoolElem) -> StepElem:
     """Embed an idempotent as a step function (1 up to 0, ``e`` up to 1)."""
-    algebra = e.algebra
-    if e.is_one:
-        return step_const(algebra, 1)
-    if e.is_zero:
-        return step_const(algebra, 0)
-    return StepElem(algebra, (0, 1), (algebra.one, e))
+    return _assemble_masks(e.algebra, [(0, e.algebra.full_mask), (1, e.mask)])
 
 
 # --- arithmetic -----------------------------------------------------------
@@ -355,7 +360,7 @@ def step_scale_pos(b: Scalar, f: StepElem) -> StepElem:
     """Multiply by a strictly positive scalar: thresholds scale, steps stay."""
     if not b > 0:
         raise ValueError("scalar must be > 0 here; use step_scale for general b")
-    return StepElem(f.algebra, tuple(b * t for t in f.thresholds), f.idems)
+    return _from_masks(f.algebra, [b * t for t in f.thresholds], f._masks)
 
 
 def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
@@ -516,17 +521,11 @@ def orth_to_decreasing(
     components at the larger values.
     """
     values = f.values()
-    a0 = values[0]
-    pairs = []
-    tail = f.algebra.zero
-    tails = []
-    for _, component in reversed(f.entries):
-        tail = tail | component
-        tails.append(tail)
-    tails.reverse()
-    for i in range(1, len(values)):
-        pairs.append((values[i] - values[i - 1], tails[i]))
-    return a0, tuple(pairs)
+    tails = _tail_masks([component.mask for _, component in f.entries])
+    return values[0], tuple(
+        (values[i] - values[i - 1], BoolElem(f.algebra, tails[i]))
+        for i in range(1, len(values))
+    )
 
 
 def compatible_decreasing(s: StepElem, t: StepElem) -> CompatibleSteps:

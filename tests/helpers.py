@@ -12,6 +12,11 @@ The step reference reads a :class:`StepElem` as a plain list of
 threshold, as a join or meet over sample points; it shares no code with
 the mask kernel it checks.
 
+``ref_orth_by_refinement`` is the convolution formula of
+``specker.orthogonal`` run literally: refine both operands to the common
+orthogonal family of cells ``f(b) & g(c)``, give each cell the value
+``pick(b, c)``, and normalize.  The atom-value kernel must agree with it.
+
 The eager checker reference is the object-based form of the de Vries
 axiom checker, the morphism axiom checker and the lifted-proximity check:
 every case builds its witnesses as :class:`BoolElem` objects before its
@@ -34,6 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from specker.boolalg import Algebra, BoolElem
 from specker.morphisms import DVMorphism, ProxMorphism
+from specker.orthogonal import OrthElem, orth_normalize
 from specker.pointwise import PointFn
 from specker.proximity import AxiomResult, ProxRel, ProxReport
 from specker.scalars import Scalar
@@ -241,6 +247,18 @@ def ref_from_decomposition(
             for i in range(len(algebra.atoms))
         ]
     )
+
+
+# --- pair-refinement reference for specker.orthogonal --------------------------
+
+
+def ref_orth_by_refinement(f: OrthElem, g: OrthElem, pick: Callable) -> OrthElem:
+    """join of ``f(b) & g(c)`` over ``pick(b, c) = a``, for every value ``a``.
+
+    Operands of different algebras fail in ``&``.
+    """
+    cells = [(pick(b, c), ef & eg) for b, ef in f.entries for c, eg in g.entries]
+    return orth_normalize(f.algebra, cells)
 
 
 # --- eager reference for the de Vries, morphism and lift checkers -------------

@@ -1,17 +1,20 @@
 """Each operation against a second derivation of the same result.
 
 The library runs one path per operation.  These tests compare that path
-with another way to compute the same thing: general multiplication and
-scaling (transport through orthogonal form) with the direct step
-formulas, the decompositions with their reconstructions, the
-order-theoretic idempotence test with squaring, the sampled related
-pairs with the lifted relation, and the lifted action of a morphism with
-the decomposition formula ``a0 + sum(b_i * m(e_i))`` and with the
+with another way to compute the same thing: the atom-value kernel of
+orthogonal arithmetic, meet, join and order with the pair refinement of
+the convolution formula (and meet and join with ``_lattice_by_formula``),
+general multiplication and scaling (transport through orthogonal form)
+with the direct step formulas, the decompositions with their
+reconstructions, the order-theoretic idempotence test with squaring, the
+sampled related pairs with the lifted relation, and the lifted action of
+a morphism with the decomposition formula ``a0 + sum(b_i * m(e_i))`` and with the
 idempotent embedding.  The bijection, meet and join, the annihilator and
 the round trip of the lift are compared in ``test_steps.py``,
 ``test_orthogonal.py`` and ``test_proximity.py``.
 
-Elements are drawn as atom valuations on 1-5 atoms with integer or
+Elements are drawn as atom valuations on 1-5 atoms (1-8 for the kernel,
+on equal but distinct algebras, with 1..n value classes) with integer or
 rational values; relations are ``<=`` (on a finite algebra the only de
 Vries proximity); morphisms are boolean homomorphisms drawn as dual atom
 maps.
@@ -19,14 +22,27 @@ maps.
 
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import steps_from_values
+from helpers import ref_orth_by_refinement, steps_from_values
 from specker.boolalg import make_algebra
 from specker.morphisms import DVMorphism, apply_prox_morphism, lift_morphism
-from specker.orthogonal import orth_mul
+from specker.orthogonal import (
+    _lattice_by_formula,
+    orth_add,
+    orth_const,
+    orth_is_nonneg,
+    orth_join,
+    orth_leq,
+    orth_meet,
+    orth_mul,
+    orth_normalize,
+    orth_sub,
+)
 from specker.proximity import leq_proximity, lift_check, sample_related_pair
 from specker.steps import (
     compatible_decreasing,
@@ -81,6 +97,61 @@ def homomorphisms(draw):
         for mask in range(source.size)
     )
     return DVMorphism(leq_proximity(source), leq_proximity(target), table)
+
+
+@st.composite
+def orth_pairs(draw):
+    """Two orthogonal elements on 1-8 atoms, of equal but distinct algebras.
+
+    Each takes exactly k distinct values for a drawn k in 1..n; the values
+    are integers, rationals, or both mixed.
+    """
+    n = draw(st.integers(1, 8))
+    names = [f"a{i}" for i in range(n)]
+    scalar = draw(st.sampled_from([ints, fractions, st.one_of(ints, fractions)]))
+    elems = []
+    for algebra in (make_algebra(names), make_algebra(names)):
+        k = draw(st.integers(1, n))
+        values = draw(st.lists(scalar, min_size=k, max_size=k, unique=True))
+        classes = list(range(k)) + draw(
+            st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k)
+        )
+        classes = draw(st.permutations(classes))
+        elems.append(
+            orth_normalize(
+                algebra, [(values[c], algebra.atom(a)) for c, a in zip(classes, names)]
+            )
+        )
+    return elems
+
+
+@settings(max_examples=150, deadline=None)
+@given(orth_pairs())
+def test_orth_kernel_matches_pair_refinement(pair):
+    f, g = pair
+    assert f.algebra is not g.algebra
+    assert orth_add(f, g) == ref_orth_by_refinement(f, g, add)
+    assert orth_sub(f, g) == ref_orth_by_refinement(f, g, sub)
+    assert orth_mul(f, g) == ref_orth_by_refinement(f, g, mul)
+    for op, pick in ((orth_meet, min), (orth_join, max)):
+        result = op(f, g)
+        assert result == ref_orth_by_refinement(f, g, pick)
+        assert result == _lattice_by_formula(f, g, pick)
+    assert orth_leq(f, g) == orth_is_nonneg(ref_orth_by_refinement(g, f, sub))
+    assert orth_leq(f, f) and orth_leq(g, f) == (orth_meet(f, g) == g)
+
+
+@pytest.mark.parametrize(
+    "op", [orth_add, orth_sub, orth_mul, orth_meet, orth_join, orth_leq]
+)
+def test_orth_kernel_rejects_mixed_algebras(op):
+    # same atom count, other names: the atom values would line up
+    f = orth_const(make_algebra(["p", "q"]), 1)
+    g = orth_const(make_algebra(["p", "r"]), 2)
+    with pytest.raises(ValueError, match="^mixed algebras: operands belong to"):
+        op(f, g)
+    with pytest.raises(ValueError, match="^mixed algebras: operands belong to"):
+        ref_orth_by_refinement(f, g, add)
 
 
 @cross

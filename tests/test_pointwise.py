@@ -120,6 +120,16 @@ def test_oracle_diff_rejects_coeff_bound_below_1(b4, bound):
         oracle_diff(b4, samples=3, coeff_bound=bound)
 
 
+@pytest.mark.parametrize("domain", ["int", "fraction"])
+@pytest.mark.parametrize("bound", [0, -1])
+def test_random_pointfn_rejects_bound_below_1(b4, bound, domain):
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"coeff_bound must be at least 1, got {bound}"):
+        random_pointfn(rng, b4, bound, domain)
+    assert rng.getstate() == state
+
+
 def test_oracle_diff_refuses_unknown_override(b4):
     # a misspelt name would otherwise check the real operation and pass
     with pytest.raises(ValueError, match="'step_ad'"):

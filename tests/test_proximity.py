@@ -235,3 +235,13 @@ def test_empty_relation_fails_unchecked_axioms(b4):
 def test_sample_proximity_axioms_rejects_coeff_bound_below_1(b4, bound):
     with pytest.raises(ValueError, match=f"coeff_bound must be at least 1, got {bound}"):
         sample_proximity_axioms(leq_proximity(b4), samples=3, coeff_bound=bound)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_sample_related_pair_rejects_coeff_bound_below_1(b4, bound):
+    # 0 would give only the constant pair, -1 an empty range; no draw is made
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"coeff_bound must be at least 1, got {bound}"):
+        sample_related_pair(rng, leq_proximity(b4), bound)
+    assert rng.getstate() == state

@@ -234,13 +234,41 @@ def test_validation_messages_are_unchanged():
             build()
 
 
-def test_step_masks_stay_out_of_equality_hash_and_repr():
+def test_step_masks_stay_out_of_hash_and_repr():
     value = _steps()
     assert value._masks == tuple(idem.mask for idem in value.idems)
     assert hash(value) == hash((value.algebra, value.thresholds, value.idems))
     assert "_masks" not in repr(value)
     with pytest.raises(AttributeError):
         value._masks = ()
+
+
+def test_step_elem_from_masks_matches_the_public_constructor():
+    # to_steps builds from masks; the public constructor from elements
+    inner = _steps()
+    outer = StepElem(inner.algebra, inner.thresholds, tuple(inner.idems))
+    assert inner == outer and outer == inner
+    assert hash(inner) == hash(outer)
+    assert repr(inner) == repr(outer) == PINNED["StepElem"][0]
+
+
+def test_step_elem_idems_is_built_once():
+    value = _steps()
+    first = value.idems
+    assert value.idems is first
+    assert first == (value.algebra.one, value.algebra.atom("p"))
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+)
+def test_step_elem_copies_before_idems_is_read(duplicate):
+    value = _steps()
+    twin = duplicate(value)
+    assert twin == value and twin.thresholds == value.thresholds
+    assert twin.idems == value.idems and hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
 
 
 def test_prox_rel_cached_indexes():
