@@ -7,13 +7,17 @@ unique full orthogonal decomposition ``sum(value * component)`` of an
 element of the idempotent-generated algebra over the coefficient domain,
 with distinct values.
 
-Sums, products, meets and joins work atom by atom: over a finite algebra
-an element is fixed by its atom values, so the operands' values are read
-from their component masks, combined, and regrouped by value into the
-canonical form, in O(n + k log k) for n atoms and k classes.  The tests
-compare this with the convolution formula ``(f + g)(a) = join of f(b) &
-g(c) over b + c = a``.  The order's positive cone is the elements with
-all values nonnegative.  Everything is immutable and exact.
+An element stores its values and its components as ``int`` masks over
+the atom order; the :class:`BoolElem` components (``entries``) are built
+on first read.  Sums, products, meets and joins work atom by atom: over
+a finite algebra an element is fixed by its atom values, so the
+operands' values are read from their masks, combined, and regrouped by
+value into the canonical form, in O(n + k log k) for n atoms and k
+classes; step multiplication runs the same kernel.  The tests compare it
+with the convolution formula ``(f + g)(a) = join of f(b) & g(c) over
+b + c = a``, and meet and join also with :func:`_lattice_by_formula`.
+The order's positive cone is the elements with all values nonnegative.
+Everything is immutable and exact.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .boolalg import (
     element_to_json,
     element_to_literal,
 )
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, _require_exact, format_scalar, parse_scalar
 
 __all__ = [
     "OrthElem",
@@ -63,50 +67,54 @@ class OrthElem(_Frozen):
     join is 1.  Equality of elements is equality of these tuples.
     """
 
-    __slots__ = ("algebra", "entries")
+    # the operations read the values and masks; ``entries`` builds the
+    # components on first read.  Equality reads the masks, the hash ``entries``.
+    __slots__ = ("algebra", "_values", "_masks", "_entries")
     algebra: Algebra
-    entries: tuple[tuple[Scalar, BoolElem], ...]
+    _values: tuple[Scalar, ...]
+    _masks: tuple[int, ...]
 
     def __init__(
         self, algebra: Algebra, entries: tuple[tuple[Scalar, BoolElem], ...]
     ) -> None:
-        if not entries:
-            raise ValueError("an orthogonal decomposition cannot be empty")
-        covered = 0
-        previous = None
-        for value, component in entries:
-            if previous is not None and not previous < value:
-                raise ValueError("values must be strictly increasing")
-            previous = value
-            if component.algebra is not algebra and component.algebra != algebra:
-                raise ValueError("component from a different algebra")
-            if component.mask == 0:
-                raise ValueError("zero component in canonical form")
-            if component.mask & covered:
-                raise ValueError("components overlap")
-            covered |= component.mask
-        if covered != algebra.full_mask:
-            raise ValueError("components do not join to 1")
-        _setattr(self, "algebra", algebra)
-        _setattr(self, "entries", entries)
+        values = tuple(value for value, _ in entries)
+        _require_exact(*values)
+        homes = [c.algebra is algebra or c.algebra == algebra for _, c in entries]
+        _fill(self, algebra, values, tuple(c.mask for _, c in entries), homes)
+        _setattr(self, "_entries", entries)
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, BoolElem], ...]:
+        """The (value, component) pairs, built from the masks on first read."""
+        try:
+            return self._entries
+        except AttributeError:
+            algebra = self.algebra
+            entries = tuple(
+                (value, BoolElem(algebra, mask))
+                for value, mask in zip(self._values, self._masks)
+            )
+            _setattr(self, "_entries", entries)
+            return entries
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.algebra, self.entries) == (other.algebra, other.entries)
+            mine = (self.algebra, self._values, self._masks)
+            return mine == (other.algebra, other._values, other._masks)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.algebra, self.entries))
 
     def values(self) -> tuple[Scalar, ...]:
-        return tuple(value for value, _ in self.entries)
+        return self._values
 
     def support(self) -> BoolElem:
         """Join of the components at nonzero values."""
         mask = 0
-        for value, component in self.entries:
+        for value, component in zip(self._values, self._masks):
             if value != 0:
-                mask |= component.mask
+                mask |= component
         return self.algebra.from_mask(mask)
 
     # operator sugar; the module-level functions are the primary surface
@@ -133,6 +141,43 @@ class OrthElem(_Frozen):
         return f"OrthElem({self})"
 
 
+def _fill(
+    elem: OrthElem,
+    algebra: Algebra,
+    values: tuple[Scalar, ...],
+    masks: tuple[int, ...],
+    homes: Sequence[bool] = (),
+) -> OrthElem:
+    """Check the invariants of an orthogonal element on its masks, then
+    store them; ``homes`` tells which given components are of ``algebra``."""
+    if not values:
+        raise ValueError("an orthogonal decomposition cannot be empty")
+    covered = 0
+    for i, mask in enumerate(masks):
+        if i and not values[i - 1] < values[i]:
+            raise ValueError("values must be strictly increasing")
+        if homes and not homes[i]:
+            raise ValueError("component from a different algebra")
+        if mask == 0:
+            raise ValueError("zero component in canonical form")
+        if mask & covered:
+            raise ValueError("components overlap")
+        covered |= mask
+    if covered != algebra.full_mask:
+        raise ValueError("components do not join to 1")
+    _setattr(elem, "algebra", algebra)
+    _setattr(elem, "_values", values)
+    _setattr(elem, "_masks", masks)
+    return elem
+
+
+def _from_masks(
+    algebra: Algebra, values: Sequence[Scalar], masks: Sequence[int]
+) -> OrthElem:
+    """The orthogonal element with these classes; builds no ``BoolElem``."""
+    return _fill(OrthElem.__new__(OrthElem), algebra, tuple(values), tuple(masks))
+
+
 def orth_normalize(
     algebra: Algebra, entries: Iterable[tuple[Scalar, BoolElem]]
 ) -> OrthElem:
@@ -144,6 +189,7 @@ def orth_normalize(
     """
     merged: dict[Scalar, int] = {}
     for value, component in entries:
+        _require_exact(value)
         if component.algebra != algebra:
             raise ValueError("component from a different algebra")
         if component.mask == 0:
@@ -159,14 +205,14 @@ def orth_normalize(
     rest = algebra.full_mask & ~covered
     if rest:
         merged[0] = merged.get(0, 0) | rest
-    return OrthElem(algebra, tuple(
-        (value, BoolElem(algebra, merged[value])) for value in sorted(merged)
-    ))
+    values = sorted(merged)
+    return _from_masks(algebra, values, [merged[value] for value in values])
 
 
 def orth_const(algebra: Algebra, a: Scalar) -> OrthElem:
     """The constant ``a``, i.e. ``{a -> 1}``."""
-    return OrthElem(algebra, ((a, algebra.one),))
+    _require_exact(a)
+    return _from_masks(algebra, (a,), (algebra.full_mask,))
 
 
 def orth_zero(algebra: Algebra) -> OrthElem:
@@ -182,27 +228,37 @@ def orth_embed(e: BoolElem) -> OrthElem:
     return orth_normalize(e.algebra, [(1, e), (0, ~e)])
 
 
-def _atom_values(f: OrthElem) -> list[Scalar]:
-    """The value of ``f`` at each atom, in atom order."""
-    values = [0] * len(f.algebra.atoms)
-    for value, component in f.entries:
-        mask = component.mask
+def _atom_values(
+    algebra: Algebra, values: Iterable[Scalar], masks: Iterable[int]
+) -> list[Scalar]:
+    """The value at each atom, in atom order, of disjoint classes ``masks``."""
+    at = [0] * len(algebra.atoms)
+    for value, mask in zip(values, masks):
         while mask:
             low = mask & -mask
-            values[low.bit_length() - 1] = value
+            at[low.bit_length() - 1] = value
             mask ^= low
-    return values
+    return at
+
+
+def _classes(at: Iterable[Scalar]) -> tuple[list[Scalar], list[int]]:
+    """The distinct atom values, ascending, and the mask of atoms taking each."""
+    classes: dict[Scalar, int] = {}
+    for i, value in enumerate(at):
+        classes[value] = classes.get(value, 0) | 1 << i
+    values = sorted(classes)
+    return values, [classes[value] for value in values]
 
 
 def _by_atoms(f: OrthElem, g: OrthElem, pick) -> OrthElem:
     """The element taking ``pick(f(x), g(x))`` at each atom ``x``."""
     algebra = _check_same_algebra(f, g)
-    classes: dict[Scalar, int] = {}
-    for i, value in enumerate(map(pick, _atom_values(f), _atom_values(g))):
-        classes[value] = classes.get(value, 0) | 1 << i
-    return OrthElem(algebra, tuple(
-        (value, BoolElem(algebra, classes[value])) for value in sorted(classes)
-    ))
+    at = map(
+        pick,
+        _atom_values(algebra, f._values, f._masks),
+        _atom_values(algebra, g._values, g._masks),
+    )
+    return _from_masks(algebra, *_classes(at))
 
 
 def orth_add(f: OrthElem, g: OrthElem) -> OrthElem:
@@ -214,12 +270,14 @@ def orth_mul(f: OrthElem, g: OrthElem) -> OrthElem:
 
 
 def orth_scale(b: Scalar, f: OrthElem) -> OrthElem:
+    """Scale every value by ``b``; for ``b < 0`` the classes reverse their order."""
+    _require_exact(b)
     if b == 0:
         return orth_zero(f.algebra)
-    return OrthElem(f.algebra, tuple(sorted(
-        ((b * value, component) for value, component in f.entries),
-        key=lambda item: item[0],
-    )))
+    values = [b * value for value in f._values]
+    if b > 0:
+        return _from_masks(f.algebra, values, f._masks)
+    return _from_masks(f.algebra, values[::-1], f._masks[::-1])
 
 
 def orth_neg(f: OrthElem) -> OrthElem:
@@ -232,13 +290,14 @@ def orth_sub(f: OrthElem, g: OrthElem) -> OrthElem:
 
 def orth_is_nonneg(f: OrthElem) -> bool:
     """Whether ``f`` lies in the positive cone (all values nonnegative)."""
-    return all(value >= 0 for value, _ in f.entries)
+    return f._values[0] >= 0
 
 
 def orth_leq(f: OrthElem, g: OrthElem) -> bool:
     """Order by the positive cone: ``g - f`` is nonnegative at every atom."""
-    _check_same_algebra(f, g)
-    return all(map(le, _atom_values(f), _atom_values(g)))
+    algebra = _check_same_algebra(f, g)
+    at = _atom_values(algebra, g._values, g._masks)
+    return all(map(le, _atom_values(algebra, f._values, f._masks), at))
 
 
 def _lattice_by_formula(f: OrthElem, g: OrthElem, pick) -> OrthElem:
@@ -258,20 +317,12 @@ def _lattice_by_formula(f: OrthElem, g: OrthElem, pick) -> OrthElem:
 
 
 def orth_meet(f: OrthElem, g: OrthElem) -> OrthElem:
-    """Lattice meet: the smaller value at each atom.
-
-    The tier-1 tests compare it with the ``min`` formula of
-    :func:`_lattice_by_formula`.
-    """
+    """Lattice meet: the smaller value at each atom."""
     return _by_atoms(f, g, min)
 
 
 def orth_join(f: OrthElem, g: OrthElem) -> OrthElem:
-    """Lattice join: the larger value at each atom.
-
-    The tier-1 tests compare it with the ``max`` formula of
-    :func:`_lattice_by_formula`.
-    """
+    """Lattice join: the larger value at each atom."""
     return _by_atoms(f, g, max)
 
 

@@ -51,6 +51,15 @@ def format_scalar(value: Scalar) -> str:
     return str(value)
 
 
+def _require_exact(*values) -> None:
+    """Refuse a scalar that is not an ``int`` or ``Fraction``: a float or a bool."""
+    for value in values:
+        if value.__class__ is bool or not isinstance(value, (int, Fraction)):
+            raise TypeError(
+                f"scalars must be int or Fraction, not {type(value).__name__}"
+            )
+
+
 def _require_coeff_bound(coeff_bound: int) -> None:
     """Refuse a sampling bound below 1: its range holds only constants or nothing."""
     if coeff_bound < 1:

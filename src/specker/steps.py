@@ -20,10 +20,13 @@ The direct arithmetic formulas on step functions are
 
 each evaluated only at candidate thresholds, which suffices because both
 sides are step functions whose breakpoints lie in those candidate sets.
-Addition and nonnegative multiplication run these formulas; general
-multiplication and scaling go through orthogonal form, whose kernel works
-atom by atom.  The tier-1 tests compare every formula with transport
-through the bijection.  Meet, join, and the order are pointwise.
+Addition runs its formula.  Multiplication reads each atom's value from
+the classes of ``to_orth`` and regroups the products with the kernel of
+:mod:`specker.orthogonal`; its formula is the reference
+:func:`step_mul_nonneg_formula`.  Scaling scales the thresholds, and
+for ``b < 0`` reverses them and complements.  The tier-1 tests compare
+every operation with its formula and with transport through the
+bijection.  Meet, join, and the order are pointwise.
 
 Elements keep their components as ``int`` masks over the atom order,
 which every operation here reads; the :class:`BoolElem` components
@@ -35,6 +38,7 @@ part of every class inside ``e_i`` up by ``b_i``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import mul
 from typing import Iterable, Sequence
 
 from .boolalg import (
@@ -48,8 +52,9 @@ from .boolalg import (
     element_to_json,
     element_to_literal,
 )
-from .orthogonal import OrthElem, orth_mul, orth_scale
-from .scalars import Scalar, format_scalar, parse_scalar
+from .orthogonal import OrthElem, _atom_values, _classes
+from .orthogonal import _from_masks as _orth_from_masks
+from .scalars import Scalar, _require_exact, format_scalar, parse_scalar
 
 __all__ = [
     "StepElem",
@@ -102,6 +107,7 @@ class StepElem(_Frozen):
         thresholds: tuple[Scalar, ...],
         idems: tuple[BoolElem, ...],
     ) -> None:
+        _require_exact(*thresholds)
         homes = [idem.algebra is algebra or idem.algebra == algebra for idem in idems]
         full = idems[0].algebra.full_mask if idems else 0
         _fill(self, algebra, full, thresholds, tuple(e.mask for e in idems), homes)
@@ -304,25 +310,26 @@ def _tail_masks(masks: Sequence[int]) -> list[int]:
     return tails
 
 
+def _differences(masks: tuple[int, ...]) -> list[int]:
+    """Inverse of :func:`_tail_masks` on strictly decreasing ``masks``."""
+    return [mask & ~past for mask, past in zip(masks, masks[1:] + (0,))]
+
+
 def to_steps(f: OrthElem) -> StepElem:
     """Convert orthogonal form to step form by upper-tail joins."""
-    masks = [component.mask for _, component in f.entries]
-    return _from_masks(f.algebra, f.values(), _tail_masks(masks))
+    return _from_masks(f.algebra, f._values, _tail_masks(f._masks))
 
 
 def to_orth(g: StepElem) -> OrthElem:
     """Convert step form back to orthogonal form (inverse of to_steps)."""
-    algebra, masks = g.algebra, g._masks + (0,)
-    return OrthElem(algebra, tuple(
-        (t, BoolElem(algebra, masks[i] & ~masks[i + 1]))
-        for i, t in enumerate(g.thresholds)
-    ))
+    return _orth_from_masks(g.algebra, g.thresholds, _differences(g._masks))
 
 
 # --- distinguished elements ----------------------------------------------
 
 
 def step_const(algebra: Algebra, a: Scalar) -> StepElem:
+    _require_exact(a)
     return _from_masks(algebra, (a,), (algebra.full_mask,))
 
 
@@ -358,9 +365,17 @@ def step_add(f: StepElem, g: StepElem) -> StepElem:
 
 def step_scale_pos(b: Scalar, f: StepElem) -> StepElem:
     """Multiply by a strictly positive scalar: thresholds scale, steps stay."""
+    _require_exact(b)
     if not b > 0:
         raise ValueError("scalar must be > 0 here; use step_scale for general b")
-    return _from_masks(f.algebra, [b * t for t in f.thresholds], f._masks)
+    return _scaled(b, f)
+
+
+def _mul(algebra: Algebra, f: StepElem, g: StepElem) -> StepElem:
+    """The product atom by atom, each atom's value read from ``to_orth`` masks."""
+    at = [_atom_values(algebra, h.thresholds, _differences(h._masks)) for h in (f, g)]
+    values, masks = _classes(map(mul, *at))
+    return _from_masks(algebra, values, _tail_masks(masks))
 
 
 def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
@@ -368,6 +383,12 @@ def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
     zero = step_zero(algebra)
     if not (step_leq(zero, f) and step_leq(zero, g)):
         raise ValueError("both factors must be nonnegative; use step_mul instead")
+    return _mul(algebra, f, g)
+
+
+def step_mul_nonneg_formula(f: StepElem, g: StepElem) -> StepElem:
+    """The product formula of ``f, g >= 0``, a reference for the tests only."""
+    algebra = _check_same_algebra(f, g)
     candidates = sorted({u * v for u in f.thresholds for v in g.thresholds})
     points = []
     for c in candidates:
@@ -380,27 +401,35 @@ def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
     return _assemble(algebra, points)
 
 
+def _scaled(b: Scalar, f: StepElem) -> StepElem:
+    """``b f`` for ``b != 0``; for ``b < 0`` the component up to ``b t`` is
+    the complement of the one just past ``t``."""
+    if b > 0:
+        return _from_masks(f.algebra, [b * t for t in f.thresholds], f._masks)
+    full = f.algebra.full_mask
+    return _from_masks(
+        f.algebra,
+        [b * t for t in reversed(f.thresholds)],
+        [full ^ past for past in reversed(f._masks[1:] + (0,))],
+    )
+
+
 def step_neg(f: StepElem) -> StepElem:
-    # (-f)(a) = meet of ~f(b) over b > -a, which collapses to the
-    # complement of the value just past -a: at a = -thresholds[i] that
-    # is the complement of idems[i + 1] (of 0 past the last threshold)
-    algebra = f.algebra
-    full = algebra.full_mask
-    points = [
-        (-t, full ^ past)
-        for t, past in zip(reversed(f.thresholds), reversed(f._masks[1:] + (0,)))
-    ]
-    return _assemble_masks(algebra, points)
+    # (-f)(a) = meet of ~f(b) over b > -a: the complement of the value past -a
+    return _scaled(-1, f)
 
 
 def step_mul(f: StepElem, g: StepElem) -> StepElem:
-    """General multiplication, via transport through orthogonal form."""
-    return to_steps(orth_mul(to_orth(f), to_orth(g)))
+    """General multiplication, atom by atom."""
+    return _mul(_check_same_algebra(f, g), f, g)
 
 
 def step_scale(b: Scalar, f: StepElem) -> StepElem:
-    """General scalar action, via transport through orthogonal form."""
-    return to_steps(orth_scale(b, to_orth(f)))
+    """General scalar action."""
+    _require_exact(b)
+    if b == 0:
+        return step_zero(f.algebra)
+    return _scaled(b, f)
 
 
 def step_sub(f: StepElem, g: StepElem) -> StepElem:
@@ -520,8 +549,8 @@ def orth_to_decreasing(
     consecutive values and each idempotent is the upper-tail join of the
     components at the larger values.
     """
-    values = f.values()
-    tails = _tail_masks([component.mask for _, component in f.entries])
+    values = f._values
+    tails = _tail_masks(f._masks)
     return values[0], tuple(
         (values[i] - values[i - 1], BoolElem(f.algebra, tails[i]))
         for i in range(1, len(values))

@@ -61,6 +61,7 @@ from specker.steps import (
     step_leq,
     step_meet,
     step_mul_nonneg,
+    step_mul_nonneg_formula,
     step_neg,
     step_scale,
     step_scale_pos,
@@ -139,9 +140,10 @@ def test_03_step_formula_suite():
         ok = ok and step_scale_pos(b, f) == to_steps(orth_scale(b, to_orth(f)))
         fa = step_join(f, step_zero(B4))
         ga = step_join(g, step_zero(B4))
-        ok = ok and step_mul_nonneg(fa, ga) == to_steps(
-            orth_mul(to_orth(fa), to_orth(ga))
-        )
+        product = step_mul_nonneg(fa, ga)
+        ok = ok and product == to_steps(orth_mul(to_orth(fa), to_orth(ga)))
+        # the paper's formula, evaluated at every candidate threshold
+        ok = ok and product == step_mul_nonneg_formula(fa, ga)
         a = rng.randint(-10, 10)
         ok = ok and step_scale(a, f) == to_steps(orth_scale(a, to_orth(f)))
     _report(3, "step formula suite", ok)

@@ -4,16 +4,18 @@ The library runs one path per operation.  These tests compare that path
 with another way to compute the same thing: the atom-value kernel of
 orthogonal arithmetic, meet, join and order with the pair refinement of
 the convolution formula (and meet and join with ``_lattice_by_formula``),
-general multiplication and scaling (transport through orthogonal form)
-with the direct step formulas, the decompositions with their
-reconstructions, the order-theoretic idempotence test with squaring, the
-sampled related pairs with the lifted relation, and the lifted action of
-a morphism with the decomposition formula ``a0 + sum(b_i * m(e_i))`` and with the
+the atom-value kernel of step multiplication and scaling with transport
+through orthogonal form and with the direct step formulas (nonnegative
+multiplication also with ``step_mul_nonneg_formula``), the
+decompositions with their reconstructions, the order-theoretic
+idempotence test with squaring, the sampled related pairs with the
+lifted relation, and the lifted action of a morphism with the
+decomposition formula ``a0 + sum(b_i * m(e_i))`` and with the
 idempotent embedding.  The bijection, meet and join, the annihilator and
 the round trip of the lift are compared in ``test_steps.py``,
 ``test_orthogonal.py`` and ``test_proximity.py``.
 
-Elements are drawn as atom valuations on 1-5 atoms (1-8 for the kernel,
+Elements are drawn as atom valuations on 1-5 atoms (1-8 for the kernels,
 on equal but distinct algebras, with 1..n value classes) with integer or
 rational values; relations are ``<=`` (on a finite algebra the only de
 Vries proximity); morphisms are boolean homomorphisms drawn as dual atom
@@ -28,7 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_orth_by_refinement, steps_from_values
+from helpers import (
+    ref_mul_nonneg,
+    ref_orth_by_refinement,
+    steps_from_values,
+    table_of,
+)
 from specker.boolalg import make_algebra
 from specker.morphisms import DVMorphism, apply_prox_morphism, lift_morphism
 from specker.orthogonal import (
@@ -41,6 +48,7 @@ from specker.orthogonal import (
     orth_meet,
     orth_mul,
     orth_normalize,
+    orth_scale,
     orth_sub,
 )
 from specker.proximity import leq_proximity, lift_check, sample_related_pair
@@ -50,15 +58,18 @@ from specker.steps import (
     from_decomposition,
     is_idempotent,
     orth_to_decreasing,
+    step_const,
     step_embed,
     step_leq,
     step_mul,
     step_mul_nonneg,
+    step_mul_nonneg_formula,
     step_neg,
     step_scale,
     step_scale_pos,
     step_zero,
     to_orth,
+    to_steps,
 )
 
 ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
@@ -100,15 +111,17 @@ def homomorphisms(draw):
 
 
 @st.composite
-def orth_pairs(draw):
+def orth_pairs(draw, nonneg=False):
     """Two orthogonal elements on 1-8 atoms, of equal but distinct algebras.
 
     Each takes exactly k distinct values for a drawn k in 1..n; the values
-    are integers, rationals, or both mixed.
+    are integers, rationals, or both mixed, and nonnegative if asked.
     """
     n = draw(st.integers(1, 8))
     names = [f"a{i}" for i in range(n)]
     scalar = draw(st.sampled_from([ints, fractions, st.one_of(ints, fractions)]))
+    if nonneg:
+        scalar = scalar.map(abs)
     elems = []
     for algebra in (make_algebra(names), make_algebra(names)):
         k = draw(st.integers(1, n))
@@ -152,6 +165,46 @@ def test_orth_kernel_rejects_mixed_algebras(op):
         op(f, g)
     with pytest.raises(ValueError, match="^mixed algebras: operands belong to"):
         ref_orth_by_refinement(f, g, add)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orth_pairs(nonneg=True))
+def test_step_mul_nonneg_matches_formula_and_reference(pair):
+    s, t = map(to_steps, pair)
+    assert s.algebra is not t.algebra
+    result = step_mul_nonneg(s, t)
+    assert result == step_mul_nonneg_formula(s, t)
+    assert table_of(result) == ref_mul_nonneg(s, t)
+    assert result == to_steps(orth_mul(*pair))
+
+
+@settings(max_examples=150, deadline=None)
+@given(orth_pairs(), st.one_of(ints, fractions))
+def test_step_mul_and_scale_match_transport(pair, b):
+    f, g = pair
+    s, t = to_steps(f), to_steps(g)
+    assert to_orth(s) == f and to_orth(t) == g
+    assert step_mul(s, t) == to_steps(orth_mul(f, g))
+    assert step_scale(b, s) == to_steps(orth_scale(b, f))
+
+
+@pytest.mark.parametrize("op", [step_mul, step_mul_nonneg, step_mul_nonneg_formula])
+def test_step_products_reject_mixed_algebras(op):
+    # same atom count, other names: the atom values would line up
+    f = step_const(make_algebra(["p", "q"]), 1)
+    g = step_const(make_algebra(["p", "r"]), 2)
+    with pytest.raises(ValueError, match="^mixed algebras: operands belong to"):
+        op(f, g)
+
+
+def test_step_mul_nonneg_rejects_a_negative_factor():
+    b4 = make_algebra(["p", "q"])
+    positive = step_const(b4, 2)
+    negative = to_steps(orth_normalize(b4, [(-1, b4.atom("p")), (3, b4.atom("q"))]))
+    message = "^both factors must be nonnegative; use step_mul instead$"
+    for f, g in ((negative, positive), (positive, negative)):
+        with pytest.raises(ValueError, match=message):
+            step_mul_nonneg(f, g)
 
 
 @cross

@@ -4,7 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from specker.boolalg import make_algebra
+from specker.orthogonal import (
+    OrthElem,
+    orth_const,
+    orth_from_json,
+    orth_normalize,
+    orth_scale,
+    orth_to_json,
+)
 from specker.scalars import format_scalar, parse_scalar
+from specker.steps import (
+    StepElem,
+    step_const,
+    step_from_json,
+    step_one,
+    step_scale,
+    step_scale_pos,
+    step_to_json,
+)
 
 scalars = st.one_of(
     st.integers(min_value=-50, max_value=50),
@@ -79,3 +97,35 @@ def test_order_laws(a, b, c):
 def test_no_zero_divisors(a, b):
     if a * b == 0:
         assert a == 0 or b == 0
+
+
+# every entry point that takes a scalar from a caller, as (name, call)
+_ENTRY_POINTS = [
+    ("orth_const", lambda b, x: orth_const(b, x)),
+    ("step_const", lambda b, x: step_const(b, x)),
+    ("orth_scale", lambda b, x: orth_scale(x, orth_const(b, 1))),
+    ("step_scale", lambda b, x: step_scale(x, step_one(b))),
+    ("step_scale_pos", lambda b, x: step_scale_pos(x, step_one(b))),
+    ("orth_normalize", lambda b, x: orth_normalize(b, [(x, b.one)])),
+    ("OrthElem", lambda b, x: OrthElem(b, ((x, b.one),))),
+    ("StepElem", lambda b, x: StepElem(b, (x,), (b.one,))),
+]
+
+
+@pytest.mark.parametrize("name, call", _ENTRY_POINTS, ids=[n for n, _ in _ENTRY_POINTS])
+@pytest.mark.parametrize("bad", [1.5, 0.5, True, "1", None], ids=repr)
+def test_inexact_scalars_rejected_at_the_boundary(name, call, bad):
+    message = f"^scalars must be int or Fraction, not {type(bad).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        call(make_algebra(["x"]), bad)
+
+
+@pytest.mark.parametrize("name, call", _ENTRY_POINTS, ids=[n for n, _ in _ENTRY_POINTS])
+def test_exact_scalars_round_trip_through_json(name, call):
+    b2 = make_algebra(["x"])
+    for good in (3, Fraction(1, 2)):
+        elem = call(b2, good)
+        if isinstance(elem, OrthElem):
+            assert orth_from_json(b2, orth_to_json(elem)) == elem
+        else:
+            assert step_from_json(b2, step_to_json(elem)) == elem

@@ -271,6 +271,45 @@ def test_step_elem_copies_before_idems_is_read(duplicate):
     assert repr(twin) == repr(value)
 
 
+def test_orth_masks_stay_out_of_hash_and_repr():
+    value = _orth()
+    assert value._masks == tuple(component.mask for _, component in value.entries)
+    assert value._values == value.values() == (-1, Fraction(3, 2))
+    assert hash(value) == hash((value.algebra, value.entries))
+    assert "_masks" not in repr(value) and "_values" not in repr(value)
+    with pytest.raises(AttributeError):
+        value._masks = ()
+
+
+def test_orth_elem_from_masks_matches_the_public_constructor():
+    # orth_normalize builds from masks; the public constructor from elements
+    inner = _orth()
+    outer = OrthElem(inner.algebra, tuple(inner.entries))
+    assert inner == outer and outer == inner
+    assert hash(inner) == hash(outer)
+    assert repr(inner) == repr(outer) == PINNED["OrthElem"][0]
+
+
+def test_orth_elem_entries_is_built_once():
+    value = _orth()
+    first = value.entries
+    assert value.entries is first
+    b4 = value.algebra
+    assert first == ((-1, b4.atom("q")), (Fraction(3, 2), b4.atom("p")))
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+)
+def test_orth_elem_copies_before_entries_is_read(duplicate):
+    value = _orth()
+    twin = duplicate(value)
+    assert twin == value and twin.values() == value.values()
+    assert twin.entries == value.entries and hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
+
+
 def test_prox_rel_cached_indexes():
     rel = leq_proximity(_b4())
     assert rel.sorted_pairs() == tuple(sorted(rel.pairs))

@@ -4,11 +4,13 @@ A count repeats exactly on any host, where a timing would not.
 ``BoolElem.__post_init__`` runs once per element built, so wrapping it
 counts constructions, as the benchmark's tracer does.  The operands have
 64 atoms and 64 value classes each: pair refinement of their components
-would build 64 * 64 cells.
+would build 64 * 64 cells, and the candidate formula of nonnegative
+multiplication 64 * 64 candidates of 64 * 64 cells each.
 """
 
 import pytest
 
+from helpers import within
 from specker.boolalg import BoolElem, make_algebra
 from specker.orthogonal import (
     orth_add,
@@ -17,13 +19,28 @@ from specker.orthogonal import (
     orth_meet,
     orth_mul,
     orth_normalize,
+    orth_scale,
+    orth_sub,
 )
-from specker.steps import step_join, step_meet, step_mul, step_neg, step_scale, to_steps
+from specker.steps import (
+    step_join,
+    step_meet,
+    step_mul,
+    step_mul_nonneg,
+    step_neg,
+    step_scale,
+    to_orth,
+    to_steps,
+)
 
 N = 64
 ALGEBRA = make_algebra([f"a{i}" for i in range(N)])
-F = orth_normalize(ALGEBRA, [(3 * i - 50, ALGEBRA.atom(f"a{i}")) for i in range(N)])
-G = orth_normalize(ALGEBRA, [((7 * i) % N - 20, ALGEBRA.atom(f"a{i}")) for i in range(N)])
+ATOMS = [ALGEBRA.atom(f"a{i}") for i in range(N)]
+F = orth_normalize(ALGEBRA, [(3 * i - 50, atom) for i, atom in enumerate(ATOMS)])
+G = orth_normalize(ALGEBRA, [(7 * i % N - 20, atom) for i, atom in enumerate(ATOMS)])
+# nonnegative operands for step_mul_nonneg, also one class per atom
+F_NONNEG = orth_normalize(ALGEBRA, [(3 * i, atom) for i, atom in enumerate(ATOMS)])
+G_NONNEG = orth_normalize(ALGEBRA, [(7 * i % N, atom) for i, atom in enumerate(ATOMS)])
 
 
 @pytest.fixture
@@ -41,13 +58,27 @@ def built(monkeypatch):
 
 
 def test_operands_have_one_class_per_atom():
-    assert len(F.entries) == len(G.entries) == N
+    for f in (F, G, F_NONNEG, G_NONNEG):
+        assert len(f.values()) == N
 
 
-@pytest.mark.parametrize("op", [orth_add, orth_mul, orth_meet, orth_join])
+@pytest.mark.parametrize(
+    "op",
+    [
+        orth_add,
+        orth_sub,
+        orth_mul,
+        orth_meet,
+        orth_join,
+        pytest.param(lambda f, g: orth_scale(-2, f), id="orth_scale"),
+    ],
+)
 def test_orth_ops_build_one_element_per_result_class(op, built):
+    # none while computing; one per class when ``entries`` is first read
     result = op(F, G)
-    assert built[0] == len(result.entries) <= N
+    assert built[0] == 0
+    entries = result.entries
+    assert result.entries is entries and built[0] == len(entries) <= N
 
 
 def test_orth_leq_builds_nothing(built):
@@ -57,19 +88,28 @@ def test_orth_leq_builds_nothing(built):
 
 def test_step_ops_build_nothing_until_idems_is_read(built):
     s, t = to_steps(F), to_steps(G)
-    results = [s, t, step_neg(s), step_meet(s, t), step_join(s, t)]
+    results = [
+        s,
+        t,
+        step_neg(s),
+        step_meet(s, t),
+        step_join(s, t),
+        step_mul(s, t),
+        step_mul_nonneg(to_steps(F_NONNEG), to_steps(G_NONNEG)),
+        step_scale(-2, s),
+        step_scale(3, s),
+    ]
+    back = to_orth(s)
     assert built[0] == 0
     for result in results:
         result.idems
     assert built[0] == sum(len(result.thresholds) for result in results)
-
-
-def test_transported_step_ops_build_one_element_per_class(built):
-    s, t = to_steps(F), to_steps(G)
-    # to_orth builds one element per class of each operand, the kernel one
-    # per class of the result, to_steps none
-    step_mul(s, t)
-    assert built[0] <= 3 * N
     built[0] = 0
-    step_scale(-2, s)
-    assert built[0] == N
+    assert back.entries and built[0] == N
+
+
+def test_step_mul_nonneg_at_64_atoms_is_interactive():
+    # the candidate formula runs 64 * 64 candidates over 64 * 64 pairs
+    s, t = to_steps(F_NONNEG), to_steps(G_NONNEG)
+    with within(1):
+        step_mul_nonneg(s, t)
