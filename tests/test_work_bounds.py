@@ -108,6 +108,17 @@ def test_step_ops_build_nothing_until_idems_is_read(built):
     assert back.entries and built[0] == N
 
 
+def test_transported_step_ops_build_one_element_per_class(built):
+    s, t = to_steps(F), to_steps(G)
+    # the kernel reads atom values from masks; the only elements built are
+    # the result's idempotents, one per class, when ``idems`` is first read
+    product = step_mul(s, t)
+    product.idems
+    assert built[0] == len(product.thresholds) <= 3 * N
+    built[0] = 0
+    step_scale(-2, s).idems
+    assert built[0] == N
+
 def test_step_mul_nonneg_at_64_atoms_is_interactive():
     # the candidate formula runs 64 * 64 candidates over 64 * 64 pairs
     s, t = to_steps(F_NONNEG), to_steps(G_NONNEG)
