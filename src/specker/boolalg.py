@@ -12,6 +12,7 @@ operands from different algebras rather than coercing silently.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -33,11 +34,12 @@ __all__ = [
 _FORBIDDEN_IN_NAMES = set("[],|\"' \t\r\n")
 _RESERVED_NAMES = {"0", "1"}
 
-# Value types are plain classes with their methods written out: the
-# ``dataclasses`` module and the code it generates per class cost about
-# 20 ms at every start of the command line.  A frozen value is filled in
-# by ``_setattr`` in its ``__init__``; equality and hashing read the same
-# field tuple a generated ``__eq__``/``__hash__`` would.
+# Value types are plain classes: the ``dataclasses`` module and the code
+# it generates per class cost about 20 ms at every start of the command
+# line.  A value type names the fields that make its value in ``_fields``
+# and fills them in by ``_setattr`` in its ``__init__``; ``_Frozen`` reads
+# that tuple for the one equality, hash and field-form ``repr`` of all of
+# them, as a generated ``__eq__``/``__hash__``/``__repr__`` would.
 _setattr = object.__setattr__
 
 
@@ -45,6 +47,26 @@ class _Frozen:
     """Base of the immutable value types: no attribute can be set or deleted."""
 
     __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        # ``_key(value)`` is the field tuple, read in one call
+        fields = getattr(cls, "_fields", None)
+        if fields:
+            get = attrgetter(*fields)
+            cls._key = staticmethod(get if len(fields) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -66,6 +88,7 @@ class Algebra(_Frozen):
 
     # ``full_mask`` is derived from ``atoms``: equality and hashing skip it
     __slots__ = ("atoms", "generators", "full_mask")
+    _fields = ("atoms", "generators")
     atoms: tuple[str, ...]
     generators: tuple[tuple[str, int], ...]
     full_mask: int
@@ -126,14 +149,6 @@ class Algebra(_Frozen):
         for mask in range(self.size):
             yield BoolElem(self, mask)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atoms, self.generators) == (other.atoms, other.generators)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.atoms, self.generators))
-
     def __repr__(self) -> str:
         return f"Algebra(atoms={list(self.atoms)!r})"
 
@@ -141,7 +156,7 @@ class Algebra(_Frozen):
 class BoolElem(_Frozen):
     """Element of a finite boolean algebra: a subset of its atoms."""
 
-    __slots__ = ("algebra", "mask")
+    __slots__ = _fields = ("algebra", "mask")
     algebra: Algebra
     mask: int
 
@@ -155,14 +170,6 @@ class BoolElem(_Frozen):
     def __post_init__(self) -> None:
         if not 0 <= self.mask <= self.algebra.full_mask:
             raise ValueError(f"mask {self.mask} out of range for {self.algebra!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.algebra, self.mask) == (other.algebra, other.mask)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.mask))
 
     # --- boolean operations -------------------------------------------------
 

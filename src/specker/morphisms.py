@@ -103,7 +103,7 @@ class DVMorphism(_Frozen):
     homomorphism structure.
     """
 
-    __slots__ = ("source", "target", "table")
+    __slots__ = _fields = ("source", "target", "table")
     source: ProxRel
     target: ProxRel
     table: tuple[int, ...]
@@ -119,18 +119,6 @@ class DVMorphism(_Frozen):
         _setattr(self, "source", source)
         _setattr(self, "target", target)
         _setattr(self, "table", table)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.table) == (
-                other.source,
-                other.target,
-                other.table,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.table))
 
     def apply(self, e: BoolElem) -> BoolElem:
         if e.algebra != self.source.algebra:

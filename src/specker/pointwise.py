@@ -41,7 +41,7 @@ __all__ = [
 class PointFn(_Frozen):
     """Total map from the atoms of a finite algebra to exact scalars."""
 
-    __slots__ = ("algebra", "values")
+    __slots__ = _fields = ("algebra", "values")
     algebra: Algebra
     values: tuple[Scalar, ...]
 
@@ -50,14 +50,6 @@ class PointFn(_Frozen):
             raise ValueError("one value per atom required")
         _setattr(self, "algebra", algebra)
         _setattr(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.algebra, self.values) == (other.algebra, other.values)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.values))
 
     def value_at(self, atom_name: str) -> Scalar:
         return self.values[self.algebra.atoms.index(atom_name)]

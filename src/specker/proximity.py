@@ -39,7 +39,6 @@ returned values and for the witnesses of a failing axiom.
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -69,8 +68,7 @@ from .steps import (
     step_scale_pos,
     step_zero,
     _assemble_masks,
-    _masks_at,
-    _merged_grid,
+    _merged,
 )
 
 __all__ = [
@@ -99,6 +97,7 @@ class ProxRel(_Frozen):
     ``__dict__``.
     """
 
+    _fields = ("algebra", "pairs")
     algebra: Algebra
     pairs: frozenset[tuple[int, int]]
 
@@ -111,14 +110,6 @@ class ProxRel(_Frozen):
             )
         _setattr(self, "algebra", algebra)
         _setattr(self, "pairs", pairs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.algebra, self.pairs) == (other.algebra, other.pairs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.pairs))
 
     def related(self, e: BoolElem, f: BoolElem) -> bool:
         if e.algebra != self.algebra or f.algebra != self.algebra:
@@ -154,7 +145,7 @@ def _group(ordered: Sequence[tuple[int, int]], key: int) -> dict[int, tuple[int,
 
 
 class AxiomResult(_Frozen):
-    __slots__ = ("name", "passed", "checked", "counterexample")
+    __slots__ = _fields = ("name", "passed", "checked", "counterexample")
     name: str
     passed: bool
     checked: int
@@ -168,25 +159,6 @@ class AxiomResult(_Frozen):
         _setattr(self, "checked", checked)
         _setattr(self, "counterexample", counterexample)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.passed, self.checked, self.counterexample) == (
-                other.name,
-                other.passed,
-                other.checked,
-                other.counterexample,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.passed, self.checked, self.counterexample))
-
-    def __repr__(self) -> str:
-        return (
-            f"AxiomResult(name={self.name!r}, passed={self.passed!r}, "
-            f"checked={self.checked!r}, counterexample={self.counterexample!r})"
-        )
-
     def __str__(self) -> str:
         if self.passed:
             return f"{self.name}: pass ({self.checked} checks)"
@@ -199,24 +171,13 @@ class AxiomResult(_Frozen):
 class ProxReport(_Frozen):
     """Outcome of an axiom check, one result per axiom."""
 
-    __slots__ = ("subject", "results")
+    __slots__ = _fields = ("subject", "results")
     subject: str
     results: tuple[AxiomResult, ...]
 
     def __init__(self, subject: str, results: tuple[AxiomResult, ...]) -> None:
         _setattr(self, "subject", subject)
         _setattr(self, "results", results)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.subject, self.results) == (other.subject, other.results)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.subject, self.results))
-
-    def __repr__(self) -> str:
-        return f"ProxReport(subject={self.subject!r}, results={self.results!r})"
 
     @property
     def ok(self) -> bool:
@@ -377,29 +338,16 @@ def _require_devries(rel: ProxRel) -> None:
 
 
 def enumerate_devries(algebra: Algebra) -> list[ProxRel]:
-    """All de Vries proximities on a very small algebra.
+    """All de Vries proximities on a very small algebra: only ``<=``.
 
-    The search space is all relations on the algebra; everything failing
-    D1 or D2 is excluded up front (any proximity contains (0,0) and
-    (1,1) and sits inside <=), and the survivors run the full checker.
+    On a finite algebra D7 at an atom forces ``a < a``, D4 and D5 give
+    joins on the left, D3 upward closure and D2 ``<`` inside ``<=``, so
+    the order is the one proximity.  The tier-1 tests compare this with
+    a search over all relations.
     """
     if algebra.size > 4:
         raise ValueError("enumeration is limited to algebras with at most 4 elements")
-    full = algebra.full_mask
-    forced = {(0, 0), (full, full)}
-    optional = sorted(
-        (e, f)
-        for e in range(algebra.size)
-        for f in range(algebra.size)
-        if e & f == e and (e, f) not in forced
-    )
-    found = []
-    for k in range(len(optional) + 1):
-        for subset in itertools.combinations(optional, k):
-            rel = ProxRel(algebra, frozenset(forced | set(subset)))
-            if check_devries(rel).ok:
-                found.append(rel)
-    return found
+    return [leq_proximity(algebra)]
 
 
 def interpolant(rel: ProxRel, e: BoolElem, f: BoolElem) -> BoolElem:
@@ -457,8 +405,7 @@ def lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
 
 def _lifted(pairs: frozenset[tuple[int, int]], s: StepElem, t: StepElem) -> bool:
     """:func:`lift_check` on one algebra, for a de Vries relation's pairs."""
-    grid = _merged_grid(s, t)
-    return all(pair in pairs for pair in zip(_masks_at(s, grid), _masks_at(t, grid)))
+    return all((a, b) in pairs for _, a, b in _merged(s, t))
 
 
 def restrict_lift(rel: ProxRel) -> ProxRel:
@@ -650,7 +597,7 @@ def sample_proximity_axioms(
             if s == zero:
                 s = step_add(s, one)
             t = positive_approximant(rel, s)
-            positive = step_leq(zero, t) and t != zero
+            positive = t.thresholds[0] >= 0 and t != zero
             yield None if positive and lift_check(rel, t, s) else (t, s)
 
     _record(results, "P10", p10_cases())
@@ -685,7 +632,7 @@ def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
     _require_devries(rel)
     algebra = rel.algebra
     zero = step_zero(algebra)
-    if not (step_leq(zero, s) and s != zero):
+    if not (s.thresholds[0] >= 0 and s != zero):
         raise ValueError("a positive approximant needs s > 0")
     smallest = s._masks[-1]
     candidates = [f for f in rel._lefts.get(smallest, ()) if 0 < f < algebra.size]

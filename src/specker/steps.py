@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .boolalg import (
     _MIXED,
@@ -171,7 +171,7 @@ class StepElem(_Frozen):
 class CompatibleSteps(_Frozen):
     """Two step functions re-expressed over one shared threshold grid."""
 
-    __slots__ = ("thresholds", "left", "right")
+    __slots__ = _fields = ("thresholds", "left", "right")
     thresholds: tuple[Scalar, ...]
     left: tuple[BoolElem, ...]
     right: tuple[BoolElem, ...]
@@ -186,48 +186,15 @@ class CompatibleSteps(_Frozen):
         _setattr(self, "left", left)
         _setattr(self, "right", right)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.thresholds, self.left, self.right) == (
-                other.thresholds,
-                other.left,
-                other.right,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.thresholds, self.left, self.right))
-
-    def __repr__(self) -> str:
-        return (
-            f"CompatibleSteps(thresholds={self.thresholds!r}, "
-            f"left={self.left!r}, right={self.right!r})"
-        )
-
-
-def _assemble(algebra: Algebra, points: Sequence[tuple[Scalar, BoolElem]]) -> StepElem:
-    """Canonical step function from samples at its candidate breakpoints.
-
-    ``points`` must be sorted by strictly increasing scalar with
-    decreasing component values starting at 1; runs of equal components
-    merge (keeping the largest scalar of each run) and a trailing zero
-    run is dropped.  All components must share one algebra.
-    """
-    if not points:
-        raise ValueError("cannot assemble a step function from no points")
-    home = points[0][1].algebra
-    if points[0][1].mask != home.full_mask:
-        raise ValueError("assembly requires the first sampled value to be 1")
-    _check_same_algebra(*(component for _, component in points))
-    result = _assemble_masks(home, [(scalar, c.mask) for scalar, c in points])
-    if home is algebra or home == algebra:
-        return result
-    # the constructor rejects components of another algebra, with its message
-    return StepElem(algebra, result.thresholds, result.idems)
-
 
 def _assemble_masks(algebra: Algebra, points: Sequence[tuple[Scalar, int]]) -> StepElem:
-    """:func:`_assemble` on component masks of ``algebra``."""
+    """Canonical step function from samples at its candidate breakpoints.
+
+    ``points`` pairs strictly increasing scalars with the component masks
+    sampled there, decreasing from 1; runs of equal components merge
+    (keeping the largest scalar of each run) and a trailing zero run is
+    dropped.
+    """
     if not points:
         raise ValueError("cannot assemble a step function from no points")
     if points[0][1] != algebra.full_mask:
@@ -359,8 +326,8 @@ def step_add(f: StepElem, g: StepElem) -> StepElem:
             for v in g.thresholds:
                 if u + v >= c:
                     mask |= (f.value(u) & g.value(v)).mask
-        points.append((c, algebra.from_mask(mask)))
-    return _assemble(algebra, points)
+        points.append((c, mask))
+    return _assemble_masks(algebra, points)
 
 
 def step_scale_pos(b: Scalar, f: StepElem) -> StepElem:
@@ -380,8 +347,8 @@ def _mul(algebra: Algebra, f: StepElem, g: StepElem) -> StepElem:
 
 def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
     algebra = _check_same_algebra(f, g)
-    zero = step_zero(algebra)
-    if not (step_leq(zero, f) and step_leq(zero, g)):
+    # a canonical element is >= 0 exactly when its first threshold is
+    if not (f.thresholds[0] >= 0 and g.thresholds[0] >= 0):
         raise ValueError("both factors must be nonnegative; use step_mul instead")
     return _mul(algebra, f, g)
 
@@ -397,8 +364,8 @@ def step_mul_nonneg_formula(f: StepElem, g: StepElem) -> StepElem:
             for v in g.thresholds:
                 if u * v >= c:
                     mask |= (f.value(u) & g.value(v)).mask
-        points.append((c, algebra.from_mask(mask)))
-    return _assemble(algebra, points)
+        points.append((c, mask))
+    return _assemble_masks(algebra, points)
 
 
 def _scaled(b: Scalar, f: StepElem) -> StepElem:
@@ -439,32 +406,39 @@ def step_sub(f: StepElem, g: StepElem) -> StepElem:
 # --- order and lattice ----------------------------------------------------
 
 
-def _merged_grid(f: StepElem, g: StepElem) -> list[Scalar]:
-    return sorted(set(f.thresholds) | set(g.thresholds))
+def _merged(f: StepElem, g: StepElem) -> Iterator[tuple[Scalar, int, int]]:
+    """``(c, f(c), g(c))`` at each threshold ``c`` of ``f`` or ``g``, ascending.
 
-
-def _masks_at(f: StepElem, grid: Sequence[Scalar]) -> list[int]:
-    """The values of ``f`` at the scalars of ``grid``, as masks."""
-    padded = f._masks + (0,)
-    return [padded[bisect_left(f.thresholds, c)] for c in grid]
+    The values are masks; a linear merge of the two threshold tuples.
+    """
+    ft, fm, gt, gm = f.thresholds, f._masks, g.thresholds, g._masks
+    i = j = 0
+    while i < len(ft) and j < len(gt):
+        a, b = ft[i], gt[j]
+        if a < b:
+            yield a, fm[i], gm[j]
+            i += 1
+        elif b < a:
+            yield b, fm[i], gm[j]
+            j += 1
+        else:
+            yield a, fm[i], gm[j]
+            i += 1
+            j += 1
+    for k in range(i, len(ft)):
+        yield ft[k], fm[k], 0
+    for k in range(j, len(gt)):
+        yield gt[k], 0, gm[k]
 
 
 def step_meet(f: StepElem, g: StepElem) -> StepElem:
     algebra = _check_same_algebra(f, g)
-    grid = _merged_grid(f, g)
-    points = [
-        (c, a & b) for c, a, b in zip(grid, _masks_at(f, grid), _masks_at(g, grid))
-    ]
-    return _assemble_masks(algebra, points)
+    return _assemble_masks(algebra, [(c, a & b) for c, a, b in _merged(f, g)])
 
 
 def step_join(f: StepElem, g: StepElem) -> StepElem:
     algebra = _check_same_algebra(f, g)
-    grid = _merged_grid(f, g)
-    points = [
-        (c, a | b) for c, a, b in zip(grid, _masks_at(f, grid), _masks_at(g, grid))
-    ]
-    return _assemble_masks(algebra, points)
+    return _assemble_masks(algebra, [(c, a | b) for c, a, b in _merged(f, g)])
 
 
 def _join_all(elems: Iterable[StepElem]) -> StepElem:
@@ -487,11 +461,7 @@ def _join_all(elems: Iterable[StepElem]) -> StepElem:
 def step_leq(f: StepElem, g: StepElem) -> bool:
     """Pointwise order; checking the merged thresholds is exhaustive."""
     _check_same_algebra(f, g)
-    fm, gm = f._masks + (0,), g._masks + (0,)
-    return all(
-        fm[bisect_left(f.thresholds, c)] & ~gm[bisect_left(g.thresholds, c)] == 0
-        for c in _merged_grid(f, g)
-    )
+    return all(a & ~b == 0 for _, a, b in _merged(f, g))
 
 
 # --- decompositions ---------------------------------------------------------
@@ -566,14 +536,13 @@ def compatible_decreasing(s: StepElem, t: StepElem) -> CompatibleSteps:
     tier-1 tests check.
     """
     algebra = _check_same_algebra(s, t)
-    grid = _merged_grid(s, t)
-    zero = step_zero(algebra)
-    if step_leq(zero, s) and step_leq(zero, t) and grid[0] != 0:
-        grid = [0] + grid
+    points = list(_merged(s, t))
+    if s.thresholds[0] >= 0 and t.thresholds[0] >= 0 and points[0][0] != 0:
+        points.insert(0, (0, algebra.full_mask, algebra.full_mask))
+    grid, left, right = zip(*points)
+    elem = algebra.from_mask
     return CompatibleSteps(
-        thresholds=tuple(grid),
-        left=tuple(s.value(a) for a in grid),
-        right=tuple(t.value(a) for a in grid),
+        thresholds=grid, left=tuple(map(elem, left)), right=tuple(map(elem, right))
     )
 
 
@@ -599,10 +568,10 @@ def step_from_json(algebra: Algebra, obj) -> StepElem:
     if not isinstance(obj, dict) or obj.get("rep") != "flat" or "steps" not in obj:
         raise ValueError(f"bad step-form JSON: {obj!r}")
     points = [
-        (parse_scalar(item["upto"]), element_from_json(algebra, item["idem"]))
+        (parse_scalar(item["upto"]), element_from_json(algebra, item["idem"]).mask)
         for item in obj["steps"]
     ]
     for i in range(1, len(points)):
         if not points[i - 1][0] < points[i][0]:
             raise ValueError("step thresholds must strictly increase")
-    return _assemble(algebra, points)
+    return _assemble_masks(algebra, points)

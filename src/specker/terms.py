@@ -64,64 +64,31 @@ __all__ = [
 
 
 class Lit(_Frozen):
-    __slots__ = ("value",)
+    __slots__ = _fields = ("value",)
     value: Scalar
 
     def __init__(self, value: Scalar) -> None:
         _setattr(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
-
-    def __repr__(self) -> str:
-        return f"Lit(value={self.value!r})"
-
 
 class Var(_Frozen):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
     name: str
 
     def __init__(self, name: str) -> None:
         _setattr(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
-    def __repr__(self) -> str:
-        return f"Var(name={self.name!r})"
-
 
 class Neg(_Frozen):
-    __slots__ = ("operand",)
+    __slots__ = _fields = ("operand",)
     operand: Term
 
     def __init__(self, operand: Term) -> None:
         _setattr(self, "operand", operand)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.operand,) == (other.operand,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.operand,))
-
-    def __repr__(self) -> str:
-        return f"Neg(operand={self.operand!r})"
-
 
 class Pow(_Frozen):
-    __slots__ = ("base", "exponent")
+    __slots__ = _fields = ("base", "exponent")
     base: Term
     exponent: int
 
@@ -131,20 +98,9 @@ class Pow(_Frozen):
         _setattr(self, "base", base)
         _setattr(self, "exponent", exponent)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.exponent) == (other.base, other.exponent)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.exponent))
-
-    def __repr__(self) -> str:
-        return f"Pow(base={self.base!r}, exponent={self.exponent!r})"
-
 
 class BinOp(_Frozen):
-    __slots__ = ("op", "left", "right")
+    __slots__ = _fields = ("op", "left", "right")
     op: str  # one of + - * meet join
     left: Term
     right: Term
@@ -155,21 +111,6 @@ class BinOp(_Frozen):
         _setattr(self, "op", op)
         _setattr(self, "left", left)
         _setattr(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.op, self.left, self.right) == (
-                other.op,
-                other.left,
-                other.right,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.left, self.right))
-
-    def __repr__(self) -> str:
-        return f"BinOp(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
 
 Term = Union[Lit, Var, Neg, Pow, BinOp]

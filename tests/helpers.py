@@ -26,6 +26,11 @@ report, verdict and counterexample.  ``ref_approximant_join`` is the
 object-based M4 join: one ``from_decomposition`` per combination of
 approximants, joined pairwise with ``step_join``.
 
+``ref_enumerate_devries`` finds the de Vries proximities of a very
+small algebra by brute force: it runs the checker on every relation
+between the forced pairs and ``<=``.  ``enumerate_devries`` gives the
+order alone, by the theorem, and must agree with it.
+
 ``within`` fails a test whose block runs longer than a given time.
 """
 
@@ -41,7 +46,7 @@ from specker.boolalg import Algebra, BoolElem
 from specker.morphisms import DVMorphism, ProxMorphism
 from specker.orthogonal import OrthElem, orth_normalize
 from specker.pointwise import PointFn
-from specker.proximity import AxiomResult, ProxRel, ProxReport
+from specker.proximity import AxiomResult, ProxRel, ProxReport, check_devries
 from specker.scalars import Scalar
 from specker.steps import (
     StepElem,
@@ -392,6 +397,30 @@ def ref_lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
         raise ValueError("mixed algebras in lifted proximity check")
     grid = sorted(set(s.thresholds) | set(t.thresholds))
     return all((s.value(b).mask, t.value(b).mask) in rel.pairs for b in grid)
+
+
+def ref_enumerate_devries(algebra: Algebra) -> list[ProxRel]:
+    """Every relation passing D1-D7, by a search over all relations.
+
+    Everything failing D1 or D2 is excluded up front (any proximity
+    contains (0,0) and (1,1) and sits inside <=), and the survivors run
+    the full checker.
+    """
+    full = algebra.full_mask
+    forced = {(0, 0), (full, full)}
+    optional = sorted(
+        (e, f)
+        for e in range(algebra.size)
+        for f in range(algebra.size)
+        if e & f == e and (e, f) not in forced
+    )
+    found = []
+    for k in range(len(optional) + 1):
+        for subset in itertools.combinations(optional, k):
+            rel = ProxRel(algebra, frozenset(forced | set(subset)))
+            if check_devries(rel).ok:
+                found.append(rel)
+    return found
 
 
 def ref_star_compose_table(m2: DVMorphism, m1: DVMorphism) -> tuple[int, ...]:

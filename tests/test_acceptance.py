@@ -9,7 +9,7 @@ to see the per-criterion lines.
 import itertools
 import random
 
-from helpers import random_term, term_oracle
+from helpers import random_term, ref_enumerate_devries, term_oracle
 from specker.boolalg import make_algebra
 from specker.morphisms import (
     apply_prox_morphism,
@@ -235,9 +235,12 @@ def test_06_presentation_suite():
 
 
 def test_07_proximity_suite():
-    ok = enumerate_devries(B2) == [leq_proximity(B2)]
+    ok = True
     for algebra in (B2, B4):
-        for rel in enumerate_devries(algebra):
+        # the construction, against the search over all relations
+        found = enumerate_devries(algebra)
+        ok = ok and found == ref_enumerate_devries(algebra) == [leq_proximity(algebra)]
+        for rel in found:
             report = sample_proximity_axioms(rel, samples=200, coeff_bound=10, seed=0)
             ok = ok and report.ok
             ok = ok and restrict_lift(rel) == rel

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import ref_enumerate_devries
 from specker.boolalg import make_algebra
 from specker.pointwise import random_pointfn, steps_of_pointfn
 from specker.proximity import (
@@ -74,15 +75,13 @@ def test_check_devries_size_guard():
 
 
 def test_enumerate_devries_b2_is_exactly_leq(b2):
-    assert enumerate_devries(b2) == [leq_proximity(b2)]
+    assert enumerate_devries(b2) == ref_enumerate_devries(b2) == [leq_proximity(b2)]
 
 
 def test_enumerate_devries_b4(b4):
+    # the theorem's one proximity, against the search over all relations
     found = enumerate_devries(b4)
-    assert leq_proximity(b4) in found
-    leq_pairs = leq_proximity(b4).pairs
-    for rel in found:
-        assert rel.pairs <= leq_pairs
+    assert found == ref_enumerate_devries(b4) == [leq_proximity(b4)]
 
 
 def test_enumerate_devries_size_guard(b8):

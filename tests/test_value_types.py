@@ -1,6 +1,9 @@
 """The contract of the value types: ``specker`` defines them as plain
-classes, with every method written out, and they behave as the frozen
-dataclasses they replace did.
+classes, and they behave as the frozen dataclasses they replace did.
+Each generic type names its fields once, in ``_fields``, and inherits
+the one equality, hash and field-form ``repr`` of ``boolalg._Frozen``;
+``OrthElem`` and ``StepElem`` compare their masks and hash their
+elements.
 
 For each type: equal fields give equal values and the hash of the field
 tuple; a value of another class is never equal; a frozen value refuses
@@ -17,7 +20,13 @@ from fractions import Fraction
 
 import pytest
 
-from specker.boolalg import Algebra, BoolElem, make_algebra, make_free_algebra
+from specker.boolalg import (
+    Algebra,
+    BoolElem,
+    _Frozen,
+    make_algebra,
+    make_free_algebra,
+)
 from specker.morphisms import DVMorphism, ProxMorphism, identity_dv, lift_morphism
 from specker.orthogonal import OrthElem, orth_normalize
 from specker.pointwise import PointFn
@@ -152,6 +161,10 @@ def test_equality_and_hash_read_the_field_tuple(name):
     assert value == twin and not value != twin
     assert hash(value) == hash(twin) == hash(_fields(value, names))
     assert value.__eq__(twin) is True
+    cls = type(value)
+    if cls not in (OrthElem, StepElem):
+        assert cls._fields == names
+        assert cls.__eq__ is _Frozen.__eq__ and cls.__hash__ is _Frozen.__hash__
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
