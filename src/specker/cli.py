@@ -64,34 +64,32 @@ def _load_json(path: str):
 _SHAPE_ERRORS = (KeyError, TypeError, AttributeError)
 
 
-def _malformed(what: str, exc: Exception) -> UsageError:
-    if isinstance(exc, KeyError):
-        return UsageError(f"malformed {what}: missing key {exc.args[0]!r}")
-    return UsageError(f"malformed {what}: {exc}")
+def _parsed(what: str, path: str, parse, *args, prefix: str = ""):
+    """``parse(*args, obj)`` on the JSON in ``path``; any failure is a :class:`UsageError`."""
+    obj = _load_json(path)
+    try:
+        return parse(*args, obj)
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
+    except _SHAPE_ERRORS as exc:
+        detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise UsageError(f"malformed {what} JSON in {path}: {detail}") from exc
 
 
 def _load_algebra(path: str | None) -> Algebra:
     if path is None:
         raise UsageError("this subcommand needs --algebra")
-    obj = _load_json(path)
-    try:
-        return algebra_from_json(obj)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    except _SHAPE_ERRORS as exc:
-        raise _malformed(f"algebra JSON in {path}", exc) from exc
+    return _parsed("algebra", path, algebra_from_json)
+
+
+def _element_from_json(algebra: Algebra, obj) -> Element:
+    if isinstance(obj, dict) and obj.get("rep") == "flat":
+        return step_from_json(algebra, obj)
+    return orth_from_json(algebra, obj)
 
 
 def _load_element(algebra: Algebra, path: str) -> Element:
-    obj = _load_json(path)
-    try:
-        if isinstance(obj, dict) and obj.get("rep") == "flat":
-            return step_from_json(algebra, obj)
-        return orth_from_json(algebra, obj)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    except _SHAPE_ERRORS as exc:
-        raise _malformed(f"element JSON in {path}", exc) from exc
+    return _parsed("element", path, _element_from_json, algebra, prefix=f"{path}: ")
 
 
 def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
@@ -99,24 +97,13 @@ def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
 
     if spec == "leq":
         return leq_proximity(algebra)
-    try:
-        return prox_from_json(algebra, _load_json(spec))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    except _SHAPE_ERRORS as exc:
-        raise _malformed(f"proximity JSON in {spec}", exc) from exc
+    return _parsed("proximity", spec, prox_from_json, algebra)
 
 
 def _load_morphism(path: str) -> DVMorphism:
     from .morphisms import morphism_from_json
 
-    obj = _load_json(path)
-    try:
-        return morphism_from_json(obj)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    except _SHAPE_ERRORS as exc:
-        raise _malformed(f"morphism JSON in {path}", exc) from exc
+    return _parsed("morphism", path, morphism_from_json)
 
 
 def _element_json(elem: Element) -> dict:
@@ -291,7 +278,7 @@ def _cmd_lift(args) -> int:
     if args.as_json:
         print(json.dumps(prox_to_json(restricted)))
     else:
-        print(f"lift restricts to {len(restricted.pairs)} pairs; round-trip {status}")
+        print(f"lift restricts to {restricted.count()} pairs; round-trip {status}")
     return 0 if status == "OK" else 1
 
 

@@ -191,17 +191,16 @@ def check_dv_morphism(m: DVMorphism) -> ProxReport:
 
     def m3_cases():
         src_full, tgt_full = src_alg.full_mask, tgt_alg.full_mask
-        for e, f in src.sorted_pairs():
+        for e, f in map(src.pair_at, range(src.count())):
             lower = tgt_full & ~table[src_full & ~e]
-            yield None if (lower, table[f]) in tgt.pairs else (e, f)
+            yield None if tgt.has(lower, table[f]) else (e, f)
 
     _record(results, "M3", m3_cases(), src_alg.from_mask)
 
     def m4_cases():
-        lefts = src._lefts
         for f in range(src_alg.size):
             joined = 0
-            for e in lefts.get(f, ()):
+            for e in src.lefts(f):
                 joined |= table[e]
             yield None if table[f] == joined else (f,)
 
@@ -242,11 +241,10 @@ def star_compose_dv(m2: DVMorphism, m1: DVMorphism) -> DVMorphism:
     """Star composition: join of the two-step images over approximants."""
     if m1.target != m2.source:
         raise ValueError("morphism endpoints do not match")
-    lefts = m1.source._lefts
     table = []
     for e in range(m1.source.algebra.size):
         mask = 0
-        for f in lefts.get(e, ()):
+        for f in m1.source.lefts(e):
             mask |= m2.table[m1.table[f]]
         table.append(mask)
     return DVMorphism(m1.source, m2.target, tuple(table))
@@ -334,12 +332,11 @@ def star_compose_prox(p2: ProxMorphism, p1: ProxMorphism) -> ProxMorphism:
 # --- element-level axiom sampling --------------------------------------------
 
 
-def _approximant_join(
-    pm: ProxMorphism,
-    t: StepElem,
-    rng: random.Random,
-    tuple_cap: int = 4096,
-) -> StepElem:
+# approximant combinations joined per M4 sample, drawn at random above it
+_APPROXIMANT_CAP = 4096
+
+
+def _approximant_join(pm: ProxMorphism, t: StepElem, rng: random.Random) -> StepElem:
     """The join of images of decomposition-wise approximants of ``t``.
 
     Every element below-related to ``t`` is dominated by one built from
@@ -354,10 +351,9 @@ def _approximant_join(
     thresholds = t.thresholds
     a0 = thresholds[0]
     gaps = [thresholds[i] - thresholds[i - 1] for i in range(1, len(thresholds))]
-    lefts = pm.source._lefts
-    combos = list(itertools.product(*(lefts.get(e, ()) for e in t._masks[1:])))
-    if len(combos) > tuple_cap:
-        combos = rng.sample(combos, tuple_cap)
+    combos = list(itertools.product(*map(pm.source.lefts, t._masks[1:])))
+    if len(combos) > _APPROXIMANT_CAP:
+        combos = rng.sample(combos, _APPROXIMANT_CAP)
     return _join_all(
         pm.action(_from_masks(src_alg, *_refine_classes(full, a0, zip(gaps, combo))))
         for combo in combos

@@ -30,11 +30,11 @@ Axioms on the boolean algebra:
 
 (writing ``<`` for the proximity).
 
-The checkers work on ``int`` masks over the atom order: relations are
-sets of mask pairs, with their sorted pairs and the approximants of each
-element indexed once per relation, and lifted checks read the component
-masks of step elements.  :class:`BoolElem` objects are built only for
-returned values and for the witnesses of a failing axiom.
+The checkers work on ``int`` masks over the atom order.  Every module
+reads a relation only through the five :class:`ProxRel` methods ``has``,
+``rights``, ``lefts``, ``count`` and ``pair_at``; lifted checks read the
+component masks of step elements.  :class:`BoolElem` objects are built
+only for returned values and for the witnesses of a failing axiom.
 """
 
 from __future__ import annotations
@@ -93,8 +93,10 @@ __all__ = [
 class ProxRel(_Frozen):
     """A binary relation on a finite boolean algebra, as mask pairs.
 
-    No ``__slots__``: the cached indexes below live in the instance
-    ``__dict__``.
+    Every mask lies in ``0..size-1``.  It is read only through
+    :meth:`has`, :meth:`rights`, :meth:`lefts`, :meth:`count` and
+    :meth:`pair_at`.  No ``__slots__``: the indexes behind them are built
+    once per relation, in the instance ``__dict__``.
     """
 
     _fields = ("algebra", "pairs")
@@ -114,10 +116,25 @@ class ProxRel(_Frozen):
     def related(self, e: BoolElem, f: BoolElem) -> bool:
         if e.algebra != self.algebra or f.algebra != self.algebra:
             raise ValueError("elements from a different algebra")
-        return (e.mask, f.mask) in self.pairs
+        return self.has(e.mask, f.mask)
 
-    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
-        return self._sorted
+    def has(self, e: int, f: int) -> bool:
+        return (e, f) in self.pairs
+
+    def rights(self, e: int) -> tuple[int, ...]:
+        """The ``f`` with ``e < f``, ascending; ``()`` when there is none."""
+        return self._rights.get(e, ())
+
+    def lefts(self, f: int) -> tuple[int, ...]:
+        """The ``e`` with ``e < f`` (the approximants), ascending."""
+        return self._lefts.get(f, ())
+
+    def count(self) -> int:
+        return len(self.pairs)
+
+    def pair_at(self, k: int) -> tuple[int, int]:
+        """The ``k``-th pair in sorted order."""
+        return self._sorted[k]
 
     @cached_property
     def _sorted(self) -> tuple[tuple[int, int], ...]:
@@ -125,12 +142,10 @@ class ProxRel(_Frozen):
 
     @cached_property
     def _rights(self) -> dict[int, tuple[int, ...]]:
-        """``e -> (f, ...)`` for ``e < f``, each tuple ascending."""
         return _group(self._sorted, 0)
 
     @cached_property
     def _lefts(self) -> dict[int, tuple[int, ...]]:
-        """``f -> (e, ...)`` for ``e < f`` (the approximants), ascending."""
         return _group(self._sorted, 1)
 
     def __repr__(self) -> str:
@@ -255,13 +270,13 @@ def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
             f"bound of {max_elements}"
         )
     size, full = algebra.size, algebra.full_mask
-    pairs, ordered = rel.pairs, rel.sorted_pairs()
+    has, ordered = rel.has, tuple(map(rel.pair_at, range(rel.count())))
     elem = algebra.from_mask
     results: list = []
 
     # D1 is one statement about two fixed pairs, not a case loop: it counts
     # both and names both elements whichever pair is missing
-    d1_ok = (0, 0) in pairs and (full, full) in pairs
+    d1_ok = has(0, 0) and has(full, full)
     results.append(
         AxiomResult("D1", d1_ok, 2, () if d1_ok else (elem(0), elem(full)))
     )
@@ -278,15 +293,15 @@ def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
             extensions = [g | extension for extension in _submasks(full & ~g)]
             for e in _submasks(f):
                 for h in extensions:
-                    yield None if (e, h) in pairs else (e, f, g, h)
+                    yield None if has(e, h) else (e, f, g, h)
 
     _record(results, "D3", d3_cases(), elem)
 
     def d4_cases():
-        for e, rights in sorted(rel._rights.items()):
+        for e, rights in enumerate(map(rel.rights, range(size))):
             for f in rights:
                 for g in rights:
-                    yield None if (e, f & g) in pairs else (e, f, g)
+                    yield None if has(e, f & g) else (e, f, g)
 
     _record(results, "D4", d4_cases(), elem)
 
@@ -294,40 +309,41 @@ def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
         results,
         "D5",
         (
-            None if (full & ~f, full & ~e) in pairs else (e, f)
+            None if has(full & ~f, full & ~e) else (e, f)
             for e, f in ordered
         ),
         elem,
     )
 
     def d6_cases():
-        # here and below only elements of the algebra count as witnesses:
-        # a relation built by hand may hold masks outside it
-        rights = rel._rights
         for e, f in ordered:
-            found = any(0 <= g < size and (g, f) in pairs for g in rights[e])
+            found = any(has(g, f) for g in rel.rights(e))
             yield None if found else (e, f)
 
     _record(results, "D6", d6_cases(), elem)
 
     def d7_cases():
-        lefts = rel._lefts
         for e in range(1, size):
-            found = any(0 < f < size for f in lefts.get(e, ()))
-            yield None if found else (e,)
+            # some nonzero approximant
+            yield None if any(rel.lefts(e)) else (e,)
 
     _record(results, "D7", d7_cases(), elem)
 
     return ProxReport("de Vries axioms", tuple(results))
 
 
-@lru_cache(maxsize=None)
+# relations whose D1-D7 verdict is kept, so that a long-lived process does
+# not keep every relation it ever checked alive
+_DEVRIES_CACHED = 32
+
+
+@lru_cache(maxsize=_DEVRIES_CACHED)
 def _devries_report(rel: ProxRel) -> ProxReport:
     """:func:`check_devries` once per relation (equal relations share it)."""
     return check_devries(rel)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DEVRIES_CACHED)
 def _devries_ok(rel: ProxRel) -> bool:
     return _devries_report(rel).ok
 
@@ -363,12 +379,8 @@ def interpolant(rel: ProxRel, e: BoolElem, f: BoolElem) -> BoolElem:
 
 
 def _interpolant_mask(rel: ProxRel, e: int, f: int) -> int:
-    algebra, pairs = rel.algebra, rel.pairs
-    candidates = [
-        g
-        for g in rel._rights.get(e, ())
-        if 0 <= g < algebra.size and (g, f) in pairs
-    ]
+    algebra = rel.algebra
+    candidates = [g for g in rel.rights(e) if rel.has(g, f)]
     if not candidates:
         elem = algebra.from_mask
         raise ValueError(
@@ -400,12 +412,12 @@ def lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
     except ValueError:
         raise ValueError("mixed algebras in lifted proximity check") from None
     _require_devries(rel)
-    return _lifted(rel.pairs, s, t)
+    return _lifted(rel, s, t)
 
 
-def _lifted(pairs: frozenset[tuple[int, int]], s: StepElem, t: StepElem) -> bool:
-    """:func:`lift_check` on one algebra, for a de Vries relation's pairs."""
-    return all((a, b) in pairs for _, a, b in _merged(s, t))
+def _lifted(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
+    """:func:`lift_check` on one algebra, for a de Vries relation."""
+    return all(rel.has(a, b) for _, a, b in _merged(s, t))
 
 
 def restrict_lift(rel: ProxRel) -> ProxRel:
@@ -421,7 +433,7 @@ def restrict_lift(rel: ProxRel) -> ProxRel:
         (e, f)
         for e, s in enumerate(embedded)
         for f, t in enumerate(embedded)
-        if _lifted(rel.pairs, s, t)
+        if _lifted(rel, s, t)
     )
     return ProxRel(algebra, pairs)
 
@@ -467,9 +479,10 @@ def sample_related_pair(
     algebra = rel.algebra
     full = algebra.full_mask
     grid = _random_grid(rng, coeff_bound, low=0 if nonneg else None)
-    choices = rel.sorted_pairs()
+    # the draws of ``rng.choice`` over the sorted pairs, without the list
+    count = rel.count()
     chosen = [(full, full)]
-    chosen += [rng.choice(choices) for _ in range(len(grid) - 1)]
+    chosen += [rel.pair_at(rng.randrange(count)) for _ in range(len(grid) - 1)]
     lefts = _prefix_meets([pair[0] for pair in chosen])
     rights = _prefix_meets([pair[1] for pair in chosen])
     s = _assemble_masks(algebra, list(zip(grid, lefts)))
@@ -635,7 +648,7 @@ def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
     if not (s.thresholds[0] >= 0 and s != zero):
         raise ValueError("a positive approximant needs s > 0")
     smallest = s._masks[-1]
-    candidates = [f for f in rel._lefts.get(smallest, ()) if 0 < f < algebra.size]
+    candidates = [f for f in rel.lefts(smallest) if f]
     if not candidates:
         raise ValueError(
             f"no nonzero witness below {s.idems[-1]}: not a de Vries proximity"
@@ -654,7 +667,7 @@ def prox_to_json(rel: ProxRel) -> dict:
         "proximity": {
             "pairs": [
                 [element_to_json(elem(e)), element_to_json(elem(f))]
-                for e, f in rel.sorted_pairs()
+                for e, f in map(rel.pair_at, range(rel.count()))
             ]
         }
     }

@@ -31,6 +31,11 @@ small algebra by brute force: it runs the checker on every relation
 between the forced pairs and ``<=``.  ``enumerate_devries`` gives the
 order alone, by the theorem, and must agree with it.
 
+``ref_sample_related_pair`` draws its related pairs with
+``rng.choice(sorted(rel.pairs))``, as the library did before it read a
+relation through ``ProxRel.count`` and ``ProxRel.pair_at``; the library
+must draw the same pairs and leave the generator in the same state.
+
 ``within`` fails a test whose block runs longer than a given time.
 """
 
@@ -46,10 +51,18 @@ from specker.boolalg import Algebra, BoolElem
 from specker.morphisms import DVMorphism, ProxMorphism
 from specker.orthogonal import OrthElem, orth_normalize
 from specker.pointwise import PointFn
-from specker.proximity import AxiomResult, ProxRel, ProxReport, check_devries
+from specker.proximity import (
+    AxiomResult,
+    ProxRel,
+    ProxReport,
+    _prefix_meets,
+    _random_grid,
+    check_devries,
+)
 from specker.scalars import Scalar
 from specker.steps import (
     StepElem,
+    _assemble_masks,
     decreasing_decomposition,
     from_decomposition,
     step_join,
@@ -442,9 +455,8 @@ def ref_approximant_join(
     src = pm.source
     src_alg = src.algebra
     a0, pairs = decreasing_decomposition(t)
-    lefts = src._lefts
     approximant_sets = [
-        [src_alg.from_mask(k) for k in lefts.get(e.mask, ())] for _, e in pairs
+        [src_alg.from_mask(k) for k in src.lefts(e.mask)] for _, e in pairs
     ]
     combos = list(itertools.product(*approximant_sets))
     if len(combos) > tuple_cap:
@@ -459,6 +471,22 @@ def ref_approximant_join(
     if joined is None:  # the empty product still yields one combo
         raise RuntimeError("no approximant combination to join")
     return joined
+
+
+def ref_sample_related_pair(
+    rng: random.Random, rel: ProxRel, coeff_bound: int, nonneg: bool = False
+) -> tuple[StepElem, StepElem]:
+    """``sample_related_pair`` drawing each pair with ``rng.choice``."""
+    algebra = rel.algebra
+    full = algebra.full_mask
+    grid = _random_grid(rng, coeff_bound, low=0 if nonneg else None)
+    choices = sorted(rel.pairs)
+    chosen = [(full, full)] + [rng.choice(choices) for _ in range(len(grid) - 1)]
+    lefts = _prefix_meets([pair[0] for pair in chosen])
+    rights = _prefix_meets([pair[1] for pair in chosen])
+    s = _assemble_masks(algebra, list(zip(grid, lefts)))
+    t = _assemble_masks(algebra, list(zip(grid, rights)))
+    return s, t
 
 
 class Overtime(Exception):

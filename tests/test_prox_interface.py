@@ -1,0 +1,131 @@
+"""A relation is read only through its five ``ProxRel`` methods.
+
+``has``, ``rights``, ``lefts``, ``count`` and ``pair_at`` must agree with
+the pair set on any relation, de Vries or not.  ``sample_related_pair``
+draws ``pair_at(rng.randrange(count()))``, which must be exactly the draw
+of ``rng.choice`` over the sorted pairs, with the same generator state
+afterwards, so every seeded report stays as it was.  The de Vries
+verdict caches keep a bounded number of relations.  The last tests read
+the source: no module but ``proximity.py`` may read the relation's
+storage, so a read added anywhere else in the package is caught.
+"""
+
+from __future__ import annotations
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import ref_sample_related_pair
+from specker import proximity
+from specker.boolalg import make_algebra
+from specker.proximity import ProxRel, check_devries, leq_proximity, sample_related_pair
+
+ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specker"
+# the relation's storage: the pair set and the indexes built from it
+FORMAT = {"pairs", "_sorted", "_rights", "_lefts"}
+
+
+@st.composite
+def relations(draw):
+    """``<=`` on 1-3 atoms with a few pairs toggled, or an arbitrary relation."""
+    algebra = ALGEBRAS[draw(st.integers(1, 3))]
+    every = [(e, f) for e in range(algebra.size) for f in range(algebra.size)]
+    toggled = set(draw(st.lists(st.sampled_from(every), max_size=2 * algebra.size)))
+    if draw(st.booleans()):
+        return ProxRel(algebra, leq_proximity(algebra).pairs ^ toggled)
+    return ProxRel(algebra, frozenset(toggled))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_the_interface_agrees_with_the_pair_set(rel):
+    pairs, masks = rel.pairs, range(rel.algebra.size)
+    assert rel.count() == len(pairs)
+    assert [rel.pair_at(k) for k in range(rel.count())] == sorted(pairs)
+    for e in masks:
+        assert rel.rights(e) == tuple(sorted(f for x, f in pairs if x == e))
+        assert rel.lefts(e) == tuple(sorted(x for x, f in pairs if f == e))
+        for f in masks:
+            assert rel.has(e, f) == ((e, f) in pairs)
+
+
+def test_the_interface_on_a_relation_that_is_no_proximity():
+    # empty rows are empty tuples, and nothing on the relation is sorted_pairs
+    rel = ProxRel(ALGEBRAS[1], frozenset({(1, 0)}))
+    assert not check_devries(rel).ok
+    assert (rel.count(), rel.pair_at(0), rel.pair_at(-1)) == (1, (1, 0), (1, 0))
+    assert (rel.rights(0), rel.rights(1), rel.lefts(0), rel.lefts(1)) == ((), (0,), (1,), ())
+    assert not rel.has(0, 1) and rel.has(1, 0)
+    with pytest.raises(IndexError):
+        rel.pair_at(1)
+    assert not hasattr(rel, "sorted_pairs")
+
+
+@pytest.mark.parametrize("atoms", range(1, 6))
+def test_sample_related_pair_draws_as_rng_choice(atoms):
+    rel = leq_proximity(ALGEBRAS[atoms])
+    for seed in range(20):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for coeff_bound, nonneg in ((10, False), (10, True), (1, False), (3, True)):
+            drawn = sample_related_pair(ours, rel, coeff_bound, nonneg)
+            expected = ref_sample_related_pair(reference, rel, coeff_bound, nonneg)
+            assert drawn == expected, (atoms, seed, coeff_bound, nonneg)
+            assert ours.getstate() == reference.getstate()
+
+
+def test_devries_caches_are_bounded():
+    bound = proximity._DEVRIES_CACHED
+    caches = (proximity._devries_report, proximity._devries_ok)
+    assert all(cache.cache_info().maxsize == bound for cache in caches)
+    b8 = ALGEBRAS[3]
+    leq = leq_proximity(b8)
+    every = [(e, f) for e in range(b8.size) for f in range(b8.size)]
+    # <= itself, then <= with one pair toggled: more relations than the bound
+    rels = [leq] + [ProxRel(b8, leq.pairs ^ {pair}) for pair in every[: bound + 8]]
+    assert len(set(rels)) > bound
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        # twice over, so the second pass reads back relations already evicted
+        for rel in rels + rels:
+            report = check_devries(rel)
+            assert proximity._devries_report(rel) == report
+            assert proximity._devries_ok(rel) is report.ok is (rel == leq)
+            assert all(cache.cache_info().currsize <= bound for cache in caches)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def _format_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` of every attribute read of the relation's storage."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in FORMAT
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "proximity.py"],
+    ids=lambda path: path.name,
+)
+def test_only_proximity_reads_the_relation_format(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _format_reads(tree) == [], f"{path.name} reads a relation's storage"
+
+
+def test_the_guard_sees_a_read():
+    tree = ast.parse("def f(rel):\n    return len(rel.pairs) + len(rel._lefts[0])\n")
+    assert _format_reads(tree) == [(2, "_lefts"), (2, "pairs")]
+    # and the guard is not vacuous: proximity.py itself reads the storage
+    source = (PACKAGE / "proximity.py").read_text(encoding="utf-8")
+    assert {name for _, name in _format_reads(ast.parse(source))} == FORMAT

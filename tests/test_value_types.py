@@ -325,15 +325,20 @@ def test_orth_elem_copies_before_entries_is_read(duplicate):
 
 def test_prox_rel_cached_indexes():
     rel = leq_proximity(_b4())
-    assert rel.sorted_pairs() == tuple(sorted(rel.pairs))
-    assert rel._rights[1] == (1, 3)
-    assert rel._lefts[3] == (0, 1, 2, 3)
+    assert [rel.pair_at(k) for k in range(rel.count())] == sorted(rel.pairs)
+    assert rel.rights(1) == (1, 3)
+    assert rel.lefts(3) == (0, 1, 2, 3)
     # computed once, kept in the instance dictionary
-    assert rel.sorted_pairs() is rel.sorted_pairs()
-    assert {"_sorted", "_rights", "_lefts"} <= set(vars(rel))
+    indexes = {name: vars(rel)[name] for name in ("_sorted", "_rights", "_lefts")}
+    assert rel.pair_at(0) is indexes["_sorted"][0]
+    assert rel.rights(1) is indexes["_rights"][1]
+    assert rel.lefts(3) is indexes["_lefts"][3]
+    assert all(vars(rel)[name] is index for name, index in indexes.items())
     # an equal relation built apart has its own indexes, with equal contents
     twin = leq_proximity(_b4())
-    assert twin == rel and twin._lefts == rel._lefts and "_lefts" in vars(twin)
+    assert twin == rel and "_lefts" not in vars(twin)
+    assert [twin.lefts(f) for f in range(4)] == [rel.lefts(f) for f in range(4)]
+    assert vars(twin)["_lefts"] is not indexes["_lefts"]
 
 
 def test_hot_value_types_carry_no_instance_dict():
