@@ -32,6 +32,7 @@ from .orthogonal import (
     orth_sub,
     orth_unit,
     orth_zero,
+    random_orth,
 )
 from .scalars import Scalar, format_scalar, parse_scalar
 from .steps import (
@@ -42,6 +43,7 @@ from .steps import (
     from_decomposition,
     is_idempotent,
     orth_to_decreasing,
+    random_steps,
     step_add,
     step_const,
     step_embed,
@@ -92,9 +94,7 @@ _LAZY = {
             "oracle_diff",
             "orth_of_pointfn",
             "pointwise_apply",
-            "random_orth",
             "random_pointfn",
-            "random_steps",
             "steps_of_pointfn",
         ),
         "proximity": (

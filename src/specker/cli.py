@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .boolalg import Algebra, algebra_from_json, make_algebra
@@ -93,8 +94,11 @@ def _load_element(algebra: Algebra, path: str) -> Element:
 
 
 def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
-    from .proximity import leq_proximity, prox_from_json
+    from .proximity import _require_exhaustive, leq_proximity, prox_from_json
 
+    # every caller checks D1-D7, which refuses an algebra over the bound:
+    # refuse it before ``<=`` (3^n pairs) or a pairs file is built for it
+    _require_exhaustive(algebra)
     if spec == "leq":
         return leq_proximity(algebra)
     return _parsed("proximity", spec, prox_from_json, algebra)
@@ -122,6 +126,20 @@ def _print_report(report, as_json: bool) -> int:
     else:
         print(report.summary())
     return 0 if report.ok else 1
+
+
+def _print_sampled(args, base, sample) -> int:
+    """Print the exhaustive ``base`` report if it fails, else the sampled one.
+
+    ``sample`` runs the sampled suite on the ``--samples``,
+    ``--coeff-bound`` and ``--seed`` options, which head its text report.
+    """
+    if not base.ok:
+        return _print_report(base, args.as_json)
+    report = sample(samples=args.samples, coeff_bound=args.coeff_bound, seed=args.seed)
+    if not args.as_json:
+        print(f"seed={args.seed} samples={args.samples} coeff-bound={args.coeff_bound}")
+    return _print_report(report, args.as_json)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,34 +307,18 @@ def _cmd_check_prox(args) -> int:
     rel = _load_proximity(algebra, args.proximity)
     # the same report the sampled axioms require, so D1-D7 run once
     base = _devries_report(rel)
-    if not base.ok:
-        return _print_report(base, args.as_json)
-    report = sample_proximity_axioms(
-        rel, samples=args.samples, coeff_bound=args.coeff_bound, seed=args.seed
-    )
-    if not args.as_json:
-        print(f"seed={args.seed} samples={args.samples} coeff-bound={args.coeff_bound}")
-    return _print_report(report, args.as_json)
+    return _print_sampled(args, base, partial(sample_proximity_axioms, rel))
 
 
 def _cmd_check_morphism(args) -> int:
-    from .morphisms import check_dv_morphism, lift_morphism, sample_morphism_axioms
+    from .morphisms import _lift, check_dv_morphism, sample_morphism_axioms
 
     if not args.morphism:
         raise UsageError("check-morphism needs --morphism")
     m = _load_morphism(args.morphism[0])
+    # the suite runs only on a passing report, so M1-M4 run once
     base = check_dv_morphism(m)
-    if not base.ok:
-        return _print_report(base, args.as_json)
-    report = sample_morphism_axioms(
-        lift_morphism(m),
-        samples=args.samples,
-        coeff_bound=args.coeff_bound,
-        seed=args.seed,
-    )
-    if not args.as_json:
-        print(f"seed={args.seed} samples={args.samples} coeff-bound={args.coeff_bound}")
-    return _print_report(report, args.as_json)
+    return _print_sampled(args, base, partial(sample_morphism_axioms, _lift(m)))
 
 
 def _cmd_compose(args) -> int:
@@ -337,7 +339,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_equiv_check(args) -> int:
     from .morphisms import enumerate_boolean_homs, functor_id, functor_sp, naturality_check
-    from .proximity import leq_proximity
+    from .proximity import _require_exhaustive, leq_proximity
 
     if args.algebra:
         algebras = [_load_algebra(args.algebra)]
@@ -346,6 +348,7 @@ def _cmd_equiv_check(args) -> int:
     print(f"seed={args.seed} samples={args.samples}")
     failures = 0
     for algebra in algebras:
+        _require_exhaustive(algebra)  # before ``<=`` is built
         rel = leq_proximity(algebra)
         round_trip = functor_id(functor_sp(rel)) == rel
         print(f"{algebra!r}: Id(Sp(-)) round-trip {'OK' if round_trip else 'FAIL'}")

@@ -46,12 +46,12 @@ from .proximity import (
     ProxRel,
     ProxReport,
     _record,
+    _related_pair,
     _require_devries,
     leq_proximity,
     lift_check,
     prox_from_json,
     prox_to_json,
-    sample_related_pair,
 )
 from .scalars import _require_coeff_bound
 from .steps import (
@@ -60,7 +60,8 @@ from .steps import (
     _from_masks,
     _join_all,
     _refine_classes,
-    step_add,
+    _sum,
+    random_steps,
     step_const,
     step_embed,
     step_join,
@@ -273,6 +274,11 @@ def lift_morphism(m: DVMorphism) -> ProxMorphism:
     report = check_dv_morphism(m)
     if not report.ok:
         raise ValueError(f"invalid source morphism: {report.summary()}")
+    return _lift(m)
+
+
+def _lift(m: DVMorphism) -> ProxMorphism:
+    """:func:`lift_morphism` without its M1-M4 check, for callers holding the report."""
     return ProxMorphism(
         m.source, m.target, _compose_with_steps(m), base=m, label="lifted"
     )
@@ -371,11 +377,13 @@ def sample_morphism_axioms(
     M1, M2, M5, M6, M7 run on random elements; M3 on constructed related
     pairs; M4 through the decreasing-decomposition join identity, which
     reduces the supremum over all approximants to a finite join.
-    ``coeff_bound`` must be at least 1.
+    ``coeff_bound`` must be at least 1, and the source relation a de Vries
+    proximity; both are checked once, here.  M3 checks the lift on the
+    target with :func:`lift_check`, since an action may return an element
+    of another algebra.
     """
-    from .pointwise import random_steps
-
     _require_coeff_bound(coeff_bound)
+    _require_devries(pm.source)
     src_alg = pm.source.algebra
     tgt_alg = pm.target.algebra
     rng = random.Random(f"{seed}:morphism-axioms")
@@ -395,7 +403,7 @@ def sample_morphism_axioms(
 
     def m3_cases():
         for _ in range(samples):
-            s, t = sample_related_pair(rng, pm.source, coeff_bound)
+            s, t = _related_pair(rng, pm.source, coeff_bound)
             lower = step_neg(pm.action(step_neg(s)))
             yield None if lift_check(pm.target, lower, pm.action(t)) else (s, t)
 
@@ -412,8 +420,8 @@ def sample_morphism_axioms(
         for _ in range(samples):
             s = random_steps(rng, src_alg, coeff_bound)
             a = rng.randint(-coeff_bound, coeff_bound)
-            left = pm.action(step_add(s, step_const(src_alg, a)))
-            right = step_add(pm.action(s), step_const(tgt_alg, a))
+            left = pm.action(_sum(s, step_const(src_alg, a)))
+            right = _sum(pm.action(s), step_const(tgt_alg, a))
             yield None if left == right else (s, a)
 
     _record(results, "M5", m5_cases())
@@ -501,8 +509,6 @@ def naturality_check(
     is sampled: restricting the lift and lifting again acts like the
     lift itself on random elements.
     """
-    from .pointwise import random_steps
-
     lifted = lift_morphism(m)
     rng = random.Random(f"{seed}:naturality")
     results: list = []

@@ -22,6 +22,7 @@ Everything is immutable and exact.
 
 from __future__ import annotations
 
+import random
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
@@ -35,7 +36,13 @@ from .boolalg import (
     element_to_json,
     element_to_literal,
 )
-from .scalars import Scalar, _require_exact, format_scalar, parse_scalar
+from .scalars import (
+    Scalar,
+    _random_values,
+    _require_exact,
+    format_scalar,
+    parse_scalar,
+)
 
 __all__ = [
     "OrthElem",
@@ -54,6 +61,7 @@ __all__ = [
     "orth_meet",
     "orth_join",
     "annihilator_idempotent",
+    "random_orth",
     "orth_to_json",
     "orth_from_json",
 ]
@@ -248,6 +256,17 @@ def _classes(at: Iterable[Scalar]) -> tuple[list[Scalar], list[int]]:
         classes[value] = classes.get(value, 0) | 1 << i
     values = sorted(classes)
     return values, [classes[value] for value in values]
+
+
+def random_orth(
+    rng: random.Random, algebra: Algebra, bound: int, domain: str = "int"
+) -> OrthElem:
+    """A random element: one value per atom, drawn by ``scalars._random_values``.
+
+    ``bound`` must be at least 1; ``domain`` is ``"int"`` or ``"fraction"``.
+    """
+    values = _random_values(rng, len(algebra.atoms), bound, domain)
+    return _from_masks(algebra, *_classes(values))
 
 
 def _by_atoms(f: OrthElem, g: OrthElem, pick) -> OrthElem:

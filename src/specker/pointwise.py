@@ -12,17 +12,22 @@ against this model from one table: each row names the operation, how its
 operands are drawn, its pointwise reference and the form of its expected
 value, and one generic check runs every row.  An operation passes when
 every case held and at least one case ran; a check of nothing fails.
+
+The library's random elements (``orthogonal.random_orth``,
+``steps.random_steps``) are built on the core kernel, so no sampled axiom
+suite loads this module: of the command line, only ``oracle-diff`` and
+``eval`` do.  :func:`random_steps` here is the oracle's own construction
+of the same element, which the tests compare with the core's.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
 from .boolalg import Algebra, _first_failure, _Frozen, _setattr
 from .orthogonal import OrthElem
-from .scalars import Scalar, _require_coeff_bound, format_scalar
+from .scalars import Scalar, _random_values, _require_coeff_bound, format_scalar
 from .steps import StepElem
 
 __all__ = [
@@ -32,7 +37,6 @@ __all__ = [
     "orth_of_pointfn",
     "steps_of_pointfn",
     "random_pointfn",
-    "random_orth",
     "random_steps",
     "oracle_diff",
 ]
@@ -158,32 +162,21 @@ def random_pointfn(
 ) -> PointFn:
     """Random atom valuation with entries bounded by ``bound``.
 
-    ``domain`` selects the coefficient domain per instance: ``"int"``
-    draws integers in [-bound, bound], ``"fraction"`` draws normalized
-    rationals with numerator in that range and denominator in 1..4.
+    The values are the draws of ``scalars._random_values``, so equal
+    seeds give the atom values of ``specker.random_orth`` and
+    ``specker.random_steps``; ``domain`` is ``"int"`` or ``"fraction"``.
     """
-    _require_coeff_bound(bound)
-    if domain == "int":
-        values = tuple(rng.randint(-bound, bound) for _ in algebra.atoms)
-    elif domain == "fraction":
-        values = tuple(
-            Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
-            for _ in algebra.atoms
-        )
-    else:
-        raise ValueError(f"unknown coefficient domain: {domain!r}")
-    return PointFn(algebra, values)
-
-
-def random_orth(
-    rng: random.Random, algebra: Algebra, bound: int, domain: str = "int"
-) -> OrthElem:
-    return orth_of_pointfn(random_pointfn(rng, algebra, bound, domain))
+    return PointFn(algebra, _random_values(rng, len(algebra.atoms), bound, domain))
 
 
 def random_steps(
     rng: random.Random, algebra: Algebra, bound: int, domain: str = "int"
 ) -> StepElem:
+    """The oracle's step sampler, built through :class:`PointFn`.
+
+    The library samples with ``steps.random_steps`` on the atom-value
+    kernel; the tier-1 tests hold it to this construction, draw for draw.
+    """
     return steps_of_pointfn(random_pointfn(rng, algebra, bound, domain))
 
 

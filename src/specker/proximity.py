@@ -10,7 +10,14 @@ The lifted relation is itself a proximity in the algebra sense (axioms
 P1-P10); those laws quantify over all elements, so they are verified by
 bounded random sampling plus constructive witnesses for the two
 existential axioms (interpolation and positive approximation), with all
-randomness seeded.
+randomness seeded.  The random elements come from the core
+(``steps.random_steps``), not from the oracle; a suite checks its
+coefficient bound and its relation once, at entry, and its cases then
+draw, lift and construct through private helpers that check neither
+again, and add on the atom-value kernel (``steps._sum``).  Every public
+entry keeps its own checks.  The exhaustive checks take algebras of at
+most 32 elements, and ``_require_exhaustive`` refuses a larger one
+before ``<=`` is built for it.
 
 Every axiom, exhaustive or sampled, here and in :mod:`specker.morphisms`,
 is recorded by one recorder: its cases yield ``None`` when they hold and
@@ -56,8 +63,7 @@ from .boolalg import (
 from .scalars import _require_coeff_bound
 from .steps import (
     StepElem,
-    compatible_decreasing,
-    step_add,
+    random_steps,
     step_embed,
     step_join,
     step_leq,
@@ -69,6 +75,7 @@ from .steps import (
     step_zero,
     _assemble_masks,
     _merged,
+    _sum,
 )
 
 __all__ = [
@@ -261,14 +268,29 @@ def _record(
     results.append(AxiomResult(name, False, checked, failure))
 
 
-def check_devries(rel: ProxRel, max_elements: int = 32) -> ProxReport:
-    """Exhaustively verify the de Vries axioms D1-D7 on a finite algebra."""
-    algebra = rel.algebra
+# the largest algebra the exhaustive checkers take (5 atoms)
+_EXHAUSTIVE_BOUND = 32
+
+
+def _require_exhaustive(
+    algebra: Algebra, max_elements: int = _EXHAUSTIVE_BOUND
+) -> None:
+    """Refuse an algebra with more than ``max_elements`` elements.
+
+    Callers that materialise ``<=`` (3^n pairs) for a check run this
+    first, so an oversized algebra is refused before anything is built.
+    """
     if algebra.size > max_elements:
         raise ValueError(
             f"algebra with {algebra.size} elements exceeds the exhaustive "
             f"bound of {max_elements}"
         )
+
+
+def check_devries(rel: ProxRel, max_elements: int = _EXHAUSTIVE_BOUND) -> ProxReport:
+    """Exhaustively verify the de Vries axioms D1-D7 on a finite algebra."""
+    algebra = rel.algebra
+    _require_exhaustive(algebra, max_elements)
     size, full = algebra.size, algebra.full_mask
     has, ordered = rel.has, tuple(map(rel.pair_at, range(rel.count())))
     elem = algebra.from_mask
@@ -354,15 +376,14 @@ def _require_devries(rel: ProxRel) -> None:
 
 
 def enumerate_devries(algebra: Algebra) -> list[ProxRel]:
-    """All de Vries proximities on a very small algebra: only ``<=``.
+    """All de Vries proximities on an algebra within the exhaustive bound: only ``<=``.
 
     On a finite algebra D7 at an atom forces ``a < a``, D4 and D5 give
     joins on the left, D3 upward closure and D2 ``<`` inside ``<=``, so
     the order is the one proximity.  The tier-1 tests compare this with
-    a search over all relations.
+    a search over all relations on the smallest algebras.
     """
-    if algebra.size > 4:
-        raise ValueError("enumeration is limited to algebras with at most 4 elements")
+    _require_exhaustive(algebra)
     return [leq_proximity(algebra)]
 
 
@@ -391,13 +412,14 @@ def _interpolant_mask(rel: ProxRel, e: int, f: int) -> int:
 
 def _smallest(algebra: Algebra, masks: Sequence[int]) -> int:
     """The mask with fewest atoms, then lexicographically first atom names."""
+    fewest = min(mask.bit_count() for mask in masks)
+    tied = [mask for mask in masks if mask.bit_count() == fewest]
+    if len(tied) == 1:
+        return tied[0]
     atoms = algebra.atoms
-
-    def key(mask: int):
-        names = tuple(name for i, name in enumerate(atoms) if mask >> i & 1)
-        return len(names), names
-
-    return min(masks, key=key)
+    return min(
+        tied, key=lambda mask: [name for i, name in enumerate(atoms) if mask >> i & 1]
+    )
 
 
 def lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
@@ -476,18 +498,27 @@ def sample_related_pair(
     """
     _require_coeff_bound(coeff_bound)
     _require_devries(rel)
+    return _related_pair(rng, rel, coeff_bound, nonneg)
+
+
+def _related_pair(
+    rng: random.Random, rel: ProxRel, coeff_bound: int, nonneg: bool = False
+) -> tuple[StepElem, StepElem]:
+    """:func:`sample_related_pair` for a checked bound and de Vries relation."""
     algebra = rel.algebra
     full = algebra.full_mask
     grid = _random_grid(rng, coeff_bound, low=0 if nonneg else None)
     # the draws of ``rng.choice`` over the sorted pairs, without the list
-    count = rel.count()
-    chosen = [(full, full)]
-    chosen += [rel.pair_at(rng.randrange(count)) for _ in range(len(grid) - 1)]
-    lefts = _prefix_meets([pair[0] for pair in chosen])
-    rights = _prefix_meets([pair[1] for pair in chosen])
-    s = _assemble_masks(algebra, list(zip(grid, lefts)))
-    t = _assemble_masks(algebra, list(zip(grid, rights)))
-    return s, t
+    count, pair_at = rel.count(), rel.pair_at
+    left = right = full
+    lefts, rights = [(grid[0], full)], [(grid[0], full)]
+    for c in grid[1:]:
+        e, f = pair_at(rng.randrange(count))
+        left &= e
+        right &= f
+        lefts.append((c, left))
+        rights.append((c, right))
+    return _assemble_masks(algebra, lefts), _assemble_masks(algebra, rights)
 
 
 def sample_proximity_axioms(
@@ -503,9 +534,10 @@ def sample_proximity_axioms(
     grid; P10 constructs the positive approximant from an approximation
     witness below the smallest step component.  A failing axiom reports
     the offending tuple.  ``coeff_bound`` must be at least 1.
-    """
-    from .pointwise import random_steps
 
+    The bound and the relation are checked once, here; the cases then
+    draw, lift and construct without checking them again.
+    """
     _require_coeff_bound(coeff_bound)
     _require_devries(rel)
     algebra = rel.algebra
@@ -518,40 +550,40 @@ def sample_proximity_axioms(
         results,
         "P1",
         [
-            None if lift_check(rel, zero, zero) else (zero, zero),
-            None if lift_check(rel, one, one) else (one, one),
+            None if _lifted(rel, zero, zero) else (zero, zero),
+            None if _lifted(rel, one, one) else (one, one),
         ],
     )
 
     def p2_cases():
         for _ in range(samples):
-            s, t = sample_related_pair(rng, rel, coeff_bound)
+            s, t = _related_pair(rng, rel, coeff_bound)
             yield None if step_leq(s, t) else (s, t)
 
     _record(results, "P2", p2_cases())
 
     def p3_cases():
         for _ in range(samples):
-            t, r = sample_related_pair(rng, rel, coeff_bound)
+            t, r = _related_pair(rng, rel, coeff_bound)
             down = step_join(random_steps(rng, algebra, coeff_bound), zero)
             up = step_join(random_steps(rng, algebra, coeff_bound), zero)
-            s = step_add(t, step_neg(down))
-            u = step_add(r, up)
-            yield None if lift_check(rel, s, u) else (s, t, r, u)
+            s = _sum(t, step_neg(down))
+            u = _sum(r, up)
+            yield None if _lifted(rel, s, u) else (s, t, r, u)
 
     _record(results, "P3", p3_cases())
 
     def p4_cases():
         for _ in range(samples):
-            s1, t = sample_related_pair(rng, rel, coeff_bound)
-            s2, r = sample_related_pair(rng, rel, coeff_bound)
+            s1, t = _related_pair(rng, rel, coeff_bound)
+            s2, r = _related_pair(rng, rel, coeff_bound)
             s = step_meet(s1, s2)
             # meets of related pairs stay related; if the first two checks
             # fail the relation itself is broken, so report it the same way
             holds = (
-                lift_check(rel, s, t)
-                and lift_check(rel, s, r)
-                and lift_check(rel, s, step_meet(t, r))
+                _lifted(rel, s, t)
+                and _lifted(rel, s, r)
+                and _lifted(rel, s, step_meet(t, r))
             )
             yield None if holds else (s, t, r)
 
@@ -559,16 +591,16 @@ def sample_proximity_axioms(
 
     def p5_cases():
         for _ in range(samples):
-            s, t = sample_related_pair(rng, rel, coeff_bound)
-            yield None if lift_check(rel, step_neg(t), step_neg(s)) else (s, t)
+            s, t = _related_pair(rng, rel, coeff_bound)
+            yield None if _lifted(rel, step_neg(t), step_neg(s)) else (s, t)
 
     _record(results, "P5", p5_cases())
 
     def p6_cases():
         for _ in range(samples):
-            s, t = sample_related_pair(rng, rel, coeff_bound)
-            r, u = sample_related_pair(rng, rel, coeff_bound)
-            holds = lift_check(rel, step_add(s, r), step_add(t, u))
+            s, t = _related_pair(rng, rel, coeff_bound)
+            r, u = _related_pair(rng, rel, coeff_bound)
+            holds = _lifted(rel, _sum(s, r), _sum(t, u))
             yield None if holds else (s, t, r, u)
 
     _record(results, "P6", p6_cases())
@@ -576,30 +608,30 @@ def sample_proximity_axioms(
     def p7_cases():
         for _ in range(samples):
             if rng.random() < 0.5:
-                s, t = sample_related_pair(rng, rel, coeff_bound)
+                s, t = _related_pair(rng, rel, coeff_bound)
             else:
                 s = random_steps(rng, algebra, coeff_bound)
                 t = random_steps(rng, algebra, coeff_bound)
             a = rng.randint(1, coeff_bound)
-            scaled = lift_check(rel, step_scale_pos(a, s), step_scale_pos(a, t))
-            yield None if scaled == lift_check(rel, s, t) else (a, s, t)
+            scaled = _lifted(rel, step_scale_pos(a, s), step_scale_pos(a, t))
+            yield None if scaled == _lifted(rel, s, t) else (a, s, t)
 
     _record(results, "P7", p7_cases())
 
     def p8_cases():
         for _ in range(samples):
-            s, t = sample_related_pair(rng, rel, coeff_bound, nonneg=True)
-            r, u = sample_related_pair(rng, rel, coeff_bound, nonneg=True)
-            holds = lift_check(rel, step_mul_nonneg(s, r), step_mul_nonneg(t, u))
+            s, t = _related_pair(rng, rel, coeff_bound, nonneg=True)
+            r, u = _related_pair(rng, rel, coeff_bound, nonneg=True)
+            holds = _lifted(rel, step_mul_nonneg(s, r), step_mul_nonneg(t, u))
             yield None if holds else (s, t, r, u)
 
     _record(results, "P8", p8_cases())
 
     def p9_cases():
         for _ in range(samples):
-            s, t = sample_related_pair(rng, rel, coeff_bound)
-            r = interpolate_lifted(rel, s, t)
-            holds = lift_check(rel, s, r) and lift_check(rel, r, t)
+            s, t = _related_pair(rng, rel, coeff_bound)
+            r = _interpolate(rel, s, t)
+            holds = _lifted(rel, s, r) and _lifted(rel, r, t)
             yield None if holds else (s, r, t)
 
     _record(results, "P9", p9_cases())
@@ -608,10 +640,10 @@ def sample_proximity_axioms(
         for _ in range(samples):
             s = step_join(random_steps(rng, algebra, coeff_bound), zero)
             if s == zero:
-                s = step_add(s, one)
-            t = positive_approximant(rel, s)
+                s = _sum(s, one)
+            t = _approximant(rel, s)
             positive = t.thresholds[0] >= 0 and t != zero
-            yield None if positive and lift_check(rel, t, s) else (t, s)
+            yield None if positive and _lifted(rel, t, s) else (t, s)
 
     _record(results, "P10", p10_cases())
 
@@ -621,19 +653,24 @@ def sample_proximity_axioms(
 def interpolate_lifted(rel: ProxRel, s: StepElem, t: StepElem) -> StepElem:
     """Construct ``r`` with ``s < r < t`` in the lifted relation.
 
-    Interpolants of the step values over a compatible grid, prefix-met
-    so they decrease.
+    Interpolants of the step values over the merged thresholds,
+    prefix-met so they decrease.
     """
     _require_devries(rel)
     if not lift_check(rel, s, t):
         raise ValueError("interpolation requires a related pair")
-    shared = compatible_decreasing(s, t)
-    witnesses = [
-        _interpolant_mask(rel, e.mask, f.mask)
-        for e, f in zip(shared.left, shared.right)
-    ]
-    met = _prefix_meets(witnesses)
-    return _assemble_masks(rel.algebra, list(zip(shared.thresholds, met)))
+    return _interpolate(rel, s, t)
+
+
+def _interpolate(rel: ProxRel, s: StepElem, t: StepElem) -> StepElem:
+    """:func:`interpolate_lifted` on a related pair of a de Vries relation.
+
+    The merged thresholds suffice as the grid: both elements are 1 below
+    them, and the interpolant between 1 and 1 is 1 (D2).
+    """
+    points = list(_merged(s, t))
+    met = _prefix_meets([_interpolant_mask(rel, e, f) for _, e, f in points])
+    return _assemble_masks(rel.algebra, [(c, m) for (c, _, _), m in zip(points, met)])
 
 
 def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
@@ -643,10 +680,14 @@ def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
     ``s``, spread over the window (0, top threshold].
     """
     _require_devries(rel)
-    algebra = rel.algebra
-    zero = step_zero(algebra)
-    if not (s.thresholds[0] >= 0 and s != zero):
+    if not (s.thresholds[0] >= 0 and s != step_zero(rel.algebra)):
         raise ValueError("a positive approximant needs s > 0")
+    return _approximant(rel, s)
+
+
+def _approximant(rel: ProxRel, s: StepElem) -> StepElem:
+    """:func:`positive_approximant` for ``s > 0`` and a de Vries relation."""
+    algebra = rel.algebra
     smallest = s._masks[-1]
     candidates = [f for f in rel.lefts(smallest) if f]
     if not candidates:

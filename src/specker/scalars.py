@@ -13,6 +13,7 @@ floats.
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from typing import Union
@@ -64,3 +65,25 @@ def _require_coeff_bound(coeff_bound: int) -> None:
     """Refuse a sampling bound below 1: its range holds only constants or nothing."""
     if coeff_bound < 1:
         raise ValueError(f"coeff_bound must be at least 1, got {coeff_bound}")
+
+
+def _random_values(
+    rng: random.Random, count: int, bound: int, domain: str = "int"
+) -> tuple[Scalar, ...]:
+    """``count`` random scalars bounded by ``bound``, one draw per value.
+
+    ``domain`` selects the coefficient domain: ``"int"`` draws integers
+    in [-bound, bound], ``"fraction"`` draws normalized rationals with
+    numerator in that range and denominator in 1..4.  The random elements
+    of every layer take their atom values from here, so equal seeds give
+    equal values whichever form is built.
+    """
+    _require_coeff_bound(bound)
+    if domain == "int":
+        return tuple(rng.randint(-bound, bound) for _ in range(count))
+    if domain == "fraction":
+        return tuple(
+            Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+            for _ in range(count)
+        )
+    raise ValueError(f"unknown coefficient domain: {domain!r}")

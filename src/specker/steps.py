@@ -22,7 +22,8 @@ each evaluated only at candidate thresholds, which suffices because both
 sides are step functions whose breakpoints lie in those candidate sets.
 Addition runs its formula.  Multiplication reads each atom's value from
 the classes of ``to_orth`` and regroups the products with the kernel of
-:mod:`specker.orthogonal`; its formula is the reference
+:mod:`specker.orthogonal` (``_by_atoms``, which also gives ``_sum``, the
+sum the sampled axiom suites add with); its formula is the reference
 :func:`step_mul_nonneg_formula`.  Scaling scales the thresholds, and
 for ``b < 0`` reverses them and complements.  The tier-1 tests compare
 every operation with its formula and with transport through the
@@ -37,8 +38,9 @@ part of every class inside ``e_i`` up by ``b_i``.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .boolalg import (
@@ -54,13 +56,20 @@ from .boolalg import (
 )
 from .orthogonal import OrthElem, _atom_values, _classes
 from .orthogonal import _from_masks as _orth_from_masks
-from .scalars import Scalar, _require_exact, format_scalar, parse_scalar
+from .scalars import (
+    Scalar,
+    _random_values,
+    _require_exact,
+    format_scalar,
+    parse_scalar,
+)
 
 __all__ = [
     "StepElem",
     "CompatibleSteps",
     "to_steps",
     "to_orth",
+    "random_steps",
     "step_const",
     "step_zero",
     "step_one",
@@ -292,6 +301,14 @@ def to_orth(g: StepElem) -> OrthElem:
     return _orth_from_masks(g.algebra, g.thresholds, _differences(g._masks))
 
 
+def random_steps(
+    rng: random.Random, algebra: Algebra, bound: int, domain: str = "int"
+) -> StepElem:
+    """:func:`orthogonal.random_orth` in step form, from the same draws."""
+    values, masks = _classes(_random_values(rng, len(algebra.atoms), bound, domain))
+    return _from_masks(algebra, values, _tail_masks(masks))
+
+
 # --- distinguished elements ----------------------------------------------
 
 
@@ -338,11 +355,21 @@ def step_scale_pos(b: Scalar, f: StepElem) -> StepElem:
     return _scaled(b, f)
 
 
-def _mul(algebra: Algebra, f: StepElem, g: StepElem) -> StepElem:
-    """The product atom by atom, each atom's value read from ``to_orth`` masks."""
+def _by_atoms(algebra: Algebra, f: StepElem, g: StepElem, pick) -> StepElem:
+    """The element taking ``pick(f(x), g(x))`` at each atom ``x``, each
+    atom's value read from ``to_orth`` masks."""
     at = [_atom_values(algebra, h.thresholds, _differences(h._masks)) for h in (f, g)]
-    values, masks = _classes(map(mul, *at))
+    values, masks = _classes(map(pick, *at))
     return _from_masks(algebra, values, _tail_masks(masks))
+
+
+def _sum(f: StepElem, g: StepElem) -> StepElem:
+    """``f + g`` on the atom-value kernel; the sampled axiom suites add with it.
+
+    :func:`step_add` still evaluates the formula at every candidate
+    threshold; the tests hold the two equal.
+    """
+    return _by_atoms(_check_same_algebra(f, g), f, g, add)
 
 
 def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
@@ -350,7 +377,7 @@ def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
     # a canonical element is >= 0 exactly when its first threshold is
     if not (f.thresholds[0] >= 0 and g.thresholds[0] >= 0):
         raise ValueError("both factors must be nonnegative; use step_mul instead")
-    return _mul(algebra, f, g)
+    return _by_atoms(algebra, f, g, mul)
 
 
 def step_mul_nonneg_formula(f: StepElem, g: StepElem) -> StepElem:
@@ -388,7 +415,7 @@ def step_neg(f: StepElem) -> StepElem:
 
 def step_mul(f: StepElem, g: StepElem) -> StepElem:
     """General multiplication, atom by atom."""
-    return _mul(_check_same_algebra(f, g), f, g)
+    return _by_atoms(_check_same_algebra(f, g), f, g, mul)
 
 
 def step_scale(b: Scalar, f: StepElem) -> StepElem:
@@ -502,9 +529,11 @@ def _refine_classes(
     for b, inside in pairs:
         refined: dict[Scalar, int] = {}
         for value, mask in classes.items():
-            for moved, part in ((value, mask & ~inside), (value + b, mask & inside)):
-                if part:
-                    refined[moved] = refined.get(moved, 0) | part
+            if mask & ~inside:
+                refined[value] = refined.get(value, 0) | mask & ~inside
+            if mask & inside:
+                moved = value + b
+                refined[moved] = refined.get(moved, 0) | mask & inside
         classes = refined
     values = sorted(classes)
     return values, _tail_masks([classes[v] for v in values])

@@ -237,6 +237,54 @@ def test_check_prox_checks_devries_once(files, capsys, monkeypatch):
     assert len(checked) == 1
 
 
+def test_check_morphism_checks_m1_to_m4_once(files, capsys, monkeypatch):
+    from specker import morphisms
+
+    checked = []
+    original = morphisms.check_dv_morphism
+
+    def counted(m):
+        checked.append(m)
+        return original(m)
+
+    monkeypatch.setattr(morphisms, "check_dv_morphism", counted)
+    assert run(["check-morphism", "--morphism", files["id4"], "--samples", "5"]) == 0
+    assert "PASS (7 axioms)" in capsys.readouterr().out
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-devries"],
+        ["check-prox"],
+        ["lift"],
+        ["equiv-check"],
+        ["enumerate-devries"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sixteen_atoms_are_refused_before_leq_is_built(files, capsys, argv):
+    path = files["dir"] / "b16.json"
+    path.write_text(json.dumps({"atoms": [f"a{i}" for i in range(16)]}), encoding="utf-8")
+    with within(1):
+        code = run([*argv, "--algebra", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == "error: algebra with 65536 elements exceeds the exhaustive bound of 32\n"
+    # equiv-check heads its output with the options before it loads anything
+    assert out == ("seed=0 samples=200\n" if argv[0] == "equiv-check" else "")
+
+
+def test_enumerate_devries_prints_leq_within_the_bound(files, capsys):
+    path = files["dir"] / "b8.json"
+    path.write_text(json.dumps({"atoms": ["p", "q", "r"]}), encoding="utf-8")
+    assert run(["enumerate-devries", "--algebra", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "1 de Vries proximities" and len(out) == 2
+    assert len(json.loads(out[1])["proximity"]["pairs"]) == 27
+
+
 def test_compose_json_reloads(files, capsys):
     assert run(["compose", files["at_p"], files["id4"], "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -85,8 +85,23 @@ def test_enumerate_devries_b4(b4):
 
 
 def test_enumerate_devries_size_guard(b8):
-    with pytest.raises(ValueError):
-        enumerate_devries(b8)
+    # the answer is the theorem's, so only the exhaustive bound limits it
+    assert enumerate_devries(b8) == [leq_proximity(b8)]
+    five = make_algebra([f"a{i}" for i in range(5)])
+    assert enumerate_devries(five) == [leq_proximity(five)]
+    six = make_algebra([f"a{i}" for i in range(6)])
+    with pytest.raises(ValueError, match="64 elements exceeds the exhaustive bound of 32"):
+        enumerate_devries(six)
+
+
+def test_sampled_suite_checks_the_relation_once(b8):
+    from specker.proximity import _devries_ok
+
+    before = _devries_ok.cache_info()
+    assert sample_proximity_axioms(leq_proximity(b8), samples=50).ok
+    after = _devries_ok.cache_info()
+    # one lookup at entry; the cases reuse it (over 1,000 when each re-checked)
+    assert after.hits + after.misses - before.hits - before.misses <= 2
 
 
 def test_interpolant_examples(b4):

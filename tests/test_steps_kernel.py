@@ -30,6 +30,7 @@ from specker.steps import (
     StepElem,
     _assemble_masks,
     _join_all,
+    _sum,
     from_decomposition,
     step_add,
     step_join,
@@ -67,7 +68,10 @@ def operands(draw, count=2, nonneg=False):
 @given(operands())
 def test_add_matches_reference(case):
     _, (f, g) = case
-    assert table_of(step_add(f, g)) == ref_add(f, g)
+    total = step_add(f, g)
+    assert table_of(total) == ref_add(f, g)
+    # the kernel sum of the sampled axiom suites, also in its printed form
+    assert _sum(f, g) == total and str(_sum(f, g)) == str(total)
 
 
 @kernel
@@ -159,6 +163,10 @@ def test_mixed_algebras_rejected_with_old_messages(b4, b2):
         _join_all([StepElem(b4, (0,), (b4.one,)), StepElem(b2, (0,), (b2.one,))])
     with pytest.raises(ValueError, match="^cannot assemble a step function from no"):
         _join_all([])
+    one4, one2 = StepElem(b4, (0,), (b4.one,)), StepElem(b2, (0,), (b2.one,))
+    for add in (step_add, _sum):
+        with pytest.raises(ValueError, match="^mixed algebras"):
+            add(one4, one2)
 
 
 def test_equal_algebras_are_one_algebra(b4):
