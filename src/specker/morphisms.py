@@ -46,12 +46,14 @@ from .proximity import (
     ProxRel,
     ProxReport,
     _record,
+    _record_sampled,
     _related_pair,
     _require_devries,
     leq_proximity,
     lift_check,
     prox_from_json,
     prox_to_json,
+    restrict_lift,
 )
 from .scalars import _require_coeff_bound
 from .steps import (
@@ -392,58 +394,46 @@ def sample_morphism_axioms(
     image = pm.action(step_zero(src_alg))
     _record(results, "M1", [None if image == step_zero(tgt_alg) else (image,)])
 
-    def m2_cases():
-        for _ in range(samples):
-            s = random_steps(rng, src_alg, coeff_bound)
-            t = random_steps(rng, src_alg, coeff_bound)
-            holds = pm.action(step_meet(s, t)) == step_meet(pm.action(s), pm.action(t))
-            yield None if holds else (s, t)
+    def m2():
+        s = random_steps(rng, src_alg, coeff_bound)
+        t = random_steps(rng, src_alg, coeff_bound)
+        holds = pm.action(step_meet(s, t)) == step_meet(pm.action(s), pm.action(t))
+        return None if holds else (s, t)
 
-    _record(results, "M2", m2_cases())
+    def m3():
+        s, t = _related_pair(rng, pm.source, coeff_bound)
+        lower = step_neg(pm.action(step_neg(s)))
+        return None if lift_check(pm.target, lower, pm.action(t)) else (s, t)
 
-    def m3_cases():
-        for _ in range(samples):
-            s, t = _related_pair(rng, pm.source, coeff_bound)
-            lower = step_neg(pm.action(step_neg(s)))
-            yield None if lift_check(pm.target, lower, pm.action(t)) else (s, t)
+    def m4():
+        t = random_steps(rng, src_alg, coeff_bound)
+        return None if _approximant_join(pm, t, rng) == pm.action(t) else (t,)
 
-    _record(results, "M3", m3_cases())
+    def m5():
+        s = random_steps(rng, src_alg, coeff_bound)
+        a = rng.randint(-coeff_bound, coeff_bound)
+        left = pm.action(_sum(s, step_const(src_alg, a)))
+        right = _sum(pm.action(s), step_const(tgt_alg, a))
+        return None if left == right else (s, a)
 
-    def m4_cases():
-        for _ in range(samples):
-            t = random_steps(rng, src_alg, coeff_bound)
-            yield None if _approximant_join(pm, t, rng) == pm.action(t) else (t,)
+    def m6():
+        s = random_steps(rng, src_alg, coeff_bound)
+        a = rng.randint(0, coeff_bound)
+        holds = pm.action(step_scale(a, s)) == step_scale(a, pm.action(s))
+        return None if holds else (s, a)
 
-    _record(results, "M4", m4_cases())
+    def m7():
+        s = random_steps(rng, src_alg, coeff_bound)
+        a = rng.randint(-coeff_bound, coeff_bound)
+        left = pm.action(step_join(s, step_const(src_alg, a)))
+        right = step_join(pm.action(s), step_const(tgt_alg, a))
+        return None if left == right else (s, a)
 
-    def m5_cases():
-        for _ in range(samples):
-            s = random_steps(rng, src_alg, coeff_bound)
-            a = rng.randint(-coeff_bound, coeff_bound)
-            left = pm.action(_sum(s, step_const(src_alg, a)))
-            right = _sum(pm.action(s), step_const(tgt_alg, a))
-            yield None if left == right else (s, a)
-
-    _record(results, "M5", m5_cases())
-
-    def m6_cases():
-        for _ in range(samples):
-            s = random_steps(rng, src_alg, coeff_bound)
-            a = rng.randint(0, coeff_bound)
-            holds = pm.action(step_scale(a, s)) == step_scale(a, pm.action(s))
-            yield None if holds else (s, a)
-
-    _record(results, "M6", m6_cases())
-
-    def m7_cases():
-        for _ in range(samples):
-            s = random_steps(rng, src_alg, coeff_bound)
-            a = rng.randint(-coeff_bound, coeff_bound)
-            left = pm.action(step_join(s, step_const(src_alg, a)))
-            right = step_join(pm.action(s), step_const(tgt_alg, a))
-            yield None if left == right else (s, a)
-
-    _record(results, "M7", m7_cases())
+    _record_sampled(
+        results,
+        samples,
+        [("M2", m2), ("M3", m3), ("M4", m4), ("M5", m5), ("M6", m6), ("M7", m7)],
+    )
 
     return ProxReport("proximity morphism axioms", tuple(results))
 
@@ -468,8 +458,6 @@ def functor_sp_morphism(m: DVMorphism) -> ProxMorphism:
 
 def functor_id(rel: ProxRel) -> ProxRel:
     """The idempotent functor on objects: restrict the lifted proximity."""
-    from .proximity import restrict_lift
-
     return restrict_lift(rel)
 
 
@@ -522,17 +510,18 @@ def naturality_check(
         ),
     )
 
-    relifted = lift_morphism(restrict_prox_morphism(lifted))
+    # the restriction of a checked lift is the checked hom itself, so it
+    # is lifted without running M1-M4 again; a wrong one fails the square
+    relifted = _lift(restrict_prox_morphism(lifted))
     eta_src = eta(m.source)
     eta_tgt = eta(m.target)
 
-    def eta_cases():
-        for _ in range(samples):
-            s = random_steps(rng, m.source.algebra, 10)
-            twice = relifted.action(eta_src.action(s))
-            yield None if twice == eta_tgt.action(lifted.action(s)) else (s,)
+    def eta_square():
+        s = random_steps(rng, m.source.algebra, 10)
+        twice = relifted.action(eta_src.action(s))
+        return None if twice == eta_tgt.action(lifted.action(s)) else (s,)
 
-    _record(results, "eta-square", eta_cases())
+    _record_sampled(results, samples, [("eta-square", eta_square)])
 
     return ProxReport("naturality squares", tuple(results))
 

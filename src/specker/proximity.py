@@ -23,7 +23,9 @@ Every axiom, exhaustive or sampled, here and in :mod:`specker.morphisms`,
 is recorded by one recorder: its cases yield ``None`` when they hold and
 a witness when they fail, ``boolalg._first_failure`` counts them up to
 the first failure, and an axiom that failed or checked no case at all
-fails.
+fails.  A sampled check (P2-P10, M2-M7, the eta-square) is one case
+function that draws a single sample; ``_record_sampled`` runs each over
+``samples`` calls, in the order given, and holds the one case loop.
 
 Axioms on the boolean algebra:
 
@@ -266,6 +268,21 @@ def _record(
     if elem is not None:
         failure = tuple(elem(mask) for mask in failure)
     results.append(AxiomResult(name, False, checked, failure))
+
+
+def _record_sampled(
+    results: list, samples: int, checks: Sequence[tuple[str, Callable[[], object]]]
+) -> None:
+    """Record each sampled check, in order, over ``samples`` calls of its case.
+
+    A case draws one sample and returns ``None`` when it holds and its
+    witness when it fails.  Each check runs to its first failure before
+    the next one starts, so checks sharing one seeded ``rng`` draw from
+    it in the order given.  This is the one loop over ``samples`` in the
+    sampled suites: P2-P10, M2-M7 and the eta-square.
+    """
+    for name, case in checks:
+        _record(results, name, (case() for _ in range(samples)))
 
 
 # the largest algebra the exhaustive checkers take (5 atoms)
@@ -555,97 +572,77 @@ def sample_proximity_axioms(
         ],
     )
 
-    def p2_cases():
-        for _ in range(samples):
+    def p2():
+        s, t = _related_pair(rng, rel, coeff_bound)
+        return None if step_leq(s, t) else (s, t)
+
+    def p3():
+        t, r = _related_pair(rng, rel, coeff_bound)
+        down = step_join(random_steps(rng, algebra, coeff_bound), zero)
+        up = step_join(random_steps(rng, algebra, coeff_bound), zero)
+        s = _sum(t, step_neg(down))
+        u = _sum(r, up)
+        return None if _lifted(rel, s, u) else (s, t, r, u)
+
+    def p4():
+        s1, t = _related_pair(rng, rel, coeff_bound)
+        s2, r = _related_pair(rng, rel, coeff_bound)
+        s = step_meet(s1, s2)
+        # meets of related pairs stay related; if the first two checks
+        # fail the relation itself is broken, so report it the same way
+        holds = (
+            _lifted(rel, s, t)
+            and _lifted(rel, s, r)
+            and _lifted(rel, s, step_meet(t, r))
+        )
+        return None if holds else (s, t, r)
+
+    def p5():
+        s, t = _related_pair(rng, rel, coeff_bound)
+        return None if _lifted(rel, step_neg(t), step_neg(s)) else (s, t)
+
+    def p6():
+        s, t = _related_pair(rng, rel, coeff_bound)
+        r, u = _related_pair(rng, rel, coeff_bound)
+        return None if _lifted(rel, _sum(s, r), _sum(t, u)) else (s, t, r, u)
+
+    def p7():
+        if rng.random() < 0.5:
             s, t = _related_pair(rng, rel, coeff_bound)
-            yield None if step_leq(s, t) else (s, t)
+        else:
+            s = random_steps(rng, algebra, coeff_bound)
+            t = random_steps(rng, algebra, coeff_bound)
+        a = rng.randint(1, coeff_bound)
+        scaled = _lifted(rel, step_scale_pos(a, s), step_scale_pos(a, t))
+        return None if scaled == _lifted(rel, s, t) else (a, s, t)
 
-    _record(results, "P2", p2_cases())
+    def p8():
+        s, t = _related_pair(rng, rel, coeff_bound, nonneg=True)
+        r, u = _related_pair(rng, rel, coeff_bound, nonneg=True)
+        holds = _lifted(rel, step_mul_nonneg(s, r), step_mul_nonneg(t, u))
+        return None if holds else (s, t, r, u)
 
-    def p3_cases():
-        for _ in range(samples):
-            t, r = _related_pair(rng, rel, coeff_bound)
-            down = step_join(random_steps(rng, algebra, coeff_bound), zero)
-            up = step_join(random_steps(rng, algebra, coeff_bound), zero)
-            s = _sum(t, step_neg(down))
-            u = _sum(r, up)
-            yield None if _lifted(rel, s, u) else (s, t, r, u)
+    def p9():
+        s, t = _related_pair(rng, rel, coeff_bound)
+        r = _interpolate(rel, s, t)
+        return None if _lifted(rel, s, r) and _lifted(rel, r, t) else (s, r, t)
 
-    _record(results, "P3", p3_cases())
+    def p10():
+        s = step_join(random_steps(rng, algebra, coeff_bound), zero)
+        if s == zero:
+            s = _sum(s, one)
+        t = _approximant(rel, s)
+        positive = t.thresholds[0] >= 0 and t != zero
+        return None if positive and _lifted(rel, t, s) else (t, s)
 
-    def p4_cases():
-        for _ in range(samples):
-            s1, t = _related_pair(rng, rel, coeff_bound)
-            s2, r = _related_pair(rng, rel, coeff_bound)
-            s = step_meet(s1, s2)
-            # meets of related pairs stay related; if the first two checks
-            # fail the relation itself is broken, so report it the same way
-            holds = (
-                _lifted(rel, s, t)
-                and _lifted(rel, s, r)
-                and _lifted(rel, s, step_meet(t, r))
-            )
-            yield None if holds else (s, t, r)
-
-    _record(results, "P4", p4_cases())
-
-    def p5_cases():
-        for _ in range(samples):
-            s, t = _related_pair(rng, rel, coeff_bound)
-            yield None if _lifted(rel, step_neg(t), step_neg(s)) else (s, t)
-
-    _record(results, "P5", p5_cases())
-
-    def p6_cases():
-        for _ in range(samples):
-            s, t = _related_pair(rng, rel, coeff_bound)
-            r, u = _related_pair(rng, rel, coeff_bound)
-            holds = _lifted(rel, _sum(s, r), _sum(t, u))
-            yield None if holds else (s, t, r, u)
-
-    _record(results, "P6", p6_cases())
-
-    def p7_cases():
-        for _ in range(samples):
-            if rng.random() < 0.5:
-                s, t = _related_pair(rng, rel, coeff_bound)
-            else:
-                s = random_steps(rng, algebra, coeff_bound)
-                t = random_steps(rng, algebra, coeff_bound)
-            a = rng.randint(1, coeff_bound)
-            scaled = _lifted(rel, step_scale_pos(a, s), step_scale_pos(a, t))
-            yield None if scaled == _lifted(rel, s, t) else (a, s, t)
-
-    _record(results, "P7", p7_cases())
-
-    def p8_cases():
-        for _ in range(samples):
-            s, t = _related_pair(rng, rel, coeff_bound, nonneg=True)
-            r, u = _related_pair(rng, rel, coeff_bound, nonneg=True)
-            holds = _lifted(rel, step_mul_nonneg(s, r), step_mul_nonneg(t, u))
-            yield None if holds else (s, t, r, u)
-
-    _record(results, "P8", p8_cases())
-
-    def p9_cases():
-        for _ in range(samples):
-            s, t = _related_pair(rng, rel, coeff_bound)
-            r = _interpolate(rel, s, t)
-            holds = _lifted(rel, s, r) and _lifted(rel, r, t)
-            yield None if holds else (s, r, t)
-
-    _record(results, "P9", p9_cases())
-
-    def p10_cases():
-        for _ in range(samples):
-            s = step_join(random_steps(rng, algebra, coeff_bound), zero)
-            if s == zero:
-                s = _sum(s, one)
-            t = _approximant(rel, s)
-            positive = t.thresholds[0] >= 0 and t != zero
-            yield None if positive and _lifted(rel, t, s) else (t, s)
-
-    _record(results, "P10", p10_cases())
+    _record_sampled(
+        results,
+        samples,
+        [
+            ("P2", p2), ("P3", p3), ("P4", p4), ("P5", p5), ("P6", p6),
+            ("P7", p7), ("P8", p8), ("P9", p9), ("P10", p10),
+        ],
+    )
 
     return ProxReport("lifted proximity axioms", tuple(results))
 

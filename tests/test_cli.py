@@ -253,6 +253,23 @@ def test_check_morphism_checks_m1_to_m4_once(files, capsys, monkeypatch):
     assert len(checked) == 1
 
 
+def test_equiv_check_checks_each_hom_once(capsys, monkeypatch):
+    from specker import morphisms
+
+    checked = []
+    original = morphisms.check_dv_morphism
+
+    def counted(m):
+        checked.append(m)
+        return original(m)
+
+    monkeypatch.setattr(morphisms, "check_dv_morphism", counted)
+    assert run(["equiv-check"]) == 0
+    out = capsys.readouterr().out
+    # the 8 homs between the default algebras on 1 and 2 atoms
+    assert out.count(": PASS (2 axioms)") == len(checked) == 8
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,0 +1,167 @@
+"""Golden reports of failing sampled suites: witnesses, counts and verdicts.
+
+The sampled checks (P1-P10, M1-M7 and both naturality squares) draw from
+one seeded ``random.Random`` each, so a failing report names the same
+case count and the same witness on every run.  These runs pin those
+reports, for seeds 0-4:
+
+* ``sample_proximity_axioms`` on ``<=`` minus one pair, over 1, 2 and 3
+  atoms, with the D1-D7 gate at its entry patched open so the suite runs
+  on a relation that is not a de Vries proximity;
+* ``sample_morphism_axioms`` on five corrupted actions;
+* ``naturality_check`` with a restriction that lands on another valid
+  hom (the target's atoms swapped), so the eta-square compares two
+  different lifts.
+
+A run that raises is pinned by its message.  The expected reports in
+``golden_failing_reports.json`` were captured before the sampled checks
+shared one case loop; that loop must reproduce them exactly.
+
+To regenerate the file (only when a report change is intended), run
+
+    PYTHONPATH=src python tests/test_failing_reports.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from specker import morphisms, proximity
+from specker.boolalg import make_algebra
+from specker.morphisms import (
+    DVMorphism,
+    ProxMorphism,
+    enumerate_boolean_homs,
+    naturality_check,
+    sample_morphism_axioms,
+)
+from specker.proximity import ProxRel, leq_proximity, sample_proximity_axioms
+from specker.steps import step_add, step_const, step_neg, step_one, step_scale
+
+GOLDEN = Path(__file__).with_name("golden_failing_reports.json")
+
+SEEDS = range(5)
+ATOMS = (["x"], ["p", "q"], ["a", "b", "c"])
+
+
+def _outcome(check) -> dict:
+    """The report's JSON, or the message of the ``ValueError`` it raised."""
+    try:
+        return check().to_json()
+    except ValueError as exc:
+        return {"error": str(exc)}
+
+
+def _proximity_reports(seed: int) -> dict:
+    reports = {}
+    with mock.patch.object(proximity, "_require_devries", lambda rel: None):
+        for atoms in ATOMS:
+            algebra = make_algebra(atoms)
+            leq = leq_proximity(algebra).pairs
+            for pair in sorted(leq):
+                rel = ProxRel(algebra, leq - {pair})
+                reports[f"{''.join(atoms)} minus {pair}"] = _outcome(
+                    lambda: sample_proximity_axioms(
+                        rel, samples=20, coeff_bound=4, seed=seed
+                    )
+                )
+    return reports
+
+
+def _corrupted_actions() -> dict:
+    b4 = make_algebra(["p", "q"])
+    leq4 = leq_proximity(b4)
+    # maps q to p: not a homomorphism, lifted stepwise all the same
+    not_hom = morphisms._compose_with_steps(DVMorphism(leq4, leq4, (0, 1, 1, 3)))
+    actions = {
+        "constant-top": lambda f: step_const(f.algebra, f.thresholds[-1]),
+        "shift-by-one": lambda f: step_add(f, step_one(f.algebra)),
+        "double": lambda f: step_scale(2, f),
+        "negate": step_neg,
+        "lift-of-non-hom": not_hom,
+    }
+    return {
+        name: ProxMorphism(leq4, leq4, action, label=name)
+        for name, action in actions.items()
+    }
+
+
+def _morphism_reports(seed: int) -> dict:
+    return {
+        name: _outcome(
+            lambda: sample_morphism_axioms(pm, samples=30, coeff_bound=6, seed=seed)
+        )
+        for name, pm in _corrupted_actions().items()
+    }
+
+
+_RESTRICT = morphisms.restrict_prox_morphism
+
+
+def _swapped_restriction(pm):
+    """The true restriction followed by swapping the target's two atoms."""
+    restricted = _RESTRICT(pm)
+    swap = [((mask & 1) << 1) | (mask >> 1) for mask in range(4)]
+    return DVMorphism(
+        restricted.source, restricted.target, tuple(swap[m] for m in restricted.table)
+    )
+
+
+def _naturality_reports(seed: int) -> dict:
+    b4 = make_algebra(["p", "q"])
+    homs = {
+        f"{''.join(atoms)}->pq hom {i}": hom
+        for atoms in ATOMS
+        for i, hom in enumerate(enumerate_boolean_homs(make_algebra(atoms), b4))
+    }
+    with mock.patch.object(morphisms, "restrict_prox_morphism", _swapped_restriction):
+        return {
+            name: _outcome(lambda: naturality_check(hom, samples=20, seed=seed))
+            for name, hom in homs.items()
+        }
+
+
+SUITES = {
+    "proximity": _proximity_reports,
+    "morphism": _morphism_reports,
+    "naturality": _naturality_reports,
+}
+
+
+RUNS = {f"{suite}/seed={seed}": (suite, seed) for suite in SUITES for seed in SEEDS}
+
+
+def _capture() -> dict:
+    return {run: SUITES[suite](seed) for run, (suite, seed) in RUNS.items()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_run(golden):
+    assert sorted(golden) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_failing_reports_match_golden(run, golden):
+    suite, seed = RUNS[run]
+    assert SUITES[suite](seed) == golden[run]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_pins_failures(suite, golden):
+    # a golden of passing reports would pin no witness
+    for seed in SEEDS:
+        outcomes = golden[f"{suite}/seed={seed}"].values()
+        failing = [o for o in outcomes if "error" in o or not o["ok"]]
+        assert len(failing) * 2 > len(outcomes), (suite, seed)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_capture(), indent=1) + "\n", encoding="utf-8")
