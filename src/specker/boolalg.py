@@ -33,6 +33,7 @@ __all__ = [
 # characters used by that syntax cannot occur in a name.
 _FORBIDDEN_IN_NAMES = set("[],|\"' \t\r\n")
 _RESERVED_NAMES = {"0", "1"}
+_MAX_GENERATORS = 4  # of a free algebra: 16 minterms, 2^16 elements
 
 # Value types are plain classes: the ``dataclasses`` module and the code
 # it generates per class cost about 20 ms at every start of the command
@@ -254,15 +255,15 @@ def make_algebra(atoms: Sequence[str]) -> Algebra:
     return Algebra(tuple(atoms))
 
 
-def make_free_algebra(n: int, max_generators: int = 4) -> Algebra:
+def make_free_algebra(n: int) -> Algebra:
     """Free boolean algebra on ``n`` generators as a powerset of minterms.
 
     Minterm ``j`` encodes the truth assignment whose variable ``i`` is
     true iff bit ``i`` of ``j`` is set; generator ``g<i>`` is the set of
     minterms where variable ``i`` is true.
     """
-    if not 1 <= n <= max_generators:
-        raise ValueError(f"generator count {n} outside 1..{max_generators}")
+    if not 1 <= n <= _MAX_GENERATORS:
+        raise ValueError(f"generator count {n} outside 1..{_MAX_GENERATORS}")
     minterms = tuple(f"m{j}" for j in range(1 << n))
     generators = []
     for i in range(n):

@@ -267,6 +267,8 @@ def _cmd_enumerate_devries(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    if args.left is not None and (args.right is None or args.morphism):
+        raise UsageError("lift takes two element files or none, and none with --morphism")
     if args.morphism:
         from .morphisms import lift_morphism, morphism_to_json, restrict_prox_morphism
 
@@ -283,7 +285,7 @@ def _cmd_lift(args) -> int:
 
     algebra = _load_algebra(args.algebra)
     rel = _load_proximity(algebra, args.proximity)
-    if args.left and args.right:
+    if args.left is not None:
         left = _load_element(algebra, args.left)
         right = _load_element(algebra, args.right)
         left_steps = left if isinstance(left, StepElem) else to_steps(left)

@@ -289,25 +289,23 @@ def _record_sampled(
 _EXHAUSTIVE_BOUND = 32
 
 
-def _require_exhaustive(
-    algebra: Algebra, max_elements: int = _EXHAUSTIVE_BOUND
-) -> None:
-    """Refuse an algebra with more than ``max_elements`` elements.
+def _require_exhaustive(algebra: Algebra) -> None:
+    """Refuse an algebra with more than ``_EXHAUSTIVE_BOUND`` elements.
 
     Callers that materialise ``<=`` (3^n pairs) for a check run this
     first, so an oversized algebra is refused before anything is built.
     """
-    if algebra.size > max_elements:
+    if algebra.size > _EXHAUSTIVE_BOUND:
         raise ValueError(
             f"algebra with {algebra.size} elements exceeds the exhaustive "
-            f"bound of {max_elements}"
+            f"bound of {_EXHAUSTIVE_BOUND}"
         )
 
 
-def check_devries(rel: ProxRel, max_elements: int = _EXHAUSTIVE_BOUND) -> ProxReport:
+def check_devries(rel: ProxRel) -> ProxReport:
     """Exhaustively verify the de Vries axioms D1-D7 on a finite algebra."""
     algebra = rel.algebra
-    _require_exhaustive(algebra, max_elements)
+    _require_exhaustive(algebra)
     size, full = algebra.size, algebra.full_mask
     has, ordered = rel.has, tuple(map(rel.pair_at, range(rel.count())))
     elem = algebra.from_mask

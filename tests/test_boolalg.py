@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from specker import boolalg
 from specker.boolalg import (
     algebra_from_json,
     algebra_to_json,
@@ -27,7 +28,7 @@ def test_make_algebra_rejects_bad_names(bad):
         make_algebra(bad)
 
 
-def test_free_algebra_shapes():
+def test_free_algebra_shapes(monkeypatch):
     one = make_free_algebra(1)
     assert one.size == 4
     assert one.generator("g0").atom_count() == 1
@@ -40,7 +41,9 @@ def test_free_algebra_shapes():
         make_free_algebra(0)
     with pytest.raises(ValueError):
         make_free_algebra(5)
-    assert len(make_free_algebra(5, max_generators=5).atoms) == 32
+    # the bound is the one thing that refuses it
+    monkeypatch.setattr(boolalg, "_MAX_GENERATORS", 5)
+    assert len(make_free_algebra(5).atoms) == 32
 
 
 def test_free_algebra_generators_are_independent():

@@ -178,6 +178,26 @@ def test_lift_element_check(files, capsys):
     assert capsys.readouterr().out.strip() == "NOT RELATED"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--algebra", "b4", "s"],
+        ["lift", "--morphism", "at_p", "s"],
+        ["lift", "--morphism", "at_p", "s", "t"],
+    ],
+    ids=["one-element", "morphism-one-element", "morphism-two-elements"],
+)
+def test_lift_refuses_element_files_it_would_drop(files, capsys, argv):
+    # an option's value or a positional names a fixture file
+    argv = [files.get(word, word) for word in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: lift takes two element files or none, and none with --morphism\n"
+    )
+
+
 def test_lift_morphism_json_reloads(files, capsys):
     assert run(["lift", "--morphism", files["at_p"], "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -268,6 +288,24 @@ def test_equiv_check_checks_each_hom_once(capsys, monkeypatch):
     out = capsys.readouterr().out
     # the 8 homs between the default algebras on 1 and 2 atoms
     assert out.count(": PASS (2 axioms)") == len(checked) == 8
+
+
+def test_equiv_check_restricts_each_relation_once(capsys, monkeypatch):
+    from specker import morphisms
+
+    restricted = []
+    original = morphisms.restrict_lift
+
+    def counted(rel):
+        restricted.append(rel)
+        return original(rel)
+
+    monkeypatch.setattr(morphisms, "restrict_lift", counted)
+    assert run(["equiv-check"]) == 0
+    out = capsys.readouterr().out
+    # the two printed round trips, one per default algebra; the naturality
+    # squares restrict nothing
+    assert out.count("round-trip OK") == len(restricted) == 2
 
 
 @pytest.mark.parametrize(

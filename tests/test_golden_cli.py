@@ -134,6 +134,8 @@ _BASE = {
     "lift-morphism": ["lift", "--morphism", "hom3.json"],
     "compose": ["compose", "outer.json", "inner.json"],
     "equiv-check": ["equiv-check", "--samples", "6"],
+    # the 27 homs b3 -> b3
+    "equiv-check-b3": ["equiv-check", "--algebra", "b3.json", "--samples", "6"],
     "oracle-1-atom": ["oracle-diff", "--algebra", "b2.json", "--samples", "20"],
     "oracle-1-atom-seed-7": [
         "oracle-diff", "--algebra", "b2.json", "--samples", "20", "--seed", "7",

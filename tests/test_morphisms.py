@@ -299,6 +299,15 @@ def test_naturality_check_all_homs(b2, b4):
             assert {r.name for r in report.results} == {"tau-square", "eta-square"}
 
 
+def test_naturality_check_refuses_a_relation_that_is_not_de_vries(b4, leq4):
+    # <= without [p] < 1: the identity on it passes M1-M4, the relation fails D1-D7
+    rel = ProxRel(b4, leq4.pairs - {(1, 3)})
+    m = identity_dv(rel)
+    assert check_dv_morphism(m).ok
+    with pytest.raises(ValueError, match="relation is not a de Vries proximity"):
+        naturality_check(m, samples=5)
+
+
 def test_lifted_morphisms_are_monotone(b4, b2, at_p):
     lifted = lift_morphism(at_p)
     rng = random.Random(97)

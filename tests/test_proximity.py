@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import ref_enumerate_devries
+from specker import proximity
 from specker.boolalg import make_algebra
 from specker.pointwise import random_pointfn, steps_of_pointfn
 from specker.proximity import (
@@ -66,12 +67,13 @@ def test_prox_rel_rejects_masks_outside_the_algebra(b2, pair):
         ProxRel(b2, leq_proximity(b2).pairs | {pair})
 
 
-def test_check_devries_size_guard():
+def test_check_devries_size_guard(monkeypatch):
     big = make_algebra([f"a{i}" for i in range(6)])
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="exceeds the exhaustive bound of 32"):
         check_devries(leq_proximity(big))
-    # the bound is configurable
-    assert check_devries(leq_proximity(big), max_elements=64).ok
+    # the bound is the one thing that refuses it
+    monkeypatch.setattr(proximity, "_EXHAUSTIVE_BOUND", 64)
+    assert check_devries(leq_proximity(big)).ok
 
 
 def test_enumerate_devries_b2_is_exactly_leq(b2):
