@@ -5,7 +5,8 @@ runs operations and verification suites, and prints human-readable
 output (or machine-readable JSON with ``--json``).
 
 Exit codes: 0 on success or a passing check, 1 when a verification
-fails, 2 on usage, file, or parse errors.
+fails, 2 on usage, file, or parse errors, 141 when the reader closes
+stdout early (the shell's code for SIGPIPE).
 
 Only the Specker-algebra core (``boolalg``, ``orthogonal``, ``steps``) is
 imported here; each subcommand imports the de Vries, oracle or term
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from typing import TYPE_CHECKING, Sequence, Union
@@ -108,6 +110,15 @@ def _load_morphism(path: str) -> DVMorphism:
     from .morphisms import morphism_from_json
 
     return _parsed("morphism", path, morphism_from_json)
+
+
+def _the_morphism(args) -> DVMorphism:
+    """The one ``--morphism`` file, loaded; none or a second is a :class:`UsageError`."""
+    if not args.morphism:
+        raise UsageError(f"{args.command} needs --morphism")
+    if len(args.morphism) > 1:
+        raise UsageError(f"{args.command} takes one --morphism")
+    return _load_morphism(args.morphism[0])
 
 
 def _element_json(elem: Element) -> dict:
@@ -218,13 +229,14 @@ def _cmd_order(args) -> int:
     forward = orth_leq(left, right)
     backward = orth_leq(right, left)
     if forward and backward:
-        print("EQ")
+        order = "EQ"
     elif forward:
-        print("LEQ")
+        order = "LEQ"
     elif backward:
-        print("GEQ")
+        order = "GEQ"
     else:
-        print("INCOMPARABLE")
+        order = "INCOMPARABLE"
+    print(json.dumps({"order": order}) if args.as_json else order)
     return 0
 
 
@@ -272,7 +284,7 @@ def _cmd_lift(args) -> int:
     if args.morphism:
         from .morphisms import lift_morphism, morphism_to_json, restrict_prox_morphism
 
-        m = _load_morphism(args.morphism[0])
+        m = _the_morphism(args)
         lifted = lift_morphism(m)
         restricted = restrict_prox_morphism(lifted)
         status = "OK" if restricted.table == m.table else "MISMATCH"
@@ -291,7 +303,10 @@ def _cmd_lift(args) -> int:
         left_steps = left if isinstance(left, StepElem) else to_steps(left)
         right_steps = right if isinstance(right, StepElem) else to_steps(right)
         related = lift_check(rel, left_steps, right_steps)
-        print("RELATED" if related else "NOT RELATED")
+        if args.as_json:
+            print(json.dumps({"related": related}))
+        else:
+            print("RELATED" if related else "NOT RELATED")
         return 0
     restricted = restrict_lift(rel)
     status = "OK" if restricted == rel else "MISMATCH"
@@ -315,9 +330,7 @@ def _cmd_check_prox(args) -> int:
 def _cmd_check_morphism(args) -> int:
     from .morphisms import _lift, check_dv_morphism, sample_morphism_axioms
 
-    if not args.morphism:
-        raise UsageError("check-morphism needs --morphism")
-    m = _load_morphism(args.morphism[0])
+    m = _the_morphism(args)
     # the suite runs only on a passing report, so M1-M4 run once
     base = check_dv_morphism(m)
     return _print_sampled(args, base, partial(sample_morphism_axioms, _lift(m)))
@@ -347,13 +360,19 @@ def _cmd_equiv_check(args) -> int:
         algebras = [_load_algebra(args.algebra)]
     else:
         algebras = [make_algebra(["x"]), make_algebra(["p", "q"])]
-    print(f"seed={args.seed} samples={args.samples}")
+    # with --json, one object at the end; as text, a line per check as it runs
+    out: dict = {"seed": args.seed, "samples": args.samples, "round_trips": [], "homs": []}
+    if not args.as_json:
+        print(f"seed={args.seed} samples={args.samples}")
     failures = 0
     for algebra in algebras:
         _require_exhaustive(algebra)  # before ``<=`` is built
         rel = leq_proximity(algebra)
         round_trip = functor_id(functor_sp(rel)) == rel
-        print(f"{algebra!r}: Id(Sp(-)) round-trip {'OK' if round_trip else 'FAIL'}")
+        if args.as_json:
+            out["round_trips"].append({"atoms": list(algebra.atoms), "ok": round_trip})
+        else:
+            print(f"{algebra!r}: Id(Sp(-)) round-trip {'OK' if round_trip else 'FAIL'}")
         failures += 0 if round_trip else 1
     for source in algebras:
         for target in algebras:
@@ -361,10 +380,21 @@ def _cmd_equiv_check(args) -> int:
                 report = naturality_check(
                     hom, samples=max(1, args.samples // 2), seed=args.seed
                 )
-                print(
-                    f"hom {i} {source.atoms}->{target.atoms}: {report.summary()}"
-                )
+                if args.as_json:
+                    out["homs"].append(
+                        {
+                            "index": i,
+                            "source": list(source.atoms),
+                            "target": list(target.atoms),
+                            "report": report.to_json(),
+                        }
+                    )
+                else:
+                    print(f"hom {i} {source.atoms}->{target.atoms}: {report.summary()}")
                 failures += 0 if report.ok else 1
+    if args.as_json:
+        out["ok"] = failures == 0
+        print(json.dumps(out))
     return 0 if failures == 0 else 1
 
 
@@ -423,7 +453,17 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: what is still buffered goes to
+        # devnull, so that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

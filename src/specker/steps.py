@@ -27,7 +27,10 @@ sum the sampled axiom suites add with); its formula is the reference
 :func:`step_mul_nonneg_formula`.  Scaling scales the thresholds, and
 for ``b < 0`` reverses them and complements.  The tier-1 tests compare
 every operation with its formula and with transport through the
-bijection.  Meet, join, and the order are pointwise.
+bijection.  Meet, join, and the order are pointwise: meet and join
+combine the two component chains in one walk (``_lattice``), while the
+order, :func:`compatible_decreasing` and the lifted-proximity check read
+the raw value pairs at each merged threshold from ``_merged``.
 
 Elements keep their components as ``int`` masks over the atom order,
 which every operation here reads; the :class:`BoolElem` components
@@ -458,14 +461,57 @@ def _merged(f: StepElem, g: StepElem) -> Iterator[tuple[Scalar, int, int]]:
         yield gt[k], 0, gm[k]
 
 
-def step_meet(f: StepElem, g: StepElem) -> StepElem:
+def _lattice(f: StepElem, g: StepElem, meet: bool) -> StepElem:
+    """``f & g`` if ``meet``, else ``f | g``, in one walk over both chains.
+
+    The same merge as :func:`_merged`, written out because a generator
+    yield costs as much as the work done at each merged threshold: it
+    combines the two masks, moves the threshold of a run of equal masks
+    up, and past the end of one chain a meet stops (it is 0 there on) and
+    a join copies the rest of the other chain.
+    """
     algebra = _check_same_algebra(f, g)
-    return _assemble_masks(algebra, [(c, a & b) for c, a, b in _merged(f, g)])
+    ft, fm, gt, gm = f.thresholds, f._masks, g.thresholds, g._masks
+    nf, ng = len(ft), len(gt)
+    thresholds: list[Scalar] = []
+    masks: list[int] = []
+    last = -1
+    i = j = 0
+    while i < nf and j < ng:
+        mask = fm[i] & gm[j] if meet else fm[i] | gm[j]
+        a, b = ft[i], gt[j]
+        if a < b:
+            i += 1
+        elif b < a:
+            a = b
+            j += 1
+        else:
+            i += 1
+            j += 1
+        if mask == last:
+            thresholds[-1] = a
+        elif mask:
+            thresholds.append(a)
+            masks.append(mask)
+            last = mask
+        else:  # a meet that reached 0 stays 0
+            break
+    if not meet:
+        rest_t, rest_m = (ft[i:], fm[i:]) if i < nf else (gt[j:], gm[j:])
+        if rest_m and rest_m[0] == last:
+            thresholds[-1] = rest_t[0]
+            rest_t, rest_m = rest_t[1:], rest_m[1:]
+        thresholds.extend(rest_t)
+        masks.extend(rest_m)
+    return _from_masks(algebra, thresholds, masks)
+
+
+def step_meet(f: StepElem, g: StepElem) -> StepElem:
+    return _lattice(f, g, True)
 
 
 def step_join(f: StepElem, g: StepElem) -> StepElem:
-    algebra = _check_same_algebra(f, g)
-    return _assemble_masks(algebra, [(c, a | b) for c, a, b in _merged(f, g)])
+    return _lattice(f, g, False)
 
 
 def _join_all(elems: Iterable[StepElem]) -> StepElem:

@@ -10,7 +10,9 @@ The step reference reads a :class:`StepElem` as a plain list of
 ``(threshold, mask)`` pairs and evaluates each formula of the
 ``specker.steps`` module docstring literally at every candidate
 threshold, as a join or meet over sample points; it shares no code with
-the mask kernel it checks.
+the mask kernel it checks.  ``ref_merged_lattice`` is the composition
+``step_meet`` and ``step_join`` ran before their one walk: the
+``steps._merged`` samples, combined, then ``_assemble_masks``.
 
 ``ref_orth_by_refinement`` is the convolution formula of
 ``specker.orthogonal`` run literally: refine both operands to the common
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import random
 import signal
 from typing import Callable, Iterable, Iterator, Sequence
@@ -63,6 +66,7 @@ from specker.scalars import Scalar
 from specker.steps import (
     StepElem,
     _assemble_masks,
+    _merged,
     decreasing_decomposition,
     from_decomposition,
     step_join,
@@ -249,6 +253,12 @@ def ref_meet(f: StepElem, g: StepElem) -> Table:
 
 def ref_join(f: StepElem, g: StepElem) -> Table:
     return canonical((a, x | y) for a, x, y in _pointwise(f, g))
+
+
+def ref_merged_lattice(f: StepElem, g: StepElem, meet: bool) -> StepElem:
+    """``f & g`` if ``meet``, else ``f | g``: ``_merged``, then ``_assemble_masks``."""
+    combine = operator.and_ if meet else operator.or_
+    return _assemble_masks(f.algebra, [(c, combine(a, b)) for c, a, b in _merged(f, g)])
 
 
 def ref_leq(f: StepElem, g: StepElem) -> bool:

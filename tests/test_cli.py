@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -198,6 +201,15 @@ def test_lift_refuses_element_files_it_would_drop(files, capsys, argv):
     )
 
 
+@pytest.mark.parametrize("command", ["check-morphism", "lift"])
+def test_second_morphism_is_usage_error(files, capsys, command):
+    # not checked and not lifted: a usage error, not a PASS on the first file
+    assert run([command, "--morphism", files["id4"], "--morphism", files["at_p"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command} takes one --morphism\n"
+
+
 def test_lift_morphism_json_reloads(files, capsys):
     assert run(["lift", "--morphism", files["at_p"], "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -381,6 +393,91 @@ def test_equiv_check(files, capsys):
     out = capsys.readouterr().out
     assert "round-trip OK" in out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "left, right, order",
+    [("s", "t", "LEQ"), ("t", "s", "GEQ"), ("t", "t_flat", "EQ"), ("s", "apart", "INCOMPARABLE")],
+)
+def test_order_json(files, capsys, left, right, order):
+    apart = {"rep": "perp", "entries": [{"value": "5", "idem": ["q"]}, {"value": "0", "idem": ["p"]}]}
+    (files["dir"] / "apart.json").write_text(json.dumps(apart), encoding="utf-8")
+    files["apart"] = str(files["dir"] / "apart.json")
+    argv = ["order", "--algebra", files["b4"], files[left], files[right]]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == f"{order}\n"
+    assert run([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"order": order}
+
+
+def test_lift_element_check_json(files, capsys):
+    argv = ["lift", "--algebra", files["b4"], "--json"]
+    assert run([*argv, files["s"], files["t"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"related": True}
+    assert run([*argv, files["t"], files["s"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"related": False}
+
+
+def test_equiv_check_json(files, capsys, monkeypatch):
+    from specker import morphisms
+
+    argv = ["equiv-check", "--algebra", files["b4"], "--samples", "4", "--seed", "3"]
+    assert run([*argv, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["seed", "samples", "round_trips", "homs", "ok"]
+    assert (out["seed"], out["samples"], out["ok"]) == (3, 4, True)
+    assert out["round_trips"] == [{"atoms": ["p", "q"], "ok": True}]
+    # the four homs b4 -> b4, each with both squares
+    assert [hom["index"] for hom in out["homs"]] == [0, 1, 2, 3]
+    for hom in out["homs"]:
+        assert hom["source"] == hom["target"] == ["p", "q"]
+        report = hom["report"]
+        assert report["ok"] and [a["name"] for a in report["axioms"]] == [
+            "tau-square",
+            "eta-square",
+        ]
+
+    monkeypatch.setattr(morphisms, "functor_id", lambda rel: None)
+    assert run([*argv, "--json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["round_trips"] == [{"atoms": ["p", "q"], "ok": False}]
+    assert out["ok"] is False
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: ``write`` or ``flush`` raises."""
+
+    def __init__(self, fd: int, raises: str) -> None:
+        super().__init__()
+        self.fd, self.raises = fd, raises
+
+    def write(self, text: str) -> int:
+        if self.raises == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self) -> None:
+        if self.raises == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("raises", ["write", "flush"])
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path, capsys, monkeypatch, raises):
+    from specker import cli
+
+    with open(tmp_path / "stdout", "w") as handle:
+        fd = handle.fileno()
+        monkeypatch.setattr(sys, "argv", ["specker", "equiv-check", "--samples", "2"])
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd, raises))
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        # the descriptor now writes to devnull, so the flush at exit cannot raise
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    assert exited.value.code == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_normalize_json_reloads(files, capsys):

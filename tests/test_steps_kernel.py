@@ -3,7 +3,10 @@
 Elements are drawn as atom valuations on 1-6 atoms, with integer or
 rational values, and built with the constructor alone; every operation
 is compared with the docstring formula evaluated in ``helpers``, and the
-one-pass join of many elements with pairwise joins.
+one-pass join of many elements with pairwise joins.  Meet and join are
+also drawn on 8-64 atoms, with int and ``Fraction`` values mixed, in the
+shapes that end their one walk early or late, and held equal to the
+``_merged`` composition they replaced.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from helpers import (
     ref_join,
     ref_leq,
     ref_meet,
+    ref_merged_lattice,
     ref_mul_nonneg,
     ref_neg,
     ref_scale_pos,
@@ -95,13 +99,51 @@ def test_neg_matches_reference(case):
     assert table_of(step_neg(f)) == ref_neg(f)
 
 
-@kernel
-@given(operands())
+WIDE = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(8, 65)}
+mixed = st.one_of(ints, fractions)
+
+
+@st.composite
+def wide_operands(draw):
+    """Two step elements on 8-64 atoms, int and ``Fraction`` values mixed.
+
+    The shapes: independent values; one chain ending first, as some atoms
+    move past every value of the other; supports that split, so the meet
+    reaches 0 before either chain ends; identical operands; a constant.
+    """
+    algebra = WIDE[draw(st.integers(8, 64))]
+    n = len(algebra.atoms)
+    values = st.lists(mixed, min_size=n, max_size=n)
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    u = draw(values)
+    shape = draw(st.sampled_from(["independent", "ends-first", "split", "same", "const"]))
+    if shape == "independent":
+        v = draw(values)
+    elif shape == "ends-first":
+        past = max(u) - min(u) + 1
+        v = [x + past if up else x for x, up in zip(u, draw(bits))]
+    elif shape == "split":
+        high = draw(bits)
+        u = [abs(x) + 1 if h else -abs(x) - 1 for x, h in zip(u, high)]
+        v = [-abs(x) - 1 if h else abs(x) + 1 for x, h in zip(draw(values), high)]
+    elif shape == "same":
+        v = u
+    else:
+        v = [draw(mixed)] * n
+    elems = [steps_from_values(algebra, u), steps_from_values(algebra, v)]
+    return algebra, draw(st.permutations(elems))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(operands(), wide_operands()))
 def test_meet_join_leq_match_reference(case):
     _, (f, g) = case
     meet, join = step_meet(f, g), step_join(f, g)
     assert table_of(meet) == ref_meet(f, g)
     assert table_of(join) == ref_join(f, g)
+    # the composition the one walk replaced
+    assert meet == ref_merged_lattice(f, g, True)
+    assert join == ref_merged_lattice(f, g, False)
     assert step_leq(f, g) == ref_leq(f, g)
     # comparable pairs, so that both answers of step_leq are exercised
     assert step_leq(meet, f) and ref_leq(meet, f)
