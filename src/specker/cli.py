@@ -121,14 +121,9 @@ def _the_morphism(args) -> DVMorphism:
     return _load_morphism(args.morphism[0])
 
 
-def _element_json(elem: Element) -> dict:
-    if isinstance(elem, StepElem):
-        return step_to_json(elem)
-    return orth_to_json(elem)
-
-
 def _print_element(elem: Element, as_json: bool) -> None:
-    print(json.dumps(_element_json(elem)) if as_json else str(elem))
+    to_json = step_to_json if isinstance(elem, StepElem) else orth_to_json
+    print(json.dumps(to_json(elem)) if as_json else str(elem))
 
 
 def _print_report(report, as_json: bool) -> int:
@@ -158,30 +153,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="specker",
         description="Exact computation in Specker algebras over finite boolean algebras.",
     )
-    # the options every subcommand takes, declared once
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algebra", help="algebra JSON file")
-    common.add_argument("--proximity", default="leq", help="proximity JSON file or 'leq'")
-    common.add_argument("--expr", help="term to normalize or evaluate")
-    common.add_argument("--morphism", action="append", default=[], help="morphism JSON file")
-    common.add_argument("--samples", type=int, default=200)
-    common.add_argument("--coeff-bound", type=int, default=10)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--json", action="store_true", dest="as_json")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, parents=[common])
-        if name == "convert":
-            p.add_argument("element", help="element JSON file")
-        elif name in ("order", "meet", "join"):
-            p.add_argument("left", help="element JSON file")
-            p.add_argument("right", help="element JSON file")
-        elif name == "lift":
-            p.add_argument("left", nargs="?", help="element JSON file")
-            p.add_argument("right", nargs="?", help="element JSON file")
-        elif name == "compose":
-            p.add_argument("outer", help="morphism JSON file (applied second)")
-            p.add_argument("inner", help="morphism JSON file (applied first)")
+    for name, (_, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for positional in positionals:
+            dest = positional.rstrip("?")
+            nargs = "?" if positional.endswith("?") else None
+            p.add_argument(dest, nargs=nargs, help=_POSITIONALS.get(dest, "element JSON file"))
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -240,18 +220,15 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _cmd_lattice(args, op_name: str) -> int:
+def _cmd_lattice(step_op, orth_op, args) -> int:
     algebra = _load_algebra(args.algebra)
     left = _load_element(algebra, args.left)
     right = _load_element(algebra, args.right)
     if isinstance(left, StepElem):
         right_steps = right if isinstance(right, StepElem) else to_steps(right)
-        result: Element = (step_meet if op_name == "meet" else step_join)(
-            left, right_steps
-        )
+        result: Element = step_op(left, right_steps)
     else:
-        right_orth = _as_orth(right)
-        result = (orth_meet if op_name == "meet" else orth_join)(left, right_orth)
+        result = orth_op(left, _as_orth(right))
     _print_element(result, args.as_json)
     return 0
 
@@ -377,9 +354,7 @@ def _cmd_equiv_check(args) -> int:
     for source in algebras:
         for target in algebras:
             for i, hom in enumerate(enumerate_boolean_homs(source, target)):
-                report = naturality_check(
-                    hom, samples=max(1, args.samples // 2), seed=args.seed
-                )
+                report = naturality_check(hom, samples=max(1, args.samples // 2), seed=args.seed)
                 if args.as_json:
                     out["homs"].append(
                         {
@@ -403,31 +378,55 @@ def _cmd_oracle_diff(args) -> int:
 
     algebra = _load_algebra(args.algebra)
     records = oracle_diff(
-        algebra,
-        seed=args.seed,
-        samples=args.samples,
-        coeff_bound=args.coeff_bound,
+        algebra, seed=args.seed, samples=args.samples, coeff_bound=args.coeff_bound
     )
     for record in records:
         print(json.dumps(record))
     return 0 if all(record["status"] == "pass" for record in records) else 1
 
 
+_OPTIONS = {
+    "--algebra": {"help": "algebra JSON file"},
+    "--proximity": {"default": "leq", "help": "proximity JSON file or 'leq'"},
+    "--expr": {"help": "term to normalize or evaluate"},
+    "--morphism": {"action": "append", "default": [], "help": "morphism JSON file"},
+    "--samples": {"type": int, "default": 200},
+    "--coeff-bound": {"type": int, "default": 10},
+    "--seed": {"type": int, "default": 0},
+    "--json": {"action": "store_true", "dest": "as_json"},
+}
+
+_POSITIONALS = {
+    "outer": "morphism JSON file (applied second)",
+    "inner": "morphism JSON file (applied first)",
+}
+
+_PAIR = ("left", "right")
+_PROX = ("--algebra", "--proximity")
+_SAMPLED = ("--samples", "--coeff-bound", "--seed")
+
+# name -> (handler, positionals, options): a subcommand takes the options
+# its handler reads, and argparse exits 2 on any other; a trailing "?"
+# makes a positional optional
 _COMMANDS = {
-    "normalize": _cmd_normalize,
-    "eval": _cmd_eval,
-    "convert": _cmd_convert,
-    "order": _cmd_order,
-    "meet": lambda args: _cmd_lattice(args, "meet"),
-    "join": lambda args: _cmd_lattice(args, "join"),
-    "check-devries": _cmd_check_devries,
-    "enumerate-devries": _cmd_enumerate_devries,
-    "lift": _cmd_lift,
-    "check-prox": _cmd_check_prox,
-    "check-morphism": _cmd_check_morphism,
-    "compose": _cmd_compose,
-    "equiv-check": _cmd_equiv_check,
-    "oracle-diff": _cmd_oracle_diff,
+    "normalize": (_cmd_normalize, (), ("--algebra", "--expr", "--json")),
+    "eval": (_cmd_eval, (), ("--algebra", "--expr", "--json")),
+    "convert": (_cmd_convert, ("element",), ("--algebra", "--json")),
+    "order": (_cmd_order, _PAIR, ("--algebra", "--json")),
+    "meet": (partial(_cmd_lattice, step_meet, orth_meet), _PAIR, ("--algebra", "--json")),
+    "join": (partial(_cmd_lattice, step_join, orth_join), _PAIR, ("--algebra", "--json")),
+    # the verify benchmark appends --samples to every run and to its
+    # warm-up, so check-devries, lift and compose take it and ignore it
+    "check-devries": (_cmd_check_devries, (), (*_PROX, "--samples", "--json")),
+    "enumerate-devries": (_cmd_enumerate_devries, (), ("--algebra", "--json")),
+    "lift": (_cmd_lift, ("left?", "right?"), (*_PROX, "--morphism", "--samples", "--json")),
+    "check-prox": (_cmd_check_prox, (), (*_PROX, *_SAMPLED, "--json")),
+    "check-morphism": (_cmd_check_morphism, (), ("--morphism", *_SAMPLED, "--json")),
+    "compose": (_cmd_compose, ("outer", "inner"), ("--samples", "--json")),
+    # the eta-square draws with coefficient bound 10, so no --coeff-bound
+    "equiv-check": (_cmd_equiv_check, (), ("--algebra", "--samples", "--seed", "--json")),
+    # prints JSON records either way, and takes --json as every subcommand does
+    "oracle-diff": (_cmd_oracle_diff, (), ("--algebra", *_SAMPLED, "--json")),
 }
 
 
@@ -439,11 +438,11 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.samples < 1:
-            raise UsageError(f"--samples must be at least 1, got {args.samples}")
-        if args.coeff_bound < 1:
-            raise UsageError(f"--coeff-bound must be at least 1, got {args.coeff_bound}")
-        return _COMMANDS[args.command](args)
+        for option in ("samples", "coeff_bound"):
+            value = getattr(args, option, 1)  # absent where a subcommand lacks it
+            if value < 1:
+                raise UsageError(f"--{option.replace('_', '-')} must be at least 1, got {value}")
+        return _COMMANDS[args.command][0](args)
     except ValueError as exc:  # a UsageError, or a library's own
         # a ParseError can only come from the term layer once it is loaded
         terms = sys.modules.get("specker.terms")

@@ -494,7 +494,8 @@ def naturality_check(
     The idempotent square is exhaustive: lifting then applying to an
     embedded idempotent equals embedding the image.  The element square
     is sampled: with :func:`eta` the identity on de Vries relations, the
-    lift of the restricted lift acts like the lift on random elements.
+    lift of the restricted lift acts like the lift on random elements,
+    drawn with coefficient bound 10.
     """
     lifted = lift_morphism(m)
     rng = random.Random(f"{seed}:naturality")

@@ -5,7 +5,8 @@ covers every malformed invocation or input.  Each input file has a role
 (algebra, element, proximity, morphism) and holds a well-formed document
 for it, the same document with one entry dropped or replaced, or random
 JSON.  Most invocations have the shape their subcommand expects, with
-extra options mixed in; the rest are random.  Inputs stay small (at most
+options it takes (from ``cli._COMMANDS``) mixed in; the rest are random
+and may name options it does not take.  Inputs stay small (at most
 two atoms, at most three samples), so the examples run in a few seconds.
 """
 
@@ -133,20 +134,20 @@ SHAPES = {
     "equiv-check": [[], ["--algebra", "alg.json"]],
     "oracle-diff": [["--algebra", "alg.json"]],
 }
-OPTIONS = [
-    "--algebra", "--proximity", "--expr", "--morphism", "--samples",
-    "--coeff-bound", "--seed", "--json", "file",
-]  # fmt: skip
+OPTIONS = sorted({option for _, _, options in _COMMANDS.values() for option in options})
 
 
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS) + ["bogus"]))
     argv = [command]
+    extras = OPTIONS
     if command in SHAPES and draw(st.integers(0, 3)):
         argv += draw(st.sampled_from(SHAPES[command]))
-        argv += ["--samples", str(draw(st.integers(1, 3)))]
-    for option in draw(st.lists(st.sampled_from(OPTIONS), max_size=3)):
+        extras = _COMMANDS[command][2]
+        if "--samples" in extras:
+            argv += ["--samples", str(draw(st.integers(1, 3)))]
+    for option in draw(st.lists(st.sampled_from([*extras, "file"]), max_size=3)):
         if option == "--json":
             argv.append(option)
         elif option in ("--samples", "--coeff-bound", "--seed"):
