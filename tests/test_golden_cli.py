@@ -2,9 +2,12 @@
 
 The runs cover the de Vries and morphism checkers (with counterexample
 witnesses), the sampled lifted-proximity and morphism axioms (seeded), the
-lift round trips and star composition, in text and ``--json`` form.  The
-expected outputs in ``golden_cli.json`` were captured from the eager
-object-based checkers; the mask-based ones must reproduce them exactly.
+lift round trips and star composition, the normal form and atom values of
+terms with rational powers, and the conversion of rational elements, in
+text and ``--json`` form.  The expected outputs in ``golden_cli.json`` were
+captured from the eager object-based checkers (the term and conversion
+cases from the ``Fraction`` kernel, before it ran on scaled integers); the
+code of today must reproduce them exactly.
 
 To regenerate the file (only when an output change is intended), run
 
@@ -27,6 +30,12 @@ from specker.cli import run
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 B3 = ["a", "b", "c"]
+A4 = ["a0", "a1", "a2", "a3"]
+
+# rational bases under "^": the terms workload's repeated orth_mul
+RATIONAL_POW = "(x_a0 * 3/2 + 1/3)^7 - x_a1 * 5/4 + meet(x_a2, 2/3)"
+# integral and proper rational classes in one result
+MIXED = "(x_a0 * 1/2 + x_a1 * 2)^4 + join(x_a2 * 3/2, 1/2) * 2 - meet(x_a3, 4/3) * 3/2"
 
 
 def _leq_pairs(n: int) -> list[tuple[int, int]]:
@@ -103,6 +112,24 @@ def _inputs() -> dict[str, object]:
             "rep": "perp",
             "entries": [{"value": "3", "idem": ["p"]}, {"value": "1", "idem": ["q"]}],
         },
+        "a4.json": {"atoms": A4},
+        "r_steps.json": {
+            "rep": "flat",
+            "steps": [
+                {"upto": "-3/2", "idem": "1"},
+                {"upto": "1/3", "idem": ["a0", "a1", "a2"]},
+                {"upto": "2", "idem": ["a1", "a2"]},
+                {"upto": "11/4", "idem": ["a2"]},
+            ],
+        },
+        "r_orth.json": {
+            "rep": "perp",
+            "entries": [
+                {"value": "5/6", "idem": ["a0", "a3"]},
+                {"value": "2", "idem": ["a1"]},
+                {"value": "-1/4", "idem": ["a2"]},
+            ],
+        },
     }
 
 
@@ -144,6 +171,12 @@ _BASE = {
     "oracle-2-atoms-seed-7": [
         "oracle-diff", "--algebra", "b4.json", "--samples", "20", "--seed", "7",
     ],
+    "normalize-rational-pow": ["normalize", "--algebra", "a4.json", "--expr", RATIONAL_POW],
+    "eval-rational-pow": ["eval", "--algebra", "a4.json", "--expr", RATIONAL_POW],
+    "normalize-mixed": ["normalize", "--algebra", "a4.json", "--expr", MIXED],
+    "eval-mixed": ["eval", "--algebra", "a4.json", "--expr", MIXED],
+    "convert-rational-steps": ["convert", "--algebra", "a4.json", "r_steps.json"],
+    "convert-rational-orth": ["convert", "--algebra", "a4.json", "r_orth.json"],
 }
 
 CASES = {
