@@ -52,6 +52,14 @@ class UsageError(ValueError):
     """Bad invocation or unreadable input; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one :class:`UsageError` line,
+    not usage text and an exit; ``--help`` still prints and exits 0."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -149,7 +157,7 @@ def _print_sampled(args, base, sample) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specker",
         description="Exact computation in Specker algebras over finite boolean algebras.",
     )
@@ -378,7 +386,11 @@ def _cmd_oracle_diff(args) -> int:
 
     algebra = _load_algebra(args.algebra)
     records = oracle_diff(
-        algebra, seed=args.seed, samples=args.samples, coeff_bound=args.coeff_bound
+        algebra,
+        seed=args.seed,
+        samples=args.samples,
+        coeff_bound=args.coeff_bound,
+        domain=args.domain,
     )
     for record in records:
         print(json.dumps(record))
@@ -394,6 +406,11 @@ _OPTIONS = {
     "--coeff-bound": {"type": int, "default": 10},
     "--seed": {"type": int, "default": 0},
     "--json": {"action": "store_true", "dest": "as_json"},
+    "--domain": {
+        "choices": ("int", "fraction"),
+        "default": "int",
+        "help": "coefficient domain of the random elements' values",
+    },
 }
 
 _POSITIONALS = {
@@ -426,23 +443,21 @@ _COMMANDS = {
     # the eta-square draws with coefficient bound 10, so no --coeff-bound
     "equiv-check": (_cmd_equiv_check, (), ("--algebra", "--samples", "--seed", "--json")),
     # prints JSON records either way, and takes --json as every subcommand does
-    "oracle-diff": (_cmd_oracle_diff, (), ("--algebra", *_SAMPLED, "--json")),
+    "oracle-diff": (_cmd_oracle_diff, (), ("--algebra", *_SAMPLED, "--domain", "--json")),
 }
 
 
 def run(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _build_parser().parse_args(argv)
         for option in ("samples", "coeff_bound"):
             value = getattr(args, option, 1)  # absent where a subcommand lacks it
             if value < 1:
                 raise UsageError(f"--{option.replace('_', '-')} must be at least 1, got {value}")
         return _COMMANDS[args.command][0](args)
+    except SystemExit as exc:  # --help, which argparse prints and exits 0 on
+        return int(exc.code) if exc.code else 0
     except ValueError as exc:  # a UsageError, or a library's own
         # a ParseError can only come from the term layer once it is loaded
         terms = sys.modules.get("specker.terms")

@@ -9,13 +9,23 @@ with distinct values.
 
 An element stores its values and its components as ``int`` masks over
 the atom order; the :class:`BoolElem` components (``entries``) are built
-on first read.  Sums, products, meets and joins work atom by atom: over
-a finite algebra an element is fixed by its atom values, so the
-operands' values are read from their masks, combined, and regrouped by
-value into the canonical form, in O(n + k log k) for n atoms and k
-classes; step multiplication runs the same kernel.  The tests compare it
-with the convolution formula ``(f + g)(a) = join of f(b) & g(c) over
-b + c = a``, and meet and join also with :func:`_lattice_by_formula`.
+on first read.  Sums, products, meets and joins work atom by atom
+(``_by_atoms``): over a finite algebra an element is fixed by its atom
+values, so the operands' values are read from their masks, combined, and
+regrouped by value into the canonical form, in O(n + k log k) for n
+atoms and k classes; step multiplication and the kernel step sum run the
+same helper.  When a ``Fraction`` is among the operands' class values,
+they are first scaled to ints over the least common multiple ``L`` of
+their denominators, so that the per-atom work adds, compares and hashes
+ints (a ``Fraction`` sum costs ~60x an int one); only each result class
+builds a value, over ``L`` (``L**2`` for a product).  The type of a
+class value is what the ``Fraction`` arithmetic gives at the class's
+lowest atom: an ``int`` where both operands took ints there, else a
+``Fraction``, even one equal to an int; a meet or join returns the
+operand value it picked, the first on a tie.  With ints alone the only
+extra cost is one scan of the class values.  The tests compare the
+kernel with the convolution formula ``(f + g)(a) = join of f(b) & g(c)
+over b + c = a``, and meet and join also with :func:`_lattice_by_formula`.
 The order's positive cone is the elements with all values nonnegative.
 Everything is immutable and exact.
 """
@@ -23,6 +33,8 @@ Everything is immutable and exact.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import lcm
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
@@ -269,23 +281,79 @@ def random_orth(
     return _from_masks(algebra, *_classes(values))
 
 
-def _by_atoms(f: OrthElem, g: OrthElem, pick) -> OrthElem:
+def _int_mask(values: Sequence[Scalar], masks: Sequence[int]) -> int:
+    """The join of the classes whose value is an ``int``."""
+    joined = 0
+    for value, mask in zip(values, masks):
+        if isinstance(value, int):
+            joined |= mask
+    return joined
+
+
+def _by_atoms(
+    algebra: Algebra,
+    f_values: tuple[Scalar, ...],
+    f_masks: Sequence[int],
+    g_values: tuple[Scalar, ...],
+    g_masks: Sequence[int],
+    pick,
+) -> tuple[list[Scalar], list[int]]:
+    """The classes, values ascending, of ``pick(f(x), g(x))`` at each atom ``x``.
+
+    ``f`` and ``g`` are given by their disjoint classes; ``pick`` is
+    ``add``, ``sub``, ``mul``, ``min`` or ``max``.  With a ``Fraction``
+    among the values, both operands are scaled to ints over the least
+    common denominator ``scale`` and each result class builds one value:
+    ``v // scale`` (over ``scale**2`` for ``mul``) if its lowest atom took
+    ints on both sides, else ``Fraction(v, scale)``; ``min`` and ``max``
+    hand back the operand value they picked there, the first on a tie.
+    """
+    given = f_values + g_values
+    for value in given:
+        if value.__class__ is not int:
+            break
+    else:
+        at = map(
+            pick,
+            _atom_values(algebra, f_values, f_masks),
+            _atom_values(algebra, g_values, g_masks),
+        )
+        return _classes(at)
+    scale = lcm(*[value.denominator for value in given])
+    f_ints = [v.numerator * (scale // v.denominator) for v in f_values]
+    g_ints = [v.numerator * (scale // v.denominator) for v in g_values]
+    f_at = _atom_values(algebra, f_ints, f_masks)
+    g_at = _atom_values(algebra, g_ints, g_masks)
+    values, masks = _classes(map(pick, f_at, g_at))
+    if pick is min or pick is max:
+        f_of, g_of = dict(zip(f_ints, f_values)), dict(zip(g_ints, g_values))
+        picked = []
+        for value, mask in zip(values, masks):
+            low = (mask & -mask).bit_length() - 1
+            picked.append(f_of[value] if f_at[low] == value else g_of[value])
+        return picked, masks
+    if pick is mul:
+        scale *= scale
+    both = _int_mask(f_values, f_masks) & _int_mask(g_values, g_masks)
+    return [
+        value // scale if mask & -mask & both else Fraction(value, scale)
+        for value, mask in zip(values, masks)
+    ], masks
+
+
+def _pointwise(f: OrthElem, g: OrthElem, pick) -> OrthElem:
     """The element taking ``pick(f(x), g(x))`` at each atom ``x``."""
     algebra = _check_same_algebra(f, g)
-    at = map(
-        pick,
-        _atom_values(algebra, f._values, f._masks),
-        _atom_values(algebra, g._values, g._masks),
-    )
-    return _from_masks(algebra, *_classes(at))
+    classes = _by_atoms(algebra, f._values, f._masks, g._values, g._masks, pick)
+    return _from_masks(algebra, *classes)
 
 
 def orth_add(f: OrthElem, g: OrthElem) -> OrthElem:
-    return _by_atoms(f, g, add)
+    return _pointwise(f, g, add)
 
 
 def orth_mul(f: OrthElem, g: OrthElem) -> OrthElem:
-    return _by_atoms(f, g, mul)
+    return _pointwise(f, g, mul)
 
 
 def orth_scale(b: Scalar, f: OrthElem) -> OrthElem:
@@ -304,7 +372,7 @@ def orth_neg(f: OrthElem) -> OrthElem:
 
 
 def orth_sub(f: OrthElem, g: OrthElem) -> OrthElem:
-    return _by_atoms(f, g, sub)
+    return _pointwise(f, g, sub)
 
 
 def orth_is_nonneg(f: OrthElem) -> bool:
@@ -337,12 +405,12 @@ def _lattice_by_formula(f: OrthElem, g: OrthElem, pick) -> OrthElem:
 
 def orth_meet(f: OrthElem, g: OrthElem) -> OrthElem:
     """Lattice meet: the smaller value at each atom."""
-    return _by_atoms(f, g, min)
+    return _pointwise(f, g, min)
 
 
 def orth_join(f: OrthElem, g: OrthElem) -> OrthElem:
     """Lattice join: the larger value at each atom."""
-    return _by_atoms(f, g, max)
+    return _pointwise(f, g, max)
 
 
 def annihilator_idempotent(gens: Sequence[OrthElem]) -> BoolElem:

@@ -27,7 +27,13 @@ from typing import Callable, Iterator, Sequence, Union
 
 from .boolalg import Algebra, _first_failure, _Frozen, _setattr
 from .orthogonal import OrthElem
-from .scalars import Scalar, _random_values, _require_coeff_bound, format_scalar
+from .scalars import (
+    Scalar,
+    _random_values,
+    _require_coeff_bound,
+    _require_domain,
+    format_scalar,
+)
 from .steps import StepElem
 
 __all__ = [
@@ -209,14 +215,17 @@ _ORACLE = (
 )
 
 
-def _draw(shape: str, rng: random.Random, algebra: Algebra, bound: int) -> tuple:
-    """The operands of one case; a scalar comes first but is drawn last."""
-    first = random_pointfn(rng, algebra, bound)
+def _draw(
+    shape: str, rng: random.Random, algebra: Algebra, bound: int, domain: str
+) -> tuple:
+    """The operands of one case, their atom values from ``domain``; a
+    scalar operand is an ``int``, and comes first but is drawn last."""
+    first = random_pointfn(rng, algebra, bound, domain)
     if shape == "one":
         return (first,)
     if shape.endswith("scalar"):
         return rng.randint(1 if shape == "positive scalar" else -bound, bound), first
-    pair = (first, random_pointfn(rng, algebra, bound))
+    pair = (first, random_pointfn(rng, algebra, bound, domain))
     if shape == "pair":
         return pair
     # "nonneg pair": the absolute values
@@ -244,12 +253,12 @@ def _represent(form: str, pf: PointFn) -> Union[OrthElem, StepElem]:
 
 def _oracle_cases(
     row: tuple, op: Callable, rng: random.Random, algebra: Algebra, bound: int,
-    samples: int,
+    samples: int, domain: str,
 ) -> Iterator[dict | None]:
     """Each case of one table row: ``None`` when it holds, else its witness."""
     name, shape, given, reference, form = row
     for case in range(samples):
-        operands = _draw(shape, rng, algebra, bound)
+        operands = _draw(shape, rng, algebra, bound, domain)
         got = op(
             *(_represent(given, x) if isinstance(x, PointFn) else x for x in operands)
         )
@@ -273,6 +282,7 @@ def oracle_diff(
     samples: int = 200,
     coeff_bound: int = 10,
     overrides: dict[str, Callable] | None = None,
+    domain: str = "int",
 ) -> list[dict]:
     """Run every public arithmetic/order operation against this oracle.
 
@@ -285,11 +295,14 @@ def oracle_diff(
     others.  ``overrides`` substitutes implementations by name, which is
     how fault-injection tests exercise the mismatch path; a name that is
     not checked is refused.  ``coeff_bound`` must be at least 1.
+    ``domain`` (``"int"`` or ``"fraction"``) is the coefficient domain of
+    the elements' atom values; scalar operands are always ints.
     """
     from . import orthogonal as og
     from . import steps as st
 
     _require_coeff_bound(coeff_bound)
+    _require_domain(domain)
     ops = {
         name: getattr(og if name.startswith("orth_") else st, name)
         for name, *_ in _ORACLE
@@ -305,7 +318,7 @@ def oracle_diff(
         # string seeding is stable across processes, unlike hash() of a str
         rng = random.Random(f"{seed}:{name}")
         checked, witness = _first_failure(
-            _oracle_cases(row, ops[name], rng, algebra, coeff_bound, samples)
+            _oracle_cases(row, ops[name], rng, algebra, coeff_bound, samples, domain)
         )
         record = {"op": name, "seed": seed, "case": checked, "status": "pass"}
         if witness is not None:

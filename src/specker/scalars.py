@@ -67,6 +67,12 @@ def _require_coeff_bound(coeff_bound: int) -> None:
         raise ValueError(f"coeff_bound must be at least 1, got {coeff_bound}")
 
 
+def _require_domain(domain: str) -> None:
+    """Refuse a coefficient domain other than ``"int"`` and ``"fraction"``."""
+    if domain not in ("int", "fraction"):
+        raise ValueError(f"unknown coefficient domain: {domain!r}")
+
+
 def _random_values(
     rng: random.Random, count: int, bound: int, domain: str = "int"
 ) -> tuple[Scalar, ...]:
@@ -79,11 +85,9 @@ def _random_values(
     equal values whichever form is built.
     """
     _require_coeff_bound(bound)
+    _require_domain(domain)
     if domain == "int":
         return tuple(rng.randint(-bound, bound) for _ in range(count))
-    if domain == "fraction":
-        return tuple(
-            Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
-            for _ in range(count)
-        )
-    raise ValueError(f"unknown coefficient domain: {domain!r}")
+    return tuple(
+        Fraction(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(count)
+    )

@@ -20,10 +20,12 @@ The direct arithmetic formulas on step functions are
 
 each evaluated only at candidate thresholds, which suffices because both
 sides are step functions whose breakpoints lie in those candidate sets.
-Addition runs its formula.  Multiplication reads each atom's value from
-the classes of ``to_orth`` and regroups the products with the kernel of
-:mod:`specker.orthogonal` (``_by_atoms``, which also gives ``_sum``, the
-sum the sampled axiom suites add with); its formula is the reference
+Addition runs its formula.  Multiplication hands the classes of
+``to_orth`` (the thresholds and the differences of the chain) to the
+atom-value kernel of :mod:`specker.orthogonal` (``_by_atoms``, on
+scaled ints when a threshold is a ``Fraction``) and turns the classes it
+returns back into a chain; ``_sum``, the sum the sampled axiom suites
+add with, runs the same kernel.  The product's formula is the reference
 :func:`step_mul_nonneg_formula`.  Scaling scales the thresholds, and
 for ``b < 0`` reverses them and complements.  The tier-1 tests compare
 every operation with its formula and with transport through the
@@ -57,7 +59,7 @@ from .boolalg import (
     element_to_json,
     element_to_literal,
 )
-from .orthogonal import OrthElem, _atom_values, _classes
+from .orthogonal import OrthElem, _by_atoms, _classes
 from .orthogonal import _from_masks as _orth_from_masks
 from .scalars import (
     Scalar,
@@ -358,11 +360,13 @@ def step_scale_pos(b: Scalar, f: StepElem) -> StepElem:
     return _scaled(b, f)
 
 
-def _by_atoms(algebra: Algebra, f: StepElem, g: StepElem, pick) -> StepElem:
-    """The element taking ``pick(f(x), g(x))`` at each atom ``x``, each
-    atom's value read from ``to_orth`` masks."""
-    at = [_atom_values(algebra, h.thresholds, _differences(h._masks)) for h in (f, g)]
-    values, masks = _classes(map(pick, *at))
+def _pointwise(f: StepElem, g: StepElem, pick) -> StepElem:
+    """The element taking ``pick(f(x), g(x))`` at each atom ``x``, from the
+    classes of ``to_orth``."""
+    algebra = _check_same_algebra(f, g)
+    values, masks = _by_atoms(
+        algebra, f.thresholds, _differences(f._masks), g.thresholds, _differences(g._masks), pick
+    )
     return _from_masks(algebra, values, _tail_masks(masks))
 
 
@@ -372,15 +376,15 @@ def _sum(f: StepElem, g: StepElem) -> StepElem:
     :func:`step_add` still evaluates the formula at every candidate
     threshold; the tests hold the two equal.
     """
-    return _by_atoms(_check_same_algebra(f, g), f, g, add)
+    return _pointwise(f, g, add)
 
 
 def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
-    algebra = _check_same_algebra(f, g)
+    _check_same_algebra(f, g)
     # a canonical element is >= 0 exactly when its first threshold is
     if not (f.thresholds[0] >= 0 and g.thresholds[0] >= 0):
         raise ValueError("both factors must be nonnegative; use step_mul instead")
-    return _by_atoms(algebra, f, g, mul)
+    return _pointwise(f, g, mul)
 
 
 def step_mul_nonneg_formula(f: StepElem, g: StepElem) -> StepElem:
@@ -418,7 +422,7 @@ def step_neg(f: StepElem) -> StepElem:
 
 def step_mul(f: StepElem, g: StepElem) -> StepElem:
     """General multiplication, atom by atom."""
-    return _by_atoms(_check_same_algebra(f, g), f, g, mul)
+    return _pointwise(f, g, mul)
 
 
 def step_scale(b: Scalar, f: StepElem) -> StepElem:

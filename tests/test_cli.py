@@ -599,6 +599,41 @@ def test_coeff_bound_below_one_is_usage_error(files, capsys, command, bound):
     assert _one_line_error(capsys) == f"error: --coeff-bound must be at least 1, got {bound}"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        ([], "the following arguments are required: command"),
+        (["convert", "--algebra", "b4"], "the following arguments are required: element"),
+        (["oracle-diff", "--algebra", "b4", "--samples", "x"], "invalid int value: 'x'"),
+        (["order", "--algebra", "b4", "s", "s", "--samples", "5"], "unrecognized arguments"),
+    ],
+    ids=["unknown-subcommand", "no-subcommand", "missing-positional", "non-int", "outside"],
+)
+def test_argparse_errors_are_one_line(files, capsys, command, message):
+    # no usage text: one "error: ..." line on stderr, and exit 2
+    assert run([files.get(word, word) for word in command]) == 2
+    assert message in _one_line_error(capsys)
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: specker")
+    assert run(["oracle-diff", "--help"]) == 0
+    assert "--domain {int,fraction}" in capsys.readouterr().out
+
+
+def test_oracle_diff_fraction_domain(files, capsys):
+    argv = ["oracle-diff", "--algebra", files["b4"], "--samples", "10"]
+    assert run([*argv, "--domain", "fraction"]) == 0
+    fraction = capsys.readouterr().out
+    assert [json.loads(line)["status"] for line in fraction.splitlines()] == ["pass"] * 18
+    assert run([*argv, "--domain", "int"]) == 0
+    assert capsys.readouterr().out == fraction  # the same records; other draws
+    assert run([*argv, "--domain", "real"]) == 2
+    assert "argument --domain: invalid choice: 'real'" in _one_line_error(capsys)
+
+
 def test_lift_round_trip_verdict_is_computed(files, capsys, monkeypatch):
     from specker import proximity
 

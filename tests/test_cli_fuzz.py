@@ -154,6 +154,8 @@ def invocations(draw):
             argv += [option, str(draw(st.integers(-2, 3)))]
         elif option == "--expr":
             argv += [option, "EXPR"]
+        elif option == "--domain":
+            argv += [option, draw(st.sampled_from(["int", "fraction", "real"]))]
         elif option == "--proximity":
             argv += [option, draw(st.sampled_from(["leq", *FILES]))]
         elif option == "file":

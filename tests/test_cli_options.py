@@ -116,6 +116,7 @@ VALUES = {
     "--coeff-bound": ["3"],
     "--seed": ["1"],
     "--json": [],
+    "--domain": ["fraction"],
 }
 OUTSIDE = [
     pytest.param([name, *WELL_FORMED[name], option, *VALUES[option]], id=f"{name}{option}")

@@ -1,9 +1,12 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from specker.boolalg import make_algebra
+from specker.orthogonal import orth_add
 from specker.pointwise import (
     PointFn,
     atom_values,
@@ -128,6 +131,30 @@ def test_random_pointfn_rejects_bound_below_1(b4, bound, domain):
     with pytest.raises(ValueError, match=f"coeff_bound must be at least 1, got {bound}"):
         random_pointfn(rng, b4, bound, domain)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("atoms", range(1, 7))
+def test_oracle_diff_passes_on_fraction_values(atoms, seed):
+    algebra = make_algebra([f"a{i}" for i in range(atoms)])
+    records = oracle_diff(algebra, seed=seed, samples=20, domain="fraction")
+    assert len(records) == 18 and all(r["status"] == "pass" for r in records)
+
+
+def test_oracle_diff_draws_elements_from_its_domain(b4):
+    seen = {}
+
+    def recording_add(f, g):
+        seen.setdefault(domain, set()).update(map(type, f.values() + g.values()))
+        return orth_add(f, g)
+
+    for domain in ("int", "fraction"):
+        oracle_diff(b4, seed=2, samples=10, overrides={"orth_add": recording_add}, domain=domain)
+    assert seen == {"int": {int}, "fraction": {Fraction}}
+    # int is the default, so earlier runs replay unchanged
+    assert oracle_diff(b4, seed=2, samples=5) == oracle_diff(b4, seed=2, samples=5, domain="int")
+    with pytest.raises(ValueError, match="unknown coefficient domain: 'real'"):
+        oracle_diff(b4, samples=0, domain="real")
 
 
 def test_oracle_diff_refuses_unknown_override(b4):
