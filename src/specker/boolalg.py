@@ -363,6 +363,10 @@ def element_from_json(algebra: Algebra, obj) -> BoolElem:
 
 
 def algebra_to_json(algebra: Algebra) -> dict:
+    """``{"free_generators": k}`` for ``make_free_algebra(k)``, else the atoms."""
+    count = len(algebra.generators)
+    if 1 <= count <= _MAX_GENERATORS and algebra == make_free_algebra(count):
+        return {"free_generators": count}
     return {"atoms": list(algebra.atoms)}
 
 

@@ -559,11 +559,14 @@ def morphism_from_json(obj) -> DVMorphism:
     source = load_side(obj["source"])
     target = load_side(obj["target"])
     table: list[int] = [0] * source.algebra.size
-    seen = set()
+    seen: dict[int, str] = {}  # mask -> its key; "[p,q]" and "1" can name one mask
     for key, value in obj["map"].items():
         e = element_from_literal(source.algebra, key)
+        if e.mask in seen:
+            twice = f"{seen[e.mask]!r} and {key!r}"
+            raise ValueError(f"morphism map names one source element twice: {twice}")
         table[e.mask] = element_from_literal(target.algebra, value).mask
-        seen.add(e.mask)
+        seen[e.mask] = key
     if len(seen) != source.algebra.size:
         raise ValueError("morphism map must cover every source element")
     return DVMorphism(source, target, tuple(table))

@@ -1,10 +1,13 @@
 """De Vries proximities on finite boolean algebras and their lift.
 
 A proximity here is a binary relation on a finite boolean algebra
-subject to the compingent axioms (D1-D7 below), checked exhaustively.
-The relation lifts pointwise to step functions: two elements are related
-exactly when their step values are related at every scalar, which is
-decidable by looking at the merged thresholds only.
+subject to the compingent axioms (D1-D7 below).  On a finite algebra
+``<=`` is the only one (the finite corner of de Vries duality), so the
+library gates ask :func:`enumerate_devries`; :func:`check_devries` runs
+D1-D7 only where its report is printed.  The relation lifts pointwise to
+step functions: two elements are related exactly when their step values
+are related at every scalar, which is decidable by looking at the merged
+thresholds only.
 
 The lifted relation is itself a proximity in the algebra sense (axioms
 P1-P10); those laws quantify over all elements, so they are verified by
@@ -15,9 +18,9 @@ randomness seeded.  The random elements come from the core
 coefficient bound and its relation once, at entry, and its cases then
 draw, lift and construct through private helpers that check neither
 again, and add on the atom-value kernel (``steps._sum``).  Every public
-entry keeps its own checks.  The exhaustive checks take algebras of at
-most 32 elements, and ``_require_exhaustive`` refuses a larger one
-before ``<=`` is built for it.
+entry keeps its own checks.  The exhaustive checks and the gate take
+algebras of at most 32 elements, and ``_require_exhaustive`` refuses a
+larger one before ``<=`` is built for it.
 
 Every axiom, exhaustive or sampled, here and in :mod:`specker.morphisms`,
 is recorded by one recorder: its cases yield ``None`` when they hold and
@@ -369,25 +372,9 @@ def check_devries(rel: ProxRel) -> ProxReport:
     return ProxReport("de Vries axioms", tuple(results))
 
 
-# relations whose D1-D7 verdict is kept, so that a long-lived process does
+# relations whose gate verdict is kept, so that a long-lived process does
 # not keep every relation it ever checked alive
 _DEVRIES_CACHED = 32
-
-
-@lru_cache(maxsize=_DEVRIES_CACHED)
-def _devries_report(rel: ProxRel) -> ProxReport:
-    """:func:`check_devries` once per relation (equal relations share it)."""
-    return check_devries(rel)
-
-
-@lru_cache(maxsize=_DEVRIES_CACHED)
-def _devries_ok(rel: ProxRel) -> bool:
-    return _devries_report(rel).ok
-
-
-def _require_devries(rel: ProxRel) -> None:
-    if not _devries_ok(rel):
-        raise ValueError("relation is not a de Vries proximity")
 
 
 def enumerate_devries(algebra: Algebra) -> list[ProxRel]:
@@ -400,6 +387,17 @@ def enumerate_devries(algebra: Algebra) -> list[ProxRel]:
     """
     _require_exhaustive(algebra)
     return [leq_proximity(algebra)]
+
+
+@lru_cache(maxsize=_DEVRIES_CACHED)
+def _devries_ok(rel: ProxRel) -> bool:
+    """``check_devries(rel).ok``, by the theorem :func:`enumerate_devries` rests on."""
+    return rel in enumerate_devries(rel.algebra)
+
+
+def _require_devries(rel: ProxRel) -> None:
+    if not _devries_ok(rel):
+        raise ValueError("relation is not a de Vries proximity")
 
 
 def interpolant(rel: ProxRel, e: BoolElem, f: BoolElem) -> BoolElem:

@@ -99,14 +99,28 @@ class Pow(_Frozen):
         _setattr(self, "exponent", exponent)
 
 
+# the binary operators, by symbol; each entry looks its function up when it
+# is called, so a profiler that rebinds this module's names sees the call
+_BINARY = {
+    "+": lambda f, g: orth_add(f, g),
+    "-": lambda f, g: orth_sub(f, g),
+    "*": lambda f, g: orth_mul(f, g),
+    "meet": lambda f, g: orth_meet(f, g),
+    "join": lambda f, g: orth_join(f, g),
+}
+
+# how tightly each infix symbol of ``_BINARY`` binds: ``*`` over ``+``/``-``
+_BINDING = {"+": 1, "-": 1, "*": 2}
+
+
 class BinOp(_Frozen):
     __slots__ = _fields = ("op", "left", "right")
-    op: str  # one of + - * meet join
+    op: str  # a key of _BINARY
     left: Term
     right: Term
 
     def __init__(self, op: str, left: Term, right: Term) -> None:
-        if op not in {"+", "-", "*", "meet", "join"}:
+        if op not in _BINARY:
             raise ValueError(f"unknown operator {op!r}")
         _setattr(self, "op", op)
         _setattr(self, "left", left)
@@ -206,29 +220,19 @@ class _Parser:
             )
         return term
 
-    def expr(self) -> tuple[Term, int]:
-        term, depth = self.addend()
-        while True:
-            token = self._peek()
-            if token and token[0] == "punct" and token[1] in "+-":
-                self.index += 1
-                right, right_depth = self.addend()
-                term = BinOp(token[1], term, right)
-                depth = self._level(1 + max(depth, right_depth), token[2])
-            else:
-                return term, depth
-
-    def addend(self) -> tuple[Term, int]:
+    def expr(self, level: int = 1) -> tuple[Term, int]:
+        """The grammar's ``expr`` (level 1) and ``addend`` (level 2), left-associative:
+        an operator takes as its right operand only what binds tighter than it."""
         term, depth = self.factor()
         while True:
             token = self._peek()
-            if token and token[0] == "punct" and token[1] == "*":
-                self.index += 1
-                right, right_depth = self.factor()
-                term = BinOp("*", term, right)
-                depth = self._level(1 + max(depth, right_depth), token[2])
-            else:
+            binds = _BINDING.get(token[1], 0) if token and token[0] == "punct" else 0
+            if binds < level:
                 return term, depth
+            self.index += 1
+            right, right_depth = self.expr(binds + 1)
+            term = BinOp(token[1], term, right)
+            depth = self._level(1 + max(depth, right_depth), token[2])
 
     def factor(self) -> tuple[Term, int]:
         term, depth = self.unary()
@@ -367,16 +371,7 @@ def normalize_term(
                 result = orth_mul(result, base)
             return result
         if isinstance(node, BinOp):
-            left, right = evaluate(node.left), evaluate(node.right)
-            if node.op == "+":
-                return orth_add(left, right)
-            if node.op == "-":
-                return orth_sub(left, right)
-            if node.op == "*":
-                return orth_mul(left, right)
-            if node.op == "meet":
-                return orth_meet(left, right)
-            return orth_join(left, right)
+            return _BINARY[node.op](evaluate(node.left), evaluate(node.right))
         raise TypeError(f"not a term node: {node!r}")
 
     return evaluate(term)

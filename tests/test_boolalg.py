@@ -140,6 +140,15 @@ def test_algebra_json_round_trip(b4):
     assert free.size == 16
     with pytest.raises(ValueError):
         algebra_from_json({"neither": 1})
+    for count in range(1, 5):
+        # a free algebra is written back with its generators, and the same
+        # minterm names without them as a plain powerset
+        free = make_free_algebra(count)
+        assert algebra_to_json(free) == {"free_generators": count}
+        assert algebra_from_json(algebra_to_json(free)) == free
+        plain = make_algebra(free.atoms)
+        assert algebra_to_json(plain) == {"atoms": list(free.atoms)}
+        assert algebra_from_json(algebra_to_json(plain)) == plain != free
 
 
 @pytest.mark.parametrize("atoms", ["pq", ["p", 1], {"p": 1}, None])

@@ -261,11 +261,16 @@ def test_check_prox_checks_devries_once(files, capsys, monkeypatch):
         return original(rel, *args, **kwargs)
 
     monkeypatch.setattr(proximity, "check_devries", counted)
-    proximity._devries_report.cache_clear()
     proximity._devries_ok.cache_clear()
+    # the gate passes <= by the theorem: D1-D7 do not run
     args = ["check-prox", "--algebra", files["b4"], "--samples", "5"]
     assert run(args) == 0
     assert "PASS (10 axioms)" in capsys.readouterr().out
+    assert checked == []
+    # a refused relation runs them once, for the report that says why
+    args = ["check-prox", "--algebra", files["b2"], "--proximity", files["bad_prox"]]
+    assert run(args) == 1
+    assert capsys.readouterr().out.startswith("FAIL (D")
     assert len(checked) == 1
 
 
@@ -364,7 +369,70 @@ def test_compose_json_reloads(files, capsys):
 
 def test_compose_endpoint_mismatch_is_usage_error(files, capsys):
     assert run(["compose", files["at_p"], files["at_p"]]) == 2
-    capsys.readouterr()
+    assert _one_line_error(capsys) == "error: morphism endpoints do not match"
+
+
+def test_compose_reads_lifted_morphism_into_a_free_algebra(files, capsys):
+    # the lifted morphism's JSON names its free target by its generators,
+    # so it composes where the original file does
+    free = {"algebra": {"free_generators": 1}, "proximity": "leq"}
+    inner = files["dir"] / "inner.json"
+    inner.write_text(
+        json.dumps(
+            {
+                "source": {"algebra": {"atoms": ["p", "q"]}},
+                "target": free,
+                "map": {"0": "0", "[p]": "[m0]", "[q]": "[m1]", "1": "1"},
+            }
+        ),
+        encoding="utf-8",
+    )
+    outer = files["dir"] / "outer.json"
+    outer.write_text(
+        json.dumps(
+            {
+                "source": free,
+                "target": {"algebra": {"atoms": ["x"]}},
+                "map": {"0": "0", "[m0]": "1", "[m1]": "0", "1": "1"},
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert run(["compose", str(outer), str(inner)]) == 0
+    direct = capsys.readouterr().out
+    assert run(["lift", "--morphism", str(inner), "--json"]) == 0
+    lifted_json = json.loads(capsys.readouterr().out)
+    assert lifted_json["target"]["algebra"] == {"free_generators": 1}
+    lifted = files["dir"] / "lifted.json"
+    lifted.write_text(json.dumps(lifted_json), encoding="utf-8")
+    assert run(["compose", str(outer), str(lifted)]) == 0
+    assert capsys.readouterr().out == direct
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [("[p,q]", "0"), ("1", "1")],
+        [("1", "1"), ("[q,p]", "0")],
+        [("[p]", "[p]"), ("[ p ]", "[p]")],
+    ],
+)
+def test_morphism_map_naming_an_element_twice_is_usage_error(files, capsys, entries):
+    # whichever key came last used to win, so the verdict hung on key order
+    table = {"0": "0", "[p]": "[p]", "[q]": "[q]"}
+    table.update(entries)
+    path = files["dir"] / "twice.json"
+    obj = {
+        "source": {"algebra": {"atoms": ["p", "q"]}},
+        "target": {"algebra": {"atoms": ["p", "q"]}},
+        "map": table,
+    }
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert run(["check-morphism", "--morphism", str(path)]) == 2
+    first, second = (key for key in table if key in dict(entries))
+    assert _one_line_error(capsys) == (
+        f"error: morphism map names one source element twice: {first!r} and {second!r}"
+    )
 
 
 def test_oracle_diff_jsonl(files, capsys):

@@ -5,7 +5,7 @@ the pair set on any relation, de Vries or not.  ``sample_related_pair``
 draws ``pair_at(rng.randrange(count()))``, which must be exactly the draw
 of ``rng.choice`` over the sorted pairs, with the same generator state
 afterwards, so every seeded report stays as it was.  The de Vries
-verdict caches keep a bounded number of relations.  The last tests read
+gate's verdict cache keeps a bounded number of relations.  The last tests read
 the source: no module but ``proximity.py`` may read the relation's
 storage, so a read added anywhere else in the package is caught.
 """
@@ -82,26 +82,22 @@ def test_sample_related_pair_draws_as_rng_choice(atoms):
 
 def test_devries_caches_are_bounded():
     bound = proximity._DEVRIES_CACHED
-    caches = (proximity._devries_report, proximity._devries_ok)
-    assert all(cache.cache_info().maxsize == bound for cache in caches)
+    cache = proximity._devries_ok
+    assert cache.cache_info().maxsize == bound
     b8 = ALGEBRAS[3]
     leq = leq_proximity(b8)
     every = [(e, f) for e in range(b8.size) for f in range(b8.size)]
     # <= itself, then <= with one pair toggled: more relations than the bound
     rels = [leq] + [ProxRel(b8, leq.pairs ^ {pair}) for pair in every[: bound + 8]]
     assert len(set(rels)) > bound
-    for cache in caches:
-        cache.cache_clear()
+    cache.cache_clear()
     try:
         # twice over, so the second pass reads back relations already evicted
         for rel in rels + rels:
-            report = check_devries(rel)
-            assert proximity._devries_report(rel) == report
-            assert proximity._devries_ok(rel) is report.ok is (rel == leq)
-            assert all(cache.cache_info().currsize <= bound for cache in caches)
+            assert cache(rel) is check_devries(rel).ok is (rel == leq)
+            assert cache.cache_info().currsize <= bound
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        cache.cache_clear()
 
 
 def _format_reads(tree: ast.AST) -> list[tuple[int, str]]:
