@@ -10,7 +10,10 @@ stdout early (the shell's code for SIGPIPE).
 
 Only the Specker-algebra core (``boolalg``, ``orthogonal``, ``steps``) is
 imported here; each subcommand imports the de Vries, oracle or term
-layer it runs, so a run loads no layer it does not use.
+layer it runs, so a run loads no layer it does not use.  Likewise a run
+builds only its own subcommand's parser from ``_COMMANDS``; a run that
+names no known subcommand first (none, ``--help``, an unknown name)
+builds all of them, so every help text and error line is the same.
 """
 
 from __future__ import annotations
@@ -151,13 +154,17 @@ def _print_sampled(args, sample) -> int:
     return _print_report(report, args.as_json)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser with the subparser ``argv[0]`` names, or with all of them
+    when it names none (see the module docstring)."""
     parser = _Parser(
         prog="specker",
         description="Exact computation in Specker algebras over finite boolean algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, positionals, options) in _COMMANDS.items():
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        _, positionals, options = _COMMANDS[name]
         p = sub.add_parser(name)
         for positional in positionals:
             dest = positional.rstrip("?")
@@ -310,12 +317,17 @@ def _cmd_check_prox(args) -> int:
 
 def _cmd_check_morphism(args) -> int:
     from .morphisms import _lift, check_dv_morphism, sample_morphism_axioms
+    from .proximity import _devries_ok, check_devries
 
     m = _the_morphism(args)
     # the suite runs only on a passing report, so M1-M4 run once
     base = check_dv_morphism(m)
     if not base.ok:
         return _print_report(base, args.as_json)
+    # the suite needs de Vries endpoints; D1-D7 run only to print why one is not
+    for rel in (m.source, m.target):
+        if not _devries_ok(rel):
+            return _print_report(check_devries(rel), args.as_json)
     return _print_sampled(args, partial(sample_morphism_axioms, _lift(m)))
 
 
@@ -444,7 +456,7 @@ _COMMANDS = {
 def run(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         for option in ("samples", "coeff_bound"):
             value = getattr(args, option, 1)  # absent where a subcommand lacks it
             if value < 1:

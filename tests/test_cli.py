@@ -290,6 +290,29 @@ def test_check_morphism_checks_m1_to_m4_once(files, capsys, monkeypatch):
     assert len(checked) == 1
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_check_morphism_prints_why_an_endpoint_is_not_de_vries(files, capsys, side, as_json):
+    # M1-M4 pass on the identity, but the suite needs de Vries endpoints:
+    # the refused endpoint's D-report is printed, as check-prox prints it
+    pairs = {
+        "source": [["0", "0"], ["1", "1"]],  # D3 fails
+        "target": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],  # D2 fails
+    }
+    sides = {s: {"algebra": {"atoms": ["x"]}, "proximity": "leq"} for s in ("source", "target")}
+    sides[side]["proximity"] = {"pairs": pairs[side]}
+    path = files["dir"] / "not_devries.json"
+    path.write_text(json.dumps({**sides, "map": {"0": "0", "1": "1"}}), encoding="utf-8")
+    prox = files["dir"] / "prox.json"
+    prox.write_text(json.dumps({"proximity": {"pairs": pairs[side]}}), encoding="utf-8")
+
+    assert run(["check-morphism", "--morphism", str(path), "--samples", "5", *as_json]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith('{"subject": "de Vries axioms"' if as_json else "FAIL (D")
+    assert run(["check-prox", "--algebra", files["b2"], "--proximity", str(prox), *as_json]) == 1
+    assert capsys.readouterr().out == out
+
+
 def test_equiv_check_checks_each_hom_once(capsys, monkeypatch):
     from specker import morphisms
 
