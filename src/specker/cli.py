@@ -145,6 +145,20 @@ def _print_report(report, as_json: bool) -> int:
     return 0 if report.ok else 1
 
 
+def _refusal(*morphisms: DVMorphism):
+    """For the first morphism the gate refuses, its failing M1-M4 report, else
+    the failing D1-D7 report of its first refused proximity; or ``None``."""
+    from .morphisms import _dv_ok, check_dv_morphism
+    from .proximity import _devries_ok, check_devries
+
+    for m in morphisms:
+        if not _dv_ok(m):
+            report = check_dv_morphism(m)
+            refused = [rel for rel in (m.source, m.target) if not _devries_ok(rel)]
+            return report if not report.ok else check_devries(refused[0])
+    return None
+
+
 def _print_sampled(args, sample) -> int:
     """Run the sampled suite ``sample`` on the ``--samples``,
     ``--coeff-bound`` and ``--seed`` options, which head its text report."""
@@ -269,11 +283,12 @@ def _cmd_lift(args) -> int:
     if args.left is not None and (args.right is None or args.morphism):
         raise UsageError("lift takes two element files or none, and none with --morphism")
     if args.morphism:
-        from .morphisms import lift_morphism, morphism_to_json, restrict_prox_morphism
+        from .morphisms import _lift, morphism_to_json, restrict_prox_morphism
 
         m = _the_morphism(args)
-        lifted = lift_morphism(m)
-        restricted = restrict_prox_morphism(lifted)
+        if (refusal := _refusal(m)) is not None:
+            return _print_report(refusal, args.as_json)
+        restricted = restrict_prox_morphism(_lift(m))
         status = "OK" if restricted.table == m.table else "MISMATCH"
         if args.as_json:
             print(json.dumps(morphism_to_json(restricted)))
@@ -316,26 +331,23 @@ def _cmd_check_prox(args) -> int:
 
 
 def _cmd_check_morphism(args) -> int:
-    from .morphisms import _lift, check_dv_morphism, sample_morphism_axioms
-    from .proximity import _devries_ok, check_devries
+    from .morphisms import _lift, sample_morphism_axioms
+    from .proximity import _require_exhaustive
 
     m = _the_morphism(args)
-    # the suite runs only on a passing report, so M1-M4 run once
-    base = check_dv_morphism(m)
-    if not base.ok:
-        return _print_report(base, args.as_json)
-    # the suite needs de Vries endpoints; D1-D7 run only to print why one is not
-    for rel in (m.source, m.target):
-        if not _devries_ok(rel):
-            return _print_report(check_devries(rel), args.as_json)
+    if (refusal := _refusal(m)) is not None:
+        return _print_report(refusal, args.as_json)
+    for rel in (m.source, m.target):  # the sampled suite's bound, as in check-prox
+        _require_exhaustive(rel.algebra)
     return _print_sampled(args, partial(sample_morphism_axioms, _lift(m)))
 
 
 def _cmd_compose(args) -> int:
     from .morphisms import morphism_to_json, star_compose_dv
 
-    outer = _load_morphism(args.outer)
-    inner = _load_morphism(args.inner)
+    outer, inner = _load_morphism(args.outer), _load_morphism(args.inner)
+    if (refusal := _refusal(outer, inner)) is not None:
+        return _print_report(refusal, args.as_json)
     composed = star_compose_dv(outer, inner)
     if args.as_json:
         print(json.dumps(morphism_to_json(composed)))

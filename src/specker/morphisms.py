@@ -2,18 +2,16 @@
 
 A :class:`DVMorphism` is a total map between finite boolean algebras
 carrying proximities, subject to the de Vries morphism axioms (M1-M4
-below, checked exhaustively).  It lifts uniquely to an action on step
-functions by composing with each step component; the lifted map is a
-proximity morphism (axioms M1-M7 on elements, verified by sampling).
-Composition is the star operation
-
-    (m2 * m1)(e) = join of m2(m1(f)) over f < e,
-
-not plain function composition.  Restriction to embedded idempotents and
-lifting are mutually inverse, which makes the idempotent functor and the
-power functor an equivalence; the natural isomorphisms are the step
-embedding of idempotents and the (here, identity) re-representation of
-elements as step functions.
+below); between finite de Vries proximities, that is ``<=``s, these are
+the boolean homomorphisms, which the gate asks for.  It lifts uniquely to
+an action on step functions by composing with each step component, to a
+proximity morphism (M1-M7 on elements, verified by sampling).  The star
+composition ``(m2 * m1)(e) = join of m2(m1(f)) over f < e`` is then plain
+composition, ``f < e`` being ``f <= e``.  Restriction to embedded
+idempotents and lifting are mutually inverse, which makes the idempotent
+functor and the power functor an equivalence; the natural isomorphisms
+are the step embedding of idempotents and the (here, identity)
+re-representation of elements as step functions.
 
 Boolean-level axioms:
 
@@ -47,6 +45,7 @@ from .proximity import (
     ProxReport,
     _record,
     _record_sampled,
+    _devries_ok,
     _related_pair,
     _require_devries,
     leq_proximity,
@@ -212,6 +211,26 @@ def check_dv_morphism(m: DVMorphism) -> ProxReport:
     return ProxReport("de Vries morphism axioms", tuple(results))
 
 
+def _dv_ok(m: DVMorphism) -> bool:
+    """``check_dv_morphism(m).ok`` between ``<=``s: every entry is the join of its atoms'
+    images, disjoint (sum = join) and joining to 1.  O(size * atoms), not size^2."""
+    table, n = m.table, len(m.source.algebra.atoms)
+    return (
+        _devries_ok(m.source) and _devries_ok(m.target) and table[0] == 0
+        and all(table[e] == table[e & e - 1] | table[e & -e] for e in range(1, len(table)))
+        and sum(table[1 << i] for i in range(n)) == table[-1] == m.target.algebra.full_mask
+    )
+
+
+def _require_dv(m: DVMorphism) -> None:
+    """Raise unless :func:`_dv_ok`; M1-M4 run only to word the error."""
+    if not _dv_ok(m):
+        report = check_dv_morphism(m)
+        if not report.ok:
+            raise ValueError(f"invalid source morphism: {report.summary()}")
+        raise ValueError("relation is not a de Vries proximity")
+
+
 def enumerate_boolean_homs(a: Algebra, b: Algebra) -> list[DVMorphism]:
     """All unital boolean homomorphisms a -> b, wrapped with the orders.
 
@@ -219,21 +238,13 @@ def enumerate_boolean_homs(a: Algebra, b: Algebra) -> list[DVMorphism]:
     from the atoms of the target to the atoms of the source; the element
     map sends ``e`` to the target atoms whose image lies in ``e``.
     """
-    homs = []
-    source_rel = leq_proximity(a)
-    target_rel = leq_proximity(b)
-    atom_count_a = len(a.atoms)
-    atom_count_b = len(b.atoms)
-    for dual in itertools.product(range(atom_count_a), repeat=atom_count_b):
-        table = []
-        for e_mask in range(a.size):
-            mask = 0
-            for y in range(atom_count_b):
-                if e_mask >> dual[y] & 1:
-                    mask |= 1 << y
-            table.append(mask)
-        homs.append(DVMorphism(source_rel, target_rel, tuple(table)))
-    return homs
+    source, target = leq_proximity(a), leq_proximity(b)
+    return [
+        DVMorphism(source, target, tuple(
+            sum(1 << y for y, x in enumerate(dual) if e >> x & 1) for e in range(a.size)
+        ))
+        for dual in itertools.product(range(len(a.atoms)), repeat=len(b.atoms))
+    ]
 
 
 def identity_dv(rel: ProxRel) -> DVMorphism:
@@ -241,16 +252,12 @@ def identity_dv(rel: ProxRel) -> DVMorphism:
 
 
 def star_compose_dv(m2: DVMorphism, m1: DVMorphism) -> DVMorphism:
-    """Star composition: join of the two-step images over approximants."""
+    """Star composition; on the gated finite case, plain composition (see above)."""
     if m1.target != m2.source:
         raise ValueError("morphism endpoints do not match")
-    table = []
-    for e in range(m1.source.algebra.size):
-        mask = 0
-        for f in m1.source.lefts(e):
-            mask |= m2.table[m1.table[f]]
-        table.append(mask)
-    return DVMorphism(m1.source, m2.target, tuple(table))
+    _require_dv(m2)
+    _require_dv(m1)
+    return DVMorphism(m1.source, m2.target, tuple(m2.table[v] for v in m1.table))
 
 
 # --- lifting to elements ------------------------------------------------------
@@ -267,20 +274,17 @@ def _compose_with_steps(m: DVMorphism) -> Callable[[StepElem], StepElem]:
 
 
 def lift_morphism(m: DVMorphism) -> ProxMorphism:
-    """Lift a de Vries morphism to step functions by composing stepwise.
+    """Lift a de Vries morphism (the gate refuses any other) by composing stepwise.
 
-    Requires a valid source morphism.  The tier-1 tests check the square
-    against the idempotent embedding (lift of an embedded idempotent =
-    embedding of its image) on every idempotent.
+    The tier-1 tests check the square against the idempotent embedding
+    (lift of an embedded idempotent = embedding of its image) on every idempotent.
     """
-    report = check_dv_morphism(m)
-    if not report.ok:
-        raise ValueError(f"invalid source morphism: {report.summary()}")
+    _require_dv(m)
     return _lift(m)
 
 
 def _lift(m: DVMorphism) -> ProxMorphism:
-    """:func:`lift_morphism` without its M1-M4 check, for callers holding the report."""
+    """:func:`lift_morphism` without its gate, for callers that passed it."""
     return ProxMorphism(
         m.source, m.target, _compose_with_steps(m), base=m, label="lifted"
     )
@@ -328,8 +332,6 @@ def star_compose_prox(p2: ProxMorphism, p1: ProxMorphism) -> ProxMorphism:
     Computed as the lift of the star composition of the idempotent
     restrictions, which is the unique proximity morphism extending it.
     """
-    if p1.target != p2.source:
-        raise ValueError("morphism endpoints do not match")
     d1 = p1.base if p1.base is not None else restrict_prox_morphism(p1)
     d2 = p2.base if p2.base is not None else restrict_prox_morphism(p2)
     composed = lift_morphism(star_compose_dv(d2, d1))
@@ -476,7 +478,6 @@ def eta(rel: ProxRel) -> ProxMorphism:
     Elements are already stored in step form, so the map is the identity
     action, and :func:`naturality_check` needs no instance of it.
     """
-    _require_devries(rel)
     return ProxMorphism(
         rel,
         functor_sp(functor_id(rel)),
@@ -510,11 +511,8 @@ def naturality_check(
         ),
     )
 
-    # the restriction of a checked lift is the checked hom itself, so it
-    # is lifted without running M1-M4 again; a wrong one fails the square
+    # the restriction of the gated lift is the gated hom; a wrong one fails the square
     relifted = _lift(restrict_prox_morphism(lifted))
-    _require_devries(m.source)
-    _require_devries(m.target)
 
     def eta_square():
         s = random_steps(rng, m.source.algebra, 10)

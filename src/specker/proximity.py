@@ -3,11 +3,11 @@
 A proximity here is a binary relation on a finite boolean algebra
 subject to the compingent axioms (D1-D7 below).  On a finite algebra
 ``<=`` is the only one (the finite corner of de Vries duality), so the
-library gates ask :func:`enumerate_devries`; :func:`check_devries` runs
-D1-D7 only where its report is printed.  The relation lifts pointwise to
-step functions: two elements are related exactly when their step values
-are related at every scalar, which is decidable by looking at the merged
-thresholds only.
+library gate asks whether a relation is ``<=``, with no bound, and
+:func:`check_devries` runs D1-D7 only where its report is printed.  The
+relation lifts pointwise to step functions: two elements are related
+exactly when their step values are related at every scalar, which is
+decidable by looking at the merged thresholds only.
 
 The lifted relation is itself a proximity in the algebra sense (axioms
 P1-P10); those laws quantify over all elements, so they are verified by
@@ -18,9 +18,9 @@ randomness seeded.  The random elements come from the core
 coefficient bound and its relation once, at entry, and its cases then
 draw, lift and construct through private helpers that check neither
 again, and add on the atom-value kernel (``steps._sum``).  Every public
-entry keeps its own checks.  The exhaustive checks and the gate take
-algebras of at most 32 elements, and ``_require_exhaustive`` refuses a
-larger one before ``<=`` is built for it.
+entry keeps its own checks.  The exhaustive checks take algebras of at
+most 32 elements, and ``_require_exhaustive`` refuses a larger one before
+``<=`` is built for it.
 
 Every axiom, exhaustive or sampled, here and in :mod:`specker.morphisms`,
 is recorded by one recorder: its cases yield ``None`` when they hold and
@@ -391,8 +391,9 @@ def enumerate_devries(algebra: Algebra) -> list[ProxRel]:
 
 @lru_cache(maxsize=_DEVRIES_CACHED)
 def _devries_ok(rel: ProxRel) -> bool:
-    """``check_devries(rel).ok``, by the theorem :func:`enumerate_devries` rests on."""
-    return rel in enumerate_devries(rel.algebra)
+    """``check_devries(rel).ok``, by the finite theorem: 3^n pairs, each in ``<=``."""
+    n, pairs = len(rel.algebra.atoms), map(rel.pair_at, range(rel.count()))
+    return rel.count() == 3**n and all(e & ~f == 0 for e, f in pairs)
 
 
 def _require_devries(rel: ProxRel) -> None:
@@ -649,7 +650,6 @@ def interpolate_lifted(rel: ProxRel, s: StepElem, t: StepElem) -> StepElem:
     Interpolants of the step values over the merged thresholds,
     prefix-met so they decrease.
     """
-    _require_devries(rel)
     if not lift_check(rel, s, t):
         raise ValueError("interpolation requires a related pair")
     return _interpolate(rel, s, t)

@@ -31,6 +31,7 @@ from specker.morphisms import (
     ProxMorphism,
     _approximant_join,
     _compose_with_steps,
+    _dv_ok,
     check_dv_morphism,
     star_compose_dv,
 )
@@ -63,19 +64,24 @@ def relations(draw, max_atoms=3):
     return ProxRel(algebra, frozenset(pairs))
 
 
+def _hom_table(draw, source, target) -> list[int]:
+    """The table of a boolean homomorphism, from a drawn dual atom map."""
+    n, m = len(source.algebra.atoms), len(target.algebra.atoms)
+    dual = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    return [
+        sum(1 << t for t, s in enumerate(dual) if mask >> s & 1)
+        for mask in range(source.algebra.size)
+    ]
+
+
 @st.composite
 def morphisms(draw):
     source = draw(relations())
     target = draw(relations())
     limit = target.algebra.size
     if draw(st.booleans()):
-        # a boolean homomorphism, from its dual atom map, with entries changed
-        n, m = len(source.algebra.atoms), len(target.algebra.atoms)
-        dual = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-        table = [
-            sum(1 << t for t, s in enumerate(dual) if mask >> s & 1)
-            for mask in range(source.algebra.size)
-        ]
+        # a boolean homomorphism with entries changed
+        table = _hom_table(draw, source, target)
         for spot in draw(st.lists(st.integers(0, len(table) - 1), max_size=2)):
             table[spot] = draw(st.integers(0, limit - 1))
     else:
@@ -108,14 +114,41 @@ def test_check_dv_morphism_matches_reference(m):
 
 
 @kernel
-@given(morphisms(), morphisms())
-def test_star_compose_matches_reference(m1, m2):
-    # re-home m2 on m1's target (its table cycled to the new size) so the
-    # endpoints match
+@given(morphisms())
+def test_morphism_gate_matches_the_checkers(m):
+    endpoints = check_devries(m.source).ok and check_devries(m.target).ok
+    assert _dv_ok(m) is (endpoints and check_dv_morphism(m).ok)
+
+
+@st.composite
+def composable(draw):
+    """``(m1, m2)`` with ``m1.target == m2.source``: two homomorphisms
+    between ``<=`` on 1-3 atoms, which the gate passes, or two draws of
+    :func:`morphisms`, which it mostly refuses."""
+    if draw(st.booleans()):
+        a, b, c = (leq_proximity(ALGEBRAS[draw(st.integers(1, 3))]) for _ in range(3))
+        m1 = DVMorphism(a, b, tuple(_hom_table(draw, a, b)))
+        return m1, DVMorphism(b, c, tuple(_hom_table(draw, b, c)))
+    m1, m2 = draw(morphisms()), draw(morphisms())
+    # re-home m2 on m1's target (its table cycled to the new size)
     size = m1.target.algebra.size
     table = tuple(m2.table[i % len(m2.table)] for i in range(size))
-    m2 = DVMorphism(m1.target, m2.target, table)
-    assert star_compose_dv(m2, m1).table == ref_star_compose_table(m2, m1)
+    return m1, DVMorphism(m1.target, m2.target, table)
+
+
+@kernel
+@given(composable())
+def test_star_compose_matches_reference(pair):
+    m1, m2 = pair
+    refused = [m for m in (m2, m1) if not _dv_ok(m)]
+    if not refused:
+        assert star_compose_dv(m2, m1).table == ref_star_compose_table(m2, m1)
+        return
+    # the first refused operand names why: its M1-M4, else an endpoint
+    report = check_dv_morphism(refused[0])
+    message = "invalid source morphism" if not report.ok else "not a de Vries proximity"
+    with pytest.raises(ValueError, match=message):
+        star_compose_dv(m2, m1)
 
 
 def test_leq_proximity_is_the_order():
@@ -187,12 +220,8 @@ def approximant_cases(draw):
     """A morphism action on ``<=`` over 1-4 atoms, an element, a cap, a seed."""
     source = leq_proximity(ALGEBRAS[draw(st.integers(1, 4))])
     target = leq_proximity(ALGEBRAS[draw(st.integers(1, 3))])
-    n, m = len(source.algebra.atoms), len(target.algebra.atoms)
-    dual = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    table = [
-        sum(1 << t for t, s in enumerate(dual) if mask >> s & 1)
-        for mask in range(source.algebra.size)
-    ]
+    n = len(source.algebra.atoms)
+    table = _hom_table(draw, source, target)
     kinds = ["lifted", "table", "shifted", "negated", "constant", "mixed"]
     kind = draw(st.sampled_from(kinds))
     if kind == "table":

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,20 +275,29 @@ def test_check_prox_checks_devries_once(files, capsys, monkeypatch):
     assert len(checked) == 1
 
 
-def test_check_morphism_checks_m1_to_m4_once(files, capsys, monkeypatch):
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so that each call appends its arguments to the list returned."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_check_morphism_asks_the_gate_once(files, capsys, monkeypatch):
     from specker import morphisms
 
-    checked = []
-    original = morphisms.check_dv_morphism
-
-    def counted(m):
-        checked.append(m)
-        return original(m)
-
-    monkeypatch.setattr(morphisms, "check_dv_morphism", counted)
+    gated = _count_calls(monkeypatch, morphisms, "_dv_ok")
+    checked = _count_calls(monkeypatch, morphisms, "check_dv_morphism")
     assert run(["check-morphism", "--morphism", files["id4"], "--samples", "5"]) == 0
     assert "PASS (7 axioms)" in capsys.readouterr().out
-    assert len(checked) == 1
+    # one verdict, from the theorem; M1-M4 run only for a refusal's report
+    assert len(gated) == 1
+    assert checked == []
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
@@ -316,18 +326,89 @@ def test_check_morphism_prints_why_an_endpoint_is_not_de_vries(files, capsys, si
 def test_equiv_check_checks_each_hom_once(capsys, monkeypatch):
     from specker import morphisms
 
-    checked = []
-    original = morphisms.check_dv_morphism
-
-    def counted(m):
-        checked.append(m)
-        return original(m)
-
-    monkeypatch.setattr(morphisms, "check_dv_morphism", counted)
+    gated = _count_calls(monkeypatch, morphisms, "_dv_ok")
+    checked = _count_calls(monkeypatch, morphisms, "check_dv_morphism")
     assert run(["equiv-check"]) == 0
     out = capsys.readouterr().out
-    # the 8 homs between the default algebras on 1 and 2 atoms
-    assert out.count(": PASS (2 axioms)") == len(checked) == 8
+    # the 8 homs between the default algebras on 1 and 2 atoms, one
+    # verdict each; M1-M4 run only for a refusal's report
+    assert out.count(": PASS (2 axioms)") == len(gated) == 8
+    assert checked == []
+
+
+def _one_atom_morphism(files, name, source="leq", target="leq", image_of_1="1") -> str:
+    """A one-atom morphism file: the identity, or with ``1 -> 0`` no hom."""
+    sides = {side: {"algebra": {"atoms": ["x"]}, "proximity": prox}
+             for side, prox in (("source", source), ("target", target))}
+    path = files["dir"] / name
+    path.write_text(
+        json.dumps({**sides, "map": {"0": "0", "1": image_of_1}}), encoding="utf-8"
+    )
+    return str(path)
+
+
+REFUSED = {
+    "source not de Vries": {"source": {"pairs": [["0", "0"], ["1", "1"]]}},  # D3
+    "target not de Vries": {
+        "target": {"pairs": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]}  # D2
+    },
+    "not a hom": {"image_of_1": "0"},  # M3
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_lift_and_compose_print_the_refusal_check_morphism_prints(
+    files, capsys, case, as_json
+):
+    bad = _one_atom_morphism(files, "bad.json", **REFUSED[case])
+    good = _one_atom_morphism(files, "good.json")
+    assert run(["check-morphism", "--morphism", bad, *as_json]) == 1
+    expected = capsys.readouterr().out
+    assert expected.startswith('{"subject": "de Vries' if as_json else "FAIL (")
+    # compose refuses either operand, whichever position it takes
+    for argv in (["lift", "--morphism", bad], ["compose", bad, good], ["compose", good, bad]):
+        assert run([*argv, *as_json]) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, ""), argv
+
+
+def _six_atom_identity(files, drop=None) -> str:
+    """The identity on ``<=`` over 6 atoms, or on ``<=`` without the pair ``drop``."""
+    from specker.morphisms import DVMorphism, morphism_to_json
+    from specker.proximity import ProxRel, leq_proximity
+
+    algebra = make_algebra([f"a{i}" for i in range(6)])
+    rel = leq_proximity(algebra)
+    if drop is not None:
+        rel = ProxRel(algebra, rel.pairs - {drop})
+    path = files["dir"] / "six.json"
+    m = DVMorphism(rel, rel, tuple(range(algebra.size)))
+    path.write_text(json.dumps(morphism_to_json(m)), encoding="utf-8")
+    return str(path)
+
+
+BOUND_ERROR = "error: algebra with 64 elements exceeds the exhaustive bound of 32"
+
+
+def test_check_morphism_keeps_the_bound_that_lift_and_compose_do_not_have(files, capsys):
+    six = _six_atom_identity(files)
+    assert run(["check-morphism", "--morphism", six, "--samples", "5"]) == 2
+    assert _one_line_error(capsys) == BOUND_ERROR
+    assert run(["lift", "--morphism", six]) == 0
+    assert capsys.readouterr().out == "lifted morphism; restriction round-trip OK\n"
+    assert run(["compose", six, six, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(Path(six).read_text())
+
+
+def test_a_refused_endpoint_over_the_bound_is_the_bound_error(files, capsys):
+    # M1-M4 pass on the identity; D1-D7 would print why the relation is
+    # refused, but take no algebra over the bound
+    six = _six_atom_identity(files, drop=(0, 63))
+    for argv in (["check-morphism", "--morphism", six], ["lift", "--morphism", six],
+                 ["compose", six, six]):
+        assert run(argv) == 2, argv
+        assert _one_line_error(capsys) == BOUND_ERROR
 
 
 def test_equiv_check_restricts_each_relation_once(capsys, monkeypatch):

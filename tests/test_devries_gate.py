@@ -1,13 +1,16 @@
-"""The de Vries gate is the finite theorem, and D1-D7 run only for a report.
+"""The de Vries gates are the finite theorem, and the axioms run only for a report.
 
 On a finite boolean algebra the order ``<=`` is the only de Vries
-proximity, so ``proximity._devries_ok(rel)`` asks whether ``rel`` is the
-one relation ``enumerate_devries`` returns.  These tests hold that answer
-equal to the exhaustive ``check_devries(rel).ok``, on every subset of
-``<=`` on 1-2 atoms, on every one-pair toggle of ``<=`` on 1-4 atoms and
-on seeded toggles on 5, and hold its refusal above the exhaustive bound
-equal to the checker's.  The last test runs the benchmark's 13 ``verify``
-command lines in-process and counts the D1-D7 runs: only
+proximity, so ``proximity._devries_ok(rel)`` asks whether ``rel`` is
+``<=``: it has 3^n pairs, each inside the order.  These tests hold that
+answer equal to the exhaustive ``check_devries(rel).ok``, on every subset
+of ``<=`` on 1-2 atoms, on every one-pair toggle of ``<=`` on 1-4 atoms
+and on seeded toggles on 5; above the exhaustive bound, on 6-8 atoms, the
+gate still decides, without building ``<=``.  The de Vries morphisms
+between two ``<=`` are the boolean homomorphisms, so
+``morphisms._dv_ok(m)`` is held equal to ``check_dv_morphism(m).ok`` on
+every table between small algebras.  The last test runs the benchmark's
+13 ``verify`` command lines in-process and counts the D1-D7 runs: only
 ``check-devries`` and a ``check-prox`` that refuses its relation print
 their report, and they run them once each.
 """
@@ -24,13 +27,14 @@ import pytest
 from specker import proximity
 from specker.boolalg import make_algebra
 from specker.cli import run
+from specker.morphisms import DVMorphism, _dv_ok, check_dv_morphism
 from specker.proximity import ProxRel, _devries_ok, check_devries, leq_proximity
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
-ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 7)}
+ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 9)}
 
 
 def _subsets_of_leq(atoms: int) -> list[ProxRel]:
@@ -79,13 +83,66 @@ def test_gate_matches_check_devries_on_seeded_toggles_of_five_atoms():
         assert _devries_ok(rel) is check_devries(rel).ok is (rel == leq), rel
 
 
-def test_gate_refuses_six_atoms_as_check_devries_does():
+def test_gate_accepts_six_atoms_where_check_devries_refuses():
     rel = leq_proximity(ALGEBRAS[6])
     message = "algebra with 64 elements exceeds the exhaustive bound of 32"
     with pytest.raises(ValueError, match=message):
         check_devries(rel)
-    with pytest.raises(ValueError, match=message):
-        _devries_ok(rel)
+    assert _devries_ok(rel) is True
+
+
+@pytest.mark.parametrize("atoms", [6, 7, 8])
+def test_gate_decides_above_the_bound_without_building_leq(atoms, monkeypatch):
+    algebra = ALGEBRAS[atoms]
+    leq = leq_proximity(algebra)
+    rng = random.Random(f"devries-gate:{atoms}")
+    inside = rng.choice(sorted(leq.pairs))
+    outside = (algebra.full_mask, rng.randrange(algebra.full_mask))  # 1 is below no f < 1
+    rels = {
+        "leq": ProxRel(algebra, frozenset(leq.pairs)),  # built apart from <=
+        "minus one pair": ProxRel(algebra, leq.pairs - {inside}),
+        "plus one pair": ProxRel(algebra, leq.pairs | {outside}),
+        "one pair swapped": ProxRel(algebra, leq.pairs - {inside} | {outside}),
+    }
+    built = []
+    original = proximity.leq_proximity
+
+    def counted(alg):
+        built.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(proximity, "leq_proximity", counted)
+    _devries_ok.cache_clear()
+    verdicts = {name: _devries_ok(rel) for name, rel in rels.items()}
+    assert verdicts == {
+        "leq": True,
+        "minus one pair": False,
+        "plus one pair": False,
+        "one pair swapped": False,
+    }
+    assert built == []
+
+
+def _tables(source_atoms: int, target_atoms: int):
+    """Every table from ``<=`` on ``source_atoms`` into ``<=`` on ``target_atoms``."""
+    source = leq_proximity(ALGEBRAS[source_atoms])
+    target = leq_proximity(ALGEBRAS[target_atoms])
+    images = range(target.algebra.size)
+    for table in itertools.product(images, repeat=source.algebra.size):
+        yield DVMorphism(source, target, table)
+
+
+def test_morphism_gate_matches_check_dv_morphism_on_every_small_table():
+    shapes = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)]
+    tables = [m for shape in shapes for m in _tables(*shape)]
+    assert len(tables) == 4708
+    passed = 0
+    for m in tables:
+        ok = _dv_ok(m)
+        assert ok is check_dv_morphism(m).ok, m
+        passed += ok
+    # the boolean homs, dual to the maps from target atoms to source atoms
+    assert passed == sum(source**target for source, target in shapes) == 20
 
 
 def test_verify_runs_d1_to_d7_only_where_their_report_is_printed(

@@ -308,6 +308,29 @@ def test_naturality_check_refuses_a_relation_that_is_not_de_vries(b4, leq4):
         naturality_check(m, samples=5)
 
 
+def test_lift_and_star_compose_refuse_a_relation_that_is_not_de_vries(b4, leq4):
+    # the relation of the test above: M1-M4 pass, the gate refuses it
+    m = identity_dv(ProxRel(b4, leq4.pairs - {(1, 3)}))
+    calls = {
+        "lift_morphism": lambda: lift_morphism(m),
+        "star_compose_dv": lambda: star_compose_dv(m, m),
+        "identity_prox": lambda: identity_prox(m.source),
+        "eta": lambda: eta(m.source),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="^relation is not a de Vries proximity$"):
+            call()
+            pytest.fail(name)
+
+
+def test_star_compose_refuses_an_operand_that_fails_m1_to_m4(b4, leq4):
+    not_hom = DVMorphism(leq4, leq4, (0, 1, 1, 3))  # q goes to p
+    ident = identity_dv(leq4)
+    for m2, m1 in ((not_hom, ident), (ident, not_hom)):
+        with pytest.raises(ValueError, match="^invalid source morphism: FAIL"):
+            star_compose_dv(m2, m1)
+
+
 def test_lifted_morphisms_are_monotone(b4, b2, at_p):
     lifted = lift_morphism(at_p)
     rng = random.Random(97)
