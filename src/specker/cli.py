@@ -147,14 +147,20 @@ def _print_report(report, as_json: bool) -> int:
 
 def _refusal(*morphisms: DVMorphism):
     """For the first morphism the gate refuses, its failing M1-M4 report, else
-    the failing D1-D7 report of its first refused proximity; or ``None``."""
+    the failing D1-D7 report of its first refused proximity; or ``None``.
+
+    D1-D7 take no algebra over the exhaustive bound, so a refused
+    proximity over it is that bound's error before M1-M4 run.
+    """
     from .morphisms import _dv_ok, check_dv_morphism
-    from .proximity import _devries_ok, check_devries
+    from .proximity import _devries_ok, _require_exhaustive, check_devries
 
     for m in morphisms:
         if not _dv_ok(m):
-            report = check_dv_morphism(m)
             refused = [rel for rel in (m.source, m.target) if not _devries_ok(rel)]
+            if refused:
+                _require_exhaustive(refused[0].algebra)
+            report = check_dv_morphism(m)
             return report if not report.ok else check_devries(refused[0])
     return None
 

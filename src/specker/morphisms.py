@@ -27,6 +27,7 @@ scaling, and join with constants (M5-M7).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Callable
 
@@ -354,20 +355,38 @@ def _approximant_join(pm: ProxMorphism, t: StepElem, rng: random.Random) -> Step
     finite join computes the supremum in the morphism axiom M4.  Each
     combination of approximant masks becomes one source element by
     refining value classes, the action runs once on it, and all images
-    are joined in one pass.
+    are joined in one pass.  Past ``_APPROXIMANT_CAP`` combinations, that
+    many are drawn by index; the product is never listed.
     """
     src_alg = pm.source.algebra
     full = src_alg.full_mask
     thresholds = t.thresholds
     a0 = thresholds[0]
     gaps = [thresholds[i] - thresholds[i - 1] for i in range(1, len(thresholds))]
-    combos = list(itertools.product(*map(pm.source.lefts, t._masks[1:])))
-    if len(combos) > _APPROXIMANT_CAP:
-        combos = rng.sample(combos, _APPROXIMANT_CAP)
+    pools = [pm.source.lefts(mask) for mask in t._masks[1:]]
+    count = math.prod(map(len, pools))
+    if count <= _APPROXIMANT_CAP:
+        combos = itertools.product(*pools)
+    else:
+        # the picks of ``rng.sample`` on the listed product, which it makes
+        # by index: the same draws, without listing the product
+        indices = rng.sample(range(count), _APPROXIMANT_CAP)
+        combos = (_combination(pools, k) for k in indices)
     return _join_all(
         pm.action(_from_masks(src_alg, *_refine_classes(full, a0, zip(gaps, combo))))
         for combo in combos
     )
+
+
+def _combination(pools: list[tuple[int, ...]], index: int) -> list[int]:
+    """The ``index``-th tuple of ``itertools.product(*pools)``, unranked in
+    mixed radix: the last pool is the lowest digit."""
+    combo = []
+    for pool in reversed(pools):
+        index, digit = divmod(index, len(pool))
+        combo.append(pool[digit])
+    combo.reverse()
+    return combo
 
 
 def sample_morphism_axioms(

@@ -20,13 +20,14 @@ The direct arithmetic formulas on step functions are
 
 each evaluated only at candidate thresholds, which suffices because both
 sides are step functions whose breakpoints lie in those candidate sets.
-Addition runs its formula.  Multiplication hands the classes of
-``to_orth`` (the thresholds and the differences of the chain) to the
-atom-value kernel of :mod:`specker.orthogonal` (``_by_atoms``, on
-scaled ints when a threshold is a ``Fraction``) and turns the classes it
+Addition runs its formula.  Multiplication and subtraction hand the
+classes of ``to_orth`` (the thresholds and the differences of the chain)
+to the atom-value kernel of :mod:`specker.orthogonal` (``_by_atoms``, on
+scaled ints when a threshold is a ``Fraction``) and turn the classes it
 returns back into a chain; ``_sum``, the sum the sampled axiom suites
 add with, runs the same kernel.  The product's formula is the reference
-:func:`step_mul_nonneg_formula`.  Scaling scales the thresholds, and
+:func:`step_mul_nonneg_formula`, and the difference's is ``f + (-g)``
+through :func:`step_add`.  Scaling scales the thresholds, and
 for ``b < 0`` reverses them and complements.  The tier-1 tests compare
 every operation with its formula and with transport through the
 bijection.  Meet, join, and the order are pointwise: meet and join
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .boolalg import (
@@ -434,7 +435,12 @@ def step_scale(b: Scalar, f: StepElem) -> StepElem:
 
 
 def step_sub(f: StepElem, g: StepElem) -> StepElem:
-    return step_add(f, step_neg(g))
+    """``f - g``, atom by atom.
+
+    The formula route ``step_add(f, step_neg(g))`` is the reference the
+    tests hold it equal to.
+    """
+    return _pointwise(f, g, sub)
 
 
 # --- order and lattice ----------------------------------------------------

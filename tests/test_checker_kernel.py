@@ -6,10 +6,12 @@ them not de Vries proximities and not homomorphisms, so that every axiom
 fails somewhere and the counterexamples are compared too.  The lifted
 check is compared on step elements with integer or rational thresholds.
 The M4 approximant join is compared on ``<=`` over 1-4 atoms, for lifted
-homomorphisms and for actions broken on purpose.
+homomorphisms and for actions broken on purpose, and its memory is
+bounded where it draws a few of 2^20 combinations.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -36,7 +38,7 @@ from specker.morphisms import (
     star_compose_dv,
 )
 from specker.proximity import ProxRel, check_devries, leq_proximity, lift_check
-from specker.steps import step_add, step_const, step_neg, step_one, step_zero
+from specker.steps import step_add, step_const, step_leq, step_neg, step_one, step_zero
 
 ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
 
@@ -267,3 +269,22 @@ def test_approximant_join_matches_reference(case):
     assert str(joined) == str(expected)
     # the same combinations are drawn, so the random stream moves alike
     assert state == expected_state
+
+
+def test_approximant_join_draws_without_listing_the_product():
+    # on <= over 7 atoms, a t whose components hold 6, 5, 4, 3 and 2 atoms
+    # has 2^6 * 2^5 * 2^4 * 2^3 * 2^2 = 2^20 approximant combinations;
+    # listed, they would take some 90 MB
+    source = leq_proximity(make_algebra([f"a{i}" for i in range(7)]))
+    identity = DVMorphism(source, source, tuple(range(source.algebra.size)))
+    pm = ProxMorphism(source, source, _compose_with_steps(identity))
+    t = steps_from_values(source.algebra, [0, 1, 2, 3, 4, 5, 5])
+    tracemalloc.start()
+    try:
+        joined = _library_join(pm, t, random.Random(3), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # each approximant lies below t, and the identity keeps it there
+    assert step_leq(joined, t)

@@ -373,8 +373,9 @@ def test_lift_and_compose_print_the_refusal_check_morphism_prints(
         assert (captured.out, captured.err) == (expected, ""), argv
 
 
-def _six_atom_identity(files, drop=None) -> str:
-    """The identity on ``<=`` over 6 atoms, or on ``<=`` without the pair ``drop``."""
+def _six_atom_identity(files, drop=None, hom=True) -> str:
+    """The identity on ``<=`` over 6 atoms, or on ``<=`` without the pair
+    ``drop``; unless ``hom``, its table sends an atom to 0 (M2-M4 fail)."""
     from specker.morphisms import DVMorphism, morphism_to_json
     from specker.proximity import ProxRel, leq_proximity
 
@@ -383,7 +384,10 @@ def _six_atom_identity(files, drop=None) -> str:
     if drop is not None:
         rel = ProxRel(algebra, rel.pairs - {drop})
     path = files["dir"] / "six.json"
-    m = DVMorphism(rel, rel, tuple(range(algebra.size)))
+    table = list(range(algebra.size))
+    if not hom:
+        table[1] = 0
+    m = DVMorphism(rel, rel, tuple(table))
     path.write_text(json.dumps(morphism_to_json(m)), encoding="utf-8")
     return str(path)
 
@@ -401,14 +405,30 @@ def test_check_morphism_keeps_the_bound_that_lift_and_compose_do_not_have(files,
     assert json.loads(capsys.readouterr().out) == json.loads(Path(six).read_text())
 
 
-def test_a_refused_endpoint_over_the_bound_is_the_bound_error(files, capsys):
-    # M1-M4 pass on the identity; D1-D7 would print why the relation is
-    # refused, but take no algebra over the bound
-    six = _six_atom_identity(files, drop=(0, 63))
+def _refused_over_the_bound(files, capsys, monkeypatch, hom):
+    """Each command refuses the 6-atom morphism with a refused endpoint
+    with the bound's line, and runs no M1-M4."""
+    from specker import morphisms
+
+    checked = _count_calls(monkeypatch, morphisms, "check_dv_morphism")
+    six = _six_atom_identity(files, drop=(0, 63), hom=hom)
     for argv in (["check-morphism", "--morphism", six], ["lift", "--morphism", six],
                  ["compose", six, six]):
         assert run(argv) == 2, argv
         assert _one_line_error(capsys) == BOUND_ERROR
+    assert checked == []
+
+
+def test_a_refused_endpoint_over_the_bound_is_the_bound_error(files, capsys, monkeypatch):
+    # M1-M4 pass on the identity; D1-D7 would print why the relation is
+    # refused, but take no algebra over the bound, so M1-M4 (size^2
+    # cases) do not run first
+    _refused_over_the_bound(files, capsys, monkeypatch, hom=True)
+
+
+def test_a_refused_endpoint_over_the_bound_outranks_failing_m1_m4(files, capsys, monkeypatch):
+    # the bound's error, not the M1-M4 report, which would take size^2 cases
+    _refused_over_the_bound(files, capsys, monkeypatch, hom=False)
 
 
 def test_equiv_check_restricts_each_relation_once(capsys, monkeypatch):

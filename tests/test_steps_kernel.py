@@ -3,12 +3,15 @@
 Elements are drawn as atom valuations on 1-6 atoms, with integer or
 rational values, and built with the constructor alone; every operation
 is compared with the docstring formula evaluated in ``helpers``, and the
-one-pass join of many elements with pairwise joins.  Meet and join are
-also drawn on 8-64 atoms, with int and ``Fraction`` values mixed, in the
-shapes that end their one walk early or late, and held equal to the
-``_merged`` composition they replaced.
+one-pass join of many elements with pairwise joins.  Subtraction runs on
+the atom-value kernel: it is held equal to the formula route
+``f + (-g)`` and, on seeded draws at 1-16 atoms, to the pointwise
+oracle.  Meet and join are also drawn on 8-64 atoms, with int and
+``Fraction`` values mixed, in the shapes that end their one walk early
+or late, and held equal to the ``_merged`` composition they replaced.
 """
 
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -30,6 +33,7 @@ from helpers import (
     table_of,
 )
 from specker.boolalg import make_algebra
+from specker.pointwise import atom_values, pointwise_apply, random_pointfn, steps_of_pointfn
 from specker.steps import (
     StepElem,
     _assemble_masks,
@@ -44,6 +48,7 @@ from specker.steps import (
     step_neg,
     step_from_json,
     step_scale_pos,
+    step_sub,
 )
 
 ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 7)}
@@ -76,6 +81,30 @@ def test_add_matches_reference(case):
     assert table_of(total) == ref_add(f, g)
     # the kernel sum of the sampled axiom suites, also in its printed form
     assert _sum(f, g) == total and str(_sum(f, g)) == str(total)
+
+
+@kernel
+@given(operands())
+def test_sub_matches_the_formula_route(case):
+    _, (f, g) = case
+    difference = step_sub(f, g)
+    formula = step_add(f, step_neg(g))
+    assert difference == formula and str(difference) == str(formula)
+    assert table_of(difference) == ref_add(f, step_neg(g))
+
+
+def test_sub_matches_pointwise_oracle():
+    # the oracle has no "sub": f - g is f + (-g) there, on plain scalars
+    rng = random.Random(53)
+    for n in range(1, 17):
+        algebra = make_algebra([f"a{i}" for i in range(n)])
+        for domain in ("int", "fraction"):
+            for _ in range(12):
+                pa, pb = (random_pointfn(rng, algebra, 1000, domain) for _ in range(2))
+                expected = pointwise_apply("add", [pa, pointwise_apply("neg", [pb])])
+                difference = step_sub(steps_of_pointfn(pa), steps_of_pointfn(pb))
+                assert atom_values(difference) == expected
+                assert difference == steps_of_pointfn(expected)
 
 
 @kernel
@@ -206,9 +235,9 @@ def test_mixed_algebras_rejected_with_old_messages(b4, b2):
     with pytest.raises(ValueError, match="^cannot assemble a step function from no"):
         _join_all([])
     one4, one2 = StepElem(b4, (0,), (b4.one,)), StepElem(b2, (0,), (b2.one,))
-    for add in (step_add, _sum):
+    for op in (step_add, _sum, step_sub):
         with pytest.raises(ValueError, match="^mixed algebras"):
-            add(one4, one2)
+            op(one4, one2)
 
 
 def test_equal_algebras_are_one_algebra(b4):

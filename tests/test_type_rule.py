@@ -1,7 +1,7 @@
 """The value and type of each result class of the atom-value kernel.
 
 Every orthogonal sum, difference, product, meet and join, and the step
-products and kernel sum, take ``pick(f(x), g(x))`` at each atom ``x`` and
+products, difference and kernel sum, take ``pick(f(x), g(x))`` at each atom ``x`` and
 group the atoms by value.  This pins what each class's value is, down to
 its type: the value ``pick`` gives on the original scalars at the class's
 lowest atom (a dict in atom order keeps the first key), so an ``int``
@@ -30,7 +30,15 @@ from specker.orthogonal import (
     orth_sub,
 )
 from specker.scalars import format_scalar
-from specker.steps import StepElem, _sum, step_mul, step_mul_nonneg, to_orth, to_steps
+from specker.steps import (
+    StepElem,
+    _sum,
+    step_mul,
+    step_mul_nonneg,
+    step_sub,
+    to_orth,
+    to_steps,
+)
 
 ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 17)}
 
@@ -50,6 +58,7 @@ OPS = {
     "step_mul": (step_mul, "steps", mul, False),
     "step_mul_nonneg": (step_mul_nonneg, "steps", mul, True),
     "steps._sum": (_sum, "steps", add, False),
+    "steps.step_sub": (step_sub, "steps", sub, False),
 }
 
 

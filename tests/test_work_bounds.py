@@ -4,8 +4,9 @@ A count repeats exactly on any host, where a timing would not.
 ``BoolElem.__post_init__`` runs once per element built, so wrapping it
 counts constructions, as the benchmark's tracer does.  The operands have
 64 atoms and 64 value classes each: pair refinement of their components
-would build 64 * 64 cells, and the candidate formula of nonnegative
-multiplication 64 * 64 candidates of 64 * 64 cells each.
+would build 64 * 64 cells, and the candidate formulas of nonnegative
+multiplication and of subtraction 64 * 64 candidates of 64 * 64 cells
+each.
 """
 
 import pytest
@@ -29,6 +30,7 @@ from specker.steps import (
     step_mul_nonneg,
     step_neg,
     step_scale,
+    step_sub,
     to_orth,
     to_steps,
 )
@@ -118,6 +120,18 @@ def test_transported_step_ops_build_one_element_per_class(built):
     built[0] = 0
     step_scale(-2, s).idems
     assert built[0] == N
+
+
+def test_step_sub_builds_nothing_until_idems_is_read(built):
+    # the formula f + (-g) runs 64 * 64 candidates over 64 * 64 pairs,
+    # reading every component as an element
+    s, t = to_steps(F), to_steps(G)
+    with within(1):
+        difference = step_sub(s, t)
+    assert built[0] == 0
+    difference.idems
+    assert built[0] == len(difference.thresholds) <= N
+
 
 def test_step_mul_nonneg_at_64_atoms_is_interactive():
     # the candidate formula runs 64 * 64 candidates over 64 * 64 pairs
