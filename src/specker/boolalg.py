@@ -87,12 +87,14 @@ class _Frozen:
 class Algebra(_Frozen):
     """Powerset boolean algebra over a fixed tuple of atom names."""
 
-    # ``full_mask`` is derived from ``atoms``: equality and hashing skip it
-    __slots__ = ("atoms", "generators", "full_mask")
+    # ``full_mask`` and ``_bits`` (atom name -> bit) are derived from
+    # ``atoms``: equality and hashing skip them
+    __slots__ = ("atoms", "generators", "full_mask", "_bits")
     _fields = ("atoms", "generators")
     atoms: tuple[str, ...]
     generators: tuple[tuple[str, int], ...]
     full_mask: int
+    _bits: dict[str, int]
 
     def __init__(
         self, atoms: tuple[str, ...], generators: tuple[tuple[str, int], ...] = ()
@@ -109,6 +111,7 @@ class Algebra(_Frozen):
         _setattr(self, "atoms", atoms)
         _setattr(self, "generators", generators)
         _setattr(self, "full_mask", (1 << len(atoms)) - 1)
+        _setattr(self, "_bits", {name: 1 << i for i, name in enumerate(atoms)})
 
     @property
     def size(self) -> int:
@@ -124,16 +127,16 @@ class Algebra(_Frozen):
         return BoolElem(self, self.full_mask)
 
     def atom(self, name: str) -> "BoolElem":
-        try:
-            index = self.atoms.index(name)
-        except ValueError:
-            raise ValueError(f"unknown atom: {name!r}") from None
-        return BoolElem(self, 1 << index)
+        return self.element((name,))
 
     def element(self, names: Iterable[str]) -> "BoolElem":
+        bits = self._bits
         mask = 0
         for name in names:
-            mask |= self.atom(name).mask
+            try:
+                mask |= bits[name]
+            except (KeyError, TypeError):  # TypeError: an unhashable name
+                raise ValueError(f"unknown atom: {name!r}") from None
         return BoolElem(self, mask)
 
     def generator(self, name: str) -> "BoolElem":

@@ -232,6 +232,10 @@ def _as_orth(elem: Element) -> OrthElem:
     return to_orth(elem) if isinstance(elem, StepElem) else elem
 
 
+def _as_steps(elem: Element) -> StepElem:
+    return elem if isinstance(elem, StepElem) else to_steps(elem)
+
+
 def _cmd_order(args) -> int:
     algebra = _load_algebra(args.algebra)
     left = _as_orth(_load_element(algebra, args.left))
@@ -255,8 +259,7 @@ def _cmd_lattice(step_op, orth_op, args) -> int:
     left = _load_element(algebra, args.left)
     right = _load_element(algebra, args.right)
     if isinstance(left, StepElem):
-        right_steps = right if isinstance(right, StepElem) else to_steps(right)
-        result: Element = step_op(left, right_steps)
+        result: Element = step_op(left, _as_steps(right))
     else:
         result = orth_op(left, _as_orth(right))
     _print_element(result, args.as_json)
@@ -308,9 +311,7 @@ def _cmd_lift(args) -> int:
     if args.left is not None:
         left = _load_element(algebra, args.left)
         right = _load_element(algebra, args.right)
-        left_steps = left if isinstance(left, StepElem) else to_steps(left)
-        right_steps = right if isinstance(right, StepElem) else to_steps(right)
-        related = lift_check(rel, left_steps, right_steps)
+        related = lift_check(rel, _as_steps(left), _as_steps(right))
         if args.as_json:
             print(json.dumps({"related": related}))
         else:

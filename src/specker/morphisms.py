@@ -343,7 +343,8 @@ def star_compose_prox(p2: ProxMorphism, p1: ProxMorphism) -> ProxMorphism:
 # --- element-level axiom sampling --------------------------------------------
 
 
-# approximant combinations joined per M4 sample, drawn at random above it
+# approximant combinations joined per M4 sample; above it, the full
+# combination and this many drawn at random
 _APPROXIMANT_CAP = 4096
 
 
@@ -355,8 +356,12 @@ def _approximant_join(pm: ProxMorphism, t: StepElem, rng: random.Random) -> Step
     finite join computes the supremum in the morphism axiom M4.  Each
     combination of approximant masks becomes one source element by
     refining value classes, the action runs once on it, and all images
-    are joined in one pass.  Past ``_APPROXIMANT_CAP`` combinations, that
-    many are drawn by index; the product is never listed.
+    are joined in one pass.  Up to ``_APPROXIMANT_CAP`` combinations,
+    every one is joined.  Past it, the full combination (each
+    component's last and largest approximant: under ``<=`` the component
+    itself, so its element is ``t``) is joined with ``_APPROXIMANT_CAP``
+    combinations drawn component by component, all drawn before the
+    action first runs; the product is never listed.
     """
     src_alg = pm.source.algebra
     full = src_alg.full_mask
@@ -364,29 +369,17 @@ def _approximant_join(pm: ProxMorphism, t: StepElem, rng: random.Random) -> Step
     a0 = thresholds[0]
     gaps = [thresholds[i] - thresholds[i - 1] for i in range(1, len(thresholds))]
     pools = [pm.source.lefts(mask) for mask in t._masks[1:]]
-    count = math.prod(map(len, pools))
-    if count <= _APPROXIMANT_CAP:
+    if math.prod(map(len, pools)) <= _APPROXIMANT_CAP:
         combos = itertools.product(*pools)
     else:
-        # the picks of ``rng.sample`` on the listed product, which it makes
-        # by index: the same draws, without listing the product
-        indices = rng.sample(range(count), _APPROXIMANT_CAP)
-        combos = (_combination(pools, k) for k in indices)
+        combos = [[pool[-1] for pool in pools]]
+        combos += (
+            [rng.choice(pool) for pool in pools] for _ in range(_APPROXIMANT_CAP)
+        )
     return _join_all(
         pm.action(_from_masks(src_alg, *_refine_classes(full, a0, zip(gaps, combo))))
         for combo in combos
     )
-
-
-def _combination(pools: list[tuple[int, ...]], index: int) -> list[int]:
-    """The ``index``-th tuple of ``itertools.product(*pools)``, unranked in
-    mixed radix: the last pool is the lowest digit."""
-    combo = []
-    for pool in reversed(pools):
-        index, digit = divmod(index, len(pool))
-        combo.append(pool[digit])
-    combo.reverse()
-    return combo
 
 
 def sample_morphism_axioms(

@@ -470,7 +470,10 @@ def ref_approximant_join(
     ]
     combos = list(itertools.product(*approximant_sets))
     if len(combos) > tuple_cap:
-        combos = rng.sample(combos, tuple_cap)
+        # the full combination, then tuple_cap drawn component by component
+        combos = [tuple(pool[-1] for pool in approximant_sets)]
+        for _ in range(tuple_cap):
+            combos.append(tuple(rng.choice(pool) for pool in approximant_sets))
     joined: StepElem | None = None
     for combo in combos:
         s = from_decomposition(

@@ -134,6 +134,15 @@ def test_literals_round_trip(b8):
         element_from_literal(b8, "[z]")
 
 
+@pytest.mark.parametrize("name", ["z", 1, None, ["a"], {"a": 1}])
+def test_unknown_atom_names_raise_value_error(b8, name):
+    # unhashable names too: the name index is a dict
+    with pytest.raises(ValueError, match="unknown atom"):
+        element_from_json(b8, ["a", name])
+    with pytest.raises(ValueError, match="unknown atom"):
+        b8.atom(name)
+
+
 def test_algebra_json_round_trip(b4):
     assert algebra_from_json(algebra_to_json(b4)) == b4
     free = algebra_from_json({"free_generators": 2})

@@ -26,6 +26,7 @@ from helpers import (
     ref_lift_check,
     ref_star_compose_table,
     steps_from_values,
+    within,
 )
 from specker.boolalg import make_algebra
 from specker.morphisms import (
@@ -38,7 +39,7 @@ from specker.morphisms import (
     star_compose_dv,
 )
 from specker.proximity import ProxRel, check_devries, leq_proximity, lift_check
-from specker.steps import step_add, step_const, step_leq, step_neg, step_one, step_zero
+from specker.steps import step_add, step_const, step_neg, step_one, step_zero
 
 ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
 
@@ -217,14 +218,16 @@ def _broken(kind: str, lifted, target):
     return lambda f: step_zero(foreign) if len(f.thresholds) > 2 else lifted(f)
 
 
+_KINDS = ("lifted", "table", "shifted", "negated", "constant", "mixed")
+
+
 @st.composite
-def approximant_cases(draw):
+def approximant_cases(draw, kinds=_KINDS):
     """A morphism action on ``<=`` over 1-4 atoms, an element, a cap, a seed."""
     source = leq_proximity(ALGEBRAS[draw(st.integers(1, 4))])
     target = leq_proximity(ALGEBRAS[draw(st.integers(1, 3))])
     n = len(source.algebra.atoms)
     table = _hom_table(draw, source, target)
-    kinds = ["lifted", "table", "shifted", "negated", "constant", "mixed"]
     kind = draw(st.sampled_from(kinds))
     if kind == "table":
         # the stepwise action of a table that is no homomorphism
@@ -286,5 +289,24 @@ def test_approximant_join_draws_without_listing_the_product():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # each approximant lies below t, and the identity keeps it there
-    assert step_leq(joined, t)
+    # the full combination is t itself, and every approximant lies below it
+    assert joined == t
+
+
+@kernel
+@given(approximant_cases(kinds=("lifted",)))
+def test_capped_join_of_a_lifted_hom_is_its_action(case):
+    # one drawn combination besides the full one, which alone reaches t
+    pm, t, _, seed = case
+    assert _library_join(pm, t, random.Random(seed), 1) == pm.action(t)
+
+
+def test_approximant_join_past_sys_maxsize():
+    # a full chain on 12 atoms: components of 11, 10, ..., 1 atoms under <=
+    # make 2^66 approximant combinations, more than an index range can hold
+    source = leq_proximity(make_algebra([f"a{i}" for i in range(12)]))
+    identity = DVMorphism(source, source, tuple(range(source.algebra.size)))
+    pm = ProxMorphism(source, source, _compose_with_steps(identity))
+    t = steps_from_values(source.algebra, list(range(12)))
+    with within(30):
+        assert _approximant_join(pm, t, random.Random(5)) == pm.action(t)

@@ -6,13 +6,19 @@ counts constructions, as the benchmark's tracer does.  The operands have
 64 atoms and 64 value classes each: pair refinement of their components
 would build 64 * 64 cells, and the candidate formulas of nonnegative
 multiplication and of subtraction 64 * 64 candidates of 64 * 64 cells
-each.
+each.  An element literal names its atoms, and reading one builds only
+the element it names.
 """
 
 import pytest
 
 from helpers import within
-from specker.boolalg import BoolElem, make_algebra
+from specker.boolalg import (
+    BoolElem,
+    element_from_json,
+    element_from_literal,
+    make_algebra,
+)
 from specker.orthogonal import (
     orth_add,
     orth_join,
@@ -138,3 +144,11 @@ def test_step_mul_nonneg_at_64_atoms_is_interactive():
     s, t = to_steps(F_NONNEG), to_steps(G_NONNEG)
     with within(1):
         step_mul_nonneg(s, t)
+
+
+def test_a_literal_builds_one_element(built):
+    names = [f"a{i}" for i in range(0, N, 2)]
+    e = element_from_literal(ALGEBRA, "[" + ",".join(names) + "]")
+    assert built[0] == 1
+    assert e == element_from_json(ALGEBRA, names)
+    assert built[0] == 2
