@@ -49,6 +49,7 @@ from .proximity import (
     _devries_ok,
     _related_pair,
     _require_devries,
+    _submasks,
     leq_proximity,
     lift_check,
     prox_from_json,
@@ -353,22 +354,24 @@ def _approximant_join(pm: ProxMorphism, t: StepElem, rng: random.Random) -> Step
 
     Every element below-related to ``t`` is dominated by one built from
     idempotent approximants of the decomposition components, so this
-    finite join computes the supremum in the morphism axiom M4.  Each
-    combination of approximant masks becomes one source element by
-    refining value classes, the action runs once on it, and all images
-    are joined in one pass.  Up to ``_APPROXIMANT_CAP`` combinations,
-    every one is joined.  Past it, the full combination (each
-    component's last and largest approximant: under ``<=`` the component
-    itself, so its element is ``t``) is joined with ``_APPROXIMANT_CAP``
-    combinations drawn component by component, all drawn before the
-    action first runs; the product is never listed.
+    finite join computes the supremum in the morphism axiom M4.  The
+    source is gated, so a component's approximants are its submasks,
+    ascending as ``ProxRel.lefts`` lists them.  Each combination of
+    approximant masks becomes one source element by refining value
+    classes, the action runs once on it, and all images are joined in
+    one pass.  Up to ``_APPROXIMANT_CAP`` combinations, every one is
+    joined.  Past it, the full combination (each component's last and
+    largest approximant, the component itself, so its element is ``t``)
+    is joined with ``_APPROXIMANT_CAP`` combinations drawn component by
+    component, all drawn before the action first runs; the product is
+    never listed.
     """
     src_alg = pm.source.algebra
     full = src_alg.full_mask
     thresholds = t.thresholds
     a0 = thresholds[0]
     gaps = [thresholds[i] - thresholds[i - 1] for i in range(1, len(thresholds))]
-    pools = [pm.source.lefts(mask) for mask in t._masks[1:]]
+    pools = [sorted(_submasks(mask)) for mask in t._masks[1:]]
     if math.prod(map(len, pools)) <= _APPROXIMANT_CAP:
         combos = itertools.product(*pools)
     else:

@@ -6,8 +6,11 @@ subject to the compingent axioms (D1-D7 below).  On a finite algebra
 library gate asks whether a relation is ``<=``, with no bound, and
 :func:`check_devries` runs D1-D7 only where its report is printed.  The
 relation lifts pointwise to step functions: two elements are related
-exactly when their step values are related at every scalar, which is
-decidable by looking at the merged thresholds only.
+exactly when their step values are related at every scalar.  Past the
+gate the relation is ``<=``, so the lifted layer reads it by its
+definition: the lift is the pointwise order ``steps.step_leq``, an
+interpolant of ``s < t`` is ``s``, and a positive approximant of ``s``
+is an atom below its last step component.
 
 The lifted relation is itself a proximity in the algebra sense (axioms
 P1-P10); those laws quantify over all elements, so they are verified by
@@ -44,9 +47,11 @@ Axioms on the boolean algebra:
 
 The checkers work on ``int`` masks over the atom order.  Every module
 reads a relation only through the five :class:`ProxRel` methods ``has``,
-``rights``, ``lefts``, ``count`` and ``pair_at``; lifted checks read the
-component masks of step elements.  :class:`BoolElem` objects are built
-only for returned values and for the witnesses of a failing axiom.
+``rights``, ``lefts``, ``count`` and ``pair_at``.  Past the gate the
+lifted layer reads it only through ``count`` and ``pair_at``, to draw
+related pairs; the exhaustive checkers D1-D7 and M1-M4 read any relation
+generically.  :class:`BoolElem` objects are built only for returned
+values and for the witnesses of a failing axiom.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ from .steps import (
     step_scale_pos,
     step_zero,
     _assemble_masks,
-    _merged,
     _sum,
 )
 
@@ -106,9 +110,10 @@ class ProxRel(_Frozen):
     """A binary relation on a finite boolean algebra, as mask pairs.
 
     Every mask lies in ``0..size-1``.  It is read only through
-    :meth:`has`, :meth:`rights`, :meth:`lefts`, :meth:`count` and
-    :meth:`pair_at`.  No ``__slots__``: the indexes behind them are built
-    once per relation, in the instance ``__dict__``.
+    :meth:`has`, :meth:`rights`, :meth:`lefts`, :meth:`count`,
+    :meth:`pair_at` and the element form :meth:`related`.  No
+    ``__slots__``: the indexes behind them are built once per relation,
+    in the instance ``__dict__``.
     """
 
     _fields = ("algebra", "pairs")
@@ -128,7 +133,7 @@ class ProxRel(_Frozen):
     def related(self, e: BoolElem, f: BoolElem) -> bool:
         if e.algebra != self.algebra or f.algebra != self.algebra:
             raise ValueError("elements from a different algebra")
-        return self.has(e.mask, f.mask)
+        return (e.mask, f.mask) in self.pairs
 
     def has(self, e: int, f: int) -> bool:
         return (e, f) in self.pairs
@@ -402,58 +407,33 @@ def _require_devries(rel: ProxRel) -> None:
 
 
 def interpolant(rel: ProxRel, e: BoolElem, f: BoolElem) -> BoolElem:
-    """Some ``g`` with ``e < g < f``, smallest and lexicographically first.
+    """Some ``g`` with ``e < g < f``: under ``<=``, ``e`` itself.
 
-    Raises ``ValueError`` when no witness exists, which signals that the
-    relation is not a de Vries proximity (or that ``(e, f)`` is not in
-    it at all).
+    Raises ``ValueError`` when ``(e, f)`` is not in the relation, and
+    then when the relation is not a de Vries proximity.
     """
     if not rel.related(e, f):
         raise ValueError("interpolant requires a related pair")
-    return rel.algebra.from_mask(_interpolant_mask(rel, e.mask, f.mask))
+    _require_devries(rel)
+    return e
 
 
-def _interpolant_mask(rel: ProxRel, e: int, f: int) -> int:
-    algebra = rel.algebra
-    candidates = [g for g in rel.rights(e) if rel.has(g, f)]
-    if not candidates:
-        elem = algebra.from_mask
-        raise ValueError(
-            f"no interpolant between {elem(e)} and {elem(f)}: not a de Vries proximity"
-        )
-    return _smallest(algebra, candidates)
-
-
-def _smallest(algebra: Algebra, masks: Sequence[int]) -> int:
-    """The mask with fewest atoms, then lexicographically first atom names."""
-    fewest = min(mask.bit_count() for mask in masks)
-    tied = [mask for mask in masks if mask.bit_count() == fewest]
-    if len(tied) == 1:
-        return tied[0]
-    atoms = algebra.atoms
-    return min(
-        tied, key=lambda mask: [name for i, name in enumerate(atoms) if mask >> i & 1]
-    )
+def _require_lift_operands(rel: ProxRel, *elems: StepElem) -> None:
+    try:
+        _check_same_algebra(rel, *elems)
+    except ValueError:
+        raise ValueError("mixed algebras in lifted proximity check") from None
 
 
 def lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
     """The pointwise lift: related iff step values are related everywhere.
 
-    Checking the merged thresholds suffices: both functions are constant
-    between them, below the grid both are 1 (related by D1), and past it
-    both are 0 (related by D1).
+    Past the gate the relation is ``<=``, so its lift is the pointwise
+    order :func:`steps.step_leq`.
     """
-    try:
-        _check_same_algebra(rel, s, t)
-    except ValueError:
-        raise ValueError("mixed algebras in lifted proximity check") from None
+    _require_lift_operands(rel, s, t)
     _require_devries(rel)
-    return _lifted(rel, s, t)
-
-
-def _lifted(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
-    """:func:`lift_check` on one algebra, for a de Vries relation."""
-    return all(rel.has(a, b) for _, a, b in _merged(s, t))
+    return step_leq(s, t)
 
 
 def restrict_lift(rel: ProxRel) -> ProxRel:
@@ -469,7 +449,7 @@ def restrict_lift(rel: ProxRel) -> ProxRel:
         (e, f)
         for e, s in enumerate(embedded)
         for f, t in enumerate(embedded)
-        if _lifted(rel, s, t)
+        if step_leq(s, t)
     )
     return ProxRel(algebra, pairs)
 
@@ -486,15 +466,6 @@ def _random_grid(
     while len(points) < count:
         points.add(rng.randint(lo, coeff_bound))
     return sorted(points)
-
-
-def _prefix_meets(masks: Sequence[int]) -> list[int]:
-    out = []
-    acc = None
-    for mask in masks:
-        acc = mask if acc is None else acc & mask
-        out.append(acc)
-    return out
 
 
 def sample_related_pair(
@@ -543,11 +514,12 @@ def sample_proximity_axioms(
 ) -> ProxReport:
     """Sampled verification of the lifted-proximity axioms P1-P10.
 
-    P1-P8 run on randomly constructed tuples; P9 constructs the
-    interpolating element from idempotent interpolants on a compatible
-    grid; P10 constructs the positive approximant from an approximation
-    witness below the smallest step component.  A failing axiom reports
-    the offending tuple.  ``coeff_bound`` must be at least 1.
+    P1-P8 run on randomly constructed tuples; P9's witness is the
+    interpolant ``s`` of each drawn pair ``s < t``, as
+    :func:`interpolate_lifted` constructs it; P10's is the positive
+    approximant of :func:`positive_approximant`, an atom below the last
+    step component.  A failing axiom reports the offending tuple.
+    ``coeff_bound`` must be at least 1.
 
     The bound and the relation are checked once, here; the cases then
     draw, lift and construct without checking them again.
@@ -564,8 +536,8 @@ def sample_proximity_axioms(
         results,
         "P1",
         [
-            None if _lifted(rel, zero, zero) else (zero, zero),
-            None if _lifted(rel, one, one) else (one, one),
+            None if step_leq(zero, zero) else (zero, zero),
+            None if step_leq(one, one) else (one, one),
         ],
     )
 
@@ -579,7 +551,7 @@ def sample_proximity_axioms(
         up = step_join(random_steps(rng, algebra, coeff_bound), zero)
         s = _sum(t, step_neg(down))
         u = _sum(r, up)
-        return None if _lifted(rel, s, u) else (s, t, r, u)
+        return None if step_leq(s, u) else (s, t, r, u)
 
     def p4():
         s1, t = _related_pair(rng, rel, coeff_bound)
@@ -588,20 +560,20 @@ def sample_proximity_axioms(
         # meets of related pairs stay related; if the first two checks
         # fail the relation itself is broken, so report it the same way
         holds = (
-            _lifted(rel, s, t)
-            and _lifted(rel, s, r)
-            and _lifted(rel, s, step_meet(t, r))
+            step_leq(s, t)
+            and step_leq(s, r)
+            and step_leq(s, step_meet(t, r))
         )
         return None if holds else (s, t, r)
 
     def p5():
         s, t = _related_pair(rng, rel, coeff_bound)
-        return None if _lifted(rel, step_neg(t), step_neg(s)) else (s, t)
+        return None if step_leq(step_neg(t), step_neg(s)) else (s, t)
 
     def p6():
         s, t = _related_pair(rng, rel, coeff_bound)
         r, u = _related_pair(rng, rel, coeff_bound)
-        return None if _lifted(rel, _sum(s, r), _sum(t, u)) else (s, t, r, u)
+        return None if step_leq(_sum(s, r), _sum(t, u)) else (s, t, r, u)
 
     def p7():
         if rng.random() < 0.5:
@@ -610,19 +582,19 @@ def sample_proximity_axioms(
             s = random_steps(rng, algebra, coeff_bound)
             t = random_steps(rng, algebra, coeff_bound)
         a = rng.randint(1, coeff_bound)
-        scaled = _lifted(rel, step_scale_pos(a, s), step_scale_pos(a, t))
-        return None if scaled == _lifted(rel, s, t) else (a, s, t)
+        scaled = step_leq(step_scale_pos(a, s), step_scale_pos(a, t))
+        return None if scaled == step_leq(s, t) else (a, s, t)
 
     def p8():
         s, t = _related_pair(rng, rel, coeff_bound, nonneg=True)
         r, u = _related_pair(rng, rel, coeff_bound, nonneg=True)
-        holds = _lifted(rel, step_mul_nonneg(s, r), step_mul_nonneg(t, u))
+        holds = step_leq(step_mul_nonneg(s, r), step_mul_nonneg(t, u))
         return None if holds else (s, t, r, u)
 
     def p9():
         s, t = _related_pair(rng, rel, coeff_bound)
-        r = _interpolate(rel, s, t)
-        return None if _lifted(rel, s, r) and _lifted(rel, r, t) else (s, r, t)
+        r = s  # the interpolant, as interpolate_lifted constructs it
+        return None if step_leq(s, r) and step_leq(r, t) else (s, r, t)
 
     def p10():
         s = step_join(random_steps(rng, algebra, coeff_bound), zero)
@@ -630,7 +602,7 @@ def sample_proximity_axioms(
             s = _sum(s, one)
         t = _approximant(rel, s)
         positive = t.thresholds[0] >= 0 and t != zero
-        return None if positive and _lifted(rel, t, s) else (t, s)
+        return None if positive and step_leq(t, s) else (t, s)
 
     _record_sampled(
         results,
@@ -645,33 +617,23 @@ def sample_proximity_axioms(
 
 
 def interpolate_lifted(rel: ProxRel, s: StepElem, t: StepElem) -> StepElem:
-    """Construct ``r`` with ``s < r < t`` in the lifted relation.
+    """Construct ``r`` with ``s < r < t`` in the lifted relation: ``s`` itself.
 
-    Interpolants of the step values over the merged thresholds,
-    prefix-met so they decrease.
+    Under ``<=`` every idempotent interpolant of ``e < f`` may be ``e``,
+    so the interpolant of the step values is ``s``.
     """
     if not lift_check(rel, s, t):
         raise ValueError("interpolation requires a related pair")
-    return _interpolate(rel, s, t)
-
-
-def _interpolate(rel: ProxRel, s: StepElem, t: StepElem) -> StepElem:
-    """:func:`interpolate_lifted` on a related pair of a de Vries relation.
-
-    The merged thresholds suffice as the grid: both elements are 1 below
-    them, and the interpolant between 1 and 1 is 1 (D2).
-    """
-    points = list(_merged(s, t))
-    met = _prefix_meets([_interpolant_mask(rel, e, f) for _, e, f in points])
-    return _assemble_masks(rel.algebra, [(c, m) for (c, _, _), m in zip(points, met)])
+    return s
 
 
 def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
     """Construct ``0 < t`` related to ``s``, for strictly positive ``s``.
 
-    Uses an approximation witness below the smallest step component of
-    ``s``, spread over the window (0, top threshold].
+    ``t`` is an atom below the last step component of ``s``, the one
+    whose name sorts first, spread over the window (0, top threshold].
     """
+    _require_lift_operands(rel, s)
     _require_devries(rel)
     if not (s.thresholds[0] >= 0 and s != step_zero(rel.algebra)):
         raise ValueError("a positive approximant needs s > 0")
@@ -681,15 +643,10 @@ def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
 def _approximant(rel: ProxRel, s: StepElem) -> StepElem:
     """:func:`positive_approximant` for ``s > 0`` and a de Vries relation."""
     algebra = rel.algebra
-    smallest = s._masks[-1]
-    candidates = [f for f in rel.lefts(smallest) if f]
-    if not candidates:
-        raise ValueError(
-            f"no nonzero witness below {s.idems[-1]}: not a de Vries proximity"
-        )
-    e = _smallest(algebra, candidates)
+    last = s._masks[-1]
+    _, first = min((name, i) for i, name in enumerate(algebra.atoms) if last >> i & 1)
     top = s.thresholds[-1]
-    return _assemble_masks(algebra, [(0, algebra.full_mask), (top, e)])
+    return _assemble_masks(algebra, [(0, algebra.full_mask), (top, 1 << first)])
 
 
 # --- JSON ---------------------------------------------------------------

@@ -33,6 +33,12 @@ small algebra by brute force: it runs the checker on every relation
 between the forced pairs and ``<=``.  ``enumerate_devries`` gives the
 order alone, by the theorem, and must agree with it.
 
+``ref_interpolant_mask`` is the search the lifted layer ran before it
+read ``<=`` by its definition: the interpolants of ``e < f`` found among
+``rights(e)``, and of those the one with fewest atoms, then first by atom
+names (``ref_smallest``).  ``ref_approximant_mask`` is the same search
+for a nonzero approximant among ``lefts(f)``.
+
 ``ref_sample_related_pair`` draws its related pairs with
 ``rng.choice(sorted(rel.pairs))``, as the library did before it read a
 relation through ``ProxRel.count`` and ``ProxRel.pair_at``; the library
@@ -58,7 +64,6 @@ from specker.proximity import (
     AxiomResult,
     ProxRel,
     ProxReport,
-    _prefix_meets,
     _random_grid,
     check_devries,
 )
@@ -484,6 +489,41 @@ def ref_approximant_join(
     if joined is None:  # the empty product still yields one combo
         raise RuntimeError("no approximant combination to join")
     return joined
+
+
+def ref_smallest(algebra: Algebra, masks: Sequence[int]) -> int:
+    """The mask with fewest atoms, then lexicographically first atom names."""
+    fewest = min(mask.bit_count() for mask in masks)
+    tied = [mask for mask in masks if mask.bit_count() == fewest]
+    atoms = algebra.atoms
+    return min(
+        tied, key=lambda mask: [name for i, name in enumerate(atoms) if mask >> i & 1]
+    )
+
+
+def ref_interpolant_mask(rel: ProxRel, e: int, f: int) -> int:
+    """The smallest ``g`` with ``e < g < f``, searched among ``rights(e)``."""
+    candidates = [g for g in rel.rights(e) if rel.has(g, f)]
+    if not candidates:
+        raise ValueError(f"no interpolant between masks {e} and {f}")
+    return ref_smallest(rel.algebra, candidates)
+
+
+def ref_approximant_mask(rel: ProxRel, f: int) -> int:
+    """The smallest nonzero ``e`` with ``e < f``, searched among ``lefts(f)``."""
+    candidates = [e for e in rel.lefts(f) if e]
+    if not candidates:
+        raise ValueError(f"no nonzero approximant of mask {f}")
+    return ref_smallest(rel.algebra, candidates)
+
+
+def _prefix_meets(masks: Sequence[int]) -> list[int]:
+    out = []
+    acc = None
+    for mask in masks:
+        acc = mask if acc is None else acc & mask
+        out.append(acc)
+    return out
 
 
 def ref_sample_related_pair(

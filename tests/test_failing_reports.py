@@ -5,17 +5,21 @@ one seeded ``random.Random`` each, so a failing report names the same
 case count and the same witness on every run.  These runs pin those
 reports, for seeds 0-4:
 
-* ``sample_proximity_axioms`` on ``<=`` minus one pair, over 1, 2 and 3
-  atoms, with the D1-D7 gate at its entry patched open so the suite runs
-  on a relation that is not a de Vries proximity;
+* ``sample_proximity_axioms`` on ``<=`` over 1, 2 and 3 atoms, with one
+  of the suite's own step operations in ``proximity`` corrupted at a
+  time (sum as difference, negation as the identity, meet as join, and
+  related pairs swapped).  The gate leaves ``<=`` as the only relation
+  the suite runs on, so the faults it must see are in its operations;
 * ``sample_morphism_axioms`` on five corrupted actions;
 * ``naturality_check`` with a restriction that lands on another valid
   hom (the target's atoms swapped), so the eta-square compares two
   different lifts.
 
-A run that raises is pinned by its message.  The expected reports in
-``golden_failing_reports.json`` were captured before the sampled checks
-shared one case loop; that loop must reproduce them exactly.
+A run that raises is pinned by its message.  The expected morphism and
+naturality reports in ``golden_failing_reports.json`` were captured
+before the sampled checks shared one case loop; that loop must reproduce
+them exactly.  The proximity reports were captured when the lifted layer
+began to read ``<=`` by its definition.
 
 To regenerate the file (only when a report change is intended), run
 
@@ -39,8 +43,16 @@ from specker.morphisms import (
     naturality_check,
     sample_morphism_axioms,
 )
-from specker.proximity import ProxRel, leq_proximity, sample_proximity_axioms
-from specker.steps import step_add, step_const, step_neg, step_one, step_scale
+from specker.proximity import leq_proximity, sample_proximity_axioms
+from specker.steps import (
+    step_add,
+    step_const,
+    step_join,
+    step_neg,
+    step_one,
+    step_scale,
+    step_sub,
+)
 
 GOLDEN = Path(__file__).with_name("golden_failing_reports.json")
 
@@ -56,17 +68,28 @@ def _outcome(check) -> dict:
         return {"error": str(exc)}
 
 
+_RELATED_PAIR = proximity._related_pair
+
+# one corrupted step operation of the P-suite each: (attribute, stand-in)
+_CORRUPTED_OPERATIONS = {
+    "sum-as-difference": ("_sum", step_sub),
+    "negation-as-identity": ("step_neg", lambda f: f),
+    "meet-as-join": ("step_meet", step_join),
+    "related-pair-swapped": (
+        "_related_pair", lambda *args, **kwargs: _RELATED_PAIR(*args, **kwargs)[::-1]
+    ),
+}
+
+
 def _proximity_reports(seed: int) -> dict:
     reports = {}
-    with mock.patch.object(proximity, "_require_devries", lambda rel: None):
-        for atoms in ATOMS:
-            algebra = make_algebra(atoms)
-            leq = leq_proximity(algebra).pairs
-            for pair in sorted(leq):
-                rel = ProxRel(algebra, leq - {pair})
-                reports[f"{''.join(atoms)} minus {pair}"] = _outcome(
+    for atoms in ATOMS:
+        leq = leq_proximity(make_algebra(atoms))
+        for name, (attribute, stand_in) in _CORRUPTED_OPERATIONS.items():
+            with mock.patch.object(proximity, attribute, stand_in):
+                reports[f"{''.join(atoms)} {name}"] = _outcome(
                     lambda: sample_proximity_axioms(
-                        rel, samples=20, coeff_bound=4, seed=seed
+                        leq, samples=20, coeff_bound=4, seed=seed
                     )
                 )
     return reports

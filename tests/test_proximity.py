@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import ref_enumerate_devries
+from helpers import ref_approximant_mask, ref_enumerate_devries, ref_interpolant_mask
 from specker import proximity
 from specker.boolalg import make_algebra
 from specker.pointwise import random_pointfn, steps_of_pointfn
@@ -21,7 +21,18 @@ from specker.proximity import (
     sample_proximity_axioms,
     sample_related_pair,
 )
-from specker.steps import step_embed, step_leq, to_steps
+from specker.steps import (
+    _assemble_masks,
+    random_steps,
+    step_embed,
+    step_join,
+    step_leq,
+    step_zero,
+    to_steps,
+)
+
+# unsorted atom names, so that mask order and name order differ
+UNSORTED = {n: make_algebra(["d", "b", "e", "a", "c"][:n]) for n in range(1, 6)}
 
 
 def test_leq_proximity_shapes(b2, b4):
@@ -118,11 +129,44 @@ def test_interpolant_examples(b4):
 
 def test_interpolant_fails_without_witness(b4):
     p = b4.atom("p")
-    # (p, 1) is present but nothing interpolates it: the interpolation
-    # axiom was deliberately dropped from this relation
+    # (p, 1) is present but nothing interpolates it: the relation is no
+    # de Vries proximity, and the gate refuses it after the related check
+    # (D6 names the missing interpolant in check_devries's report)
     rel = ProxRel(b4, frozenset({(0, 0), (p.mask, b4.full_mask)}))
-    with pytest.raises(ValueError, match="no interpolant"):
+    with pytest.raises(ValueError, match="not a de Vries proximity"):
         interpolant(rel, p, b4.one)
+
+
+@pytest.mark.parametrize("atoms", range(1, 6))
+def test_interpolant_matches_the_search(atoms):
+    algebra = UNSORTED[atoms]
+    leq = leq_proximity(algebra)
+    for e, f in map(leq.pair_at, range(leq.count())):
+        found = interpolant(leq, algebra.from_mask(e), algebra.from_mask(f))
+        assert found.mask == ref_interpolant_mask(leq, e, f) == e
+
+
+@pytest.mark.parametrize("atoms", range(1, 6))
+def test_positive_approximant_matches_the_search(atoms):
+    algebra = UNSORTED[atoms]
+    leq, zero = leq_proximity(algebra), step_zero(algebra)
+    rng = random.Random(atoms)
+    for _ in range(100):
+        s = step_join(random_steps(rng, algebra, 6), zero)
+        if s == zero:
+            continue
+        witness = ref_approximant_mask(leq, s.idems[-1].mask)
+        points = [(0, algebra.full_mask), (s.thresholds[-1], witness)]
+        assert positive_approximant(leq, s) == _assemble_masks(algebra, points)
+
+
+def test_positive_approximant_refuses_another_algebra(b4):
+    leq = leq_proximity(b4)
+    xyz = make_algebra(["x", "y", "z"])
+    for names in (["x", "y"], ["z"]):
+        s = step_embed(xyz.element(names))
+        with pytest.raises(ValueError, match="mixed algebras in lifted proximity check"):
+            positive_approximant(leq, s)
 
 
 def test_lift_check_examples(b4, s_elem, t_elem):
@@ -203,14 +247,17 @@ def test_positive_approximant_witness(b4, s_elem):
         positive_approximant(leq, step_zero(b4))
 
 
-def test_monotone_consistency_under_leq(b4):
-    # lifting the order relation recovers exactly the pointwise order
-    leq = leq_proximity(b4)
+@pytest.mark.parametrize("atoms", range(1, 6))
+def test_monotone_consistency_under_leq(atoms):
+    # lifting the order relation recovers the order of the atom values
+    algebra = UNSORTED[atoms]
+    leq = leq_proximity(algebra)
     rng = random.Random(73)
     for _ in range(200):
-        f = steps_of_pointfn(random_pointfn(rng, b4, 8))
-        g = steps_of_pointfn(random_pointfn(rng, b4, 8))
-        assert lift_check(leq, f, g) == step_leq(f, g)
+        pf, pg = random_pointfn(rng, algebra, 8), random_pointfn(rng, algebra, 8)
+        f, g = steps_of_pointfn(pf), steps_of_pointfn(pg)
+        expected = all(a <= b for a, b in zip(pf.values, pg.values))
+        assert lift_check(leq, f, g) == expected
 
 
 def test_prox_json_round_trip(b2, b4):

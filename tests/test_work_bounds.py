@@ -8,7 +8,16 @@ would build 64 * 64 cells, and the candidate formulas of nonnegative
 multiplication and of subtraction 64 * 64 candidates of 64 * 64 cells
 each.  An element literal names its atoms, and reading one builds only
 the element it names.
+
+Past the de Vries gate the relation is ``<=``, and the lifted layer reads
+it by its definition.  Wrapping ``ProxRel.has``, ``rights`` and
+``lefts`` counts the searches of a relation's pairs: the public lifted
+entries and both sampled suites make none, on ``<=`` at 2-5 atoms.  They
+read a relation only through ``count`` and ``pair_at``, for the gate and
+for their seeded draws of related pairs.
 """
+
+import random
 
 import pytest
 
@@ -18,6 +27,12 @@ from specker.boolalg import (
     element_from_json,
     element_from_literal,
     make_algebra,
+)
+from specker.morphisms import (
+    enumerate_boolean_homs,
+    identity_prox,
+    lift_morphism,
+    sample_morphism_axioms,
 )
 from specker.orthogonal import (
     orth_add,
@@ -29,12 +44,25 @@ from specker.orthogonal import (
     orth_scale,
     orth_sub,
 )
+from specker.proximity import (
+    ProxRel,
+    interpolant,
+    interpolate_lifted,
+    leq_proximity,
+    lift_check,
+    positive_approximant,
+    restrict_lift,
+    sample_proximity_axioms,
+    sample_related_pair,
+)
 from specker.steps import (
+    random_steps,
     step_join,
     step_meet,
     step_mul,
     step_mul_nonneg,
     step_neg,
+    step_one,
     step_scale,
     step_sub,
     to_orth,
@@ -152,3 +180,44 @@ def test_a_literal_builds_one_element(built):
     assert built[0] == 1
     assert e == element_from_json(ALGEBRA, names)
     assert built[0] == 2
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Calls of ``ProxRel.has``, ``rights`` and ``lefts`` so far, by name."""
+    count = {"has": 0, "rights": 0, "lefts": 0}
+
+    def counting(name):
+        original = getattr(ProxRel, name)
+
+        def counted(*args):
+            count[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in count:
+        monkeypatch.setattr(ProxRel, name, counting(name))
+    return count
+
+
+@pytest.mark.parametrize("atoms", range(2, 6))
+def test_the_lifted_layer_searches_no_pairs(atoms, searches):
+    algebra = make_algebra([f"a{i}" for i in range(atoms)])
+    leq = leq_proximity(algebra)
+    rng = random.Random(atoms)
+    for _ in range(20):
+        s, t = sample_related_pair(rng, leq, 6)
+        assert lift_check(leq, s, t)
+        assert interpolate_lifted(leq, s, t) == s
+        positive = step_join(random_steps(rng, algebra, 6), step_one(algebra))
+        assert lift_check(leq, positive_approximant(leq, positive), positive)
+    for e in algebra.elements():
+        assert interpolant(leq, e, algebra.one) == e
+    assert restrict_lift(leq) == leq
+    assert sample_proximity_axioms(leq, samples=20).ok
+    # the identity, and the hom sending e to 1 if a0 <= e, else to 0
+    through_a0 = lift_morphism(enumerate_boolean_homs(algebra, algebra)[0])
+    for pm in (identity_prox(leq), through_a0):
+        assert sample_morphism_axioms(pm, samples=10).ok
+    assert searches == {"has": 0, "rights": 0, "lefts": 0}
