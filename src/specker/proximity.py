@@ -31,7 +31,9 @@ a witness when they fail, ``boolalg._first_failure`` counts them up to
 the first failure, and an axiom that failed or checked no case at all
 fails.  A sampled check (P2-P10, M2-M7, the eta-square) is one case
 function that draws a single sample; ``_record_sampled`` runs each over
-``samples`` calls, in the order given, and holds the one case loop.
+``samples`` calls, in the order given, and holds the one case loop; a
+case that raises ``ValueError`` fails its axiom, with the message as its
+witness.
 
 Axioms on the boolean algebra:
 
@@ -284,13 +286,23 @@ def _record_sampled(
     """Record each sampled check, in order, over ``samples`` calls of its case.
 
     A case draws one sample and returns ``None`` when it holds and its
-    witness when it fails.  Each check runs to its first failure before
-    the next one starts, so checks sharing one seeded ``rng`` draw from
-    it in the order given.  This is the one loop over ``samples`` in the
+    witness when it fails.  A case that raises ``ValueError`` fails too:
+    it counts as checked, and the message is its witness, so the checks
+    after it still run.  Each check runs to its first failure before the
+    next one starts, so checks sharing one seeded ``rng`` draw from it in
+    the order given.  This is the one loop over ``samples`` in the
     sampled suites: P2-P10, M2-M7 and the eta-square.
     """
     for name, case in checks:
-        _record(results, name, (case() for _ in range(samples)))
+        _record(results, name, (_run_case(case) for _ in range(samples)))
+
+
+def _run_case(case: Callable[[], object]) -> object:
+    """The case's outcome, or the message of the ``ValueError`` it raised."""
+    try:
+        return case()
+    except ValueError as exc:
+        return (str(exc),)
 
 
 # the largest algebra the exhaustive checkers take (5 atoms)

@@ -10,7 +10,14 @@ Because every element has a unique full orthogonal decomposition with
 distinct values, the evaluated result *is* the canonical normal form,
 and all the defining relations of the presentation (products of
 generators vs. the generator of the meet, complements, the zero
-generator) collapse automatically.
+generator) collapse automatically.  Each generator is embedded once per
+evaluation, however often the term names it.
+
+Parsing does each piece of work once: one regular-expression scan
+tokenizes the text (an unknown character is a token, refused before
+parsing starts), and each grammar rule returns its term together with
+its depth and its largest product of exponents, so the bounds below are
+checked without walking a subtree again.
 
 Grammar::
 
@@ -25,8 +32,8 @@ Unary minus binds tighter than ``^``, which binds tighter than ``*``,
 which binds tighter than binary ``+``/``-``.  A term nests at most
 ``MAX_DEPTH`` (100) levels, counting each operator and each pair of
 parentheses, and its exponents, each alone and multiplied along any
-root-to-leaf path, are at most ``MAX_EXPONENT`` (1000); other input is a
-:class:`ParseError`.
+root-to-leaf path, are at most ``MAX_EXPONENT`` (1000); other input,
+a literal with a zero denominator included, is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -146,60 +153,51 @@ class ParseError(ValueError):
         self.position = position
 
 
+# one token per match; whitespace between tokens matches nothing and is
+# skipped, and any other character is an ``unknown`` token
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)"
+    r"(?P<number>[0-9]+(?:/[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[()+\-*^,]))"
+    r"|(?P<punct>[()+\-*^,])"
+    r"|(?P<unknown>\S)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` per token, then an ``end`` token at ``len(text)``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None or match.lastgroup is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(
-                f"unknown token {stripped[0]!r}", len(text) - len(stripped)
-            )
+    for match in _TOKEN.finditer(text):
         kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
+        if kind == "unknown":
+            raise ParseError(f"unknown token {match.group()!r}", match.start())
+        tokens.append((kind, match.group(), match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive descent; each rule returns ``(term, depth)``.
+    """Recursive descent; each rule returns ``(term, depth, power)``.
 
     ``depth`` counts the levels from the term down to its deepest literal
     or generator: one per operator and one per pair of parentheses.
-    ``nesting`` counts the levels open around the rule being parsed, so
-    that a too deeply nested input is refused before it can exhaust the
-    interpreter's stack.
+    ``power`` is the largest product of the exponents on a path from the
+    term down to a leaf.  ``nesting`` counts the levels open around the
+    rule being parsed, so that a too deeply nested input is refused before
+    it can exhaust the interpreter's stack.
+
+    A token's text names its kind for every symbol the rules test for
+    (``+``, ``-``, ``*``, ``^``, ``(``), so they compare the text alone.
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.nesting = 0
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def _position(self) -> int:
-        token = self._peek()
-        return token[2] if token else len(self.text)
-
     def _take_punct(self, value: str) -> None:
-        token = self._peek()
-        if token is None or token[0] != "punct" or token[1] != value:
-            raise ParseError(f"expected {value!r}", self._position())
+        kind, text, position = self.tokens[self.index]
+        if kind != "punct" or text != value:
+            raise ParseError(f"expected {value!r}", position)
         self.index += 1
 
     def _level(self, depth: int, position: int) -> int:
@@ -213,111 +211,99 @@ class _Parser:
         self.nesting = self._level(self.nesting + 1, position)
 
     def parse(self) -> Term:
-        term, _ = self.expr()
-        if self._peek() is not None:
-            raise ParseError(
-                f"unexpected token {self._peek()[1]!r}", self._position()
-            )
+        term = self.expr()[0]
+        kind, text, position = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"unexpected token {text!r}", position)
         return term
 
-    def expr(self, level: int = 1) -> tuple[Term, int]:
+    def expr(self, level: int = 1) -> tuple[Term, int, int]:
         """The grammar's ``expr`` (level 1) and ``addend`` (level 2), left-associative:
         an operator takes as its right operand only what binds tighter than it."""
-        term, depth = self.factor()
+        term, depth, power = self.factor()
+        tokens = self.tokens
         while True:
-            token = self._peek()
-            binds = _BINDING.get(token[1], 0) if token and token[0] == "punct" else 0
+            _, op, position = tokens[self.index]
+            binds = _BINDING.get(op, 0)
             if binds < level:
-                return term, depth
+                return term, depth, power
             self.index += 1
-            right, right_depth = self.expr(binds + 1)
-            term = BinOp(token[1], term, right)
-            depth = self._level(1 + max(depth, right_depth), token[2])
+            right, right_depth, right_power = self.expr(binds + 1)
+            term = BinOp(op, term, right)
+            depth = self._level(1 + max(depth, right_depth), position)
+            power = max(power, right_power)
 
-    def factor(self) -> tuple[Term, int]:
-        term, depth = self.unary()
-        while True:
-            token = self._peek()
-            if token and token[0] == "punct" and token[1] == "^":
-                self.index += 1
-                exponent_token = self._peek()
-                if exponent_token is None or exponent_token[0] != "number":
-                    raise ParseError("expected an exponent", self._position())
-                if "/" in exponent_token[1]:
-                    raise ParseError(
-                        "exponent must be a nonnegative integer",
-                        exponent_token[2],
-                    )
-                self.index += 1
-                exponent = _exponent(exponent_token)
-                if exponent * _power(term) > MAX_EXPONENT:
-                    raise ParseError(
-                        f"exponents multiply to more than {MAX_EXPONENT}", token[2]
-                    )
-                term = Pow(term, exponent)
-                depth = self._level(depth + 1, token[2])
-            else:
-                return term, depth
+    def factor(self) -> tuple[Term, int, int]:
+        term, depth, power = self.unary()
+        tokens = self.tokens
+        while tokens[self.index][1] == "^":
+            position = tokens[self.index][2]
+            # an end token follows every "^"
+            kind, digits, at = tokens[self.index + 1]
+            if kind != "number":
+                raise ParseError("expected an exponent", at)
+            if "/" in digits:
+                raise ParseError("exponent must be a nonnegative integer", at)
+            self.index += 2
+            exponent = _exponent(digits, at)
+            power *= exponent
+            if power > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponents multiply to more than {MAX_EXPONENT}", position
+                )
+            term = Pow(term, exponent)
+            depth = self._level(depth + 1, position)
+        return term, depth, power
 
-    def unary(self) -> tuple[Term, int]:
-        token = self._peek()
-        if token and token[0] == "punct" and token[1] == "-":
-            self.index += 1
-            self._enter(token[2])
-            operand, depth = self.unary()
-            self.nesting -= 1
-            return Neg(operand), self._level(depth + 1, token[2])
-        return self.atom()
+    def unary(self) -> tuple[Term, int, int]:
+        _, text, position = self.tokens[self.index]
+        if text != "-":
+            return self.atom()
+        self.index += 1
+        self._enter(position)
+        operand, depth, power = self.unary()
+        self.nesting -= 1
+        return Neg(operand), self._level(depth + 1, position), power
 
-    def atom(self) -> tuple[Term, int]:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of input", self._position())
-        kind, value, position = token
+    def atom(self) -> tuple[Term, int, int]:
+        kind, text, position = self.tokens[self.index]
+        self.index += 1
         if kind == "number":
-            self.index += 1
-            return Lit(parse_scalar(value)), 0
+            try:
+                value = parse_scalar(text)
+            except ValueError as exc:  # a zero denominator
+                raise ParseError(str(exc), position) from None
+            return Lit(value), 0, 1
         if kind == "ident":
-            self.index += 1
-            if value in ("meet", "join"):
-                self._take_punct("(")
-                self._enter(position)
-                left, left_depth = self.expr()
-                self._take_punct(",")
-                right, right_depth = self.expr()
-                self._take_punct(")")
-                self.nesting -= 1
-                depth = self._level(1 + max(left_depth, right_depth), position)
-                return BinOp(value, left, right), depth
-            return Var(value), 0
-        if kind == "punct" and value == "(":
-            self.index += 1
+            if text != "meet" and text != "join":
+                return Var(text), 0, 1
+            self._take_punct("(")
             self._enter(position)
-            term, depth = self.expr()
+            left, left_depth, left_power = self.expr()
+            self._take_punct(",")
+            right, right_depth, right_power = self.expr()
             self._take_punct(")")
             self.nesting -= 1
-            return term, self._level(depth + 1, position)
-        raise ParseError(f"unexpected token {value!r}", position)
+            depth = self._level(1 + max(left_depth, right_depth), position)
+            return BinOp(text, left, right), depth, max(left_power, right_power)
+        if text == "(":
+            self._enter(position)
+            term, depth, power = self.expr()
+            self._take_punct(")")
+            self.nesting -= 1
+            return term, self._level(depth + 1, position), power
+        if kind == "end":
+            raise ParseError("unexpected end of input", position)
+        raise ParseError(f"unexpected token {text!r}", position)
 
 
-def _exponent(token: tuple[str, str, int]) -> int:
-    """The integer an exponent token spells, at most ``MAX_EXPONENT``."""
-    digits = token[1].lstrip("0") or "0"
+def _exponent(digits: str, position: int) -> int:
+    """The integer ``digits`` spell, at most ``MAX_EXPONENT``."""
+    digits = digits.lstrip("0") or "0"
     # lengths first: int() refuses digit strings over 4300 digits long
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-        raise ParseError(f"exponent larger than {MAX_EXPONENT}", token[2])
+        raise ParseError(f"exponent larger than {MAX_EXPONENT}", position)
     return int(digits)
-
-
-def _power(term: Term) -> int:
-    """The largest product of exponents on a path from ``term`` to a leaf."""
-    if isinstance(term, Pow):
-        return term.exponent * _power(term.base)
-    if isinstance(term, BinOp):
-        return max(_power(term.left), _power(term.right))
-    if isinstance(term, Neg):
-        return _power(term.operand)
-    return 1
 
 
 def parse_term(text: str) -> Term:
@@ -347,31 +333,42 @@ def normalize_term(
     algebra: Algebra,
     binding: Mapping[str, BoolElem] | None = None,
 ) -> OrthElem:
-    """Evaluate a term to its canonical orthogonal normal form."""
+    """Evaluate a term to its canonical orthogonal normal form.
+
+    Each generator is embedded once per call, at its first occurrence,
+    which is also where an unbound name or one bound in another algebra
+    raises ``ValueError``.
+    """
     if binding is None:
         binding = default_binding(algebra)
+    embedded: dict[str, OrthElem] = {}
 
     def evaluate(node: Term) -> OrthElem:
+        # the most common node first
+        if isinstance(node, BinOp):
+            return _BINARY[node.op](evaluate(node.left), evaluate(node.right))
+        if isinstance(node, Var):
+            name = node.name
+            element = embedded.get(name)
+            if element is None:
+                try:
+                    bound = binding[name]
+                except KeyError:
+                    raise ValueError(f"unbound generator name: {name!r}") from None
+                if bound.algebra != algebra:
+                    raise ValueError(f"generator {name!r} bound in another algebra")
+                element = embedded[name] = orth_embed(bound)
+            return element
         if isinstance(node, Lit):
             return orth_const(algebra, node.value)
-        if isinstance(node, Var):
-            try:
-                bound = binding[node.name]
-            except KeyError:
-                raise ValueError(f"unbound generator name: {node.name!r}") from None
-            if bound.algebra != algebra:
-                raise ValueError(f"generator {node.name!r} bound in another algebra")
-            return orth_embed(bound)
-        if isinstance(node, Neg):
-            return orth_neg(evaluate(node.operand))
         if isinstance(node, Pow):
             result = orth_unit(algebra)
             base = evaluate(node.base)
             for _ in range(node.exponent):
                 result = orth_mul(result, base)
             return result
-        if isinstance(node, BinOp):
-            return _BINARY[node.op](evaluate(node.left), evaluate(node.right))
+        if isinstance(node, Neg):
+            return orth_neg(evaluate(node.operand))
         raise TypeError(f"not a term node: {node!r}")
 
     return evaluate(term)

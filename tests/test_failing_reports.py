@@ -15,11 +15,15 @@ reports, for seeds 0-4:
   hom (the target's atoms swapped), so the eta-square compares two
   different lifts.
 
-A run that raises is pinned by its message.  The expected morphism and
-naturality reports in ``golden_failing_reports.json`` were captured
-before the sampled checks shared one case loop; that loop must reproduce
-them exactly.  The proximity reports were captured when the lifted layer
-began to read ``<=`` by its definition.
+A run that raises is pinned by its message.  A sampled case that
+raises ``ValueError`` fails only its own axiom, with the message as its
+witness.  The expected morphism and naturality reports in
+``golden_failing_reports.json`` were captured before the sampled checks
+shared one case loop; that loop must reproduce them exactly.  The
+proximity reports were captured when the lifted layer began to read
+``<=`` by its definition; the ten ``pq`` and ``abc`` sum-as-difference
+runs, which raised from P10 until a raising case became its axiom's
+failure, were re-captured then.
 
 To regenerate the file (only when a report change is intended), run
 

@@ -308,3 +308,25 @@ def test_sample_related_pair_rejects_coeff_bound_below_1(b4, bound):
     with pytest.raises(ValueError, match=f"coeff_bound must be at least 1, got {bound}"):
         sample_related_pair(rng, leq_proximity(b4), bound)
     assert rng.getstate() == state
+
+
+def test_a_sampled_case_that_raises_fails_its_own_check_only():
+    calls = []
+
+    def raising():
+        calls.append("raising")
+        if len(calls) == 3:
+            raise ValueError("thresholds must strictly increase")
+
+    def holding():
+        calls.append("holding")
+
+    results = []
+    proximity._record_sampled(results, 5, [("A", raising), ("B", holding)])
+    assert calls == ["raising"] * 3 + ["holding"] * 5
+    assert [str(result) for result in results] == [
+        "A: FAIL (thresholds must strictly increase)",
+        "B: pass (5 checks)",
+    ]
+    assert results[0].checked == 3
+    assert results[0].counterexample == ("thresholds must strictly increase",)

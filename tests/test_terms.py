@@ -221,3 +221,13 @@ def test_exponent_bound_is_a_parse_error(text, message, position):
         with pytest.raises(ParseError, match=message) as info:
             parse_term(text)
     assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, literal, position",
+    [("1/0", "1/0", 0), ("1/00", "1/00", 0), ("x_p + 3/0", "3/0", 6), ("(1/0", "1/0", 1)],
+)
+def test_zero_denominator_is_a_parse_error_at_the_literal(text, literal, position):
+    with pytest.raises(ParseError, match=f"zero denominator in scalar literal: '{literal}'") as info:
+        parse_term(text)
+    assert info.value.position == position

@@ -15,6 +15,9 @@ it by its definition.  Wrapping ``ProxRel.has``, ``rights`` and
 entries and both sampled suites make none, on ``<=`` at 2-5 atoms.  They
 read a relation only through ``count`` and ``pair_at``, for the gate and
 for their seeded draws of related pairs.
+
+``normalize_term`` embeds each generator of a term once, however often
+the term names it: wrapping ``terms.orth_embed`` counts the embeddings.
 """
 
 import random
@@ -22,6 +25,7 @@ import random
 import pytest
 
 from helpers import within
+from specker import terms
 from specker.boolalg import (
     BoolElem,
     element_from_json,
@@ -221,3 +225,18 @@ def test_the_lifted_layer_searches_no_pairs(atoms, searches):
     for pm in (identity_prox(leq), through_a0):
         assert sample_morphism_axioms(pm, samples=10).ok
     assert searches == {"has": 0, "rights": 0, "lefts": 0}
+
+
+def test_normalize_term_embeds_each_generator_once(monkeypatch):
+    algebra = make_algebra(["p", "q"])
+    embedded = []
+    original = terms.orth_embed
+
+    def counted(element):
+        embedded.append(element)
+        return original(element)
+
+    monkeypatch.setattr(terms, "orth_embed", counted)
+    term = terms.parse_term("x_p*x_p + 3*x_q - x_p")
+    terms.normalize_term(term, algebra)
+    assert embedded == [algebra.atom("p"), algebra.atom("q")]
