@@ -99,6 +99,9 @@ class Algebra(_Frozen):
     def __init__(
         self, atoms: tuple[str, ...], generators: tuple[tuple[str, int], ...] = ()
     ) -> None:
+        # tuples, so that a list given for either still hashes
+        atoms = tuple(atoms)
+        generators = tuple((name, mask) for name, mask in generators)
         if not atoms:
             raise ValueError("an algebra needs at least one atom")
         seen = set()

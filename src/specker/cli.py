@@ -150,7 +150,8 @@ def _refusal(*morphisms: DVMorphism):
     the failing D1-D7 report of its first refused proximity; or ``None``.
 
     D1-D7 take no algebra over the exhaustive bound, so a refused
-    proximity over it is that bound's error before M1-M4 run.
+    proximity over it is that bound's error before M1-M4 run; M1-M4 take
+    no source over it either.
     """
     from .morphisms import _dv_ok, check_dv_morphism
     from .proximity import _devries_ok, _require_exhaustive, check_devries
@@ -371,13 +372,15 @@ def _cmd_equiv_check(args) -> int:
         algebras = [_load_algebra(args.algebra)]
     else:
         algebras = [make_algebra(["x"]), make_algebra(["p", "q"])]
+    # each algebra's one proximity, so that one over the bound is refused
+    # before the first line is printed
+    rels = [rel for algebra in algebras for rel in enumerate_devries(algebra)]
     # with --json, one object at the end; as text, a line per check as it runs
     out: dict = {"seed": args.seed, "samples": args.samples, "round_trips": [], "homs": []}
     if not args.as_json:
         print(f"seed={args.seed} samples={args.samples}")
     failures = 0
-    for algebra in algebras:
-        (rel,) = enumerate_devries(algebra)
+    for algebra, rel in zip(algebras, rels):
         round_trip = functor_id(functor_sp(rel)) == rel
         if args.as_json:
             out["round_trips"].append({"atoms": list(algebra.atoms), "ok": round_trip})

@@ -49,6 +49,7 @@ from .proximity import (
     _devries_ok,
     _related_pair,
     _require_devries,
+    _require_exhaustive,
     _submasks,
     leq_proximity,
     lift_check,
@@ -179,6 +180,7 @@ def check_dv_morphism(m: DVMorphism) -> ProxReport:
     """Exhaustive verification of M1-M4 over the finite source algebra."""
     src, tgt = m.source, m.target
     src_alg, tgt_alg = src.algebra, tgt.algebra
+    _require_exhaustive(src_alg)  # M2 alone is size^2 cases
     table = m.table
     results: list = []
 
@@ -202,11 +204,11 @@ def check_dv_morphism(m: DVMorphism) -> ProxReport:
     _record(results, "M3", m3_cases(), src_alg.from_mask)
 
     def m4_cases():
-        for f in range(src_alg.size):
-            joined = 0
-            for e in src.lefts(f):
-                joined |= table[e]
-            yield None if table[f] == joined else (f,)
+        joined = [0] * src_alg.size
+        for e, f in map(src.pair_at, range(src.count())):
+            joined[f] |= table[e]
+        for f, image in enumerate(joined):
+            yield None if table[f] == image else (f,)
 
     _record(results, "M4", m4_cases(), src_alg.from_mask)
 
@@ -356,10 +358,9 @@ def _approximant_join(pm: ProxMorphism, t: StepElem, rng: random.Random) -> Step
     idempotent approximants of the decomposition components, so this
     finite join computes the supremum in the morphism axiom M4.  The
     source is gated, so a component's approximants are its submasks,
-    ascending as ``ProxRel.lefts`` lists them.  Each combination of
-    approximant masks becomes one source element by refining value
-    classes, the action runs once on it, and all images are joined in
-    one pass.  Up to ``_APPROXIMANT_CAP`` combinations, every one is
+    ascending.  Each combination of approximant masks becomes one source
+    element by refining value classes, the action runs once on it, and
+    all images are joined in one pass.  Up to ``_APPROXIMANT_CAP`` combinations, every one is
     joined.  Past it, the full combination (each component's last and
     largest approximant, the component itself, so its element is ``t``)
     is joined with ``_APPROXIMANT_CAP`` combinations drawn component by

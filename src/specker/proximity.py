@@ -48,18 +48,19 @@ Axioms on the boolean algebra:
 (writing ``<`` for the proximity).
 
 The checkers work on ``int`` masks over the atom order.  Every module
-reads a relation only through the five :class:`ProxRel` methods ``has``,
-``rights``, ``lefts``, ``count`` and ``pair_at``.  Past the gate the
-lifted layer reads it only through ``count`` and ``pair_at``, to draw
-related pairs; the exhaustive checkers D1-D7 and M1-M4 read any relation
-generically.  :class:`BoolElem` objects are built only for returned
-values and for the witnesses of a failing axiom.
+reads a relation only through the three :class:`ProxRel` methods
+``has``, ``count`` and ``pair_at``.  Past the gate the lifted layer reads
+it only through ``count`` and ``pair_at``, to draw related pairs; the
+exhaustive checkers D1-D7 and M1-M4 read any relation generically, and
+derive what else they need from the sorted pairs they walk.
+:class:`BoolElem` objects are built only for returned values and for the
+witnesses of a failing axiom.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .boolalg import (
@@ -112,15 +113,17 @@ class ProxRel(_Frozen):
     """A binary relation on a finite boolean algebra, as mask pairs.
 
     Every mask lies in ``0..size-1``.  It is read only through
-    :meth:`has`, :meth:`rights`, :meth:`lefts`, :meth:`count`,
-    :meth:`pair_at` and the element form :meth:`related`.  No
-    ``__slots__``: the indexes behind them are built once per relation,
-    in the instance ``__dict__``.
+    :meth:`has`, :meth:`count`, :meth:`pair_at` and the element form
+    :meth:`related`.
     """
 
+    # ``_sorted``, the pairs in sorted order, is derived from ``pairs``:
+    # equality and hashing skip it
+    __slots__ = ("algebra", "pairs", "_sorted")
     _fields = ("algebra", "pairs")
     algebra: Algebra
     pairs: frozenset[tuple[int, int]]
+    _sorted: tuple[tuple[int, int], ...]
 
     def __init__(self, algebra: Algebra, pairs: frozenset[tuple[int, int]]) -> None:
         limit = algebra.size
@@ -131,6 +134,7 @@ class ProxRel(_Frozen):
             )
         _setattr(self, "algebra", algebra)
         _setattr(self, "pairs", pairs)
+        _setattr(self, "_sorted", tuple(sorted(pairs)))
 
     def related(self, e: BoolElem, f: BoolElem) -> bool:
         if e.algebra != self.algebra or f.algebra != self.algebra:
@@ -140,14 +144,6 @@ class ProxRel(_Frozen):
     def has(self, e: int, f: int) -> bool:
         return (e, f) in self.pairs
 
-    def rights(self, e: int) -> tuple[int, ...]:
-        """The ``f`` with ``e < f``, ascending; ``()`` when there is none."""
-        return self._rights.get(e, ())
-
-    def lefts(self, f: int) -> tuple[int, ...]:
-        """The ``e`` with ``e < f`` (the approximants), ascending."""
-        return self._lefts.get(f, ())
-
     def count(self) -> int:
         return len(self.pairs)
 
@@ -155,27 +151,8 @@ class ProxRel(_Frozen):
         """The ``k``-th pair in sorted order."""
         return self._sorted[k]
 
-    @cached_property
-    def _sorted(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.pairs))
-
-    @cached_property
-    def _rights(self) -> dict[int, tuple[int, ...]]:
-        return _group(self._sorted, 0)
-
-    @cached_property
-    def _lefts(self) -> dict[int, tuple[int, ...]]:
-        return _group(self._sorted, 1)
-
     def __repr__(self) -> str:
         return f"ProxRel({len(self.pairs)} pairs on {self.algebra!r})"
-
-
-def _group(ordered: Sequence[tuple[int, int]], key: int) -> dict[int, tuple[int, ...]]:
-    grouped: dict[int, list[int]] = {}
-    for pair in ordered:
-        grouped.setdefault(pair[key], []).append(pair[1 - key])
-    return {k: tuple(v) for k, v in grouped.items()}
 
 
 class AxiomResult(_Frozen):
@@ -354,10 +331,15 @@ def check_devries(rel: ProxRel) -> ProxReport:
 
     _record(results, "D3", d3_cases(), elem)
 
+    # the ``f`` with ``e < f`` for each ``e``, ascending, as ``ordered`` is
+    rights: list[list[int]] = [[] for _ in range(size)]
+    for e, f in ordered:
+        rights[e].append(f)
+
     def d4_cases():
-        for e, rights in enumerate(map(rel.rights, range(size))):
-            for f in rights:
-                for g in rights:
+        for e, row in enumerate(rights):
+            for f in row:
+                for g in row:
                     yield None if has(e, f & g) else (e, f, g)
 
     _record(results, "D4", d4_cases(), elem)
@@ -374,15 +356,15 @@ def check_devries(rel: ProxRel) -> ProxReport:
 
     def d6_cases():
         for e, f in ordered:
-            found = any(has(g, f) for g in rel.rights(e))
+            found = any(has(g, f) for g in rights[e])
             yield None if found else (e, f)
 
     _record(results, "D6", d6_cases(), elem)
 
     def d7_cases():
+        approximated = {f for e, f in ordered if e}  # some nonzero approximant
         for e in range(1, size):
-            # some nonzero approximant
-            yield None if any(rel.lefts(e)) else (e,)
+            yield None if e in approximated else (e,)
 
     _record(results, "D7", d7_cases(), elem)
 

@@ -34,10 +34,10 @@ between the forced pairs and ``<=``.  ``enumerate_devries`` gives the
 order alone, by the theorem, and must agree with it.
 
 ``ref_interpolant_mask`` is the search the lifted layer ran before it
-read ``<=`` by its definition: the interpolants of ``e < f`` found among
-``rights(e)``, and of those the one with fewest atoms, then first by atom
-names (``ref_smallest``).  ``ref_approximant_mask`` is the same search
-for a nonzero approximant among ``lefts(f)``.
+read ``<=`` by its definition: the interpolants of ``e < f`` found by
+``has`` among all masks, and of those the one with fewest atoms, then
+first by atom names (``ref_smallest``).  ``ref_approximant_mask`` is the
+same search for a nonzero approximant.
 
 ``ref_sample_related_pair`` draws its related pairs with
 ``rng.choice(sorted(rel.pairs))``, as the library did before it read a
@@ -471,7 +471,8 @@ def ref_approximant_join(
     src_alg = src.algebra
     a0, pairs = decreasing_decomposition(t)
     approximant_sets = [
-        [src_alg.from_mask(k) for k in src.lefts(e.mask)] for _, e in pairs
+        [src_alg.from_mask(k) for k in range(src_alg.size) if src.has(k, e.mask)]
+        for _, e in pairs
     ]
     combos = list(itertools.product(*approximant_sets))
     if len(combos) > tuple_cap:
@@ -502,16 +503,16 @@ def ref_smallest(algebra: Algebra, masks: Sequence[int]) -> int:
 
 
 def ref_interpolant_mask(rel: ProxRel, e: int, f: int) -> int:
-    """The smallest ``g`` with ``e < g < f``, searched among ``rights(e)``."""
-    candidates = [g for g in rel.rights(e) if rel.has(g, f)]
+    """The smallest ``g`` with ``e < g < f``, searched among all masks."""
+    candidates = [g for g in range(rel.algebra.size) if rel.has(e, g) and rel.has(g, f)]
     if not candidates:
         raise ValueError(f"no interpolant between masks {e} and {f}")
     return ref_smallest(rel.algebra, candidates)
 
 
 def ref_approximant_mask(rel: ProxRel, f: int) -> int:
-    """The smallest nonzero ``e`` with ``e < f``, searched among ``lefts(f)``."""
-    candidates = [e for e in rel.lefts(f) if e]
+    """The smallest nonzero ``e`` with ``e < f``, searched among all masks."""
+    candidates = [e for e in range(1, rel.algebra.size) if rel.has(e, f)]
     if not candidates:
         raise ValueError(f"no nonzero approximant of mask {f}")
     return ref_smallest(rel.algebra, candidates)

@@ -28,6 +28,21 @@ def test_make_algebra_rejects_bad_names(bad):
         make_algebra(bad)
 
 
+def test_an_algebra_built_from_lists_is_stored_as_tuples():
+    # a list kept as given would not hash, nor would the gate's cache take
+    # the relations on it
+    from specker.proximity import leq_proximity, lift_check
+    from specker.steps import step_const
+
+    listed = boolalg.Algebra(["p", "q"])
+    assert listed.atoms == ("p", "q") and listed == make_algebra(["p", "q"])
+    assert hash(listed) == hash(make_algebra(["p", "q"]))
+    assert lift_check(leq_proximity(listed), step_const(listed, 1), step_const(listed, 2))
+    free = boolalg.Algebra(["m0", "m1"], [["g0", 2]])
+    assert free.generators == (("g0", 2),) and free == make_free_algebra(1)
+    assert hash(free) == hash(make_free_algebra(1))
+
+
 def test_free_algebra_shapes(monkeypatch):
     one = make_free_algebra(1)
     assert one.size == 4

@@ -1,7 +1,8 @@
-"""A relation is read only through its five ``ProxRel`` methods.
+"""A relation is read only through its three ``ProxRel`` methods.
 
-``has``, ``rights``, ``lefts``, ``count`` and ``pair_at`` must agree with
-the pair set on any relation, de Vries or not.  ``sample_related_pair``
+``has``, ``count`` and ``pair_at`` must agree with the pair set on any
+relation, de Vries or not, and the element form ``related`` refuses an
+element of another algebra on either side.  ``sample_related_pair``
 draws ``pair_at(rng.randrange(count()))``, which must be exactly the draw
 of ``rng.choice`` over the sorted pairs, with the same generator state
 afterwards, so every seeded report stays as it was.  The de Vries
@@ -28,8 +29,8 @@ from specker.proximity import ProxRel, check_devries, leq_proximity, sample_rela
 ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specker"
-# the relation's storage: the pair set and the indexes built from it
-FORMAT = {"pairs", "_sorted", "_rights", "_lefts"}
+# the relation's storage: the pair set and its sorted form
+FORMAT = {"pairs", "_sorted"}
 
 
 @st.composite
@@ -50,22 +51,31 @@ def test_the_interface_agrees_with_the_pair_set(rel):
     assert rel.count() == len(pairs)
     assert [rel.pair_at(k) for k in range(rel.count())] == sorted(pairs)
     for e in masks:
-        assert rel.rights(e) == tuple(sorted(f for x, f in pairs if x == e))
-        assert rel.lefts(e) == tuple(sorted(x for x, f in pairs if f == e))
         for f in masks:
             assert rel.has(e, f) == ((e, f) in pairs)
 
 
 def test_the_interface_on_a_relation_that_is_no_proximity():
-    # empty rows are empty tuples, and nothing on the relation is sorted_pairs
+    # nothing on the relation is sorted_pairs
     rel = ProxRel(ALGEBRAS[1], frozenset({(1, 0)}))
     assert not check_devries(rel).ok
     assert (rel.count(), rel.pair_at(0), rel.pair_at(-1)) == (1, (1, 0), (1, 0))
-    assert (rel.rights(0), rel.rights(1), rel.lefts(0), rel.lefts(1)) == ((), (0,), (1,), ())
     assert not rel.has(0, 1) and rel.has(1, 0)
+    assert not rel.has(0, 0) and not rel.has(1, 1)
     with pytest.raises(IndexError):
         rel.pair_at(1)
     assert not hasattr(rel, "sorted_pairs")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_related_refuses_one_foreign_operand(side):
+    # either operand alone from another algebra is refused, not read as a mask
+    rel = leq_proximity(ALGEBRAS[2])
+    ours, foreign = ALGEBRAS[2].zero, ALGEBRAS[3].zero
+    assert rel.related(ours, ours) and (0, 0) in rel.pairs
+    operands = (foreign, ours) if side == "left" else (ours, foreign)
+    with pytest.raises(ValueError, match="elements from a different algebra"):
+        rel.related(*operands)
 
 
 @pytest.mark.parametrize("atoms", range(1, 6))
@@ -120,8 +130,8 @@ def test_only_proximity_reads_the_relation_format(path):
 
 
 def test_the_guard_sees_a_read():
-    tree = ast.parse("def f(rel):\n    return len(rel.pairs) + len(rel._lefts[0])\n")
-    assert _format_reads(tree) == [(2, "_lefts"), (2, "pairs")]
+    tree = ast.parse("def f(rel):\n    return len(rel.pairs) + len(rel._sorted[0])\n")
+    assert _format_reads(tree) == [(2, "_sorted"), (2, "pairs")]
     # and the guard is not vacuous: proximity.py itself reads the storage
     source = (PACKAGE / "proximity.py").read_text(encoding="utf-8")
     assert {name for _, name in _format_reads(ast.parse(source))} == FORMAT

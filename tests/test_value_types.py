@@ -323,22 +323,19 @@ def test_orth_elem_copies_before_entries_is_read(duplicate):
     assert repr(twin) == repr(value)
 
 
-def test_prox_rel_cached_indexes():
+def test_prox_rel_keeps_its_sorted_pairs_in_a_slot():
     rel = leq_proximity(_b4())
-    assert [rel.pair_at(k) for k in range(rel.count())] == sorted(rel.pairs)
-    assert rel.rights(1) == (1, 3)
-    assert rel.lefts(3) == (0, 1, 2, 3)
-    # computed once, kept in the instance dictionary
-    indexes = {name: vars(rel)[name] for name in ("_sorted", "_rights", "_lefts")}
-    assert rel.pair_at(0) is indexes["_sorted"][0]
-    assert rel.rights(1) is indexes["_rights"][1]
-    assert rel.lefts(3) is indexes["_lefts"][3]
-    assert all(vars(rel)[name] is index for name, index in indexes.items())
-    # an equal relation built apart has its own indexes, with equal contents
-    twin = leq_proximity(_b4())
-    assert twin == rel and "_lefts" not in vars(twin)
-    assert [twin.lefts(f) for f in range(4)] == [rel.lefts(f) for f in range(4)]
-    assert vars(twin)["_lefts"] is not indexes["_lefts"]
+    assert not hasattr(rel, "__dict__")
+    # set at construction, and what pair_at reads
+    assert rel._sorted == tuple(sorted(rel.pairs))
+    assert rel.pair_at(0) is rel._sorted[0]
+    # derived, so equality and hashing skip it, and copies keep it
+    assert ProxRel._fields == ("algebra", "pairs")
+    for duplicate in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        twin = duplicate(rel)
+        assert twin == rel and hash(twin) == hash(rel)
+        assert twin._sorted == rel._sorted and not hasattr(twin, "__dict__")
+        assert [twin.pair_at(k) for k in range(twin.count())] == sorted(rel.pairs)
 
 
 def test_hot_value_types_carry_no_instance_dict():

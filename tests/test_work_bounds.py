@@ -10,8 +10,8 @@ each.  An element literal names its atoms, and reading one builds only
 the element it names.
 
 Past the de Vries gate the relation is ``<=``, and the lifted layer reads
-it by its definition.  Wrapping ``ProxRel.has``, ``rights`` and
-``lefts`` counts the searches of a relation's pairs: the public lifted
+it by its definition.  Wrapping ``ProxRel.has``, the one read that
+tests a given pair, counts the searches of a relation: the public lifted
 entries and both sampled suites make none, on ``<=`` at 2-5 atoms.  They
 read a relation only through ``count`` and ``pair_at``, for the gate and
 for their seeded draws of related pairs.
@@ -188,8 +188,8 @@ def test_a_literal_builds_one_element(built):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Calls of ``ProxRel.has``, ``rights`` and ``lefts`` so far, by name."""
-    count = {"has": 0, "rights": 0, "lefts": 0}
+    """Calls of ``ProxRel.has`` so far."""
+    count = {"has": 0}
 
     def counting(name):
         original = getattr(ProxRel, name)
@@ -224,7 +224,7 @@ def test_the_lifted_layer_searches_no_pairs(atoms, searches):
     through_a0 = lift_morphism(enumerate_boolean_homs(algebra, algebra)[0])
     for pm in (identity_prox(leq), through_a0):
         assert sample_morphism_axioms(pm, samples=10).ok
-    assert searches == {"has": 0, "rights": 0, "lefts": 0}
+    assert searches == {"has": 0}
 
 
 def test_normalize_term_embeds_each_generator_once(monkeypatch):
