@@ -99,6 +99,9 @@ class Algebra(_Frozen):
     def __init__(
         self, atoms: tuple[str, ...], generators: tuple[tuple[str, int], ...] = ()
     ) -> None:
+        # a string would be read as its characters, so "pq" would mean p, q
+        if isinstance(atoms, str):
+            raise ValueError(f"algebra atoms must be a list of names: {atoms!r}")
         # tuples, so that a list given for either still hashes
         atoms = tuple(atoms)
         generators = tuple((name, mask) for name, mask in generators)
@@ -258,7 +261,7 @@ def _first_failure(cases: Iterable) -> tuple[int, object]:
 
 def make_algebra(atoms: Sequence[str]) -> Algebra:
     """Powerset algebra over the given distinct, nonempty atom names."""
-    return Algebra(tuple(atoms))
+    return Algebra(atoms)
 
 
 def make_free_algebra(n: int) -> Algebra:

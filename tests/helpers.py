@@ -26,7 +26,9 @@ condition is tested, and the lift reads step values through
 ``StepElem.value``.  The mask-based checkers must agree with it on every
 report, verdict and counterexample.  ``ref_approximant_join`` is the
 object-based M4 join: one ``from_decomposition`` per combination of
-approximants, joined pairwise with ``step_join``.
+approximants (the full one and the same draws the library makes), joined
+pairwise with ``step_join``.  ``ref_full_approximant_join`` joins every
+combination: a drawn join may differ from the action only where it does.
 
 ``ref_enumerate_devries`` finds the de Vries proximities of a very
 small algebra by brute force: it runs the checker on every relation
@@ -50,6 +52,7 @@ must draw the same pairs and leave the generator in the same state.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import operator
 import random
@@ -463,33 +466,46 @@ def ref_star_compose_table(m2: DVMorphism, m1: DVMorphism) -> tuple[int, ...]:
     return tuple(table)
 
 
+def _ref_join(pm: ProxMorphism, a0, pairs, combos: Iterable) -> StepElem:
+    """Join the images of the decomposition ``a0, pairs`` with its components
+    swapped for each combination of approximants; like the library, the
+    action runs on every combination before the first join."""
+    images = [
+        pm.action(from_decomposition(
+            pm.source.algebra, a0, [(b, k) for (b, _), k in zip(pairs, combo)]
+        ))
+        for combo in combos
+    ]
+    return functools.reduce(step_join, images)
+
+
 def ref_approximant_join(
-    pm: ProxMorphism, t: StepElem, rng: random.Random, tuple_cap: int = 4096
+    pm: ProxMorphism, t: StepElem, rng: random.Random, draws: int = 16
 ) -> StepElem:
-    """The M4 join over approximant combinations, on :class:`BoolElem` objects."""
-    src = pm.source
-    src_alg = src.algebra
+    """The M4 join of the full combination and ``draws`` drawn ones, on
+    :class:`BoolElem` objects: each drawn approximant is its component met
+    with a random element, and a combination drawn twice is joined once."""
+    src_alg = pm.source.algebra
+    width = len(src_alg.atoms)
     a0, pairs = decreasing_decomposition(t)
-    approximant_sets = [
-        [src_alg.from_mask(k) for k in range(src_alg.size) if src.has(k, e.mask)]
+    combos = [tuple(e for _, e in pairs)]
+    for _ in range(draws):
+        combo = tuple(e & src_alg.from_mask(rng.getrandbits(width)) for _, e in pairs)
+        if combo not in combos:
+            combos.append(combo)
+    return _ref_join(pm, a0, pairs, combos)
+
+
+def ref_full_approximant_join(pm: ProxMorphism, t: StepElem) -> StepElem:
+    """The M4 join over every combination of approximants, each approximant
+    found by ``has`` among all masks."""
+    src = pm.source
+    a0, pairs = decreasing_decomposition(t)
+    pools = [
+        [src.algebra.from_mask(k) for k in range(src.algebra.size) if src.has(k, e.mask)]
         for _, e in pairs
     ]
-    combos = list(itertools.product(*approximant_sets))
-    if len(combos) > tuple_cap:
-        # the full combination, then tuple_cap drawn component by component
-        combos = [tuple(pool[-1] for pool in approximant_sets)]
-        for _ in range(tuple_cap):
-            combos.append(tuple(rng.choice(pool) for pool in approximant_sets))
-    joined: StepElem | None = None
-    for combo in combos:
-        s = from_decomposition(
-            src_alg, a0, [(b, k) for (b, _), k in zip(pairs, combo)]
-        )
-        image = pm.action(s)
-        joined = image if joined is None else step_join(joined, image)
-    if joined is None:  # the empty product still yields one combo
-        raise RuntimeError("no approximant combination to join")
-    return joined
+    return _ref_join(pm, a0, pairs, itertools.product(*pools))
 
 
 def ref_smallest(algebra: Algebra, masks: Sequence[int]) -> int:

@@ -43,6 +43,15 @@ def test_an_algebra_built_from_lists_is_stored_as_tuples():
     assert hash(free) == hash(make_free_algebra(1))
 
 
+@pytest.mark.parametrize("construct", [boolalg.Algebra, make_algebra])
+def test_a_string_of_atoms_is_refused(construct):
+    # read as its characters, "pq" would silently name the two atoms p, q
+    with pytest.raises(ValueError, match="algebra atoms must be a list of names: 'pq'"):
+        construct("pq")
+    one = make_algebra(["pq"])
+    assert one.atoms == ("pq",) and one.size == 2
+
+
 def test_free_algebra_shapes(monkeypatch):
     one = make_free_algebra(1)
     assert one.size == 4

@@ -6,14 +6,14 @@ them not de Vries proximities and not homomorphisms, so that every axiom
 fails somewhere and the counterexamples are compared too.  The lifted
 check is compared on step elements with integer or rational thresholds.
 The M4 approximant join is compared on ``<=`` over 1-4 atoms, for lifted
-homomorphisms and for actions broken on purpose, and its memory is
+homomorphisms and for actions broken on purpose, with the same draws on
+objects and with the walk of every combination, and its memory is
 bounded where it draws a few of 2^20 combinations.
 """
 
 import random
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     ref_approximant_join,
+    ref_full_approximant_join,
     ref_check_devries,
     ref_check_dv_morphism,
     ref_lift_check,
@@ -39,7 +40,15 @@ from specker.morphisms import (
     star_compose_dv,
 )
 from specker.proximity import ProxRel, check_devries, leq_proximity, lift_check
-from specker.steps import step_add, step_const, step_neg, step_one, step_zero
+from specker.steps import (
+    StepElem,
+    step_add,
+    step_const,
+    step_leq,
+    step_neg,
+    step_one,
+    step_zero,
+)
 
 ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
 
@@ -222,13 +231,13 @@ _KINDS = ("lifted", "table", "shifted", "negated", "constant", "mixed")
 
 
 @st.composite
-def approximant_cases(draw, kinds=_KINDS):
-    """A morphism action on ``<=`` over 1-4 atoms, an element, a cap, a seed."""
+def approximant_cases(draw):
+    """A morphism action on ``<=`` over 1-4 atoms, an element, a seed."""
     source = leq_proximity(ALGEBRAS[draw(st.integers(1, 4))])
     target = leq_proximity(ALGEBRAS[draw(st.integers(1, 3))])
     n = len(source.algebra.atoms)
     table = _hom_table(draw, source, target)
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(_KINDS))
     if kind == "table":
         # the stepwise action of a table that is no homomorphism
         spots = st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=2)
@@ -242,35 +251,48 @@ def approximant_cases(draw, kinds=_KINDS):
     return (
         ProxMorphism(source, target, action, label=kind),
         steps_from_values(source.algebra, values),
-        draw(st.sampled_from([1, 2, 5, 17, 4096])),
         draw(st.integers(0, 2**32)),
     )
 
 
-def _library_join(pm, t, rng, cap):
-    """``_approximant_join`` with its combination cap set to ``cap``."""
-    with mock.patch("specker.morphisms._APPROXIMANT_CAP", cap):
-        return _approximant_join(pm, t, rng)
-
-
-def _outcome(join, pm, t, cap, seed):
-    rng = random.Random(seed)
+def _result(call, *args):
+    """What ``call`` returns, or the arguments of the ``ValueError`` it raises."""
     try:
-        result = join(pm, t, rng, cap)
+        return call(*args)
     except ValueError as exc:
-        result = exc.args
-    return result, rng.getstate()
+        return exc.args
+
+
+def _outcome(join, pm, t, seed):
+    rng = random.Random(seed)
+    return _result(join, pm, t, rng), rng.getstate()
+
+
+def _recorded(pm):
+    """``pm`` with an action that also lists each element it runs on."""
+    ran = []
+
+    def action(f):
+        ran.append(f)
+        return pm.action(f)
+
+    return ProxMorphism(pm.source, pm.target, action, label=pm.label), ran
 
 
 @kernel
 @given(approximant_cases())
 def test_approximant_join_matches_reference(case):
-    pm, t, cap, seed = case
-    joined, state = _outcome(_library_join, pm, t, cap, seed)
-    expected, expected_state = _outcome(ref_approximant_join, pm, t, cap, seed)
+    pm, t, seed = case
+    library, ran = _recorded(pm)
+    reference, expected_ran = _recorded(pm)
+    joined, state = _outcome(_approximant_join, library, t, seed)
+    expected, expected_state = _outcome(ref_approximant_join, reference, t, seed)
     assert joined == expected
     assert str(joined) == str(expected)
-    # the same combinations are drawn, so the random stream moves alike
+    # the same combinations are drawn, in the same order, and the random
+    # stream moves alike
+    assert ran == expected_ran
+    assert [str(f) for f in ran] == [str(f) for f in expected_ran]
     assert state == expected_state
 
 
@@ -284,7 +306,7 @@ def test_approximant_join_draws_without_listing_the_product():
     t = steps_from_values(source.algebra, [0, 1, 2, 3, 4, 5, 5])
     tracemalloc.start()
     try:
-        joined = _library_join(pm, t, random.Random(3), 8)
+        joined = _approximant_join(pm, t, random.Random(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -294,11 +316,20 @@ def test_approximant_join_draws_without_listing_the_product():
 
 
 @kernel
-@given(approximant_cases(kinds=("lifted",)))
-def test_capped_join_of_a_lifted_hom_is_its_action(case):
-    # one drawn combination besides the full one, which alone reaches t
-    pm, t, _, seed = case
-    assert _library_join(pm, t, random.Random(seed), 1) == pm.action(t)
+@given(approximant_cases())
+def test_a_drawn_join_fails_only_where_the_full_walk_fails(case):
+    # the full combination builds t, so the drawn join lies above the
+    # action, and only an approximant whose image does not can lift it
+    pm, t, seed = case
+    action = _result(pm.action, t)
+    drawn, _ = _outcome(_approximant_join, pm, t, seed)
+    full = _result(ref_full_approximant_join, pm, t)
+    if drawn != action:
+        assert full != action
+    if isinstance(action, StepElem) and isinstance(drawn, StepElem):
+        assert step_leq(action, drawn)
+    if pm.label == "lifted":
+        assert drawn == full == action
 
 
 def test_approximant_join_past_sys_maxsize():

@@ -23,7 +23,10 @@ shared one case loop; that loop must reproduce them exactly.  The
 proximity reports were captured when the lifted layer began to read
 ``<=`` by its definition; the ten ``pq`` and ``abc`` sum-as-difference
 runs, which raised from P10 until a raising case became its axiom's
-failure, were re-captured then.
+failure, were re-captured then.  The morphism reports were re-captured
+when M4 began to draw its approximant combinations from the suite's
+generator at every size: the later cases draw other operands, so some
+witnesses and counts of failing axioms moved, and no verdict did.
 
 To regenerate the file (only when a report change is intended), run
 

@@ -5,8 +5,11 @@ atom through ``scalars._random_values`` and group the atoms by value on
 the masks.  The oracle builds the same element through ``PointFn``; the
 two must agree element for element and draw for draw, so every seeded
 suite that switched from one to the other reports what it did before.
+
+The seeded suites of the library draw from seed 0 unless told otherwise.
 """
 
+import inspect
 import random
 
 import pytest
@@ -14,8 +17,10 @@ import pytest
 import specker
 from specker import pointwise
 from specker.boolalg import BoolElem, make_algebra
+from specker.morphisms import naturality_check, sample_morphism_axioms
 from specker.orthogonal import random_orth
 from specker.pointwise import orth_of_pointfn, random_pointfn, steps_of_pointfn
+from specker.proximity import sample_proximity_axioms
 from specker.steps import random_steps
 
 ALGEBRAS = [make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 7)]
@@ -68,3 +73,12 @@ def test_core_samplers_refuse_what_the_oracle_refuses(sampler):
         sampler(random.Random(0), algebra, 0)
     with pytest.raises(ValueError, match="unknown coefficient domain"):
         sampler(random.Random(0), algebra, 3, "float")
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [sample_proximity_axioms, sample_morphism_axioms, naturality_check, pointwise.oracle_diff],
+    ids=lambda suite: suite.__name__,
+)
+def test_the_seeded_suites_default_to_seed_0(suite):
+    assert inspect.signature(suite).parameters["seed"].default == 0

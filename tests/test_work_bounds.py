@@ -18,13 +18,17 @@ for their seeded draws of related pairs.
 
 ``normalize_term`` embeds each generator of a term once, however often
 the term names it: wrapping ``terms.orth_embed`` counts the embeddings.
+
+One M4 approximant join runs a morphism's action on the full
+combination and on at most ``_APPROXIMANT_DRAWS`` drawn ones, however
+many combinations there are: wrapping the action counts its runs.
 """
 
 import random
 
 import pytest
 
-from helpers import within
+from helpers import steps_from_values, within
 from specker import terms
 from specker.boolalg import (
     BoolElem,
@@ -33,6 +37,9 @@ from specker.boolalg import (
     make_algebra,
 )
 from specker.morphisms import (
+    _APPROXIMANT_DRAWS,
+    ProxMorphism,
+    _approximant_join,
     enumerate_boolean_homs,
     identity_prox,
     lift_morphism,
@@ -240,3 +247,20 @@ def test_normalize_term_embeds_each_generator_once(monkeypatch):
     term = terms.parse_term("x_p*x_p + 3*x_q - x_p")
     terms.normalize_term(term, algebra)
     assert embedded == [algebra.atom("p"), algebra.atom("q")]
+
+
+@pytest.mark.parametrize("atoms", [5, 12])
+def test_an_m4_join_runs_the_action_at_most_draws_plus_one_times(atoms):
+    # a full chain: components of atoms - 1, ..., 1 atoms under <= make
+    # 2^(atoms * (atoms - 1) / 2) approximant combinations, 1,024 at 5 atoms
+    leq = leq_proximity(make_algebra([f"a{i}" for i in range(atoms)]))
+    runs = []
+
+    def identity(f):
+        runs.append(f)
+        return f
+
+    pm = ProxMorphism(leq, leq, identity)
+    t = steps_from_values(leq.algebra, list(range(atoms)))
+    assert _approximant_join(pm, t, random.Random(5)) == t
+    assert 1 < len(runs) <= _APPROXIMANT_DRAWS + 1
