@@ -71,6 +71,8 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path} is nested too deeply to read") from exc
 
 
 # what malformed JSON shapes raise inside the loaders (a missing key, a
@@ -143,27 +145,6 @@ def _print_report(report, as_json: bool) -> int:
     else:
         print(report.summary())
     return 0 if report.ok else 1
-
-
-def _refusal(*morphisms: DVMorphism):
-    """For the first morphism the gate refuses, its failing M1-M4 report, else
-    the failing D1-D7 report of its first refused proximity; or ``None``.
-
-    D1-D7 take no algebra over the exhaustive bound, so a refused
-    proximity over it is that bound's error before M1-M4 run; M1-M4 take
-    no source over it either.
-    """
-    from .morphisms import _dv_ok, check_dv_morphism
-    from .proximity import _devries_ok, _require_exhaustive, check_devries
-
-    for m in morphisms:
-        if not _dv_ok(m):
-            refused = [rel for rel in (m.source, m.target) if not _devries_ok(rel)]
-            if refused:
-                _require_exhaustive(refused[0].algebra)
-            report = check_dv_morphism(m)
-            return report if not report.ok else check_devries(refused[0])
-    return None
 
 
 def _print_sampled(args, sample) -> int:
@@ -293,12 +274,14 @@ def _cmd_lift(args) -> int:
     if args.left is not None and (args.right is None or args.morphism):
         raise UsageError("lift takes two element files or none, and none with --morphism")
     if args.morphism:
-        from .morphisms import _lift, morphism_to_json, restrict_prox_morphism
+        from .morphisms import _Refused, lift_morphism, morphism_to_json, restrict_prox_morphism
 
         m = _the_morphism(args)
-        if (refusal := _refusal(m)) is not None:
-            return _print_report(refusal, args.as_json)
-        restricted = restrict_prox_morphism(_lift(m))
+        try:
+            lifted = lift_morphism(m)
+        except _Refused as refusal:
+            return _print_report(refusal.report, args.as_json)
+        restricted = restrict_prox_morphism(lifted)
         status = "OK" if restricted.table == m.table else "MISMATCH"
         if args.as_json:
             print(json.dumps(morphism_to_json(restricted)))
@@ -339,24 +322,27 @@ def _cmd_check_prox(args) -> int:
 
 
 def _cmd_check_morphism(args) -> int:
-    from .morphisms import _lift, sample_morphism_axioms
+    from .morphisms import _Refused, lift_morphism, sample_morphism_axioms
     from .proximity import _require_exhaustive
 
     m = _the_morphism(args)
-    if (refusal := _refusal(m)) is not None:
-        return _print_report(refusal, args.as_json)
+    try:
+        lifted = lift_morphism(m)
+    except _Refused as refusal:
+        return _print_report(refusal.report, args.as_json)
     for rel in (m.source, m.target):  # the sampled suite's bound, as in check-prox
         _require_exhaustive(rel.algebra)
-    return _print_sampled(args, partial(sample_morphism_axioms, _lift(m)))
+    return _print_sampled(args, partial(sample_morphism_axioms, lifted))
 
 
 def _cmd_compose(args) -> int:
-    from .morphisms import morphism_to_json, star_compose_dv
+    from .morphisms import _Refused, morphism_to_json, star_compose_dv
 
     outer, inner = _load_morphism(args.outer), _load_morphism(args.inner)
-    if (refusal := _refusal(outer, inner)) is not None:
-        return _print_report(refusal, args.as_json)
-    composed = star_compose_dv(outer, inner)
+    try:
+        composed = star_compose_dv(outer, inner)
+    except _Refused as refusal:
+        return _print_report(refusal.report, args.as_json)
     if args.as_json:
         print(json.dumps(morphism_to_json(composed)))
     else:

@@ -46,14 +46,15 @@ from .proximity import (
     _record,
     _record_sampled,
     _devries_ok,
-    _related_pair,
     _require_devries,
     _require_exhaustive,
+    check_devries,
     leq_proximity,
     lift_check,
     prox_from_json,
     prox_to_json,
     restrict_lift,
+    sample_related_pair,
 )
 from .scalars import _require_coeff_bound
 from .steps import (
@@ -224,13 +225,30 @@ def _dv_ok(m: DVMorphism) -> bool:
     )
 
 
+class _Refused(ValueError):
+    """A refusal of the morphism gate; ``report`` is the failing report that says why."""
+
+    def __init__(self, message: str, report: ProxReport) -> None:
+        super().__init__(message)
+        self.report = report
+
+
 def _require_dv(m: DVMorphism) -> None:
-    """Raise unless :func:`_dv_ok`; M1-M4 run only to word the error."""
+    """Raise :class:`_Refused` unless :func:`_dv_ok`, with the failing M1-M4
+    report, else the failing D1-D7 report of the first refused proximity.
+
+    These run only on refusal.  D1-D7 take no algebra over the exhaustive
+    bound, so a refused proximity over it is that bound's error before
+    M1-M4 run; M1-M4 take no source over it either.
+    """
     if not _dv_ok(m):
+        refused = [rel for rel in (m.source, m.target) if not _devries_ok(rel)]
+        if refused:
+            _require_exhaustive(refused[0].algebra)
         report = check_dv_morphism(m)
         if not report.ok:
-            raise ValueError(f"invalid source morphism: {report.summary()}")
-        raise ValueError("relation is not a de Vries proximity")
+            raise _Refused(f"invalid source morphism: {report.summary()}", report)
+        raise _Refused("relation is not a de Vries proximity", check_devries(refused[0]))
 
 
 def enumerate_boolean_homs(a: Algebra, b: Algebra) -> list[DVMorphism]:
@@ -255,10 +273,10 @@ def identity_dv(rel: ProxRel) -> DVMorphism:
 
 def star_compose_dv(m2: DVMorphism, m1: DVMorphism) -> DVMorphism:
     """Star composition; on the gated finite case, plain composition (see above)."""
-    if m1.target != m2.source:
-        raise ValueError("morphism endpoints do not match")
     _require_dv(m2)
     _require_dv(m1)
+    if m1.target != m2.source:
+        raise ValueError("morphism endpoints do not match")
     return DVMorphism(m1.source, m2.target, tuple(m2.table[v] for v in m1.table))
 
 
@@ -282,11 +300,6 @@ def lift_morphism(m: DVMorphism) -> ProxMorphism:
     (lift of an embedded idempotent = embedding of its image) on every idempotent.
     """
     _require_dv(m)
-    return _lift(m)
-
-
-def _lift(m: DVMorphism) -> ProxMorphism:
-    """:func:`lift_morphism` without its gate, for callers that passed it."""
     return ProxMorphism(
         m.source, m.target, _compose_with_steps(m), base=m, label="lifted"
     )
@@ -390,9 +403,9 @@ def sample_morphism_axioms(
     pairs; M4 by joining the images of the full approximant combination
     and a few drawn ones (:func:`_approximant_join`).
     ``coeff_bound`` must be at least 1, and the source relation a de Vries
-    proximity; both are checked once, here.  M3 checks the lift on the
-    target with :func:`lift_check`, since an action may return an element
-    of another algebra.
+    proximity; both are checked here, before M1 runs.  M3 checks the lift
+    on the target with :func:`lift_check`, since an action may return an
+    element of another algebra.
     """
     _require_coeff_bound(coeff_bound)
     _require_devries(pm.source)
@@ -411,7 +424,7 @@ def sample_morphism_axioms(
         return None if holds else (s, t)
 
     def m3():
-        s, t = _related_pair(rng, pm.source, coeff_bound)
+        s, t = sample_related_pair(rng, pm.source, coeff_bound)
         lower = step_neg(pm.action(step_neg(s)))
         return None if lift_check(pm.target, lower, pm.action(t)) else (s, t)
 
@@ -519,12 +532,12 @@ def naturality_check(
         ),
     )
 
-    # the restriction of the gated lift is the gated hom; a wrong one fails the square
-    relifted = _lift(restrict_prox_morphism(lifted))
+    # composed stepwise without the gate, so a wrong restriction fails the square
+    relifted = _compose_with_steps(restrict_prox_morphism(lifted))
 
     def eta_square():
         s = random_steps(rng, m.source.algebra, 10)
-        return None if relifted.action(s) == lifted.action(s) else (s,)
+        return None if relifted(s) == lifted.action(s) else (s,)
 
     _record_sampled(results, samples, [("eta-square", eta_square)])
 
@@ -558,12 +571,15 @@ def morphism_from_json(obj) -> DVMorphism:
     if not isinstance(obj, dict) or not {"source", "target", "map"} <= set(obj):
         raise ValueError(f"bad morphism JSON: {obj!r}")
 
-    def load_side(side) -> ProxRel:
-        algebra = algebra_from_json(side["algebra"])
-        return prox_from_json(algebra, {"proximity": side.get("proximity", "leq")})
-
-    source = load_side(obj["source"])
-    target = load_side(obj["target"])
+    sides = obj["source"], obj["target"]
+    algebras = [algebra_from_json(side["algebra"]) for side in sides]
+    # a map too short to cover the source is refused before ``<=`` (3^n pairs)
+    if isinstance(obj["map"], dict) and len(obj["map"]) < algebras[0].size:
+        raise ValueError("morphism map must cover every source element")
+    source, target = (
+        prox_from_json(algebra, {"proximity": side.get("proximity", "leq")})
+        for algebra, side in zip(algebras, sides)
+    )
     table: list[int] = [0] * source.algebra.size
     seen: dict[int, str] = {}  # mask -> its key; "[p,q]" and "1" can name one mask
     for key, value in obj["map"].items():

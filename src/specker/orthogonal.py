@@ -25,7 +25,7 @@ lowest atom: an ``int`` where both operands took ints there, else a
 operand value it picked, the first on a tie.  With ints alone the only
 extra cost is one scan of the class values.  The tests compare the
 kernel with the convolution formula ``(f + g)(a) = join of f(b) & g(c)
-over b + c = a``, and meet and join also with :func:`_lattice_by_formula`.
+over b + c = a``, and meet and join also with it evaluated at each value.
 The order's positive cone is the elements with all values nonnegative.
 Everything is immutable and exact.
 """
@@ -385,22 +385,6 @@ def orth_leq(f: OrthElem, g: OrthElem) -> bool:
     algebra = _check_same_algebra(f, g)
     at = _atom_values(algebra, g._values, g._masks)
     return all(map(le, _atom_values(algebra, f._values, f._masks), at))
-
-
-def _lattice_by_formula(f: OrthElem, g: OrthElem, pick) -> OrthElem:
-    # join of f(b) & g(c) over pick(b, c) = a, evaluated at each candidate a;
-    # the reference formula for meet (``min``) and join (``max``)
-    algebra = f.algebra
-    candidates = sorted({pick(b, c) for b, _ in f.entries for c, _ in g.entries})
-    entries = []
-    for a in candidates:
-        mask = 0
-        for b, ef in f.entries:
-            for c, eg in g.entries:
-                if pick(b, c) == a:
-                    mask |= (ef & eg).mask
-        entries.append((a, algebra.from_mask(mask)))
-    return orth_normalize(algebra, entries)
 
 
 def orth_meet(f: OrthElem, g: OrthElem) -> OrthElem:

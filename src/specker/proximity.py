@@ -18,10 +18,10 @@ bounded random sampling plus constructive witnesses for the two
 existential axioms (interpolation and positive approximation), with all
 randomness seeded.  The random elements come from the core
 (``steps.random_steps``), not from the oracle; a suite checks its
-coefficient bound and its relation once, at entry, and its cases then
-draw, lift and construct through private helpers that check neither
-again, and add on the atom-value kernel (``steps._sum``).  Every public
-entry keeps its own checks.  The exhaustive checks take algebras of at
+coefficient bound and its relation at entry, its cases draw related
+pairs through the public :func:`sample_related_pair`, whose repeated
+checks are a bound test and a cache hit, and they add on the atom-value
+kernel (``steps._sum``).  The exhaustive checks take algebras of at
 most 32 elements, and ``_require_exhaustive`` refuses a larger one before
 ``<=`` is built for it.
 
@@ -477,13 +477,6 @@ def sample_related_pair(
     """
     _require_coeff_bound(coeff_bound)
     _require_devries(rel)
-    return _related_pair(rng, rel, coeff_bound, nonneg)
-
-
-def _related_pair(
-    rng: random.Random, rel: ProxRel, coeff_bound: int, nonneg: bool = False
-) -> tuple[StepElem, StepElem]:
-    """:func:`sample_related_pair` for a checked bound and de Vries relation."""
     algebra = rel.algebra
     full = algebra.full_mask
     grid = _random_grid(rng, coeff_bound, low=0 if nonneg else None)
@@ -515,8 +508,7 @@ def sample_proximity_axioms(
     step component.  A failing axiom reports the offending tuple.
     ``coeff_bound`` must be at least 1.
 
-    The bound and the relation are checked once, here; the cases then
-    draw, lift and construct without checking them again.
+    The bound and the relation are checked here, before P1 runs.
     """
     _require_coeff_bound(coeff_bound)
     _require_devries(rel)
@@ -536,11 +528,11 @@ def sample_proximity_axioms(
     )
 
     def p2():
-        s, t = _related_pair(rng, rel, coeff_bound)
+        s, t = sample_related_pair(rng, rel, coeff_bound)
         return None if step_leq(s, t) else (s, t)
 
     def p3():
-        t, r = _related_pair(rng, rel, coeff_bound)
+        t, r = sample_related_pair(rng, rel, coeff_bound)
         down = step_join(random_steps(rng, algebra, coeff_bound), zero)
         up = step_join(random_steps(rng, algebra, coeff_bound), zero)
         s = _sum(t, step_neg(down))
@@ -548,8 +540,8 @@ def sample_proximity_axioms(
         return None if step_leq(s, u) else (s, t, r, u)
 
     def p4():
-        s1, t = _related_pair(rng, rel, coeff_bound)
-        s2, r = _related_pair(rng, rel, coeff_bound)
+        s1, t = sample_related_pair(rng, rel, coeff_bound)
+        s2, r = sample_related_pair(rng, rel, coeff_bound)
         s = step_meet(s1, s2)
         # meets of related pairs stay related; if the first two checks
         # fail the relation itself is broken, so report it the same way
@@ -561,17 +553,17 @@ def sample_proximity_axioms(
         return None if holds else (s, t, r)
 
     def p5():
-        s, t = _related_pair(rng, rel, coeff_bound)
+        s, t = sample_related_pair(rng, rel, coeff_bound)
         return None if step_leq(step_neg(t), step_neg(s)) else (s, t)
 
     def p6():
-        s, t = _related_pair(rng, rel, coeff_bound)
-        r, u = _related_pair(rng, rel, coeff_bound)
+        s, t = sample_related_pair(rng, rel, coeff_bound)
+        r, u = sample_related_pair(rng, rel, coeff_bound)
         return None if step_leq(_sum(s, r), _sum(t, u)) else (s, t, r, u)
 
     def p7():
         if rng.random() < 0.5:
-            s, t = _related_pair(rng, rel, coeff_bound)
+            s, t = sample_related_pair(rng, rel, coeff_bound)
         else:
             s = random_steps(rng, algebra, coeff_bound)
             t = random_steps(rng, algebra, coeff_bound)
@@ -580,13 +572,13 @@ def sample_proximity_axioms(
         return None if scaled == step_leq(s, t) else (a, s, t)
 
     def p8():
-        s, t = _related_pair(rng, rel, coeff_bound, nonneg=True)
-        r, u = _related_pair(rng, rel, coeff_bound, nonneg=True)
+        s, t = sample_related_pair(rng, rel, coeff_bound, nonneg=True)
+        r, u = sample_related_pair(rng, rel, coeff_bound, nonneg=True)
         holds = step_leq(step_mul_nonneg(s, r), step_mul_nonneg(t, u))
         return None if holds else (s, t, r, u)
 
     def p9():
-        s, t = _related_pair(rng, rel, coeff_bound)
+        s, t = sample_related_pair(rng, rel, coeff_bound)
         r = s  # the interpolant, as interpolate_lifted constructs it
         return None if step_leq(s, r) and step_leq(r, t) else (s, r, t)
 

@@ -25,9 +25,9 @@ classes of ``to_orth`` (the thresholds and the differences of the chain)
 to the atom-value kernel of :mod:`specker.orthogonal` (``_by_atoms``, on
 scaled ints when a threshold is a ``Fraction``) and turn the classes it
 returns back into a chain; ``_sum``, the sum the sampled axiom suites
-add with, runs the same kernel.  The product's formula is the reference
-:func:`step_mul_nonneg_formula`, and the difference's is ``f + (-g)``
-through :func:`step_add`.  Scaling scales the thresholds, and
+add with, runs the same kernel.  The product's formula stays a reference
+in the tests, and the difference's is ``f + (-g)`` through
+:func:`step_add`.  Scaling scales the thresholds, and
 for ``b < 0`` reverses them and complements.  The tier-1 tests compare
 every operation with its formula and with transport through the
 bijection.  Meet, join, and the order are pointwise: meet and join
@@ -386,21 +386,6 @@ def step_mul_nonneg(f: StepElem, g: StepElem) -> StepElem:
     if not (f.thresholds[0] >= 0 and g.thresholds[0] >= 0):
         raise ValueError("both factors must be nonnegative; use step_mul instead")
     return _pointwise(f, g, mul)
-
-
-def step_mul_nonneg_formula(f: StepElem, g: StepElem) -> StepElem:
-    """The product formula of ``f, g >= 0``, a reference for the tests only."""
-    algebra = _check_same_algebra(f, g)
-    candidates = sorted({u * v for u in f.thresholds for v in g.thresholds})
-    points = []
-    for c in candidates:
-        mask = 0
-        for u in f.thresholds:
-            for v in g.thresholds:
-                if u * v >= c:
-                    mask |= (f.value(u) & g.value(v)).mask
-        points.append((c, mask))
-    return _assemble_masks(algebra, points)
 
 
 def _scaled(b: Scalar, f: StepElem) -> StepElem:

@@ -14,10 +14,17 @@ the mask kernel it checks.  ``ref_merged_lattice`` is the composition
 ``step_meet`` and ``step_join`` ran before their one walk: the
 ``steps._merged`` samples, combined, then ``_assemble_masks``.
 
+``step_mul_nonneg_formula`` is the product formula of the
+``specker.steps`` docstring on step elements: the library's kernel
+product must equal it.
+
 ``ref_orth_by_refinement`` is the convolution formula of
 ``specker.orthogonal`` run literally: refine both operands to the common
 orthogonal family of cells ``f(b) & g(c)``, give each cell the value
-``pick(b, c)``, and normalize.  The atom-value kernel must agree with it.
+``pick(b, c)``, and normalize.  The atom-value kernel must agree with it,
+and meet and join also with ``_lattice_by_formula``, which evaluates
+the join at each candidate value.  No code in ``specker`` defines or uses
+either formula (``test_one_path.py``).
 
 The eager checker reference is the object-based form of the de Vries
 axiom checker, the morphism axiom checker and the lifted-proximity check:
@@ -59,7 +66,7 @@ import random
 import signal
 from typing import Callable, Iterable, Iterator, Sequence
 
-from specker.boolalg import Algebra, BoolElem
+from specker.boolalg import Algebra, BoolElem, _check_same_algebra
 from specker.morphisms import DVMorphism, ProxMorphism
 from specker.orthogonal import OrthElem, orth_normalize
 from specker.pointwise import PointFn
@@ -221,6 +228,22 @@ def ref_mul_nonneg(f: StepElem, g: StepElem) -> Table:
     return _pairwise(f, g, lambda u, v: u * v)
 
 
+def step_mul_nonneg_formula(f: StepElem, g: StepElem) -> StepElem:
+    """The product formula of ``f, g >= 0``, evaluated at every candidate
+    threshold through ``StepElem.value``."""
+    algebra = _check_same_algebra(f, g)
+    candidates = sorted({u * v for u in f.thresholds for v in g.thresholds})
+    points = []
+    for c in candidates:
+        mask = 0
+        for u in f.thresholds:
+            for v in g.thresholds:
+                if u * v >= c:
+                    mask |= (f.value(u) & g.value(v)).mask
+        points.append((c, mask))
+    return _assemble_masks(algebra, points)
+
+
 def ref_scale_pos(b: Scalar, f: StepElem) -> Table:
     """(b f)(a) = join of f(c) over b c >= a, for b > 0."""
     tf = table_of(f)
@@ -295,6 +318,22 @@ def ref_orth_by_refinement(f: OrthElem, g: OrthElem, pick: Callable) -> OrthElem
     """
     cells = [(pick(b, c), ef & eg) for b, ef in f.entries for c, eg in g.entries]
     return orth_normalize(f.algebra, cells)
+
+
+def _lattice_by_formula(f: OrthElem, g: OrthElem, pick) -> OrthElem:
+    # join of f(b) & g(c) over pick(b, c) = a, evaluated at each candidate a;
+    # the reference formula for meet (``min``) and join (``max``)
+    algebra = f.algebra
+    candidates = sorted({pick(b, c) for b, _ in f.entries for c, _ in g.entries})
+    entries = []
+    for a in candidates:
+        mask = 0
+        for b, ef in f.entries:
+            for c, eg in g.entries:
+                if pick(b, c) == a:
+                    mask |= (ef & eg).mask
+        entries.append((a, algebra.from_mask(mask)))
+    return orth_normalize(algebra, entries)
 
 
 # --- eager reference for the de Vries, morphism and lift checkers -------------

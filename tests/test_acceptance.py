@@ -9,7 +9,13 @@ to see the per-criterion lines.
 import itertools
 import random
 
-from helpers import random_term, ref_enumerate_devries, term_oracle
+from helpers import (
+    _lattice_by_formula,
+    random_term,
+    ref_enumerate_devries,
+    step_mul_nonneg_formula,
+    term_oracle,
+)
 from specker.boolalg import make_algebra
 from specker.morphisms import (
     apply_prox_morphism,
@@ -28,7 +34,6 @@ from specker.morphisms import (
     tau,
 )
 from specker.orthogonal import (
-    _lattice_by_formula,
     annihilator_idempotent,
     orth_add,
     orth_embed,
@@ -61,7 +66,6 @@ from specker.steps import (
     step_leq,
     step_meet,
     step_mul_nonneg,
-    step_mul_nonneg_formula,
     step_neg,
     step_scale,
     step_scale_pos,

@@ -753,6 +753,25 @@ def test_atoms_string_is_usage_error(files, capsys):
     assert "atoms must be a list" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "loader",
+    [
+        ["check-devries", "--algebra", "{deep}"],
+        ["convert", "--algebra", "{b4}", "{deep}"],
+        ["check-prox", "--algebra", "{b4}", "--proximity", "{deep}"],
+        ["check-morphism", "--morphism", "{deep}"],
+    ],
+    ids=["algebra", "element", "proximity", "morphism"],
+)
+def test_deeply_nested_json_is_usage_error(files, capsys, loader):
+    # far past the decoder's recursion limit on every supported Python
+    deep = files["dir"] / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = [arg.format(deep=deep, b4=files["b4"]) for arg in loader]
+    assert run(argv) == 2
+    assert _one_line_error(capsys) == f"error: {deep} is nested too deeply to read"
+
+
 @pytest.mark.parametrize("count", [2.5, True])
 def test_free_generators_not_an_int_is_usage_error(files, capsys, count):
     path = files["dir"] / "free.json"

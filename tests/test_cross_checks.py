@@ -31,15 +31,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _lattice_by_formula,
     ref_mul_nonneg,
     ref_orth_by_refinement,
+    step_mul_nonneg_formula,
     steps_from_values,
     table_of,
 )
 from specker.boolalg import make_algebra
 from specker.morphisms import DVMorphism, apply_prox_morphism, lift_morphism
 from specker.orthogonal import (
-    _lattice_by_formula,
     orth_add,
     orth_const,
     orth_is_nonneg,
@@ -63,7 +64,6 @@ from specker.steps import (
     step_leq,
     step_mul,
     step_mul_nonneg,
-    step_mul_nonneg_formula,
     step_neg,
     step_scale,
     step_scale_pos,

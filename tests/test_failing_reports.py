@@ -75,7 +75,7 @@ def _outcome(check) -> dict:
         return {"error": str(exc)}
 
 
-_RELATED_PAIR = proximity._related_pair
+_RELATED_PAIR = proximity.sample_related_pair
 
 # one corrupted step operation of the P-suite each: (attribute, stand-in)
 _CORRUPTED_OPERATIONS = {
@@ -83,7 +83,8 @@ _CORRUPTED_OPERATIONS = {
     "negation-as-identity": ("step_neg", lambda f: f),
     "meet-as-join": ("step_meet", step_join),
     "related-pair-swapped": (
-        "_related_pair", lambda *args, **kwargs: _RELATED_PAIR(*args, **kwargs)[::-1]
+        "sample_related_pair",
+        lambda *args, **kwargs: _RELATED_PAIR(*args, **kwargs)[::-1],
     ),
 }
 

@@ -1,0 +1,101 @@
+"""How the work of the kernel operations grows with the atoms, by counting.
+
+A count repeats exactly on any host, where a timing would not.  Each row
+runs one operation on seeded operands at 4, 8, 16, 32 and 64 atoms, one
+value per atom drawn from -1000..1000, so that nearly every atom is a
+class of its own.  The operation runs once to warm up (a first read
+builds cached state), then once under ``sys.setprofile``, counting
+``call`` and ``c_call`` events: the kernels walk their atoms and classes
+inside builtins called from Python, which only ``c_call`` events see.
+An operation linear in the atoms may at most double its count per
+doubling of the atoms, and a constant part makes the ratio smaller; a
+bound of 2.5x leaves room for an ``n log n`` sort and fails on anything
+quadratic.
+
+``step_add`` still evaluates its formula at every pair of thresholds,
+about 15x per doubling; its row is an expected failure until it runs on
+the atom-value kernel, as ``steps._sum`` does.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+import pytest
+
+from specker.boolalg import make_algebra
+from specker.orthogonal import orth_add, orth_meet, random_orth
+from specker.steps import (
+    _sum,
+    random_steps,
+    step_add,
+    step_join,
+    step_leq,
+    step_meet,
+    step_sub,
+    to_orth,
+    to_steps,
+)
+
+ATOMS = (4, 8, 16, 32, 64)
+BOUND = 1000
+PER_DOUBLING = 2.5
+
+
+def _operands(atoms: int, draw) -> tuple:
+    algebra = make_algebra([f"a{i}" for i in range(atoms)])
+    rng = random.Random(atoms)
+    return draw(rng, algebra, BOUND), draw(rng, algebra, BOUND)
+
+
+def _count(op, args: tuple) -> int:
+    op(*args)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        op(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+# name: (operation, operand draw, the arguments it takes from two operands)
+ROWS = {
+    "_sum": (_sum, random_steps, lambda f, g: (f, g)),
+    "step_sub": (step_sub, random_steps, lambda f, g: (f, g)),
+    "step_meet": (step_meet, random_steps, lambda f, g: (f, g)),
+    "step_join": (step_join, random_steps, lambda f, g: (f, g)),
+    # a related pair, so that the order walks every threshold
+    "step_leq": (step_leq, random_steps, lambda f, g: (step_meet(f, g), g)),
+    "orth_add": (orth_add, random_orth, lambda f, g: (f, g)),
+    "orth_meet": (orth_meet, random_orth, lambda f, g: (f, g)),
+    "to_steps": (to_steps, random_orth, lambda f, g: (f,)),
+    "to_orth": (to_orth, random_steps, lambda f, g: (f,)),
+}
+
+
+def _counts(op, draw, arguments, sizes) -> list[int]:
+    return [_count(op, arguments(*_operands(atoms, draw))) for atoms in sizes]
+
+
+def _assert_linear(counts: list[int]) -> None:
+    ratios = [after / before for before, after in zip(counts, counts[1:])]
+    assert max(ratios) <= PER_DOUBLING, f"counts {counts}"
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_work_grows_at_most_linearly(name):
+    _assert_linear(_counts(*ROWS[name], ATOMS))
+
+
+@pytest.mark.xfail(strict=True, reason="step_add runs its formula, not the kernel")
+def test_step_add_work_grows_at_most_linearly():
+    _assert_linear(_counts(step_add, random_steps, lambda f, g: (f, g), ATOMS[:3]))

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import _lattice_by_formula
 from specker.orthogonal import (
     OrthElem,
-    _lattice_by_formula,
     annihilator_idempotent,
     orth_add,
     orth_const,

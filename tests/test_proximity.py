@@ -113,8 +113,8 @@ def test_sampled_suite_checks_the_relation_once(b8):
     before = _devries_ok.cache_info()
     assert sample_proximity_axioms(leq_proximity(b8), samples=50).ok
     after = _devries_ok.cache_info()
-    # one lookup at entry; the cases reuse it (over 1,000 when each re-checked)
-    assert after.hits + after.misses - before.hits - before.misses <= 2
+    # one check at most; each draw's own check in sample_related_pair is a cache hit
+    assert after.misses - before.misses <= 1
 
 
 def test_interpolant_examples(b4):

@@ -22,20 +22,26 @@ the term names it: wrapping ``terms.orth_embed`` counts the embeddings.
 One M4 approximant join runs a morphism's action on the full
 combination and on at most ``_APPROXIMANT_DRAWS`` drawn ones, however
 many combinations there are: wrapping the action counts its runs.
+
+A morphism file whose map is too short to cover its source is refused
+before either side's ``<=`` is built: wrapping ``leq_proximity`` counts
+the builds.
 """
 
+import json
 import random
 
 import pytest
 
 from helpers import steps_from_values, within
-from specker import terms
+from specker import proximity, terms
 from specker.boolalg import (
     BoolElem,
     element_from_json,
     element_from_literal,
     make_algebra,
 )
+from specker.cli import run
 from specker.morphisms import (
     _APPROXIMANT_DRAWS,
     ProxMorphism,
@@ -264,3 +270,21 @@ def test_an_m4_join_runs_the_action_at_most_draws_plus_one_times(atoms):
     t = steps_from_values(leq.algebra, list(range(atoms)))
     assert _approximant_join(pm, t, random.Random(5)) == t
     assert 1 < len(runs) <= _APPROXIMANT_DRAWS + 1
+
+
+def test_a_short_morphism_map_is_refused_before_leq_is_built(tmp_path, monkeypatch, capsys):
+    # each side's <= has 3^16 pairs: the stand-in counts the builds and
+    # makes none
+    built = []
+
+    def counted(algebra):
+        built.append(algebra)
+        return ProxRel(algebra, frozenset())
+
+    monkeypatch.setattr(proximity, "leq_proximity", counted)
+    side = {"algebra": {"atoms": [f"a{i}" for i in range(16)]}}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"source": side, "target": side, "map": {}}), encoding="utf-8")
+    assert run(["check-morphism", "--morphism", str(path)]) == 2
+    assert capsys.readouterr().err == "error: morphism map must cover every source element\n"
+    assert built == []
