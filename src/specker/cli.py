@@ -5,8 +5,9 @@ runs operations and verification suites, and prints human-readable
 output (or machine-readable JSON with ``--json``).
 
 Exit codes: 0 on success or a passing check, 1 when a verification
-fails, 2 on usage, file, or parse errors, 141 when the reader closes
-stdout early (the shell's code for SIGPIPE).
+fails or a de Vries gate refuses its input (with the failing report), 2
+on usage, file, or parse errors, 141 when the reader closes stdout early
+(the shell's code for SIGPIPE).
 
 Only the Specker-algebra core (``boolalg``, ``orthogonal``, ``steps``) is
 imported here; each subcommand imports the de Vries, oracle or term
@@ -274,14 +275,10 @@ def _cmd_lift(args) -> int:
     if args.left is not None and (args.right is None or args.morphism):
         raise UsageError("lift takes two element files or none, and none with --morphism")
     if args.morphism:
-        from .morphisms import _Refused, lift_morphism, morphism_to_json, restrict_prox_morphism
+        from .morphisms import lift_morphism, morphism_to_json, restrict_prox_morphism
 
         m = _the_morphism(args)
-        try:
-            lifted = lift_morphism(m)
-        except _Refused as refusal:
-            return _print_report(refusal.report, args.as_json)
-        restricted = restrict_prox_morphism(lifted)
+        restricted = restrict_prox_morphism(lift_morphism(m))
         status = "OK" if restricted.table == m.table else "MISMATCH"
         if args.as_json:
             print(json.dumps(morphism_to_json(restricted)))
@@ -311,38 +308,28 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_check_prox(args) -> int:
-    from .proximity import _devries_ok, check_devries, sample_proximity_axioms
+    from .proximity import sample_proximity_axioms
 
     algebra = _load_algebra(args.algebra)
     rel = _load_proximity(algebra, args.proximity)
-    # D1-D7 run only to print why the gate refuses the relation
-    if not _devries_ok(rel):
-        return _print_report(check_devries(rel), args.as_json)
     return _print_sampled(args, partial(sample_proximity_axioms, rel))
 
 
 def _cmd_check_morphism(args) -> int:
-    from .morphisms import _Refused, lift_morphism, sample_morphism_axioms
+    from .morphisms import lift_morphism, sample_morphism_axioms
     from .proximity import _require_exhaustive
 
     m = _the_morphism(args)
-    try:
-        lifted = lift_morphism(m)
-    except _Refused as refusal:
-        return _print_report(refusal.report, args.as_json)
+    lifted = lift_morphism(m)
     for rel in (m.source, m.target):  # the sampled suite's bound, as in check-prox
         _require_exhaustive(rel.algebra)
     return _print_sampled(args, partial(sample_morphism_axioms, lifted))
 
 
 def _cmd_compose(args) -> int:
-    from .morphisms import _Refused, morphism_to_json, star_compose_dv
+    from .morphisms import morphism_to_json, star_compose_dv
 
-    outer, inner = _load_morphism(args.outer), _load_morphism(args.inner)
-    try:
-        composed = star_compose_dv(outer, inner)
-    except _Refused as refusal:
-        return _print_report(refusal.report, args.as_json)
+    composed = star_compose_dv(_load_morphism(args.outer), _load_morphism(args.inner))
     if args.as_json:
         print(json.dumps(morphism_to_json(composed)))
     else:
@@ -473,7 +460,12 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # --help, which argparse prints and exits 0 on
         return int(exc.code) if exc.code else 0
     except ValueError as exc:  # a UsageError, or a library's own
-        # a ParseError can only come from the term layer once it is loaded
+        # a gate's refusal carries the failing report that says why, and a
+        # ParseError comes from the term layer: each only once its layer is loaded
+        proximity = sys.modules.get("specker.proximity")
+        report = getattr(exc, "report", None)
+        if proximity is not None and isinstance(report, proximity.ProxReport):
+            return _print_report(report, args.as_json)
         terms = sys.modules.get("specker.terms")
         syntax = terms is not None and isinstance(exc, terms.ParseError)
         print(f"{'syntax error' if syntax else 'error'}: {exc}", file=sys.stderr)

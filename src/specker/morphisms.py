@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable
+from typing import Callable, Sequence
 
 from .boolalg import (
     Algebra,
@@ -46,9 +46,9 @@ from .proximity import (
     _record,
     _record_sampled,
     _devries_ok,
+    _Refused,
     _require_devries,
     _require_exhaustive,
-    check_devries,
     leq_proximity,
     lift_check,
     prox_from_json,
@@ -113,8 +113,9 @@ class DVMorphism(_Frozen):
     table: tuple[int, ...]
 
     def __init__(
-        self, source: ProxRel, target: ProxRel, table: tuple[int, ...]
+        self, source: ProxRel, target: ProxRel, table: Sequence[int]
     ) -> None:
+        table = tuple(table)  # so that a list given still hashes
         if len(table) != source.algebra.size:
             raise ValueError("morphism table must cover every source element")
         limit = target.algebra.size
@@ -225,14 +226,6 @@ def _dv_ok(m: DVMorphism) -> bool:
     )
 
 
-class _Refused(ValueError):
-    """A refusal of the morphism gate; ``report`` is the failing report that says why."""
-
-    def __init__(self, message: str, report: ProxReport) -> None:
-        super().__init__(message)
-        self.report = report
-
-
 def _require_dv(m: DVMorphism) -> None:
     """Raise :class:`_Refused` unless :func:`_dv_ok`, with the failing M1-M4
     report, else the failing D1-D7 report of the first refused proximity.
@@ -248,7 +241,7 @@ def _require_dv(m: DVMorphism) -> None:
         report = check_dv_morphism(m)
         if not report.ok:
             raise _Refused(f"invalid source morphism: {report.summary()}", report)
-        raise _Refused("relation is not a de Vries proximity", check_devries(refused[0]))
+        _require_devries(refused[0])
 
 
 def enumerate_boolean_homs(a: Algebra, b: Algebra) -> list[DVMorphism]:

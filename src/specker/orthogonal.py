@@ -95,8 +95,9 @@ class OrthElem(_Frozen):
     _masks: tuple[int, ...]
 
     def __init__(
-        self, algebra: Algebra, entries: tuple[tuple[Scalar, BoolElem], ...]
+        self, algebra: Algebra, entries: Iterable[tuple[Scalar, BoolElem]]
     ) -> None:
+        entries = tuple((value, c) for value, c in entries)  # so that lists still hash
         values = tuple(value for value, _ in entries)
         _require_exact(*values)
         homes = [c.algebra is algebra or c.algebra == algebra for _, c in entries]

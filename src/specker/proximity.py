@@ -4,7 +4,9 @@ A proximity here is a binary relation on a finite boolean algebra
 subject to the compingent axioms (D1-D7 below).  On a finite algebra
 ``<=`` is the only one (the finite corner of de Vries duality), so the
 library gate asks whether a relation is ``<=``, with no bound, and
-:func:`check_devries` runs D1-D7 only where its report is printed.  The
+:func:`check_devries` runs D1-D7 only where its report is printed: a
+gate that refuses, here or in :mod:`specker.morphisms`, raises
+``_Refused``, a ``ValueError`` that carries the failing report.  The
 relation lifts pointwise to step functions: two elements are related
 exactly when their step values are related at every scalar.  Past the
 gate the relation is ``<=``, so the lifted layer reads it by its
@@ -125,7 +127,8 @@ class ProxRel(_Frozen):
     pairs: frozenset[tuple[int, int]]
     _sorted: tuple[tuple[int, int], ...]
 
-    def __init__(self, algebra: Algebra, pairs: frozenset[tuple[int, int]]) -> None:
+    def __init__(self, algebra: Algebra, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = frozenset(pairs)  # so that a set or a list given still hashes
         limit = algebra.size
         outside = [p for p in pairs if not (0 <= p[0] < limit and 0 <= p[1] < limit)]
         if outside:
@@ -395,9 +398,19 @@ def _devries_ok(rel: ProxRel) -> bool:
     return rel.count() == 3**n and all(e & ~f == 0 for e, f in pairs)
 
 
+class _Refused(ValueError):
+    """A gate's refusal; ``report`` is the failing report that says why."""
+
+    def __init__(self, message: str, report: ProxReport) -> None:
+        super().__init__(message)
+        self.report = report
+
+
 def _require_devries(rel: ProxRel) -> None:
+    """Raise :class:`_Refused`, with the failing D1-D7 report, unless
+    ``rel`` is ``<=``; over the exhaustive bound, that bound's error."""
     if not _devries_ok(rel):
-        raise ValueError("relation is not a de Vries proximity")
+        raise _Refused("relation is not a de Vries proximity", check_devries(rel))
 
 
 def interpolant(rel: ProxRel, e: BoolElem, f: BoolElem) -> BoolElem:
@@ -501,12 +514,11 @@ def sample_proximity_axioms(
 ) -> ProxReport:
     """Sampled verification of the lifted-proximity axioms P1-P10.
 
-    P1-P8 run on randomly constructed tuples; P9's witness is the
-    interpolant ``s`` of each drawn pair ``s < t``, as
-    :func:`interpolate_lifted` constructs it; P10's is the positive
-    approximant of :func:`positive_approximant`, an atom below the last
-    step component.  A failing axiom reports the offending tuple.
-    ``coeff_bound`` must be at least 1.
+    P1-P8 run on randomly constructed tuples; P9 and P10 take their
+    witnesses from the public constructions :func:`interpolate_lifted`
+    and :func:`positive_approximant`, so a refusal of either fails its
+    axiom with the message as its witness.  A failing axiom reports the
+    offending tuple.  ``coeff_bound`` must be at least 1.
 
     The bound and the relation are checked here, before P1 runs.
     """
@@ -579,14 +591,14 @@ def sample_proximity_axioms(
 
     def p9():
         s, t = sample_related_pair(rng, rel, coeff_bound)
-        r = s  # the interpolant, as interpolate_lifted constructs it
+        r = interpolate_lifted(rel, s, t)
         return None if step_leq(s, r) and step_leq(r, t) else (s, r, t)
 
     def p10():
         s = step_join(random_steps(rng, algebra, coeff_bound), zero)
         if s == zero:
             s = _sum(s, one)
-        t = _approximant(rel, s)
+        t = positive_approximant(rel, s)
         positive = t.thresholds[0] >= 0 and t != zero
         return None if positive and step_leq(t, s) else (t, s)
 
@@ -621,14 +633,9 @@ def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
     """
     _require_lift_operands(rel, s)
     _require_devries(rel)
-    if not (s.thresholds[0] >= 0 and s != step_zero(rel.algebra)):
-        raise ValueError("a positive approximant needs s > 0")
-    return _approximant(rel, s)
-
-
-def _approximant(rel: ProxRel, s: StepElem) -> StepElem:
-    """:func:`positive_approximant` for ``s > 0`` and a de Vries relation."""
     algebra = rel.algebra
+    if not (s.thresholds[0] >= 0 and s != step_zero(algebra)):
+        raise ValueError("a positive approximant needs s > 0")
     last = s._masks[-1]
     _, first = min((name, i) for i, name in enumerate(algebra.atoms) if last >> i & 1)
     top = s.thresholds[-1]
@@ -657,12 +664,13 @@ def prox_from_json(algebra: Algebra, obj) -> ProxRel:
     if spec == "leq":
         return leq_proximity(algebra)
     if isinstance(spec, dict) and "pairs" in spec:
-        pairs = frozenset(
-            (
-                element_from_json(algebra, left).mask,
-                element_from_json(algebra, right).mask,
-            )
-            for left, right in spec["pairs"]
-        )
+        listed = spec["pairs"]
+        if not isinstance(listed, list):
+            raise ValueError(f"bad proximity pairs: {listed!r}")
+        pairs = set()
+        for pair in listed:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError(f"bad proximity pair: {pair!r}")
+            pairs.add(tuple(element_from_json(algebra, side).mask for side in pair))
         return ProxRel(algebra, pairs)
     raise ValueError(f"bad proximity JSON: {obj!r}")

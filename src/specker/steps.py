@@ -119,9 +119,10 @@ class StepElem(_Frozen):
     def __init__(
         self,
         algebra: Algebra,
-        thresholds: tuple[Scalar, ...],
-        idems: tuple[BoolElem, ...],
+        thresholds: Sequence[Scalar],
+        idems: Sequence[BoolElem],
     ) -> None:
+        thresholds, idems = tuple(thresholds), tuple(idems)  # so that lists still hash
         _require_exact(*thresholds)
         homes = [idem.algebra is algebra or idem.algebra == algebra for idem in idems]
         full = idems[0].algebra.full_mask if idems else 0

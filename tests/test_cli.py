@@ -373,6 +373,24 @@ def test_lift_and_compose_print_the_refusal_check_morphism_prints(
         assert (captured.out, captured.err) == (expected, ""), argv
 
 
+@pytest.mark.parametrize("elements", [[], ["s", "t"]], ids=["restrict", "two-elements"])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_lift_prints_why_a_relation_is_not_de_vries(files, capsys, elements, as_json):
+    # the diagonal {(e, e)} fails D3: lift refuses it with the D1-D7 report
+    # and exit 1, as check-devries and check-prox print it
+    prox = files["dir"] / "diagonal.json"
+    diagonal = [[e, e] for e in ("0", "[p]", "[q]", "1")]
+    prox.write_text(json.dumps({"proximity": {"pairs": diagonal}}), encoding="utf-8")
+    common = ["--algebra", files["b4"], "--proximity", str(prox), *as_json]
+    assert run(["check-devries", *common]) == 1
+    expected = capsys.readouterr().out
+    assert expected.startswith('{"subject": "de Vries axioms"' if as_json else "FAIL (D")
+    for argv in (["check-prox", *common], ["lift", *common, *map(files.get, elements)]):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, ""), argv
+
+
 def _six_atom_identity(files, drop=None, hom=True) -> str:
     """The identity on ``<=`` over 6 atoms, or on ``<=`` without the pair
     ``drop``; unless ``hom``, its table sends an atom to 0 (M2-M4 fail)."""
@@ -804,6 +822,19 @@ def test_malformed_proximity_and_morphism_shapes_are_usage_errors(files, capsys)
     )
     assert run(["check-morphism", "--morphism", str(listed_map)]) == 2
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "pairs, named",
+    [([["0"]], "['0']"), ("ab", "'ab'"), ([["0", "0", "1"]], "['0', '0', '1']")],
+    ids=["one-item", "not-a-list", "three-items"],
+)
+def test_a_malformed_proximity_pair_is_named(files, capsys, pairs, named):
+    path = files["dir"] / "pairs.json"
+    path.write_text(json.dumps({"proximity": {"pairs": pairs}}), encoding="utf-8")
+    assert run(["check-prox", "--algebra", files["b2"], "--proximity", str(path)]) == 2
+    line = _one_line_error(capsys)
+    assert line.startswith("error: bad proximity pair") and line.endswith(f": {named}")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -9,10 +9,12 @@ and on seeded toggles on 5; above the exhaustive bound, on 6-8 atoms, the
 gate still decides, without building ``<=``.  The de Vries morphisms
 between two ``<=`` are the boolean homomorphisms, so
 ``morphisms._dv_ok(m)`` is held equal to ``check_dv_morphism(m).ok`` on
-every table between small algebras.  The last test runs the benchmark's
-13 ``verify`` command lines in-process and counts the D1-D7 runs: only
-``check-devries`` and a ``check-prox`` that refuses its relation print
-their report, and they run them once each.
+every table between small algebras.  A refusal raises with the failing
+D1-D7 report; over the exhaustive bound, where D1-D7 do not run, every
+gated call raises the bound's error instead.  The last test runs the
+benchmark's 13 ``verify`` command lines in-process and counts the D1-D7
+runs: only ``check-devries`` and a ``check-prox`` that refuses its
+relation print their report, and they run them once each.
 """
 
 from __future__ import annotations
@@ -28,7 +30,18 @@ from specker import proximity
 from specker.boolalg import make_algebra
 from specker.cli import run
 from specker.morphisms import DVMorphism, _dv_ok, check_dv_morphism
-from specker.proximity import ProxRel, _devries_ok, check_devries, leq_proximity
+from specker.proximity import (
+    ProxRel,
+    _devries_ok,
+    check_devries,
+    leq_proximity,
+    lift_check,
+    positive_approximant,
+    restrict_lift,
+    sample_proximity_axioms,
+    sample_related_pair,
+)
+from specker.steps import step_one, step_zero
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -121,6 +134,33 @@ def test_gate_decides_above_the_bound_without_building_leq(atoms, monkeypatch):
         "one pair swapped": False,
     }
     assert built == []
+
+
+def test_a_refusal_carries_the_d1_to_d7_report():
+    rel = next(rel for rel in RELATIONS if rel.algebra.size == 4 and not _devries_ok(rel))
+    with pytest.raises(ValueError, match="^relation is not a de Vries proximity$") as refusal:
+        restrict_lift(rel)
+    assert refusal.value.report == check_devries(rel)
+
+
+def test_a_gated_call_above_the_bound_refuses_with_the_bound_error():
+    # <= on 6 atoms without one pair: D1-D7, which would say why, take no
+    # algebra over the bound, so each gated call raises the bound's error
+    algebra = ALGEBRAS[6]
+    rel = ProxRel(algebra, leq_proximity(algebra).pairs - {(0, algebra.full_mask)})
+    zero, one = step_zero(algebra), step_one(algebra)
+    calls = {
+        "lift_check": lambda: lift_check(rel, zero, one),
+        "restrict_lift": lambda: restrict_lift(rel),
+        "sample_related_pair": lambda: sample_related_pair(random.Random(0), rel, 3),
+        "positive_approximant": lambda: positive_approximant(rel, one),
+        "sample_proximity_axioms": lambda: sample_proximity_axioms(rel, samples=1),
+    }
+    message = "^algebra with 64 elements exceeds the exhaustive bound of 32$"
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=message):
+            call()
+            pytest.fail(name)
 
 
 def _tables(source_atoms: int, target_atoms: int):

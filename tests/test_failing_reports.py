@@ -26,7 +26,13 @@ runs, which raised from P10 until a raising case became its axiom's
 failure, were re-captured then.  The morphism reports were re-captured
 when M4 began to draw its approximant combinations from the suite's
 generator at every size: the later cases draw other operands, so some
-witnesses and counts of failing axioms moved, and no verdict did.
+witnesses and counts of failing axioms moved, and no verdict did.  The
+proximity reports were re-captured when P9 and P10 began to take their
+witnesses from the public ``interpolate_lifted`` and
+``positive_approximant``: the 30 counterexamples of P9 under
+related-pair-swapped and of P10 under sum-as-difference (3 algebras, 5
+seeds) became the refusal message of the construction, and every
+verdict and count stayed the same.
 
 To regenerate the file (only when a report change is intended), run
 

@@ -12,6 +12,12 @@ doubling of the atoms, and a constant part makes the ratio smaller; a
 bound of 2.5x leaves room for an ``n log n`` sort and fails on anything
 quadratic.
 
+``normalize_term`` runs one fixed term over three generators, so that
+only the algebra grows: a sum over all n generators would grow the term
+with it.  ``orth_scale``, ``step_scale`` and ``step_neg`` have no row:
+they work in comprehensions, which no event sees, so their counts stay
+constant.
+
 ``step_add`` still evaluates its formula at every pair of thresholds,
 about 15x per doubling; its row is an expected failure until it runs on
 the atom-value kernel, as ``steps._sum`` does.
@@ -25,18 +31,32 @@ import sys
 import pytest
 
 from specker.boolalg import make_algebra
-from specker.orthogonal import orth_add, orth_meet, random_orth
+from specker.orthogonal import (
+    orth_add,
+    orth_join,
+    orth_leq,
+    orth_meet,
+    orth_mul,
+    orth_sub,
+    random_orth,
+)
 from specker.steps import (
     _sum,
+    compatible_decreasing,
+    decreasing_decomposition,
     random_steps,
     step_add,
     step_join,
     step_leq,
     step_meet,
+    step_mul,
+    step_mul_nonneg,
     step_sub,
+    step_zero,
     to_orth,
     to_steps,
 )
+from specker.terms import normalize_term, parse_term
 
 ATOMS = (4, 8, 16, 32, 64)
 BOUND = 1000
@@ -67,18 +87,40 @@ def _count(op, args: tuple) -> int:
     return count
 
 
+def _nonneg(f, g) -> tuple:
+    zero = step_zero(f.algebra)
+    return step_join(f, zero), step_join(g, zero)
+
+
+TERM = parse_term("(x_a0 + 2*x_a1 - 3)^3 * meet(x_a2, 1)")
+
+
+def _algebra(rng, algebra, bound):
+    return algebra
+
+
 # name: (operation, operand draw, the arguments it takes from two operands)
 ROWS = {
     "_sum": (_sum, random_steps, lambda f, g: (f, g)),
     "step_sub": (step_sub, random_steps, lambda f, g: (f, g)),
+    "step_mul": (step_mul, random_steps, lambda f, g: (f, g)),
+    "step_mul_nonneg": (step_mul_nonneg, random_steps, _nonneg),
     "step_meet": (step_meet, random_steps, lambda f, g: (f, g)),
     "step_join": (step_join, random_steps, lambda f, g: (f, g)),
     # a related pair, so that the order walks every threshold
     "step_leq": (step_leq, random_steps, lambda f, g: (step_meet(f, g), g)),
+    "compatible_decreasing": (compatible_decreasing, random_steps, lambda f, g: (f, g)),
+    "decreasing_decomposition": (decreasing_decomposition, random_steps, lambda f, g: (f,)),
     "orth_add": (orth_add, random_orth, lambda f, g: (f, g)),
+    "orth_sub": (orth_sub, random_orth, lambda f, g: (f, g)),
+    "orth_mul": (orth_mul, random_orth, lambda f, g: (f, g)),
     "orth_meet": (orth_meet, random_orth, lambda f, g: (f, g)),
+    "orth_join": (orth_join, random_orth, lambda f, g: (f, g)),
+    # a related pair, so that the order reads every atom
+    "orth_leq": (orth_leq, random_orth, lambda f, g: (orth_meet(f, g), g)),
     "to_steps": (to_steps, random_orth, lambda f, g: (f,)),
     "to_orth": (to_orth, random_steps, lambda f, g: (f,)),
+    "normalize_term": (normalize_term, _algebra, lambda a, b: (TERM, a)),
 }
 
 

@@ -4,9 +4,10 @@
 paper's formulas at every candidate threshold; ``tests/helpers.py``
 defines them, and the tests compare the kernels with them.  No code in
 ``specker`` may define, call, import or export them, nor bring back
-``_related_pair`` or ``_lift``, the unchecked twins of
-``sample_related_pair`` and ``lift_morphism``.  These tests read the
-source, so a definition or use added anywhere in the package is caught.
+``_related_pair``, ``_lift`` or ``_approximant``, the unchecked twins of
+``sample_related_pair``, ``lift_morphism`` and ``positive_approximant``.
+These tests read the source, so a definition or use added anywhere in
+the package is caught.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import helpers
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "specker").glob("*.py"))
 REFERENCES = {"step_mul_nonneg_formula", "_lattice_by_formula"}
-ABSENT = REFERENCES | {"_related_pair", "_lift"}
+ABSENT = REFERENCES | {"_related_pair", "_lift", "_approximant"}
 
 
 # the field holding the name: of a definition, of a load or call, of a

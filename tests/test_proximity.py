@@ -24,9 +24,11 @@ from specker.proximity import (
 from specker.steps import (
     _assemble_masks,
     random_steps,
+    step_add,
     step_embed,
     step_join,
     step_leq,
+    step_one,
     step_zero,
     to_steps,
 )
@@ -167,6 +169,21 @@ def test_positive_approximant_refuses_another_algebra(b4):
         s = step_embed(xyz.element(names))
         with pytest.raises(ValueError, match="mixed algebras in lifted proximity check"):
             positive_approximant(leq, s)
+
+
+@pytest.mark.parametrize(
+    "axiom, attribute, stand_in",
+    [
+        # above t, so never an interpolant of s < t
+        ("P9", "interpolate_lifted", lambda rel, s, t: step_add(t, step_one(t.algebra))),
+        ("P10", "positive_approximant", lambda rel, s: step_zero(s.algebra)),
+    ],
+    ids=["P9", "P10"],
+)
+def test_p9_and_p10_check_the_public_constructions(b4, monkeypatch, axiom, attribute, stand_in):
+    monkeypatch.setattr(proximity, attribute, stand_in)
+    report = sample_proximity_axioms(leq_proximity(b4), samples=20, seed=0)
+    assert [result.name for result in report.failures()] == [axiom]
 
 
 def test_lift_check_examples(b4, s_elem, t_elem):

@@ -30,8 +30,14 @@ from specker.boolalg import (
 from specker.morphisms import DVMorphism, ProxMorphism, identity_dv, lift_morphism
 from specker.orthogonal import OrthElem, orth_normalize
 from specker.pointwise import PointFn
-from specker.proximity import AxiomResult, ProxRel, ProxReport, leq_proximity
-from specker.steps import CompatibleSteps, StepElem, compatible_decreasing, to_steps
+from specker.proximity import AxiomResult, ProxRel, ProxReport, leq_proximity, lift_check
+from specker.steps import (
+    CompatibleSteps,
+    StepElem,
+    compatible_decreasing,
+    step_zero,
+    to_steps,
+)
 from specker.terms import BinOp, Lit, Neg, Pow, Var, parse_term
 
 
@@ -336,6 +342,29 @@ def test_prox_rel_keeps_its_sorted_pairs_in_a_slot():
         assert twin == rel and hash(twin) == hash(rel)
         assert twin._sorted == rel._sorted and not hasattr(twin, "__dict__")
         assert [twin.pair_at(k) for k in range(twin.count())] == sorted(rel.pairs)
+
+
+def _built_from_lists() -> dict:
+    """name -> (a value built from lists or a set, its tuple-built twin)."""
+    b2, b4 = make_algebra(["x"]), _b4()
+    leq = leq_proximity(b2)
+    p, q = b4.atom("p"), b4.atom("q")
+    return {
+        "ProxRel from a set": (ProxRel(b2, {(0, 0), (0, 1), (1, 1)}), leq),
+        "ProxRel from a list": (ProxRel(b2, [(0, 0), (0, 1), (1, 1)]), leq),
+        "DVMorphism": (DVMorphism(leq, leq, [0, 1]), identity_dv(leq)),
+        "StepElem": (StepElem(b4, [0, 1], [b4.one, p]), StepElem(b4, (0, 1), (b4.one, p))),
+        "OrthElem": (OrthElem(b4, [[1, p], [2, q]]), OrthElem(b4, ((1, p), (2, q)))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_built_from_lists()))
+def test_a_value_built_from_lists_equals_and_hashes_like_its_tuple_twin(name):
+    listed, twin = _built_from_lists()[name]
+    assert listed == twin and hash(listed) == hash(twin)
+    if isinstance(listed, ProxRel):  # the gate's cache hashes the relation
+        zero = step_zero(listed.algebra)
+        assert lift_check(listed, zero, zero)
 
 
 def test_hot_value_types_carry_no_instance_dict():
