@@ -334,6 +334,15 @@ def ba_apply(
 # table keys) it is rendered "[p,q]".
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]``; a non-object ``obj`` or a missing ``key`` is a ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"bad {what} JSON: {obj!r}")
+    if key not in obj:
+        raise ValueError(f"malformed {what} JSON: missing key {key!r}")
+    return obj[key]
+
+
 def element_to_literal(e: BoolElem) -> str:
     if e.is_zero:
         return "0"
@@ -343,6 +352,8 @@ def element_to_literal(e: BoolElem) -> str:
 
 
 def element_from_literal(algebra: Algebra, text: str) -> BoolElem:
+    if not isinstance(text, str):
+        raise ValueError(f"bad element literal: {text!r}")
     text = text.strip()
     if text == "0":
         return algebra.zero
@@ -364,11 +375,9 @@ def element_to_json(e: BoolElem) -> str | list[str]:
 
 
 def element_from_json(algebra: Algebra, obj) -> BoolElem:
-    if isinstance(obj, str):
-        return element_from_literal(algebra, obj)
     if isinstance(obj, list):
         return algebra.element(obj)
-    raise ValueError(f"bad element JSON: {obj!r}")
+    return element_from_literal(algebra, obj)
 
 
 def algebra_to_json(algebra: Algebra) -> dict:

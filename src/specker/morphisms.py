@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 from .boolalg import (
     Algebra,
     BoolElem,
+    _field,
     _Frozen,
     _setattr,
     algebra_from_json,
@@ -561,27 +562,33 @@ def morphism_to_json(m: DVMorphism) -> dict:
 
 
 def morphism_from_json(obj) -> DVMorphism:
-    if not isinstance(obj, dict) or not {"source", "target", "map"} <= set(obj):
-        raise ValueError(f"bad morphism JSON: {obj!r}")
+    return _morphism_from_json(obj, bounded=False)
 
-    sides = obj["source"], obj["target"]
-    algebras = [algebra_from_json(side["algebra"]) for side in sides]
-    # a map too short to cover the source is refused before ``<=`` (3^n pairs)
-    if isinstance(obj["map"], dict) and len(obj["map"]) < algebras[0].size:
+
+def _morphism_from_json(obj, bounded: bool) -> DVMorphism:
+    """As :func:`morphism_from_json`; ``bounded`` refuses a side over the bound before ``<=``."""
+    mapping = _field(obj, "map", "morphism")
+    if not isinstance(mapping, dict):
+        raise ValueError("morphism map must be a JSON object")
+    sides = _field(obj, "source", "morphism"), _field(obj, "target", "morphism")
+    algebras = [algebra_from_json(_field(side, "algebra", "morphism")) for side in sides]
+    # a map too short to cover the source is refused before ``<=`` (3^n pairs);
+    # one no shorter that names no source element twice covers it
+    if len(mapping) < algebras[0].size:
         raise ValueError("morphism map must cover every source element")
+    for algebra in algebras if bounded else ():
+        _require_exhaustive(algebra)
     source, target = (
         prox_from_json(algebra, {"proximity": side.get("proximity", "leq")})
         for algebra, side in zip(algebras, sides)
     )
     table: list[int] = [0] * source.algebra.size
     seen: dict[int, str] = {}  # mask -> its key; "[p,q]" and "1" can name one mask
-    for key, value in obj["map"].items():
+    for key, value in mapping.items():
         e = element_from_literal(source.algebra, key)
         if e.mask in seen:
             twice = f"{seen[e.mask]!r} and {key!r}"
             raise ValueError(f"morphism map names one source element twice: {twice}")
         table[e.mask] = element_from_literal(target.algebra, value).mask
         seen[e.mask] = key
-    if len(seen) != source.algebra.size:
-        raise ValueError("morphism map must cover every source element")
     return DVMorphism(source, target, tuple(table))

@@ -42,6 +42,7 @@ from .boolalg import (
     Algebra,
     BoolElem,
     _check_same_algebra,
+    _field,
     _Frozen,
     _setattr,
     element_from_json,
@@ -430,10 +431,12 @@ def orth_to_json(f: OrthElem) -> dict:
 
 
 def orth_from_json(algebra: Algebra, obj) -> OrthElem:
-    if not isinstance(obj, dict) or obj.get("rep") != "perp" or "entries" not in obj:
+    items = obj.get("entries") if isinstance(obj, dict) and obj.get("rep") == "perp" else None
+    if not isinstance(items, list):
         raise ValueError(f"bad orthogonal-form JSON: {obj!r}")
     entries = [
-        (parse_scalar(item["value"]), element_from_json(algebra, item["idem"]))
-        for item in obj["entries"]
+        (parse_scalar(_field(item, "value", "orthogonal-form")),
+         element_from_json(algebra, _field(item, "idem", "orthogonal-form")))
+        for item in items
     ]
     return orth_normalize(algebra, entries)

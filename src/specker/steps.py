@@ -54,6 +54,7 @@ from .boolalg import (
     Algebra,
     BoolElem,
     _check_same_algebra,
+    _field,
     _Frozen,
     _setattr,
     element_from_json,
@@ -636,11 +637,13 @@ def step_to_json(f: StepElem) -> dict:
 
 
 def step_from_json(algebra: Algebra, obj) -> StepElem:
-    if not isinstance(obj, dict) or obj.get("rep") != "flat" or "steps" not in obj:
+    items = obj.get("steps") if isinstance(obj, dict) and obj.get("rep") == "flat" else None
+    if not isinstance(items, list):
         raise ValueError(f"bad step-form JSON: {obj!r}")
     points = [
-        (parse_scalar(item["upto"]), element_from_json(algebra, item["idem"]).mask)
-        for item in obj["steps"]
+        (parse_scalar(_field(item, "upto", "step-form")),
+         element_from_json(algebra, _field(item, "idem", "step-form")).mask)
+        for item in items
     ]
     for i in range(1, len(points)):
         if not points[i - 1][0] < points[i][0]:

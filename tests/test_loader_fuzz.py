@@ -1,0 +1,119 @@
+"""Fuzzing the JSON loaders directly: each returns or raises ``ValueError``.
+
+Every loader refuses its own malformed shapes, so that the command line
+needs no catch for ``KeyError``, ``TypeError`` or ``AttributeError``: a
+loader that leaks one is a bug, not bad input.  The documents are those
+of ``test_cli_fuzz``: a well-formed one for the loader's role, the same
+with one entry dropped or replaced (at the top, or at any depth), or
+random JSON.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli_fuzz import TEMPLATES, documents, json_values
+
+from specker.boolalg import (
+    algebra_from_json,
+    element_from_json,
+    element_from_literal,
+    make_algebra,
+)
+from specker.morphisms import morphism_from_json
+from specker.orthogonal import orth_from_json
+from specker.proximity import prox_from_json
+from specker.steps import step_from_json
+
+B4 = make_algebra(["p", "q"])  # the atoms of the templates
+
+
+@st.composite
+def nested(draw, role: str):
+    """The role's template with one entry, at any depth, dropped or replaced."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(TEMPLATES[role]))))
+    node = obj
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        elif draw(st.booleans()):
+            del node[key]
+            return obj
+        else:
+            node[key] = draw(json_values)
+            return obj
+
+
+def _drawn(role: str):
+    return st.one_of(documents(role), nested(role))
+
+
+# loader (taking the document last) -> the documents it is fed
+LOADERS = {
+    "algebra_from_json": (algebra_from_json, _drawn("alg.json")),
+    "element_from_json": (
+        lambda obj: element_from_json(B4, obj),
+        st.one_of(json_values, st.sampled_from([["p"], ["p", "q"], ["r"], [["p"]], [{}]])),
+    ),
+    "orth_from_json": (lambda obj: orth_from_json(B4, obj), _drawn("s.json")),
+    "step_from_json": (lambda obj: step_from_json(B4, obj), _drawn("s.json")),
+    "prox_from_json": (lambda obj: prox_from_json(B4, obj), _drawn("prox.json")),
+    "morphism_from_json": (morphism_from_json, _drawn("m.json")),
+    "element_from_literal": (
+        lambda text: element_from_literal(B4, text),
+        st.one_of(json_values, st.text(alphabet="[], pq01", max_size=8)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_loader_returns_or_raises_value_error(name, data):
+    loader, docs = LOADERS[name]
+    try:
+        loader(data.draw(docs))
+    except ValueError:
+        pass
+
+
+_SIDE = {"algebra": {"atoms": ["p"]}}
+
+
+# one document for each shape that once leaked another exception, with a
+# piece of the message its loader now names it by
+@pytest.mark.parametrize(
+    "name, obj, named",
+    [
+        ("orth_from_json", {"rep": "perp", "entries": [{"idem": "1"}]}, "missing key 'value'"),
+        ("orth_from_json", {"rep": "perp", "entries": [{"value": "1"}]}, "missing key 'idem'"),
+        ("orth_from_json", {"rep": "perp", "entries": 5}, "bad orthogonal-form JSON"),
+        ("orth_from_json", {"rep": "perp", "entries": [5]}, "bad orthogonal-form JSON: 5"),
+        ("step_from_json", {"rep": "flat", "steps": [{"idem": "1"}]}, "missing key 'upto'"),
+        ("step_from_json", {"rep": "flat", "steps": [{"upto": "0"}]}, "missing key 'idem'"),
+        ("step_from_json", {"rep": "flat", "steps": None}, "bad step-form JSON"),
+        ("step_from_json", {"rep": "flat", "steps": ["x"]}, "bad step-form JSON: 'x'"),
+        ("prox_from_json", {"proximity": {}}, "bad proximity JSON"),
+        ("prox_from_json", {"proximity": 5}, "bad proximity JSON"),
+        ("morphism_from_json", {"source": 5, "target": _SIDE, "map": {}}, "bad morphism JSON: 5"),
+        ("morphism_from_json", {"source": {}, "target": _SIDE, "map": {}}, "missing key 'algebra'"),
+        ("morphism_from_json", {"target": _SIDE, "map": {}}, "missing key 'source'"),
+        ("morphism_from_json", {"source": _SIDE, "target": _SIDE, "map": []}, "must be a JSON object"),
+        (
+            "morphism_from_json",
+            {"source": _SIDE, "target": _SIDE, "map": {"0": 0, "1": "1"}},
+            "bad element literal: 0",
+        ),
+        ("element_from_literal", None, "bad element literal: None"),
+        ("element_from_json", {"p": 1}, "bad element literal: {'p': 1}"),
+    ],
+)
+def test_a_once_leaking_shape_is_named_by_a_value_error(name, obj, named):
+    with pytest.raises(ValueError, match=None) as refused:
+        LOADERS[name][0](obj)
+    assert named in str(refused.value)

@@ -20,7 +20,7 @@ from specker.boolalg import BoolElem, make_algebra
 from specker.morphisms import naturality_check, sample_morphism_axioms
 from specker.orthogonal import random_orth
 from specker.pointwise import orth_of_pointfn, random_pointfn, steps_of_pointfn
-from specker.proximity import sample_proximity_axioms
+from specker.proximity import _random_grid, sample_proximity_axioms
 from specker.steps import random_steps
 
 ALGEBRAS = [make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 7)]
@@ -82,3 +82,17 @@ def test_core_samplers_refuse_what_the_oracle_refuses(sampler):
 )
 def test_the_seeded_suites_default_to_seed_0(suite):
     assert inspect.signature(suite).parameters["seed"].default == 0
+
+
+def test_random_grid_draws_every_size_its_bound_allows():
+    # a grid has 1 to min(4, points in [lo, coeff_bound]) points: at bound 1
+    # from 0 that is 1 or 2 points of {0, 1}, and at bound 2 from -2, 1 to 4
+    narrow, wide = set(), set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        grid = _random_grid(rng, 1, low=0)
+        assert set(grid) <= {0, 1}
+        narrow.add(len(grid))
+        wide.add(len(_random_grid(rng, 2)))
+    assert narrow == {1, 2}
+    assert wide == {1, 2, 3, 4}

@@ -25,7 +25,8 @@ many combinations there are: wrapping the action counts its runs.
 
 A morphism file whose map is too short to cover its source is refused
 before either side's ``<=`` is built: wrapping ``leq_proximity`` counts
-the builds.
+the builds.  ``check-morphism`` refuses a side over the exhaustive bound
+before either side's ``<=`` is built too: there ``leq_proximity`` raises.
 """
 
 import json
@@ -288,3 +289,26 @@ def test_a_short_morphism_map_is_refused_before_leq_is_built(tmp_path, monkeypat
     assert run(["check-morphism", "--morphism", str(path)]) == 2
     assert capsys.readouterr().err == "error: morphism map must cover every source element\n"
     assert built == []
+
+
+@pytest.mark.parametrize("image_of_one", ["1", "0"], ids=["hom", "no-hom"])
+def test_check_morphism_refuses_a_target_over_the_bound_before_leq_is_built(
+    tmp_path, monkeypatch, capsys, image_of_one
+):
+    # the target's <= has 3^16 pairs; a morphism that fails M1-M4 is
+    # refused by the bound too, before the gate could print its report
+    def refused(algebra):
+        raise RuntimeError(f"<= built on {algebra!r}")
+
+    monkeypatch.setattr(proximity, "leq_proximity", refused)
+    source = {"algebra": {"atoms": ["x"]}}
+    target = {"algebra": {"atoms": [f"a{i}" for i in range(16)]}}
+    path = tmp_path / "wide.json"
+    obj = {"source": source, "target": target, "map": {"0": "0", "1": image_of_one}}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert run(["check-morphism", "--morphism", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: algebra with 65536 elements exceeds the exhaustive bound of 32\n"
+    )
