@@ -14,7 +14,7 @@ front end (``terms``) load on first use of one of their names.
 import importlib as _importlib
 from types import ModuleType as _ModuleType
 
-from .boolalg import Algebra, BoolElem, ba_apply, make_algebra, make_free_algebra
+from .boolalg import Algebra, BoolElem, make_algebra, make_free_algebra
 from .orthogonal import (
     OrthElem,
     annihilator_idempotent,
@@ -41,8 +41,6 @@ from .steps import (
     compatible_decreasing,
     decreasing_decomposition,
     from_decomposition,
-    is_idempotent,
-    orth_to_decreasing,
     random_steps,
     step_add,
     step_const,
@@ -75,9 +73,7 @@ _LAZY = {
             "enumerate_boolean_homs",
             "eta",
             "functor_id",
-            "functor_id_morphism",
             "functor_sp",
-            "functor_sp_morphism",
             "identity_dv",
             "identity_prox",
             "lift_morphism",

@@ -20,7 +20,6 @@ __all__ = [
     "BoolElem",
     "make_algebra",
     "make_free_algebra",
-    "ba_apply",
     "element_to_literal",
     "element_from_literal",
     "element_to_json",
@@ -101,7 +100,7 @@ class Algebra(_Frozen):
     ) -> None:
         # a string would be read as its characters, so "pq" would mean p, q
         if isinstance(atoms, str):
-            raise ValueError(f"algebra atoms must be a list of names: {atoms!r}")
+            raise ValueError(f"algebra atoms must be a list of names: {_shown(atoms)}")
         # tuples, so that a list given for either still hashes
         atoms = tuple(atoms)
         generators = tuple((name, mask) for name, mask in generators)
@@ -110,9 +109,9 @@ class Algebra(_Frozen):
         seen = set()
         for name in atoms:
             if not name or name in _RESERVED_NAMES or set(name) & _FORBIDDEN_IN_NAMES:
-                raise ValueError(f"bad atom name: {name!r}")
+                raise ValueError(f"bad atom name: {_shown(name)}")
             if name in seen:
-                raise ValueError(f"duplicate atom name: {name!r}")
+                raise ValueError(f"duplicate atom name: {_shown(name)}")
             seen.add(name)
         _setattr(self, "atoms", atoms)
         _setattr(self, "generators", generators)
@@ -142,7 +141,7 @@ class Algebra(_Frozen):
             try:
                 mask |= bits[name]
             except (KeyError, TypeError):  # TypeError: an unhashable name
-                raise ValueError(f"unknown atom: {name!r}") from None
+                raise ValueError(f"unknown atom: {_shown(name)}") from None
         return BoolElem(self, mask)
 
     def generator(self, name: str) -> "BoolElem":
@@ -272,7 +271,7 @@ def make_free_algebra(n: int) -> Algebra:
     minterms where variable ``i`` is true.
     """
     if not 1 <= n <= _MAX_GENERATORS:
-        raise ValueError(f"generator count {n} outside 1..{_MAX_GENERATORS}")
+        raise ValueError(f"generator count {_shown(n)} outside 1..{_MAX_GENERATORS}")
     minterms = tuple(f"m{j}" for j in range(1 << n))
     generators = []
     for i in range(n):
@@ -284,49 +283,6 @@ def make_free_algebra(n: int) -> Algebra:
     return Algebra(minterms, tuple(generators))
 
 
-_CONNECTIVE_ARITY = {"not": 1, "meet": 2, "join": 2, "big_join": None, "big_meet": None}
-
-
-def ba_apply(
-    connective: str,
-    operands: Sequence[BoolElem],
-    algebra: Algebra | None = None,
-) -> BoolElem:
-    """Apply a boolean connective to elements of one algebra.
-
-    ``big_join`` and ``big_meet`` take any number of operands; the empty
-    join is 0 and the empty meet is 1 (``algebra`` must then be given so
-    the result has a home).
-    """
-    if connective not in _CONNECTIVE_ARITY:
-        raise ValueError(f"unknown connective: {connective!r}")
-    arity = _CONNECTIVE_ARITY[connective]
-    if arity is not None and len(operands) != arity:
-        raise ValueError(f"{connective} takes {arity} operands, got {len(operands)}")
-    if operands:
-        shared = _check_same_algebra(*operands)
-        if algebra is not None and algebra != shared:
-            raise ValueError("mixed algebras: operands do not match the given algebra")
-        algebra = shared
-    if algebra is None:
-        raise ValueError("empty operand list needs an explicit algebra")
-    if connective == "not":
-        return ~operands[0]
-    if connective == "meet":
-        return operands[0] & operands[1]
-    if connective == "join":
-        return operands[0] | operands[1]
-    if connective == "big_join":
-        result = algebra.zero
-        for operand in operands:
-            result = result | operand
-        return result
-    result = algebra.one
-    for operand in operands:
-        result = result & operand
-    return result
-
-
 # --- literals and JSON -------------------------------------------------------
 #
 # Element literals: "0", "1", or an atom-name list.  In JSON the list is a
@@ -334,10 +290,25 @@ def ba_apply(
 # table keys) it is rendered "[p,q]".
 
 
+_QUOTED = 40  # the longest repr a refusal quotes, so that it stays one short line
+
+
+def _shown(value) -> str:
+    """``repr(value)`` if short, else an object's keys, or the type and length."""
+    text = repr(value)
+    if len(text) <= _QUOTED:
+        return text
+    if isinstance(value, dict) and len(keys := repr(sorted(map(str, value)))) <= _QUOTED:
+        return f"an object with keys {keys}"
+    if isinstance(value, (dict, list, str)):
+        return f"a {type(value).__name__} of length {len(value)}"
+    return f"{text[:_QUOTED]}..."
+
+
 def _field(obj, key: str, what: str):
     """``obj[key]``; a non-object ``obj`` or a missing ``key`` is a ``ValueError``."""
     if not isinstance(obj, dict):
-        raise ValueError(f"bad {what} JSON: {obj!r}")
+        raise ValueError(f"bad {what} JSON: {_shown(obj)} is not an object")
     if key not in obj:
         raise ValueError(f"malformed {what} JSON: missing key {key!r}")
     return obj[key]
@@ -353,7 +324,7 @@ def element_to_literal(e: BoolElem) -> str:
 
 def element_from_literal(algebra: Algebra, text: str) -> BoolElem:
     if not isinstance(text, str):
-        raise ValueError(f"bad element literal: {text!r}")
+        raise ValueError(f"bad element literal: {_shown(text)}")
     text = text.strip()
     if text == "0":
         return algebra.zero
@@ -363,7 +334,7 @@ def element_from_literal(algebra: Algebra, text: str) -> BoolElem:
         inner = text[1:-1].strip()
         names = [part.strip() for part in inner.split(",")] if inner else []
         return algebra.element(names)
-    raise ValueError(f"bad element literal: {text!r}")
+    raise ValueError(f"bad element literal: {_shown(text)}")
 
 
 def element_to_json(e: BoolElem) -> str | list[str]:
@@ -390,17 +361,17 @@ def algebra_to_json(algebra: Algebra) -> dict:
 
 def algebra_from_json(obj) -> Algebra:
     if not isinstance(obj, dict):
-        raise ValueError(f"bad algebra JSON: {obj!r}")
+        raise ValueError(f"bad algebra JSON: {_shown(obj)} is not an object")
     if "atoms" in obj:
         atoms = obj["atoms"]
         # a string would be read as its characters, so "pq" would mean p, q
         if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-            raise ValueError(f"algebra atoms must be a list of names: {atoms!r}")
+            raise ValueError(f"algebra atoms must be a list of names: {_shown(atoms)}")
         return make_algebra(atoms)
     if "free_generators" in obj:
         count = obj["free_generators"]
         # no truncation of 2.5 to 2, and true is not the count 1
         if type(count) is not int:
-            raise ValueError(f"free_generators must be an integer: {count!r}")
+            raise ValueError(f"free_generators must be an integer: {_shown(count)}")
         return make_free_algebra(count)
     raise ValueError("algebra JSON needs 'atoms' or 'free_generators'")

@@ -36,6 +36,7 @@ from .boolalg import (
     _field,
     _Frozen,
     _setattr,
+    _shown,
     algebra_from_json,
     algebra_to_json,
     element_from_literal,
@@ -89,9 +90,7 @@ __all__ = [
     "star_compose_dv",
     "star_compose_prox",
     "functor_id",
-    "functor_id_morphism",
     "functor_sp",
-    "functor_sp_morphism",
     "eta",
     "tau",
     "naturality_check",
@@ -469,17 +468,9 @@ def functor_sp(rel: ProxRel) -> ProxRel:
     return rel
 
 
-def functor_sp_morphism(m: DVMorphism) -> ProxMorphism:
-    return lift_morphism(m)
-
-
 def functor_id(rel: ProxRel) -> ProxRel:
     """The idempotent functor on objects: restrict the lifted proximity."""
     return restrict_lift(rel)
-
-
-def functor_id_morphism(pm: ProxMorphism) -> DVMorphism:
-    return restrict_prox_morphism(pm)
 
 
 def tau(e: BoolElem) -> StepElem:
@@ -587,7 +578,7 @@ def _morphism_from_json(obj, bounded: bool) -> DVMorphism:
     for key, value in mapping.items():
         e = element_from_literal(source.algebra, key)
         if e.mask in seen:
-            twice = f"{seen[e.mask]!r} and {key!r}"
+            twice = f"{_shown(seen[e.mask])} and {_shown(key)}"
             raise ValueError(f"morphism map names one source element twice: {twice}")
         table[e.mask] = element_from_literal(target.algebra, value).mask
         seen[e.mask] = key

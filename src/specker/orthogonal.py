@@ -45,6 +45,7 @@ from .boolalg import (
     _field,
     _Frozen,
     _setattr,
+    _shown,
     element_from_json,
     element_to_json,
     element_to_literal,
@@ -433,7 +434,7 @@ def orth_to_json(f: OrthElem) -> dict:
 def orth_from_json(algebra: Algebra, obj) -> OrthElem:
     items = obj.get("entries") if isinstance(obj, dict) and obj.get("rep") == "perp" else None
     if not isinstance(items, list):
-        raise ValueError(f"bad orthogonal-form JSON: {obj!r}")
+        raise ValueError(f"bad orthogonal-form JSON: {_shown(obj)}")
     entries = [
         (parse_scalar(_field(item, "value", "orthogonal-form")),
          element_from_json(algebra, _field(item, "idem", "orthogonal-form")))

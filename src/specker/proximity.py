@@ -69,9 +69,11 @@ from .boolalg import (
     Algebra,
     BoolElem,
     _check_same_algebra,
+    _field,
     _first_failure,
     _Frozen,
     _setattr,
+    _shown,
     element_from_json,
     element_to_json,
 )
@@ -658,19 +660,17 @@ def prox_to_json(rel: ProxRel) -> dict:
 
 
 def prox_from_json(algebra: Algebra, obj) -> ProxRel:
-    if not isinstance(obj, dict) or "proximity" not in obj:
-        raise ValueError(f"bad proximity JSON: {obj!r}")
-    spec = obj["proximity"]
+    spec = _field(obj, "proximity", "proximity")
     if spec == "leq":
         return leq_proximity(algebra)
-    if isinstance(spec, dict) and "pairs" in spec:
-        listed = spec["pairs"]
-        if not isinstance(listed, list):
-            raise ValueError(f"bad proximity pairs: {listed!r}")
-        pairs = set()
-        for pair in listed:
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ValueError(f"bad proximity pair: {pair!r}")
-            pairs.add(tuple(element_from_json(algebra, side).mask for side in pair))
-        return ProxRel(algebra, pairs)
-    raise ValueError(f"bad proximity JSON: {obj!r}")
+    if not (isinstance(spec, dict) and "pairs" in spec):
+        raise ValueError(f"bad proximity JSON: needs 'leq' or 'pairs', got {_shown(spec)}")
+    listed = spec["pairs"]
+    if not isinstance(listed, list):
+        raise ValueError(f"bad proximity pairs: {_shown(listed)}")
+    pairs = set()
+    for pair in listed:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValueError(f"bad proximity pair: {_shown(pair)}")
+        pairs.add(tuple(element_from_json(algebra, side).mask for side in pair))
+    return ProxRel(algebra, pairs)

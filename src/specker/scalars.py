@@ -18,6 +18,8 @@ import re
 from fractions import Fraction
 from typing import Union
 
+from .boolalg import _shown
+
 Scalar = Union[int, Fraction]
 
 # optional sign, digits, optional "/digits"; no whitespace inside a literal
@@ -32,12 +34,12 @@ def parse_scalar(text: str) -> Scalar:
     zero denominator.
     """
     if not isinstance(text, str) or not _LITERAL.fullmatch(text):
-        raise ValueError(f"malformed scalar literal: {text!r}")
+        raise ValueError(f"malformed scalar literal: {_shown(text)}")
     if "/" in text:
         num_text, den_text = text.split("/")
         den = int(den_text)
         if den == 0:
-            raise ValueError(f"zero denominator in scalar literal: {text!r}")
+            raise ValueError(f"zero denominator in scalar literal: {_shown(text)}")
         value = Fraction(int(num_text), den)
         return int(value) if value.denominator == 1 else value
     return int(text)

@@ -57,6 +57,7 @@ from .boolalg import (
     _field,
     _Frozen,
     _setattr,
+    _shown,
     element_from_json,
     element_to_json,
     element_to_literal,
@@ -92,10 +93,8 @@ __all__ = [
     "step_join",
     "step_leq",
     "decreasing_decomposition",
-    "orth_to_decreasing",
     "from_decomposition",
     "compatible_decreasing",
-    "is_idempotent",
     "step_to_json",
     "step_from_json",
 ]
@@ -582,23 +581,6 @@ def _refine_classes(
     return values, _tail_masks([classes[v] for v in values])
 
 
-def orth_to_decreasing(
-    f: OrthElem,
-) -> tuple[Scalar, tuple[tuple[Scalar, BoolElem], ...]]:
-    """Decreasing decomposition straight from an orthogonal decomposition.
-
-    With values sorted ascending, each coefficient is the gap between
-    consecutive values and each idempotent is the upper-tail join of the
-    components at the larger values.
-    """
-    values = f._values
-    tails = _tail_masks(f._masks)
-    return values[0], tuple(
-        (values[i] - values[i - 1], BoolElem(f.algebra, tails[i]))
-        for i in range(1, len(values))
-    )
-
-
 def compatible_decreasing(s: StepElem, t: StepElem) -> CompatibleSteps:
     """Re-express two elements over one shared threshold grid.
 
@@ -618,11 +600,6 @@ def compatible_decreasing(s: StepElem, t: StepElem) -> CompatibleSteps:
     )
 
 
-def is_idempotent(f: StepElem) -> bool:
-    """Order-theoretic idempotence test: ``f == (2 f) meet 1``."""
-    return step_meet(step_scale_pos(2, f), step_one(f.algebra)) == f
-
-
 # --- JSON ---------------------------------------------------------------
 
 
@@ -639,7 +616,7 @@ def step_to_json(f: StepElem) -> dict:
 def step_from_json(algebra: Algebra, obj) -> StepElem:
     items = obj.get("steps") if isinstance(obj, dict) and obj.get("rep") == "flat" else None
     if not isinstance(items, list):
-        raise ValueError(f"bad step-form JSON: {obj!r}")
+        raise ValueError(f"bad step-form JSON: {_shown(obj)}")
     points = [
         (parse_scalar(_field(item, "upto", "step-form")),
          element_from_json(algebra, _field(item, "idem", "step-form")).mask)

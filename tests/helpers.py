@@ -14,6 +14,11 @@ the mask kernel it checks.  ``ref_merged_lattice`` is the composition
 ``step_meet`` and ``step_join`` ran before their one walk: the
 ``steps._merged`` samples, combined, then ``_assemble_masks``.
 
+``orth_to_decreasing`` is the second route to the decreasing
+decomposition: gaps between the ascending orthogonal values, with the
+join of the components above each gap.  ``decreasing_decomposition``
+must agree with it.
+
 ``step_mul_nonneg_formula`` is the product formula of the
 ``specker.steps`` docstring on step elements: the library's kernel
 product must equal it.
@@ -305,6 +310,21 @@ def ref_from_decomposition(
             a0 + sum(b for b, e in pairs if e.mask >> i & 1)
             for i in range(len(algebra.atoms))
         ]
+    )
+
+
+def orth_to_decreasing(f: OrthElem) -> tuple[Scalar, tuple[tuple[Scalar, BoolElem], ...]]:
+    """The decreasing decomposition read straight off the orthogonal one.
+
+    With the values ascending, each coefficient is the gap between
+    consecutive values and each idempotent is the join of the components
+    at the larger values.
+    """
+    values = [value for value, _ in f.entries]
+    components = [component for _, component in f.entries]
+    return values[0], tuple(
+        (values[i] - values[i - 1], functools.reduce(operator.or_, components[i:]))
+        for i in range(1, len(values))
     )
 
 

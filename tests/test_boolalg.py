@@ -6,7 +6,6 @@ from specker import boolalg
 from specker.boolalg import (
     algebra_from_json,
     algebra_to_json,
-    ba_apply,
     element_from_json,
     element_from_literal,
     element_to_json,
@@ -77,28 +76,6 @@ def test_free_algebra_generators_are_independent():
     for left in (g0, ~g0):
         for right in (g1, ~g1):
             assert not (left & right).is_zero
-
-
-def test_ba_apply_examples(b4):
-    p, q = b4.atom("p"), b4.atom("q")
-    assert ba_apply("meet", [p, q]).is_zero
-    assert ba_apply("join", [p, q]).is_one
-    assert ba_apply("big_join", [], algebra=b4).is_zero
-    assert ba_apply("big_meet", [], algebra=b4).is_one
-    assert ba_apply("not", [p]) == q
-    assert ba_apply("big_join", [p, q, p]).is_one
-
-
-def test_ba_apply_errors(b4, b2):
-    p = b4.atom("p")
-    with pytest.raises(ValueError, match="arity|operands"):
-        ba_apply("not", [p, p])
-    with pytest.raises(ValueError, match="mixed"):
-        ba_apply("meet", [p, b2.atom("x")])
-    with pytest.raises(ValueError, match="algebra"):
-        ba_apply("big_join", [])
-    with pytest.raises(ValueError, match="connective"):
-        ba_apply("nand", [p, p])
 
 
 def test_cross_algebra_elements_rejected(b4, b2):

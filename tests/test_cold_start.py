@@ -175,7 +175,7 @@ def test_check_devries_loads_no_morphisms_oracle_or_terms(inputs):
 
 
 def test_exported_names_resolve():
-    assert len(specker.__all__) == 91
+    assert len(specker.__all__) == 86
     assert set(specker.__all__) <= set(dir(specker))
     for name in specker.__all__:
         module = specker._LAZY.get(name)

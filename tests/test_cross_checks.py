@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _lattice_by_formula,
+    orth_to_decreasing,
     ref_mul_nonneg,
     ref_orth_by_refinement,
     step_mul_nonneg_formula,
@@ -57,14 +58,14 @@ from specker.steps import (
     compatible_decreasing,
     decreasing_decomposition,
     from_decomposition,
-    is_idempotent,
-    orth_to_decreasing,
     step_const,
     step_embed,
     step_leq,
+    step_meet,
     step_mul,
     step_mul_nonneg,
     step_neg,
+    step_one,
     step_scale,
     step_scale_pos,
     step_zero,
@@ -268,9 +269,10 @@ def test_compatible_decreasing_reconstructs_both(case):
 @cross
 @given(operands(count=1))
 def test_is_idempotent_matches_orth_square(case):
-    _, (f,) = case
+    algebra, (f,) = case
     g = to_orth(f)
-    assert is_idempotent(f) == (orth_mul(g, g) == g)
+    idempotent = step_meet(step_scale_pos(2, f), step_one(algebra)) == f
+    assert idempotent == (orth_mul(g, g) == g)
 
 
 @cross

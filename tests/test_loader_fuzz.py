@@ -2,7 +2,9 @@
 
 Every loader refuses its own malformed shapes, so that the command line
 needs no catch for ``KeyError``, ``TypeError`` or ``AttributeError``: a
-loader that leaks one is a bug, not bad input.  The documents are those
+loader that leaks one is a bug, not bad input.  A refusal names the key
+or the type at fault and quotes only a short input, so it stays one
+short line however large the document.  The documents are those
 of ``test_cli_fuzz``: a well-formed one for the loader's role, the same
 with one entry dropped or replaced (at the top, or at any depth), or
 random JSON.
@@ -29,6 +31,7 @@ from specker.proximity import prox_from_json
 from specker.steps import step_from_json
 
 B4 = make_algebra(["p", "q"])  # the atoms of the templates
+MESSAGE_BOUND = 200  # characters in a refusal, which the command line prints on one line
 
 
 @st.composite
@@ -78,8 +81,8 @@ def test_a_loader_returns_or_raises_value_error(name, data):
     loader, docs = LOADERS[name]
     try:
         loader(data.draw(docs))
-    except ValueError:
-        pass
+    except ValueError as refused:
+        assert len(str(refused)) <= MESSAGE_BOUND
 
 
 _SIDE = {"algebra": {"atoms": ["p"]}}
@@ -117,3 +120,61 @@ def test_a_once_leaking_shape_is_named_by_a_value_error(name, obj, named):
     with pytest.raises(ValueError, match=None) as refused:
         LOADERS[name][0](obj)
     assert named in str(refused.value)
+
+
+_LONG = "p" * 6000
+_ONE_ATOM = {"algebra": {"atoms": ["x"]}}
+
+
+# a malformed document of at least 5 KB for each place a loader's refusal
+# names its input
+@pytest.mark.parametrize(
+    "name, obj",
+    [
+        ("algebra_from_json", ["p"] * 2000),
+        ("algebra_from_json", {"atom": ["p"] * 2000}),
+        ("algebra_from_json", {"atoms": _LONG}),
+        ("algebra_from_json", {"atoms": {_LONG: 1}}),
+        ("algebra_from_json", {"atoms": [_LONG + ","]}),
+        ("algebra_from_json", {"atoms": [_LONG, _LONG]}),
+        ("algebra_from_json", {"free_generators": [1] * 3000}),
+        ("algebra_from_json", {"free_generators": 10**4200, "note": _LONG[:1000]}),
+        ("element_from_json", [_LONG]),
+        ("element_from_json", [["p"] * 2000]),
+        ("element_from_json", {_LONG: "p"}),
+        ("element_from_literal", "[" + _LONG + "]"),
+        ("element_from_literal", _LONG),
+        ("element_from_literal", ["p"] * 2000),
+        ("orth_from_json", {"rep": "perp", "entry": [{"value": "1", "idem": "1"}] * 200}),
+        ("orth_from_json", {"rep": "perp", "entries": [_LONG]}),
+        ("orth_from_json", {"rep": "perp", "entries": [{"value": _LONG, "idem": "1"}]}),
+        ("orth_from_json", {"rep": "perp", "entries": [{"value": "1", "idem": _LONG}]}),
+        ("step_from_json", {"rep": "flat", "step": [{"upto": "0", "idem": "1"}] * 200}),
+        ("step_from_json", {"rep": "flat", "steps": [{"upto": "0", "idem": [_LONG]}]}),
+        (
+            "step_from_json",
+            {"rep": "flat", "steps": [{"upto": "1/" + "0" * 4000, "idem": "1"}], "x": _LONG},
+        ),
+        ("prox_from_json", {"proximity": {"pair": [["0", "1"]] * 600}}),
+        ("prox_from_json", {"proximity": _LONG}),
+        ("prox_from_json", {"proximity": {"pairs": _LONG}}),
+        ("prox_from_json", {"proximity": {"pairs": [["0"] * 2000]}}),
+        ("prox_from_json", [_LONG]),
+        ("morphism_from_json", {"source": [_LONG], "target": _ONE_ATOM, "map": {}}),
+        ("morphism_from_json", {"source": _ONE_ATOM, "target": _ONE_ATOM, "map": [_LONG]}),
+        (
+            "morphism_from_json",
+            {"source": _ONE_ATOM, "target": _ONE_ATOM, "map": {"0": "0", "1": _LONG}},
+        ),
+        (
+            "morphism_from_json",
+            {"source": _ONE_ATOM, "target": _ONE_ATOM, "map": {"[x]": "1", "1" + " " * 6000: "1"}},
+        ),
+    ],
+)
+def test_a_refusal_of_a_large_document_is_one_short_line(name, obj):
+    assert len(json.dumps(obj)) >= 5000
+    with pytest.raises(ValueError) as refused:
+        LOADERS[name][0](obj)
+    message = str(refused.value)
+    assert len(message) <= MESSAGE_BOUND and "\n" not in message, message

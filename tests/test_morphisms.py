@@ -11,9 +11,7 @@ from specker.morphisms import (
     enumerate_boolean_homs,
     eta,
     functor_id,
-    functor_id_morphism,
     functor_sp,
-    functor_sp_morphism,
     identity_dv,
     identity_prox,
     lift_morphism,
@@ -236,7 +234,7 @@ def test_functor_laws(b2, b4):
     # identities are preserved in both directions
     for alg in (b2, b4):
         rel = leq_proximity(alg)
-        assert functor_id_morphism(identity_prox(rel)).table == identity_dv(rel).table
+        assert restrict_prox_morphism(identity_prox(rel)).table == identity_dv(rel).table
     # composition is preserved: lifting then restricting a star composite
     # recovers the boolean-level star composite, exhaustively
     rng = random.Random(101)
@@ -244,22 +242,20 @@ def test_functor_laws(b2, b4):
         for m2 in homs:
             if m2.source != m1.target:
                 continue
-            composite_prox = star_compose_prox(
-                functor_sp_morphism(m2), functor_sp_morphism(m1)
-            )
+            composite_prox = star_compose_prox(lift_morphism(m2), lift_morphism(m1))
             composite_dv = star_compose_dv(m2, m1)
-            assert functor_id_morphism(composite_prox).table == composite_dv.table
+            assert restrict_prox_morphism(composite_prox).table == composite_dv.table
             f = steps_of_pointfn(random_pointfn(rng, m1.source.algebra, 8))
             assert apply_prox_morphism(composite_prox, f) == apply_prox_morphism(
-                functor_sp_morphism(composite_dv), f
+                lift_morphism(composite_dv), f
             )
 
 
 def test_functor_morphism_round_trips(b2, b4):
     for source, target in itertools.product((b2, b4), repeat=2):
         for hom in enumerate_boolean_homs(source, target):
-            lifted = functor_sp_morphism(hom)
-            assert functor_id_morphism(lifted).table == hom.table
+            lifted = lift_morphism(hom)
+            assert restrict_prox_morphism(lifted).table == hom.table
 
 
 def test_tau_is_an_isomorphism(b4, leq4):

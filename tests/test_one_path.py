@@ -1,13 +1,18 @@
 """One path per operation: the reference formulas live in the tests.
 
 ``step_mul_nonneg_formula`` and ``_lattice_by_formula`` evaluate the
-paper's formulas at every candidate threshold; ``tests/helpers.py``
-defines them, and the tests compare the kernels with them.  No code in
-``specker`` may define, call, import or export them, nor bring back
-``_related_pair``, ``_lift`` or ``_approximant``, the unchecked twins of
-``sample_related_pair``, ``lift_morphism`` and ``positive_approximant``.
-These tests read the source, so a definition or use added anywhere in
-the package is caught.
+paper's formulas at every candidate threshold, and ``orth_to_decreasing``
+reads the decreasing decomposition straight off the orthogonal one;
+``tests/helpers.py`` defines them, and the tests compare the library
+with them.  No code in ``specker`` may define, call, import or export
+them, nor bring back ``_related_pair``, ``_lift`` or ``_approximant``,
+the unchecked twins of ``sample_related_pair``, ``lift_morphism`` and
+``positive_approximant``, nor the names that only their own tests
+reached: ``ba_apply`` with ``_CONNECTIVE_ARITY`` (a second spelling of
+``~``, ``&`` and ``|``), ``is_idempotent``, and ``functor_sp_morphism``
+and ``functor_id_morphism`` (aliases of ``lift_morphism`` and
+``restrict_prox_morphism``).  These tests read the source, so a
+definition or use added anywhere in the package is caught.
 """
 
 from __future__ import annotations
@@ -20,8 +25,17 @@ import pytest
 import helpers
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "specker").glob("*.py"))
-REFERENCES = {"step_mul_nonneg_formula", "_lattice_by_formula"}
-ABSENT = REFERENCES | {"_related_pair", "_lift", "_approximant"}
+REFERENCES = {"step_mul_nonneg_formula", "_lattice_by_formula", "orth_to_decreasing"}
+ABSENT = REFERENCES | {
+    "_related_pair",
+    "_lift",
+    "_approximant",
+    "ba_apply",
+    "_CONNECTIVE_ARITY",
+    "is_idempotent",
+    "functor_sp_morphism",
+    "functor_id_morphism",
+}
 
 
 # the field holding the name: of a definition, of a load or call, of a

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import orth_to_decreasing
 from specker.orthogonal import (
     orth_add,
     orth_const,
@@ -22,8 +23,6 @@ from specker.steps import (
     compatible_decreasing,
     decreasing_decomposition,
     from_decomposition,
-    is_idempotent,
-    orth_to_decreasing,
     step_add,
     step_const,
     step_embed,
@@ -188,24 +187,20 @@ def test_compatible_decreasing_negative_bound(b4, s_steps):
     assert shared.thresholds[0] == -3
 
 
-def test_is_idempotent_examples(b4, s_steps):
-    p = b4.atom("p")
-    assert is_idempotent(step_embed(p))
-    assert not is_idempotent(s_steps)
-    assert is_idempotent(step_one(b4))
-    assert is_idempotent(step_zero(b4))
-
-
 def test_is_idempotent_iff_squares(b4):
+    # order-theoretic idempotence, f == (2 f) meet 1, is f * f == f
+    def idempotent(f):
+        return step_meet(step_scale_pos(2, f), step_one(b4)) == f
+
     rng = random.Random(23)
     for e in b4.elements():
-        assert is_idempotent(step_embed(e))
+        assert idempotent(step_embed(e))
     hits = 0
     for _ in range(100):
         f = steps_of_pointfn(random_pointfn(rng, b4, 6))
         g = to_orth(f)
         expected = orth_mul(g, g) == g
-        assert is_idempotent(f) == expected
+        assert idempotent(f) == expected
         hits += 0 if expected else 1
     assert hits > 50  # the sample actually exercises non-idempotents
 
