@@ -6,8 +6,10 @@ output (or machine-readable JSON with ``--json``).
 
 Exit codes: 0 on success or a passing check, 1 when a verification
 fails or a de Vries gate refuses its input (with the failing report), 2
-on usage, file or syntax errors and on JSON that its loader refuses, 141
-when the reader closes stdout early (the shell's code for SIGPIPE).
+on usage, file or syntax errors, on JSON that its loader refuses and on
+an algebra over the exhaustive bound of a walk over every pair or
+element (D1-D7, the enumeration, the restriction of the lift, M1-M4),
+141 when the reader closes stdout early (the shell's code for SIGPIPE).
 
 Only the Specker-algebra core (``boolalg``, ``orthogonal``, ``steps``) is
 imported here; each subcommand imports the de Vries, oracle or term
@@ -102,29 +104,26 @@ def _load_element(algebra: Algebra, path: str) -> Element:
 
 
 def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
-    from .proximity import _require_exhaustive, leq_proximity, prox_from_json
+    from .proximity import leq_proximity, prox_from_json
 
-    # the de Vries gate and D1-D7 both refuse an algebra over the bound:
-    # refuse it before ``<=`` (3^n pairs) or a pairs file is built for it
-    _require_exhaustive(algebra)
     if spec == "leq":
         return leq_proximity(algebra)
     return _parsed(spec, prox_from_json, algebra)
 
 
-def _load_morphism(path: str, bounded: bool = False) -> DVMorphism:
-    from .morphisms import _morphism_from_json
+def _load_morphism(path: str) -> DVMorphism:
+    from .morphisms import morphism_from_json
 
-    return _parsed(path, partial(_morphism_from_json, bounded=bounded))
+    return _parsed(path, morphism_from_json)
 
 
-def _the_morphism(args, bounded: bool = False) -> DVMorphism:
+def _the_morphism(args) -> DVMorphism:
     """The one ``--morphism`` file, loaded; none or a second is a :class:`UsageError`."""
     if not args.morphism:
         raise UsageError(f"{args.command} needs --morphism")
     if len(args.morphism) > 1:
         raise UsageError(f"{args.command} takes one --morphism")
-    return _load_morphism(args.morphism[0], bounded)
+    return _load_morphism(args.morphism[0])
 
 
 def _print_element(elem: Element, as_json: bool) -> None:
@@ -310,7 +309,7 @@ def _cmd_check_prox(args) -> int:
 def _cmd_check_morphism(args) -> int:
     from .morphisms import lift_morphism, sample_morphism_axioms
 
-    lifted = lift_morphism(_the_morphism(args, bounded=True))  # as in check-prox
+    lifted = lift_morphism(_the_morphism(args))
     return _print_sampled(args, partial(sample_morphism_axioms, lifted))
 
 

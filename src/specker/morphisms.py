@@ -553,22 +553,15 @@ def morphism_to_json(m: DVMorphism) -> dict:
 
 
 def morphism_from_json(obj) -> DVMorphism:
-    return _morphism_from_json(obj, bounded=False)
-
-
-def _morphism_from_json(obj, bounded: bool) -> DVMorphism:
-    """As :func:`morphism_from_json`; ``bounded`` refuses a side over the bound before ``<=``."""
     mapping = _field(obj, "map", "morphism")
     if not isinstance(mapping, dict):
         raise ValueError("morphism map must be a JSON object")
     sides = _field(obj, "source", "morphism"), _field(obj, "target", "morphism")
     algebras = [algebra_from_json(_field(side, "algebra", "morphism")) for side in sides]
-    # a map too short to cover the source is refused before ``<=`` (3^n pairs);
-    # one no shorter that names no source element twice covers it
+    # a map no shorter than the source, naming no source element twice
+    # (checked below), covers it
     if len(mapping) < algebras[0].size:
         raise ValueError("morphism map must cover every source element")
-    for algebra in algebras if bounded else ():
-        _require_exhaustive(algebra)
     source, target = (
         prox_from_json(algebra, {"proximity": side.get("proximity", "leq")})
         for algebra, side in zip(algebras, sides)

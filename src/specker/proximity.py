@@ -23,9 +23,10 @@ randomness seeded.  The random elements come from the core
 coefficient bound and its relation at entry, its cases draw related
 pairs through the public :func:`sample_related_pair`, whose repeated
 checks are a bound test and a cache hit, and they add on the atom-value
-kernel (``steps._sum``).  The exhaustive checks take algebras of at
-most 32 elements, and ``_require_exhaustive`` refuses a larger one before
-``<=`` is built for it.
+kernel (``steps._sum``).  ``<=`` stores no pairs; the walks over every
+pair or element (D1-D7, the enumeration, the restriction of the lift,
+M1-M4) take algebras of at most 32 elements, and
+``_require_exhaustive`` refuses a larger one at their entry.
 
 Every axiom, exhaustive or sampled, here and in :mod:`specker.morphisms`,
 is recorded by one recorder: its cases yield ``None`` when they hold and
@@ -116,9 +117,9 @@ __all__ = [
 class ProxRel(_Frozen):
     """A binary relation on a finite boolean algebra, as mask pairs.
 
-    Every mask lies in ``0..size-1``.  It is read only through
-    :meth:`has`, :meth:`count`, :meth:`pair_at` and the element form
-    :meth:`related`.
+    Every mask lies in ``0..size-1``; ``<=``, given as ``None`` or as its
+    pairs, stores none.  It is read only through :meth:`has`,
+    :meth:`count`, :meth:`pair_at` and the element form :meth:`related`.
     """
 
     # ``_sorted``, the pairs in sorted order, is derived from ``pairs``:
@@ -126,38 +127,58 @@ class ProxRel(_Frozen):
     __slots__ = ("algebra", "pairs", "_sorted")
     _fields = ("algebra", "pairs")
     algebra: Algebra
-    pairs: frozenset[tuple[int, int]]
-    _sorted: tuple[tuple[int, int], ...]
+    pairs: frozenset[tuple[int, int]] | None
+    _sorted: tuple[tuple[int, int], ...] | None
 
-    def __init__(self, algebra: Algebra, pairs: Iterable[tuple[int, int]]) -> None:
-        pairs = frozenset(pairs)  # so that a set or a list given still hashes
-        limit = algebra.size
-        outside = [p for p in pairs if not (0 <= p[0] < limit and 0 <= p[1] < limit)]
-        if outside:
-            raise ValueError(
-                f"proximity pair {min(outside)} outside the masks 0..{limit - 1}"
-            )
+    def __init__(self, algebra: Algebra, pairs: Iterable[tuple[int, int]] | None) -> None:
+        if pairs is not None:
+            pairs = frozenset(pairs)  # so that a set or a list given still hashes
+            limit = algebra.size
+            outside = [p for p in pairs if not (0 <= p[0] < limit and 0 <= p[1] < limit)]
+            if outside:
+                raise ValueError(
+                    f"proximity pair {min(outside)} outside the masks 0..{limit - 1}"
+                )
+            # 3^n distinct pairs inside the order are all of ``<=``
+            if len(pairs) == 3 ** len(algebra.atoms) and all(e & ~f == 0 for e, f in pairs):
+                pairs = None
         _setattr(self, "algebra", algebra)
         _setattr(self, "pairs", pairs)
-        _setattr(self, "_sorted", tuple(sorted(pairs)))
+        _setattr(self, "_sorted", None if pairs is None else tuple(sorted(pairs)))
 
     def related(self, e: BoolElem, f: BoolElem) -> bool:
         if e.algebra != self.algebra or f.algebra != self.algebra:
             raise ValueError("elements from a different algebra")
-        return (e.mask, f.mask) in self.pairs
+        return e.mask & ~f.mask == 0 if self.pairs is None else (e.mask, f.mask) in self.pairs
 
     def has(self, e: int, f: int) -> bool:
-        return (e, f) in self.pairs
+        return e & ~f == 0 if self.pairs is None else (e, f) in self.pairs
 
     def count(self) -> int:
-        return len(self.pairs)
+        return 3 ** len(self.algebra.atoms) if self.pairs is None else len(self.pairs)
 
     def pair_at(self, k: int) -> tuple[int, int]:
         """The ``k``-th pair in sorted order."""
-        return self._sorted[k]
+        if self.pairs is not None:
+            return self._sorted[k]
+        n = len(self.algebra.atoms)
+        if not 0 <= k < 3**n:
+            raise IndexError(f"pair index {k} outside 0..{3**n - 1}")
+        # under ``<=``, the pairs whose ``e`` agrees above bit i and lacks
+        # bit i number 3^i * 2^(bits of ``f`` free at or above i)
+        e = free = 0
+        for i in reversed(range(n)):
+            skip = 3**i << free + 1
+            if k < skip:
+                free += 1
+            else:
+                k, e = k - skip, e | 1 << i
+        # the rest of ``k`` ranks ``f`` among the supersets of ``e``
+        positions = [i for i in range(n) if not e >> i & 1]
+        return e, e | sum((k >> j & 1) << i for j, i in enumerate(positions))
 
     def __repr__(self) -> str:
-        return f"ProxRel({len(self.pairs)} pairs on {self.algebra!r})"
+        return f"ProxRel({self.count()} pairs on {self.algebra!r})"
 
 
 class AxiomResult(_Frozen):
@@ -226,8 +247,7 @@ class ProxReport(_Frozen):
 
 def leq_proximity(algebra: Algebra) -> ProxRel:
     """The order relation itself, the canonical de Vries proximity."""
-    pairs = frozenset((e, f) for f in range(algebra.size) for e in _submasks(f))
-    return ProxRel(algebra, pairs)
+    return ProxRel(algebra, None)
 
 
 def _submasks(mask: int) -> Iterable[int]:
@@ -294,8 +314,7 @@ _EXHAUSTIVE_BOUND = 32
 def _require_exhaustive(algebra: Algebra) -> None:
     """Refuse an algebra with more than ``_EXHAUSTIVE_BOUND`` elements.
 
-    Callers that materialise ``<=`` (3^n pairs) for a check run this
-    first, so an oversized algebra is refused before anything is built.
+    The walks over all pairs or all elements run this first.
     """
     if algebra.size > _EXHAUSTIVE_BOUND:
         raise ValueError(
@@ -395,9 +414,8 @@ def enumerate_devries(algebra: Algebra) -> list[ProxRel]:
 
 @lru_cache(maxsize=_DEVRIES_CACHED)
 def _devries_ok(rel: ProxRel) -> bool:
-    """``check_devries(rel).ok``, by the finite theorem: 3^n pairs, each in ``<=``."""
-    n, pairs = len(rel.algebra.atoms), map(rel.pair_at, range(rel.count()))
-    return rel.count() == 3**n and all(e & ~f == 0 for e, f in pairs)
+    """``check_devries(rel).ok``, by the finite theorem: ``rel`` is ``<=``."""
+    return rel.pairs is None
 
 
 class _Refused(ValueError):
@@ -453,6 +471,7 @@ def restrict_lift(rel: ProxRel) -> ProxRel:
     """
     _require_devries(rel)
     algebra = rel.algebra
+    _require_exhaustive(algebra)  # 4^n ``step_leq`` calls
     embedded = [step_embed(e) for e in algebra.elements()]
     pairs = frozenset(
         (e, f)

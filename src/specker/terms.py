@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Union
 
-from .boolalg import Algebra, BoolElem, _Frozen, _setattr
+from .boolalg import Algebra, BoolElem, _Frozen, _setattr, _shown
 from .orthogonal import (
     OrthElem,
     orth_add,
@@ -214,7 +214,7 @@ class _Parser:
         term = self.expr()[0]
         kind, text, position = self.tokens[self.index]
         if kind != "end":
-            raise ParseError(f"unexpected token {text!r}", position)
+            raise ParseError(f"unexpected token {_shown(text)}", position)
         return term
 
     def expr(self, level: int = 1) -> tuple[Term, int, int]:
@@ -294,7 +294,7 @@ class _Parser:
             return term, self._level(depth + 1, position), power
         if kind == "end":
             raise ParseError("unexpected end of input", position)
-        raise ParseError(f"unexpected token {text!r}", position)
+        raise ParseError(f"unexpected token {_shown(text)}", position)
 
 
 def _exponent(digits: str, position: int) -> int:
@@ -354,9 +354,9 @@ def normalize_term(
                 try:
                     bound = binding[name]
                 except KeyError:
-                    raise ValueError(f"unbound generator name: {name!r}") from None
+                    raise ValueError(f"unbound generator name: {_shown(name)}") from None
                 if bound.algebra != algebra:
-                    raise ValueError(f"generator {name!r} bound in another algebra")
+                    raise ValueError(f"generator {_shown(name)} bound in another algebra")
                 element = embedded[name] = orth_embed(bound)
             return element
         if isinstance(node, Lit):

@@ -53,9 +53,14 @@ read ``<=`` by its definition: the interpolants of ``e < f`` found by
 first by atom names (``ref_smallest``).  ``ref_approximant_mask`` is the
 same search for a nonzero approximant.
 
+``leq_pairs`` is ``<=`` as its 3^n pairs, the set that ``leq_proximity``
+built before ``ProxRel`` stored ``<=`` by its definition; ``pairs_of``
+reads any relation's pairs through it, and ``ProxRel.pair_at`` must
+unrank exactly ``sorted(leq_pairs(algebra))``.
+
 ``ref_sample_related_pair`` draws its related pairs with
-``rng.choice(sorted(rel.pairs))``, as the library did before it read a
-relation through ``ProxRel.count`` and ``ProxRel.pair_at``; the library
+``rng.choice(sorted(pairs_of(rel)))``, as the library did before it read
+a relation through ``ProxRel.count`` and ``ProxRel.pair_at``; the library
 must draw the same pairs and leave the generator in the same state.
 
 ``within`` fails a test whose block runs longer than a given time.
@@ -368,6 +373,16 @@ def _submasks(mask: int) -> Iterable[int]:
         sub = (sub - 1) & mask
 
 
+def leq_pairs(algebra: Algebra) -> frozenset[tuple[int, int]]:
+    """``<=`` as its 3^n pairs, which the library's ``ProxRel`` does not store."""
+    return frozenset((e, f) for f in range(algebra.size) for e in _submasks(f))
+
+
+def pairs_of(rel: ProxRel) -> frozenset[tuple[int, int]]:
+    """The pairs of ``rel``; those of ``<=`` from :func:`leq_pairs`."""
+    return leq_pairs(rel.algebra) if rel.pairs is None else rel.pairs
+
+
 def _run_cases(results: list, name: str, generator) -> None:
     """Record one axiom; like the library, no case checked is a failure."""
     checked = 0
@@ -383,7 +398,7 @@ def ref_check_devries(rel: ProxRel) -> ProxReport:
     """D1-D7 with every witness built before its condition is tested."""
     algebra = rel.algebra
     full = algebra.full_mask
-    pairs = rel.pairs
+    pairs = pairs_of(rel)
     ordered = sorted(pairs)
     elem = algebra.from_mask
     results: list = []
@@ -462,16 +477,16 @@ def ref_check_dv_morphism(m: DVMorphism) -> ProxReport:
 
     def m3_cases():
         src_full, tgt_full = src_alg.full_mask, tgt_alg.full_mask
-        for e, f in sorted(src.pairs):
+        for e, f in sorted(pairs_of(src)):
             lower = tgt_full & ~m.table[src_full & ~e]
-            ok = (lower, m.table[f]) in tgt.pairs
+            ok = (lower, m.table[f]) in pairs_of(tgt)
             yield ok, (src_alg.from_mask(e), src_alg.from_mask(f))
 
     _run_cases(results, "M3", m3_cases())
 
     def m4_cases():
         approximants: dict[int, int] = {f: 0 for f in range(src_alg.size)}
-        for e, f in src.pairs:
+        for e, f in pairs_of(src):
             approximants[f] |= m.table[e]
         for f in range(src_alg.size):
             ok = m.table[f] == approximants[f]
@@ -486,7 +501,7 @@ def ref_lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
     if s.algebra != rel.algebra or t.algebra != rel.algebra:
         raise ValueError("mixed algebras in lifted proximity check")
     grid = sorted(set(s.thresholds) | set(t.thresholds))
-    return all((s.value(b).mask, t.value(b).mask) in rel.pairs for b in grid)
+    return all((s.value(b).mask, t.value(b).mask) in pairs_of(rel) for b in grid)
 
 
 def ref_enumerate_devries(algebra: Algebra) -> list[ProxRel]:
@@ -518,7 +533,7 @@ def ref_star_compose_table(m2: DVMorphism, m1: DVMorphism) -> tuple[int, ...]:
     table = []
     for e in range(m1.source.algebra.size):
         mask = 0
-        for f, g in m1.source.pairs:
+        for f, g in pairs_of(m1.source):
             if g == e:
                 mask |= m2.table[m1.table[f]]
         table.append(mask)
@@ -609,7 +624,7 @@ def ref_sample_related_pair(
     algebra = rel.algebra
     full = algebra.full_mask
     grid = _random_grid(rng, coeff_bound, low=0 if nonneg else None)
-    choices = sorted(rel.pairs)
+    choices = sorted(pairs_of(rel))
     chosen = [(full, full)] + [rng.choice(choices) for _ in range(len(grid) - 1)]
     lefts = _prefix_meets([pair[0] for pair in chosen])
     rights = _prefix_meets([pair[1] for pair in chosen])

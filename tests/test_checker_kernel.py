@@ -165,9 +165,12 @@ def test_star_compose_matches_reference(pair):
 
 def test_leq_proximity_is_the_order():
     for algebra in ALGEBRAS.values():
-        rel = leq_proximity(algebra)
-        assert rel.pairs == frozenset(_leq_pairs(algebra.size))
-        assert [rel.pair_at(k) for k in range(rel.count())] == sorted(rel.pairs)
+        rel, pairs = leq_proximity(algebra), _leq_pairs(algebra.size)
+        # stored by its definition, and read as its pairs
+        assert rel.pairs is None and ProxRel(algebra, pairs) == rel
+        assert [rel.pair_at(k) for k in range(rel.count())] == sorted(pairs)
+        masks = range(algebra.size)
+        assert all(rel.has(e, f) == ((e, f) in pairs) for e in masks for f in masks)
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 On a finite boolean algebra the order ``<=`` is the only de Vries
 proximity, so ``proximity._devries_ok(rel)`` asks whether ``rel`` is
-``<=``: it has 3^n pairs, each inside the order.  These tests hold that
+``<=``, which ``ProxRel`` stores by its definition: a pair set of 3^n
+pairs, each inside the order, is stored so too.  These tests hold that
 answer equal to the exhaustive ``check_devries(rel).ok``, on every subset
 of ``<=`` on 1-2 atoms, on every one-pair toggle of ``<=`` on 1-4 atoms
 and on seeded toggles on 5; above the exhaustive bound, on 6-8 atoms, the
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import leq_pairs
 from specker import proximity
 from specker.boolalg import make_algebra
 from specker.cli import run
@@ -52,7 +54,7 @@ ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 9)}
 
 def _subsets_of_leq(atoms: int) -> list[ProxRel]:
     algebra = ALGEBRAS[atoms]
-    pairs = sorted(leq_proximity(algebra).pairs)
+    pairs = sorted(leq_pairs(algebra))
     return [
         ProxRel(algebra, frozenset(itertools.compress(pairs, keep)))
         for keep in itertools.product((False, True), repeat=len(pairs))
@@ -62,9 +64,9 @@ def _subsets_of_leq(atoms: int) -> list[ProxRel]:
 def _toggles_of_leq(atoms: int) -> list[ProxRel]:
     """``<=`` itself, then ``<=`` with each pair of elements toggled."""
     algebra = ALGEBRAS[atoms]
-    leq = leq_proximity(algebra)
+    leq, pairs = leq_proximity(algebra), leq_pairs(algebra)
     every = itertools.product(range(algebra.size), repeat=2)
-    return [leq] + [ProxRel(algebra, leq.pairs ^ {pair}) for pair in every]
+    return [leq] + [ProxRel(algebra, pairs ^ {pair}) for pair in every]
 
 
 RELATIONS = [
@@ -85,11 +87,11 @@ def test_gate_matches_check_devries():
 
 def test_gate_matches_check_devries_on_seeded_toggles_of_five_atoms():
     algebra = ALGEBRAS[5]
-    leq = leq_proximity(algebra)
+    leq, pairs = leq_proximity(algebra), leq_pairs(algebra)
     rng = random.Random("devries-gate:5")
     every = list(itertools.product(range(algebra.size), repeat=2))
     rels = [leq] + [
-        ProxRel(algebra, leq.pairs ^ set(rng.sample(every, rng.randint(1, 3))))
+        ProxRel(algebra, pairs ^ set(rng.sample(every, rng.randint(1, 3))))
         for _ in range(40)
     ]
     for rel in rels:
@@ -107,15 +109,15 @@ def test_gate_accepts_six_atoms_where_check_devries_refuses():
 @pytest.mark.parametrize("atoms", [6, 7, 8])
 def test_gate_decides_above_the_bound_without_building_leq(atoms, monkeypatch):
     algebra = ALGEBRAS[atoms]
-    leq = leq_proximity(algebra)
+    pairs = leq_pairs(algebra)
     rng = random.Random(f"devries-gate:{atoms}")
-    inside = rng.choice(sorted(leq.pairs))
+    inside = rng.choice(sorted(pairs))
     outside = (algebra.full_mask, rng.randrange(algebra.full_mask))  # 1 is below no f < 1
     rels = {
-        "leq": ProxRel(algebra, frozenset(leq.pairs)),  # built apart from <=
-        "minus one pair": ProxRel(algebra, leq.pairs - {inside}),
-        "plus one pair": ProxRel(algebra, leq.pairs | {outside}),
-        "one pair swapped": ProxRel(algebra, leq.pairs - {inside} | {outside}),
+        "leq": ProxRel(algebra, pairs),  # built apart from <=
+        "minus one pair": ProxRel(algebra, pairs - {inside}),
+        "plus one pair": ProxRel(algebra, pairs | {outside}),
+        "one pair swapped": ProxRel(algebra, pairs - {inside} | {outside}),
     }
     built = []
     original = proximity.leq_proximity
@@ -147,7 +149,7 @@ def test_a_gated_call_above_the_bound_refuses_with_the_bound_error():
     # <= on 6 atoms without one pair: D1-D7, which would say why, take no
     # algebra over the bound, so each gated call raises the bound's error
     algebra = ALGEBRAS[6]
-    rel = ProxRel(algebra, leq_proximity(algebra).pairs - {(0, algebra.full_mask)})
+    rel = ProxRel(algebra, leq_pairs(algebra) - {(0, algebra.full_mask)})
     zero, one = step_zero(algebra), step_one(algebra)
     calls = {
         "lift_check": lambda: lift_check(rel, zero, one),

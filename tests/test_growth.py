@@ -18,6 +18,10 @@ with it.  ``orth_scale``, ``step_scale`` and ``step_neg`` have no row:
 they work in comprehensions, which no event sees, so their counts stay
 constant.
 
+``ProxRel.pair_at`` on ``<=`` unranks its pair in two loops over the
+atoms that call nothing, so its row counts ``line`` events under
+``sys.settrace`` instead, at a seeded index per size.
+
 ``step_add`` still evaluates its formula at every pair of thresholds,
 about 15x per doubling; its row is an expected failure until it runs on
 the atom-value kernel, as ``steps._sum`` does.
@@ -31,6 +35,7 @@ import sys
 import pytest
 
 from specker.boolalg import make_algebra
+from specker.proximity import leq_proximity
 from specker.orthogonal import (
     orth_add,
     orth_join,
@@ -136,6 +141,32 @@ def _assert_linear(counts: list[int]) -> None:
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_work_grows_at_most_linearly(name):
     _assert_linear(_counts(*ROWS[name], ATOMS))
+
+
+def _lines(op, args: tuple) -> int:
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        op(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_leq_pair_at_work_grows_at_most_linearly():
+    counts = []
+    for atoms in ATOMS:
+        leq = leq_proximity(make_algebra([f"a{i}" for i in range(atoms)]))
+        counts.append(_lines(leq.pair_at, (random.Random(atoms).randrange(leq.count()),)))
+    _assert_linear(counts)
 
 
 @pytest.mark.xfail(strict=True, reason="step_add runs its formula, not the kernel")

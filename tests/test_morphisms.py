@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import leq_pairs
 from specker.morphisms import (
     DVMorphism,
     ProxMorphism,
@@ -297,7 +298,7 @@ def test_naturality_check_all_homs(b2, b4):
 
 def test_naturality_check_refuses_a_relation_that_is_not_de_vries(b4, leq4):
     # <= without [p] < 1: the identity on it passes M1-M4, the relation fails D1-D7
-    rel = ProxRel(b4, leq4.pairs - {(1, 3)})
+    rel = ProxRel(b4, leq_pairs(b4) - {(1, 3)})
     m = identity_dv(rel)
     assert check_dv_morphism(m).ok
     with pytest.raises(ValueError, match="relation is not a de Vries proximity"):
@@ -306,7 +307,7 @@ def test_naturality_check_refuses_a_relation_that_is_not_de_vries(b4, leq4):
 
 def test_lift_and_star_compose_refuse_a_relation_that_is_not_de_vries(b4, leq4):
     # the relation of the test above: M1-M4 pass, the gate refuses it
-    m = identity_dv(ProxRel(b4, leq4.pairs - {(1, 3)}))
+    m = identity_dv(ProxRel(b4, leq_pairs(b4) - {(1, 3)}))
     calls = {
         "lift_morphism": lambda: lift_morphism(m),
         "star_compose_dv": lambda: star_compose_dv(m, m),

@@ -2,8 +2,9 @@
 
 ``step_mul_nonneg_formula`` and ``_lattice_by_formula`` evaluate the
 paper's formulas at every candidate threshold, and ``orth_to_decreasing``
-reads the decreasing decomposition straight off the orthogonal one;
-``tests/helpers.py`` defines them, and the tests compare the library
+reads the decreasing decomposition straight off the orthogonal one, and
+``leq_pairs`` builds ``<=`` as its 3^n pairs, which ``ProxRel`` does not
+store; ``tests/helpers.py`` defines them, and the tests compare the library
 with them.  No code in ``specker`` may define, call, import or export
 them, nor bring back ``_related_pair``, ``_lift`` or ``_approximant``,
 the unchecked twins of ``sample_related_pair``, ``lift_morphism`` and
@@ -11,7 +12,9 @@ the unchecked twins of ``sample_related_pair``, ``lift_morphism`` and
 reached: ``ba_apply`` with ``_CONNECTIVE_ARITY`` (a second spelling of
 ``~``, ``&`` and ``|``), ``is_idempotent``, and ``functor_sp_morphism``
 and ``functor_id_morphism`` (aliases of ``lift_morphism`` and
-``restrict_prox_morphism``).  These tests read the source, so a
+``restrict_prox_morphism``), nor ``_morphism_from_json`` and its
+``bounded`` flag, which refused a morphism side over the exhaustive
+bound before ``<=`` was built.  These tests read the source, so a
 definition or use added anywhere in the package is caught.
 """
 
@@ -25,7 +28,12 @@ import pytest
 import helpers
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "specker").glob("*.py"))
-REFERENCES = {"step_mul_nonneg_formula", "_lattice_by_formula", "orth_to_decreasing"}
+REFERENCES = {
+    "step_mul_nonneg_formula",
+    "_lattice_by_formula",
+    "orth_to_decreasing",
+    "leq_pairs",
+}
 ABSENT = REFERENCES | {
     "_related_pair",
     "_lift",
@@ -35,13 +43,16 @@ ABSENT = REFERENCES | {
     "is_idempotent",
     "functor_sp_morphism",
     "functor_id_morphism",
+    "_morphism_from_json",
+    "bounded",
 }
 
 
-# the field holding the name: of a definition, of a load or call, of a
-# module attribute, and of an imported name
+# the field holding the name: of a definition, of a parameter, of a load
+# or call, of a module attribute, and of an imported name
 _NAME_FIELD = {
     ast.FunctionDef: "name",
+    ast.arg: "arg",
     ast.Name: "id",
     ast.Attribute: "attr",
     ast.alias: "name",

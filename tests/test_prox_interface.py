@@ -2,7 +2,10 @@
 
 ``has``, ``count`` and ``pair_at`` must agree with the pair set on any
 relation, de Vries or not, and the element form ``related`` refuses an
-element of another algebra on either side.  ``sample_related_pair``
+element of another algebra on either side.  ``<=`` stores no pairs: its
+``pair_at`` must unrank exactly the sorted pairs of the helpers'
+``leq_pairs`` at 1-7 atoms, a pair set equal to ``<=`` is ``<=``, and
+``<=`` with one pair toggled stays a pair set that the gate refuses.  ``sample_related_pair``
 draws ``pair_at(rng.randrange(count()))``, which must be exactly the draw
 of ``rng.choice`` over the sorted pairs, with the same generator state
 afterwards, so every seeded report stays as it was.  The de Vries
@@ -21,12 +24,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_sample_related_pair
+from helpers import leq_pairs, pairs_of, ref_sample_related_pair
 from specker import proximity
 from specker.boolalg import make_algebra
-from specker.proximity import ProxRel, check_devries, leq_proximity, sample_related_pair
+from specker.proximity import (
+    ProxRel,
+    _devries_ok,
+    check_devries,
+    leq_proximity,
+    prox_from_json,
+    prox_to_json,
+    sample_related_pair,
+)
 
-ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 6)}
+ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 8)}
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specker"
 # the relation's storage: the pair set and its sorted form
@@ -40,14 +51,14 @@ def relations(draw):
     every = [(e, f) for e in range(algebra.size) for f in range(algebra.size)]
     toggled = set(draw(st.lists(st.sampled_from(every), max_size=2 * algebra.size)))
     if draw(st.booleans()):
-        return ProxRel(algebra, leq_proximity(algebra).pairs ^ toggled)
+        return ProxRel(algebra, leq_pairs(algebra) ^ toggled)
     return ProxRel(algebra, frozenset(toggled))
 
 
 @settings(max_examples=150, deadline=None)
 @given(relations())
 def test_the_interface_agrees_with_the_pair_set(rel):
-    pairs, masks = rel.pairs, range(rel.algebra.size)
+    pairs, masks = pairs_of(rel), range(rel.algebra.size)
     assert rel.count() == len(pairs)
     assert [rel.pair_at(k) for k in range(rel.count())] == sorted(pairs)
     for e in masks:
@@ -67,18 +78,44 @@ def test_the_interface_on_a_relation_that_is_no_proximity():
     assert not hasattr(rel, "sorted_pairs")
 
 
+@pytest.mark.parametrize("atoms", range(1, 8))
+def test_leq_unranks_its_sorted_pairs(atoms):
+    # ``<=`` stores no pairs: ``pair_at`` unranks the k-th sorted pair
+    rel, pairs = leq_proximity(ALGEBRAS[atoms]), sorted(leq_pairs(ALGEBRAS[atoms]))
+    assert rel.pairs is None and rel.count() == len(pairs) == 3**atoms
+    assert [rel.pair_at(k) for k in range(rel.count())] == pairs
+    for k in (-1, len(pairs)):
+        with pytest.raises(IndexError):
+            rel.pair_at(k)
+
+
+@pytest.mark.parametrize("atoms", range(1, 6))
+def test_a_pair_set_equal_to_leq_is_leq(atoms):
+    algebra = ALGEBRAS[atoms]
+    leq = leq_proximity(algebra)
+    loaded = prox_from_json(algebra, prox_to_json(leq))
+    assert loaded == leq and loaded.pairs is None and hash(loaded) == hash(leq)
+    assert ProxRel(algebra, reversed(sorted(leq_pairs(algebra)))) == leq
+    # one pair toggled, in or out of the order: a pair set the gate refuses
+    full = algebra.full_mask
+    for toggled in ((0, full), (full, 0), (1, 0)):
+        rel = ProxRel(algebra, leq_pairs(algebra) ^ {toggled})
+        assert rel.pairs is not None and rel != leq
+        assert not _devries_ok(rel) and not check_devries(rel).ok
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_related_refuses_one_foreign_operand(side):
     # either operand alone from another algebra is refused, not read as a mask
     rel = leq_proximity(ALGEBRAS[2])
     ours, foreign = ALGEBRAS[2].zero, ALGEBRAS[3].zero
-    assert rel.related(ours, ours) and (0, 0) in rel.pairs
+    assert rel.related(ours, ours) and rel.has(0, 0)
     operands = (foreign, ours) if side == "left" else (ours, foreign)
     with pytest.raises(ValueError, match="elements from a different algebra"):
         rel.related(*operands)
 
 
-@pytest.mark.parametrize("atoms", range(1, 6))
+@pytest.mark.parametrize("atoms", range(1, 8))
 def test_sample_related_pair_draws_as_rng_choice(atoms):
     rel = leq_proximity(ALGEBRAS[atoms])
     for seed in range(20):
@@ -98,7 +135,7 @@ def test_devries_caches_are_bounded():
     leq = leq_proximity(b8)
     every = [(e, f) for e in range(b8.size) for f in range(b8.size)]
     # <= itself, then <= with one pair toggled: more relations than the bound
-    rels = [leq] + [ProxRel(b8, leq.pairs ^ {pair}) for pair in every[: bound + 8]]
+    rels = [leq] + [ProxRel(b8, leq_pairs(b8) ^ {pair}) for pair in every[: bound + 8]]
     assert len(set(rels)) > bound
     cache.cache_clear()
     try:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import random_term, term_oracle, within
+from specker.boolalg import make_algebra
 from specker.orthogonal import orth_unit, orth_zero
 from specker.pointwise import atom_values, orth_of_pointfn
 from specker.terms import (
@@ -231,3 +232,11 @@ def test_zero_denominator_is_a_parse_error_at_the_literal(text, literal, positio
     with pytest.raises(ParseError, match=f"zero denominator in scalar literal: '{literal}'") as info:
         parse_term(text)
     assert info.value.position == position
+
+
+def test_a_generator_bound_in_another_algebra_is_named_in_short():
+    name = "x_" + "z" * 6000
+    b4, b2 = make_algebra(["p", "q"]), make_algebra(["x"])
+    with pytest.raises(ValueError) as refusal:
+        normalize_term(Var(name), b4, {name: b2.one})
+    assert str(refusal.value) == "generator a str of length 6002 bound in another algebra"

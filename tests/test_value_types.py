@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import leq_pairs, pairs_of
 from specker.boolalg import (
     Algebra,
     BoolElem,
@@ -330,18 +331,21 @@ def test_orth_elem_copies_before_entries_is_read(duplicate):
 
 
 def test_prox_rel_keeps_its_sorted_pairs_in_a_slot():
-    rel = leq_proximity(_b4())
-    assert not hasattr(rel, "__dict__")
+    # <= without [p] < 1, a pair set; <= itself stores neither slot
+    leq = leq_proximity(_b4())
+    rel = ProxRel(_b4(), leq_pairs(_b4()) - {(1, 3)})
+    assert not hasattr(rel, "__dict__") and leq.pairs is leq._sorted is None
     # set at construction, and what pair_at reads
     assert rel._sorted == tuple(sorted(rel.pairs))
     assert rel.pair_at(0) is rel._sorted[0]
     # derived, so equality and hashing skip it, and copies keep it
     assert ProxRel._fields == ("algebra", "pairs")
-    for duplicate in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-        twin = duplicate(rel)
-        assert twin == rel and hash(twin) == hash(rel)
-        assert twin._sorted == rel._sorted and not hasattr(twin, "__dict__")
-        assert [twin.pair_at(k) for k in range(twin.count())] == sorted(rel.pairs)
+    for value in (rel, leq):
+        for duplicate in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            twin = duplicate(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert twin._sorted == value._sorted and not hasattr(twin, "__dict__")
+            assert [twin.pair_at(k) for k in range(twin.count())] == sorted(pairs_of(value))
 
 
 def _built_from_lists() -> dict:

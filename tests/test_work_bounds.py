@@ -24,9 +24,12 @@ combination and on at most ``_APPROXIMANT_DRAWS`` drawn ones, however
 many combinations there are: wrapping the action counts its runs.
 
 A morphism file whose map is too short to cover its source is refused
-before either side's ``<=`` is built: wrapping ``leq_proximity`` counts
-the builds.  ``check-morphism`` refuses a side over the exhaustive bound
-before either side's ``<=`` is built too: there ``leq_proximity`` raises.
+before either side's proximity is read: wrapping ``leq_proximity``
+counts the reads.  ``<=`` stores no pairs, so ``check-prox`` on 64
+atoms, and ``check-morphism``, ``lift --morphism`` and ``compose`` into
+a 64-atom ``"leq"`` target, give ``ProxRel`` no pair set: wrapping
+``ProxRel.__init__`` records the pair sets given, and wrapping
+``ProxRel.pair_at`` counts the draws, a few per sample.
 """
 
 import json
@@ -291,24 +294,83 @@ def test_a_short_morphism_map_is_refused_before_leq_is_built(tmp_path, monkeypat
     assert built == []
 
 
-@pytest.mark.parametrize("image_of_one", ["1", "0"], ids=["hom", "no-hom"])
-def test_check_morphism_refuses_a_target_over_the_bound_before_leq_is_built(
-    tmp_path, monkeypatch, capsys, image_of_one
-):
-    # the target's <= has 3^16 pairs; a morphism that fails M1-M4 is
-    # refused by the bound too, before the gate could print its report
-    def refused(algebra):
-        raise RuntimeError(f"<= built on {algebra!r}")
+@pytest.fixture
+def reads(monkeypatch):
+    """The pair sets given to ``ProxRel`` so far (``<=`` is given none), and
+    the calls of ``ProxRel.pair_at``."""
+    seen = {"pair sets": [], "pair_at": 0}
+    init, pair_at = ProxRel.__init__, ProxRel.pair_at
 
-    monkeypatch.setattr(proximity, "leq_proximity", refused)
-    source = {"algebra": {"atoms": ["x"]}}
-    target = {"algebra": {"atoms": [f"a{i}" for i in range(16)]}}
-    path = tmp_path / "wide.json"
-    obj = {"source": source, "target": target, "map": {"0": "0", "1": image_of_one}}
+    def recorded(rel, algebra, pairs):
+        if pairs is not None:
+            seen["pair sets"].append(pairs)
+        init(rel, algebra, pairs)
+
+    def counted(rel, k):
+        seen["pair_at"] += 1
+        return pair_at(rel, k)
+
+    monkeypatch.setattr(ProxRel, "__init__", recorded)
+    monkeypatch.setattr(ProxRel, "pair_at", counted)
+    return seen
+
+
+def _one_atom_into(tmp_path, atoms: int, image_of_one: str = "1") -> str:
+    """A morphism file from one atom into ``atoms`` atoms, both sides ``"leq"``."""
+    target = {"algebra": {"atoms": [f"a{i}" for i in range(atoms)]}, "proximity": "leq"}
+    obj = {"source": {"algebra": {"atoms": ["x"]}}, "target": target,
+           "map": {"0": "0", "1": image_of_one}}
+    path = tmp_path / f"into{atoms}.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    assert run(["check-morphism", "--morphism", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: algebra with 65536 elements exceeds the exhaustive bound of 32\n"
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "image_of_one, code, out",
+    [
+        ("1", 0, "seed=0 samples=200 coeff-bound=10\nPASS (7 axioms)\n"),
+        ("0", 1, "FAIL (M3: FAIL (0, 0))\n"),
+    ],
+    ids=["hom", "no-hom"],
+)
+def test_check_morphism_into_sixteen_leq_atoms_gives_its_verdict(
+    tmp_path, capsys, reads, image_of_one, code, out
+):
+    # the target's <= has 3^16 pairs, and none is stored: a hom passes
+    # M1-M7, and a table that is none fails M1-M4 over its 1-atom source
+    path = _one_atom_into(tmp_path, 16, image_of_one)
+    with within(2):
+        assert run(["check-morphism", "--morphism", path]) == code
+    assert (*capsys.readouterr(),) == (out, "")
+    assert reads["pair sets"] == []
+
+
+SAMPLES = 20
+# ``pair_at`` calls per sample: a related pair takes at most 3 draws (a
+# grid has at most 4 points); P2-P9 draw at most 11 pairs per sample, M3
+# one, and a lift or a composition of morphisms draws none
+DRAWS_PER_SAMPLE = {"check-prox": 33, "check-morphism": 3, "lift": 0, "compose": 0}
+
+
+@pytest.mark.parametrize("command", sorted(DRAWS_PER_SAMPLE))
+def test_64_atoms_store_no_pairs_and_draw_a_few_per_sample(tmp_path, capsys, reads, command):
+    b64 = tmp_path / "b64.json"
+    b64.write_text(json.dumps({"atoms": [f"a{i}" for i in range(64)]}), encoding="utf-8")
+    into64 = _one_atom_into(tmp_path, 64)
+    one = {"algebra": {"atoms": ["x"]}}
+    identity = tmp_path / "id1.json"
+    identity.write_text(
+        json.dumps({"source": one, "target": one, "map": {"0": "0", "1": "1"}}), encoding="utf-8"
     )
+    operands = {
+        "check-prox": ["--algebra", str(b64)],
+        "check-morphism": ["--morphism", into64],
+        "lift": ["--morphism", into64],
+        # the 1-atom identity first, then into 64 atoms
+        "compose": [into64, str(identity)],
+    }[command]
+    with within(2):
+        assert run([command, *operands, "--samples", str(SAMPLES)]) == 0
+    assert capsys.readouterr().err == ""
+    assert reads["pair sets"] == []
+    assert reads["pair_at"] <= DRAWS_PER_SAMPLE[command] * SAMPLES
