@@ -138,18 +138,18 @@ class DVMorphism(_Frozen):
         return f"DVMorphism({pairs})"
 
 
-class ProxMorphism:
+class ProxMorphism(_Frozen):
     """Action on step functions between two proximity algebras.
 
-    Lifted morphisms carry their boolean-level table in ``base``; a bare
-    action (as used by fault-injection tests) may leave it ``None``.
-    Mutable, and equal only to itself.
+    A lifted morphism keeps its table only in its action:
+    :func:`restrict_prox_morphism` reads it back.  Equal fields, the same
+    action object included, make equal morphisms.
     """
 
+    __slots__ = _fields = ("source", "target", "action", "label")
     source: ProxRel
     target: ProxRel
     action: Callable[[StepElem], StepElem]
-    base: DVMorphism | None
     label: str
 
     def __init__(
@@ -157,14 +157,12 @@ class ProxMorphism:
         source: ProxRel,
         target: ProxRel,
         action: Callable[[StepElem], StepElem],
-        base: DVMorphism | None = None,
         label: str = "",
     ) -> None:
-        self.source = source
-        self.target = target
-        self.action = action
-        self.base = base
-        self.label = label
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "action", action)
+        _setattr(self, "label", label)
 
     def __call__(self, f: StepElem) -> StepElem:
         return apply_prox_morphism(self, f)
@@ -286,22 +284,18 @@ def _compose_with_steps(m: DVMorphism) -> Callable[[StepElem], StepElem]:
     return act
 
 
-def lift_morphism(m: DVMorphism) -> ProxMorphism:
+def lift_morphism(m: DVMorphism, label: str = "lifted") -> ProxMorphism:
     """Lift a de Vries morphism (the gate refuses any other) by composing stepwise.
 
     The tier-1 tests check the square against the idempotent embedding
     (lift of an embedded idempotent = embedding of its image) on every idempotent.
     """
     _require_dv(m)
-    return ProxMorphism(
-        m.source, m.target, _compose_with_steps(m), base=m, label="lifted"
-    )
+    return ProxMorphism(m.source, m.target, _compose_with_steps(m), label)
 
 
 def identity_prox(rel: ProxRel) -> ProxMorphism:
-    pm = lift_morphism(identity_dv(rel))
-    pm.label = "identity"
-    return pm
+    return lift_morphism(identity_dv(rel), "identity")
 
 
 def restrict_prox_morphism(pm: ProxMorphism) -> DVMorphism:
@@ -340,11 +334,8 @@ def star_compose_prox(p2: ProxMorphism, p1: ProxMorphism) -> ProxMorphism:
     Computed as the lift of the star composition of the idempotent
     restrictions, which is the unique proximity morphism extending it.
     """
-    d1 = p1.base if p1.base is not None else restrict_prox_morphism(p1)
-    d2 = p2.base if p2.base is not None else restrict_prox_morphism(p2)
-    composed = lift_morphism(star_compose_dv(d2, d1))
-    composed.label = f"({p2.label or '?'} * {p1.label or '?'})"
-    return composed
+    composed = star_compose_dv(restrict_prox_morphism(p2), restrict_prox_morphism(p1))
+    return lift_morphism(composed, f"({p2.label or '?'} * {p1.label or '?'})")
 
 
 # --- element-level axiom sampling --------------------------------------------
@@ -484,13 +475,7 @@ def eta(rel: ProxRel) -> ProxMorphism:
     Elements are already stored in step form, so the map is the identity
     action, and :func:`naturality_check` needs no instance of it.
     """
-    return ProxMorphism(
-        rel,
-        functor_sp(functor_id(rel)),
-        lambda f: f,
-        base=identity_dv(rel),
-        label="eta",
-    )
+    return ProxMorphism(rel, functor_sp(functor_id(rel)), lambda f: f, "eta")
 
 
 def naturality_check(

@@ -90,8 +90,9 @@ class OrthElem(_Frozen):
     """
 
     # the operations read the values and masks; ``entries`` builds the
-    # components on first read.  Equality reads the masks, the hash ``entries``.
+    # components on first read.  Equality and hashing read the masks.
     __slots__ = ("algebra", "_values", "_masks", "_entries")
+    _fields = ("algebra", "_values", "_masks")
     algebra: Algebra
     _values: tuple[Scalar, ...]
     _masks: tuple[int, ...]
@@ -99,7 +100,7 @@ class OrthElem(_Frozen):
     def __init__(
         self, algebra: Algebra, entries: Iterable[tuple[Scalar, BoolElem]]
     ) -> None:
-        entries = tuple((value, c) for value, c in entries)  # so that lists still hash
+        entries = tuple((value, c) for value, c in entries)  # pairs, as ``entries`` reads
         values = tuple(value for value, _ in entries)
         _require_exact(*values)
         homes = [c.algebra is algebra or c.algebra == algebra for _, c in entries]
@@ -119,15 +120,6 @@ class OrthElem(_Frozen):
             )
             _setattr(self, "_entries", entries)
             return entries
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            mine = (self.algebra, self._values, self._masks)
-            return mine == (other.algebra, other._values, other._masks)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.entries))
 
     def values(self) -> tuple[Scalar, ...]:
         return self._values

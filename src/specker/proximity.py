@@ -667,6 +667,9 @@ def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
 
 
 def prox_to_json(rel: ProxRel) -> dict:
+    # ``<=`` over the exhaustive bound is "leq", not its 3^n pairs
+    if rel.pairs is None and rel.algebra.size > _EXHAUSTIVE_BOUND:
+        return {"proximity": "leq"}
     elem = rel.algebra.from_mask
     return {
         "proximity": {

@@ -110,8 +110,9 @@ class StepElem(_Frozen):
     """
 
     # the operations read the components as masks; ``idems`` builds them
-    # once, on first read.  Equality reads the masks, the hash ``idems``.
+    # once, on first read.  Equality and hashing read the masks.
     __slots__ = ("algebra", "thresholds", "_masks", "_idems")
+    _fields = ("algebra", "thresholds", "_masks")
     algebra: Algebra
     thresholds: tuple[Scalar, ...]
     _masks: tuple[int, ...]
@@ -139,18 +140,6 @@ class StepElem(_Frozen):
             idems = tuple(BoolElem(algebra, mask) for mask in self._masks)
             _setattr(self, "_idems", idems)
             return idems
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.algebra, self.thresholds, self._masks) == (
-                other.algebra,
-                other.thresholds,
-                other._masks,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.thresholds, self.idems))
 
     def value(self, a: Scalar) -> BoolElem:
         """Evaluate the step function at ``a``."""

@@ -1,6 +1,6 @@
 import pytest
 
-from specker.boolalg import make_algebra
+from specker.boolalg import BoolElem, make_algebra
 from specker.orthogonal import orth_normalize
 
 
@@ -29,3 +29,18 @@ def s_elem(b4):
 def t_elem(b4):
     """The running-example element 1 + 2p (values 3 on p, 1 on q)."""
     return orth_normalize(b4, [(3, b4.atom("p")), (1, b4.atom("q"))])
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A one-item list holding the number of ``BoolElem``s built so far;
+    ``BoolElem.__post_init__`` runs once per element built."""
+    count = [0]
+    original = BoolElem.__post_init__
+
+    def counted(elem):
+        count[0] += 1
+        original(elem)
+
+    monkeypatch.setattr(BoolElem, "__post_init__", counted)
+    return count

@@ -63,7 +63,10 @@ unrank exactly ``sorted(leq_pairs(algebra))``.
 a relation through ``ProxRel.count`` and ``ProxRel.pair_at``; the library
 must draw the same pairs and leave the generator in the same state.
 
-``within`` fails a test whose block runs longer than a given time.
+``within`` fails a test whose block runs longer than a given time.  It
+cannot stop work inside C code, such as a ``sorted`` of 3^n pairs, so
+``capped`` bounds the address space of a block instead: an allocation
+past the cap raises ``MemoryError`` wherever it is made.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ import functools
 import itertools
 import operator
 import random
+import resource
 import signal
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -655,3 +659,26 @@ def within(seconds: float) -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def capped(extra: int = 1 << 30) -> Iterator[None]:
+    """Lower the soft address-space limit to the process's size now plus
+    ``extra`` bytes for the block, and restore it afterwards.
+
+    The size is read from ``/proc/self/statm``; where there is none, the
+    block runs under the limit it had.
+    """
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limits = [limit for limit in (soft, hard) if limit != resource.RLIM_INFINITY]
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            limits.append(int(statm.read().split()[0]) * resource.getpagesize() + extra)
+    except OSError:
+        pass
+    if limits:
+        resource.setrlimit(resource.RLIMIT_AS, (min(limits), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

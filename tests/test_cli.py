@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import leq_pairs, within
+from helpers import capped, leq_pairs, within
 from specker.boolalg import make_algebra
 from specker.cli import run
 
@@ -553,7 +553,7 @@ def test_sixteen_atoms_give_a_verdict_where_no_walk_is_exhaustive(files, capsys,
         element = {"rep": "perp", "entries": [{"value": value, "idem": idem}]}
         (directory / name).write_text(json.dumps(element), encoding="utf-8")
     command, *elements = argv
-    with within(2):
+    with within(2), capped():
         code = run([command, "--algebra", str(directory / "b16.json"),
                     *(str(directory / name) for name in elements)])
     assert (code, *capsys.readouterr()) == (0, expected, "")

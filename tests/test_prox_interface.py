@@ -5,7 +5,9 @@ relation, de Vries or not, and the element form ``related`` refuses an
 element of another algebra on either side.  ``<=`` stores no pairs: its
 ``pair_at`` must unrank exactly the sorted pairs of the helpers'
 ``leq_pairs`` at 1-7 atoms, a pair set equal to ``<=`` is ``<=``, and
-``<=`` with one pair toggled stays a pair set that the gate refuses.  ``sample_related_pair``
+``<=`` with one pair toggled stays a pair set that the gate refuses.
+``prox_to_json`` writes ``<=`` as ``"leq"`` over the exhaustive bound,
+and as its pairs within it.  ``sample_related_pair``
 draws ``pair_at(rng.randrange(count()))``, which must be exactly the draw
 of ``rng.choice`` over the sorted pairs, with the same generator state
 afterwards, so every seeded report stays as it was.  The de Vries
@@ -102,6 +104,20 @@ def test_a_pair_set_equal_to_leq_is_leq(atoms):
         rel = ProxRel(algebra, leq_pairs(algebra) ^ {toggled})
         assert rel.pairs is not None and rel != leq
         assert not _devries_ok(rel) and not check_devries(rel).ok
+
+
+@pytest.mark.parametrize("atoms", [5, 6, 7])
+def test_leq_is_written_as_leq_over_the_exhaustive_bound(atoms):
+    algebra, leq = ALGEBRAS[atoms], leq_proximity(ALGEBRAS[atoms])
+    written = prox_to_json(leq)["proximity"]
+    if algebra.size > proximity._EXHAUSTIVE_BOUND:
+        assert written == "leq"
+    else:
+        assert len(written["pairs"]) == 3**atoms
+    assert prox_from_json(algebra, {"proximity": written}) == leq
+    # a pair set lists its pairs at any size
+    other = ProxRel(algebra, leq_pairs(algebra) - {(0, algebra.full_mask)})
+    assert len(prox_to_json(other)["proximity"]["pairs"]) == 3**atoms - 1
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -1,21 +1,23 @@
 """The contract of the value types: ``specker`` defines them as plain
 classes, and they behave as the frozen dataclasses they replace did.
-Each generic type names its fields once, in ``_fields``, and inherits
-the one equality, hash and field-form ``repr`` of ``boolalg._Frozen``;
-``OrthElem`` and ``StepElem`` compare their masks and hash their
-elements.
+Each type names its fields once, in ``_fields``, and inherits the one
+equality and hash of ``boolalg._Frozen``, and the field-form ``repr``
+unless it prints itself.  ``OrthElem`` and ``StepElem`` name their
+masks, so that comparing and hashing build no ``BoolElem``.
 
 For each type: equal fields give equal values and the hash of the field
-tuple; a value of another class is never equal; a frozen value refuses
+tuple; a value of another class is never equal; a value refuses
 ``setattr`` and ``delattr``; ``repr`` and ``str`` are the strings the
 dataclass versions printed (pinned before the rewrite); copies compare
-equal.  ``ProxMorphism`` stays mutable and equal only to itself.
+equal.  A ``ProxMorphism`` is equal to one with the same fields, its
+action the same object.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,17 @@ from specker.boolalg import (
     make_algebra,
     make_free_algebra,
 )
-from specker.morphisms import DVMorphism, ProxMorphism, identity_dv, lift_morphism
+from specker.morphisms import (
+    DVMorphism,
+    ProxMorphism,
+    enumerate_boolean_homs,
+    identity_dv,
+    identity_prox,
+    lift_morphism,
+    restrict_prox_morphism,
+    star_compose_dv,
+    star_compose_prox,
+)
 from specker.orthogonal import OrthElem, orth_normalize
 from specker.pointwise import PointFn
 from specker.proximity import AxiomResult, ProxRel, ProxReport, leq_proximity, lift_check
@@ -36,6 +48,7 @@ from specker.steps import (
     CompatibleSteps,
     StepElem,
     compatible_decreasing,
+    random_steps,
     step_zero,
     to_steps,
 )
@@ -70,6 +83,15 @@ def _report() -> ProxReport:
     return ProxReport("x", (AxiomResult("D1", True, 2), _failed()))
 
 
+def _unchanged(f: StepElem) -> StepElem:
+    """A module-level action, so that a morphism holding it pickles."""
+    return f
+
+
+def _prox_morphism() -> ProxMorphism:
+    return ProxMorphism(leq_proximity(_b4()), leq_proximity(_b4()), _unchanged, "unchanged")
+
+
 _TERM = "-(x_p + 2)^3 * meet(x_q, 1/2) - join(1, x_p)"
 
 # name -> (a fresh value, the names of the fields equality and hashing read)
@@ -77,8 +99,8 @@ FROZEN = {
     "Algebra": (_b4, ("atoms", "generators")),
     "Algebra-free": (lambda: make_free_algebra(1), ("atoms", "generators")),
     "BoolElem": (lambda: _b4().atom("p"), ("algebra", "mask")),
-    "OrthElem": (_orth, ("algebra", "entries")),
-    "StepElem": (_steps, ("algebra", "thresholds", "idems")),
+    "OrthElem": (_orth, ("algebra", "_values", "_masks")),
+    "StepElem": (_steps, ("algebra", "thresholds", "_masks")),
     "CompatibleSteps": (_compatible, ("thresholds", "left", "right")),
     "ProxRel": (lambda: leq_proximity(_b4()), ("algebra", "pairs")),
     "AxiomResult": (_failed, ("name", "passed", "checked", "counterexample")),
@@ -87,6 +109,7 @@ FROZEN = {
         lambda: identity_dv(leq_proximity(_b4())),
         ("source", "target", "table"),
     ),
+    "ProxMorphism": (_prox_morphism, ("source", "target", "action", "label")),
     "PointFn": (lambda: PointFn(_b4(), (1, Fraction(1, 2))), ("algebra", "values")),
     "Lit": (lambda: Lit(3), ("value",)),
     "Var": (lambda: Var("x"), ("name",)),
@@ -121,6 +144,7 @@ PINNED = {
     )
     * 2,
     "DVMorphism": ("DVMorphism(0->0, [p]->[p], [q]->[q], 1->1)",) * 2,
+    "ProxMorphism": ("ProxMorphism(unchanged)",) * 2,
     "PointFn": ("PointFn(p=1 q=1/2)", "p=1 q=1/2"),
     "Lit": ("Lit(value=3)",) * 2,
     "Var": ("Var(name='x')",) * 2,
@@ -152,7 +176,7 @@ class _Stranger:
 
 def test_every_former_dataclass_is_covered():
     covered = {type(make()).__name__ for make, _ in FROZEN.values()}
-    assert covered | {"ProxMorphism"} == {
+    assert covered == {
         "Algebra", "BoolElem", "OrthElem", "StepElem", "CompatibleSteps",
         "ProxRel", "AxiomResult", "ProxReport", "DVMorphism", "ProxMorphism",
         "PointFn", "Lit", "Var", "Neg", "Pow", "BinOp",
@@ -169,9 +193,8 @@ def test_equality_and_hash_read_the_field_tuple(name):
     assert hash(value) == hash(twin) == hash(_fields(value, names))
     assert value.__eq__(twin) is True
     cls = type(value)
-    if cls not in (OrthElem, StepElem):
-        assert cls._fields == names
-        assert cls.__eq__ is _Frozen.__eq__ and cls.__hash__ is _Frozen.__hash__
+    assert cls._fields == names
+    assert cls.__eq__ is _Frozen.__eq__ and cls.__hash__ is _Frozen.__hash__
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -254,10 +277,10 @@ def test_validation_messages_are_unchanged():
             build()
 
 
-def test_step_masks_stay_out_of_hash_and_repr():
+def test_step_hash_reads_the_masks_and_repr_hides_them():
     value = _steps()
     assert value._masks == tuple(idem.mask for idem in value.idems)
-    assert hash(value) == hash((value.algebra, value.thresholds, value.idems))
+    assert hash(value) == hash((value.algebra, value.thresholds, value._masks))
     assert "_masks" not in repr(value)
     with pytest.raises(AttributeError):
         value._masks = ()
@@ -291,11 +314,11 @@ def test_step_elem_copies_before_idems_is_read(duplicate):
     assert repr(twin) == repr(value)
 
 
-def test_orth_masks_stay_out_of_hash_and_repr():
+def test_orth_hash_reads_the_masks_and_repr_hides_them():
     value = _orth()
     assert value._masks == tuple(component.mask for _, component in value.entries)
     assert value._values == value.values() == (-1, Fraction(3, 2))
-    assert hash(value) == hash((value.algebra, value.entries))
+    assert hash(value) == hash((value.algebra, value._values, value._masks))
     assert "_masks" not in repr(value) and "_values" not in repr(value)
     with pytest.raises(AttributeError):
         value._masks = ()
@@ -412,14 +435,44 @@ def test_algebra_eq_is_a_class_attribute_that_can_be_counted(monkeypatch):
     assert len(calls) == 1
 
 
-def test_prox_morphism_is_mutable_and_equal_only_to_itself():
+def test_comparing_and_hashing_elements_built_from_masks_builds_nothing(built):
+    # orth_normalize and to_steps build from masks; entries and idems stay unread
+    values = [_orth(), _orth(), _steps(), _steps()]
+    built[0] = 0
+    assert values[0] == values[1] and values[2] == values[3]
+    assert len({hash(value) for value in values}) == 2
+    assert built[0] == 0
+
+
+def test_prox_morphism_equality_reads_its_action_object():
     rel = leq_proximity(_b4())
     pm = lift_morphism(identity_dv(rel))
-    twin = ProxMorphism(pm.source, pm.target, pm.action, base=pm.base, label=pm.label)
-    assert pm == pm and pm != twin
-    assert hash(pm) == object.__hash__(pm)
+    twin = ProxMorphism(pm.source, pm.target, pm.action, pm.label)
+    assert pm == twin and hash(pm) == hash(twin)
+    # another lift of the same table holds another action
+    assert pm != lift_morphism(identity_dv(rel))
+    assert not hasattr(pm, "base") and not hasattr(pm, "__dict__")
     assert repr(pm) == "ProxMorphism(lifted)"
-    pm.label = "renamed"
-    assert repr(pm) == "ProxMorphism(renamed)"
-    bare = ProxMorphism(rel, rel, lambda f: f)
-    assert (bare.base, bare.label, repr(bare)) == (None, "", "ProxMorphism(anonymous)")
+    assert repr(identity_prox(rel)) == "ProxMorphism(identity)"
+    bare = ProxMorphism(rel, rel, _unchanged)
+    assert (bare.label, repr(bare)) == ("", "ProxMorphism(anonymous)")
+
+
+def test_star_compose_prox_of_bare_actions_lifts_their_composed_restrictions():
+    b4 = _b4()
+    rel = leq_proximity(b4)
+    # the hom swapping p and q, as an action that keeps no table
+    swap = next(h for h in enumerate_boolean_homs(b4, b4) if h.table == (0, 2, 1, 3))
+    swap_action = lift_morphism(swap).action
+    outer = ProxMorphism(rel, rel, swap_action, "swap")
+    inner = ProxMorphism(rel, rel, _unchanged)
+    composed = star_compose_prox(outer, inner)
+    expected = lift_morphism(
+        star_compose_dv(restrict_prox_morphism(outer), restrict_prox_morphism(inner))
+    )
+    assert repr(composed) == "ProxMorphism((swap * ?))"
+    assert restrict_prox_morphism(composed) == restrict_prox_morphism(expected) == swap
+    rng = random.Random(33)
+    for _ in range(20):
+        f = random_steps(rng, b4, 6)
+        assert composed(f) == expected(f) == swap_action(f)

@@ -29,7 +29,12 @@ counts the reads.  ``<=`` stores no pairs, so ``check-prox`` on 64
 atoms, and ``check-morphism``, ``lift --morphism`` and ``compose`` into
 a 64-atom ``"leq"`` target, give ``ProxRel`` no pair set: wrapping
 ``ProxRel.__init__`` records the pair sets given, and wrapping
-``ProxRel.pair_at`` counts the draws, a few per sample.
+``ProxRel.pair_at`` counts the draws, a few per sample.  The elements
+they build grow at most linearly with ``--samples``.  ``lift --morphism
+--json`` into 16 ``"leq"`` atoms writes the target as ``"leq"``, and
+``check-morphism`` loads its output back.  The 16- and 64-atom runs
+are ``helpers.capped``: one that built ``<=``'s pairs again would fail
+with ``MemoryError`` in seconds, even where ``within`` cannot stop it.
 """
 
 import json
@@ -37,14 +42,9 @@ import random
 
 import pytest
 
-from helpers import steps_from_values, within
+from helpers import capped, steps_from_values, within
 from specker import proximity, terms
-from specker.boolalg import (
-    BoolElem,
-    element_from_json,
-    element_from_literal,
-    make_algebra,
-)
+from specker.boolalg import element_from_json, element_from_literal, make_algebra
 from specker.cli import run
 from specker.morphisms import (
     _APPROXIMANT_DRAWS,
@@ -98,20 +98,6 @@ G = orth_normalize(ALGEBRA, [(7 * i % N - 20, atom) for i, atom in enumerate(ATO
 # nonnegative operands for step_mul_nonneg, also one class per atom
 F_NONNEG = orth_normalize(ALGEBRA, [(3 * i, atom) for i, atom in enumerate(ATOMS)])
 G_NONNEG = orth_normalize(ALGEBRA, [(7 * i % N, atom) for i, atom in enumerate(ATOMS)])
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """A one-item list holding the number of ``BoolElem``s built so far."""
-    count = [0]
-    original = BoolElem.__post_init__
-
-    def counted(elem):
-        count[0] += 1
-        original(elem)
-
-    monkeypatch.setattr(BoolElem, "__post_init__", counted)
-    return count
 
 
 def test_operands_have_one_class_per_atom():
@@ -339,7 +325,7 @@ def test_check_morphism_into_sixteen_leq_atoms_gives_its_verdict(
     # the target's <= has 3^16 pairs, and none is stored: a hom passes
     # M1-M7, and a table that is none fails M1-M4 over its 1-atom source
     path = _one_atom_into(tmp_path, 16, image_of_one)
-    with within(2):
+    with within(2), capped():
         assert run(["check-morphism", "--morphism", path]) == code
     assert (*capsys.readouterr(),) == (out, "")
     assert reads["pair sets"] == []
@@ -352,8 +338,8 @@ SAMPLES = 20
 DRAWS_PER_SAMPLE = {"check-prox": 33, "check-morphism": 3, "lift": 0, "compose": 0}
 
 
-@pytest.mark.parametrize("command", sorted(DRAWS_PER_SAMPLE))
-def test_64_atoms_store_no_pairs_and_draw_a_few_per_sample(tmp_path, capsys, reads, command):
+def _operands_at_64(tmp_path, command: str) -> list[str]:
+    """The operands of ``command`` on 64 atoms, or into a 64-atom target."""
     b64 = tmp_path / "b64.json"
     b64.write_text(json.dumps({"atoms": [f"a{i}" for i in range(64)]}), encoding="utf-8")
     into64 = _one_atom_into(tmp_path, 64)
@@ -362,15 +348,49 @@ def test_64_atoms_store_no_pairs_and_draw_a_few_per_sample(tmp_path, capsys, rea
     identity.write_text(
         json.dumps({"source": one, "target": one, "map": {"0": "0", "1": "1"}}), encoding="utf-8"
     )
-    operands = {
+    return {
         "check-prox": ["--algebra", str(b64)],
         "check-morphism": ["--morphism", into64],
         "lift": ["--morphism", into64],
         # the 1-atom identity first, then into 64 atoms
         "compose": [into64, str(identity)],
     }[command]
-    with within(2):
+
+
+@pytest.mark.parametrize("command", sorted(DRAWS_PER_SAMPLE))
+def test_64_atoms_store_no_pairs_and_draw_a_few_per_sample(tmp_path, capsys, reads, command):
+    operands = _operands_at_64(tmp_path, command)
+    with within(2), capped():
         assert run([command, *operands, "--samples", str(SAMPLES)]) == 0
     assert capsys.readouterr().err == ""
     assert reads["pair sets"] == []
     assert reads["pair_at"] <= DRAWS_PER_SAMPLE[command] * SAMPLES
+
+
+@pytest.mark.parametrize("command", sorted(DRAWS_PER_SAMPLE))
+def test_64_atoms_build_elements_linearly_in_the_samples(tmp_path, capsys, built, command):
+    # O(samples * n) elements: doubling the samples at most doubles the
+    # count, plus the elements that loading the files builds
+    operands, counts = _operands_at_64(tmp_path, command), []
+    for samples in (SAMPLES, 2 * SAMPLES):
+        built[0] = 0
+        with within(2), capped():
+            assert run([command, *operands, "--samples", str(samples)]) == 0
+        counts.append(built[0])
+    assert capsys.readouterr().err == ""
+    assert counts[0] <= SAMPLES * N and counts[1] <= 2 * counts[0] + N
+
+
+def test_lift_json_into_sixteen_leq_atoms_writes_leq_and_loads_back(tmp_path, capsys, reads):
+    # the target's <= is written as "leq", not as its 3^16 pairs
+    with within(2), capped():
+        assert run(["lift", "--morphism", _one_atom_into(tmp_path, 16), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["target"]["proximity"] == "leq"
+    lifted = tmp_path / "lifted16.json"
+    lifted.write_text(out, encoding="utf-8")
+    with within(2), capped():
+        assert run(["check-morphism", "--morphism", str(lifted)]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS (7 axioms)\n")
+    # the one pair set read is the 1-atom source's <=, listed within the bound
+    assert [len(pairs) for pairs in reads["pair sets"]] == [3]
