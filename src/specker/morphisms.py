@@ -393,56 +393,54 @@ def sample_morphism_axioms(
     """
     _require_coeff_bound(coeff_bound)
     _require_devries(pm.source)
-    src_alg = pm.source.algebra
-    tgt_alg = pm.target.algebra
-    rng = random.Random(f"{seed}:morphism-axioms")
     results: list = []
 
-    image = pm.action(step_zero(src_alg))
-    _record(results, "M1", [None if image == step_zero(tgt_alg) else (image,)])
-
-    def m2():
-        s = random_steps(rng, src_alg, coeff_bound)
-        t = random_steps(rng, src_alg, coeff_bound)
-        holds = pm.action(step_meet(s, t)) == step_meet(pm.action(s), pm.action(t))
-        return None if holds else (s, t)
-
-    def m3():
-        s, t = sample_related_pair(rng, pm.source, coeff_bound)
-        lower = step_neg(pm.action(step_neg(s)))
-        return None if lift_check(pm.target, lower, pm.action(t)) else (s, t)
-
-    def m4():
-        t = random_steps(rng, src_alg, coeff_bound)
-        return None if _approximant_join(pm, t, rng) == pm.action(t) else (t,)
-
-    def m5():
-        s = random_steps(rng, src_alg, coeff_bound)
-        a = rng.randint(-coeff_bound, coeff_bound)
-        left = pm.action(_sum(s, step_const(src_alg, a)))
-        right = _sum(pm.action(s), step_const(tgt_alg, a))
-        return None if left == right else (s, a)
-
-    def m6():
-        s = random_steps(rng, src_alg, coeff_bound)
-        a = rng.randint(0, coeff_bound)
-        holds = pm.action(step_scale(a, s)) == step_scale(a, pm.action(s))
-        return None if holds else (s, a)
-
-    def m7():
-        s = random_steps(rng, src_alg, coeff_bound)
-        a = rng.randint(-coeff_bound, coeff_bound)
-        left = pm.action(step_join(s, step_const(src_alg, a)))
-        right = step_join(pm.action(s), step_const(tgt_alg, a))
-        return None if left == right else (s, a)
-
-    _record_sampled(
-        results,
-        samples,
-        [("M2", m2), ("M3", m3), ("M4", m4), ("M5", m5), ("M6", m6), ("M7", m7)],
-    )
+    image = pm.action(step_zero(pm.source.algebra))
+    _record(results, "M1", [None if image == step_zero(pm.target.algebra) else (image,)])
+    rng = random.Random(f"{seed}:morphism-axioms")
+    _record_sampled(results, samples, _morphism_checks(pm, rng, coeff_bound))
 
     return ProxReport("proximity morphism axioms", tuple(results))
+
+
+def _morphism_checks(pm: ProxMorphism, rng: random.Random, coeff_bound: int) -> list:
+    """M2-M7 as :func:`proximity._record_sampled` rows; M4's ``holds`` draws
+    its approximant combinations from ``rng``, right after its draw."""
+    src_alg, tgt_alg, act = pm.source.algebra, pm.target.algebra, pm.action
+
+    def steps() -> StepElem:
+        return random_steps(rng, src_alg, coeff_bound)
+
+    def m3(s: StepElem, t: StepElem) -> bool:
+        return lift_check(pm.target, step_neg(act(step_neg(s))), act(t))
+
+    def m5(s: StepElem, a: int) -> bool:
+        left = act(_sum(s, step_const(src_alg, a)))
+        return left == _sum(act(s), step_const(tgt_alg, a))
+
+    def m7(s: StepElem, a: int) -> bool:
+        left = act(step_join(s, step_const(src_alg, a)))
+        return left == step_join(act(s), step_const(tgt_alg, a))
+
+    def signed() -> tuple[StepElem, int]:
+        return steps(), rng.randint(-coeff_bound, coeff_bound)
+
+    return [
+        (
+            "M2",
+            lambda: (steps(), steps()),
+            lambda s, t: act(step_meet(s, t)) == step_meet(act(s), act(t)),
+        ),
+        ("M3", lambda: sample_related_pair(rng, pm.source, coeff_bound), m3),
+        ("M4", lambda: (steps(),), lambda t: _approximant_join(pm, t, rng) == act(t)),
+        ("M5", signed, m5),
+        (
+            "M6",
+            lambda: (steps(), rng.randint(0, coeff_bound)),
+            lambda s, a: act(step_scale(a, s)) == step_scale(a, act(s)),
+        ),
+        ("M7", signed, m7),
+    ]
 
 
 # --- functors and natural isomorphisms ---------------------------------------
@@ -505,11 +503,11 @@ def naturality_check(
     # composed stepwise without the gate, so a wrong restriction fails the square
     relifted = _compose_with_steps(restrict_prox_morphism(lifted))
 
-    def eta_square():
-        s = random_steps(rng, m.source.algebra, 10)
-        return None if relifted(s) == lifted.action(s) else (s,)
+    def eta_draw() -> tuple[StepElem]:
+        return (random_steps(rng, m.source.algebra, 10),)
 
-    _record_sampled(results, samples, [("eta-square", eta_square)])
+    square = ("eta-square", eta_draw, lambda s: relifted(s) == lifted.action(s))
+    _record_sampled(results, samples, [square])
 
     return ProxReport("naturality squares", tuple(results))
 

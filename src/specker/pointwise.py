@@ -61,9 +61,6 @@ class PointFn(_Frozen):
         _setattr(self, "algebra", algebra)
         _setattr(self, "values", values)
 
-    def value_at(self, atom_name: str) -> Scalar:
-        return self.values[self.algebra.atoms.index(atom_name)]
-
     def __str__(self) -> str:
         return " ".join(
             f"{name}={format_scalar(value)}"

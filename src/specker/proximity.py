@@ -32,11 +32,11 @@ Every axiom, exhaustive or sampled, here and in :mod:`specker.morphisms`,
 is recorded by one recorder: its cases yield ``None`` when they hold and
 a witness when they fail, ``boolalg._first_failure`` counts them up to
 the first failure, and an axiom that failed or checked no case at all
-fails.  A sampled check (P2-P10, M2-M7, the eta-square) is one case
-function that draws a single sample; ``_record_sampled`` runs each over
-``samples`` calls, in the order given, and holds the one case loop; a
-case that raises ``ValueError`` fails its axiom, with the message as its
-witness.
+fails.  A sampled check (P2-P10, M2-M7, the eta-square) is a row
+``(name, draw, holds)``: ``draw`` takes one sample's operands from the
+suite's seeded generator and ``holds`` decides them.  ``_record_sampled``
+holds the one loop over ``samples`` and the one witness rule: a failing
+sample's operands, or the message of a ``ValueError`` raised by either.
 
 Axioms on the boolean algebra:
 
@@ -282,27 +282,28 @@ def _record(
     results.append(AxiomResult(name, False, checked, failure))
 
 
-def _record_sampled(
-    results: list, samples: int, checks: Sequence[tuple[str, Callable[[], object]]]
-) -> None:
-    """Record each sampled check, in order, over ``samples`` calls of its case.
+def _record_sampled(results: list, samples: int, checks: Sequence[tuple]) -> None:
+    """Record each ``(name, draw, holds)`` check, in order, over ``samples`` draws.
 
-    A case draws one sample and returns ``None`` when it holds and its
-    witness when it fails.  A case that raises ``ValueError`` fails too:
-    it counts as checked, and the message is its witness, so the checks
-    after it still run.  Each check runs to its first failure before the
-    next one starts, so checks sharing one seeded ``rng`` draw from it in
-    the order given.  This is the one loop over ``samples`` in the
-    sampled suites: P2-P10, M2-M7 and the eta-square.
+    ``draw()`` returns one sample's operands and ``holds(*operands)``
+    decides them.  A sample that fails has its operands as its witness;
+    a ``ValueError`` from ``draw`` or ``holds`` fails too: it counts as
+    checked, its message is the witness, and the checks after it still
+    run.  Each check runs to its first failure before the next one
+    starts, so checks sharing one seeded ``rng`` draw from it in the
+    order given.  This is the one loop over ``samples`` in the sampled
+    suites: P2-P10, M2-M7 and the eta-square.
     """
-    for name, case in checks:
-        _record(results, name, (_run_case(case) for _ in range(samples)))
+    for name, draw, holds in checks:
+        _record(results, name, (_run_case(draw, holds) for _ in range(samples)))
 
 
-def _run_case(case: Callable[[], object]) -> object:
-    """The case's outcome, or the message of the ``ValueError`` it raised."""
+def _run_case(draw: Callable[[], tuple], holds: Callable[..., bool]) -> tuple | None:
+    """``None`` when the drawn operands hold, else the operands or the
+    message of the ``ValueError`` raised."""
     try:
-        return case()
+        operands = draw()
+        return None if holds(*operands) else operands
     except ValueError as exc:
         return (str(exc),)
 
@@ -545,94 +546,83 @@ def sample_proximity_axioms(
     """
     _require_coeff_bound(coeff_bound)
     _require_devries(rel)
-    algebra = rel.algebra
-    rng = random.Random(f"{seed}:proximity-axioms")
-    zero = step_zero(algebra)
-    one = step_one(algebra)
+    zero, one = step_zero(rel.algebra), step_one(rel.algebra)
     results: list = []
 
-    _record(
-        results,
-        "P1",
-        [
-            None if step_leq(zero, zero) else (zero, zero),
-            None if step_leq(one, one) else (one, one),
-        ],
-    )
+    _record(results, "P1", [None if step_leq(e, e) else (e, e) for e in (zero, one)])
+    rng = random.Random(f"{seed}:proximity-axioms")
+    _record_sampled(results, samples, _proximity_checks(rel, rng, coeff_bound))
 
-    def p2():
-        s, t = sample_related_pair(rng, rel, coeff_bound)
-        return None if step_leq(s, t) else (s, t)
+    return ProxReport("lifted proximity axioms", tuple(results))
+
+
+def _proximity_checks(rel: ProxRel, rng: random.Random, coeff_bound: int) -> list:
+    """P2-P10 as :func:`_record_sampled` rows; each ``holds`` reads only its
+    operands, so it decides enumerated ones as well as drawn ones."""
+    algebra = rel.algebra
+    zero, one = step_zero(algebra), step_one(algebra)
+
+    def pair(nonneg: bool = False) -> tuple[StepElem, StepElem]:
+        return sample_related_pair(rng, rel, coeff_bound, nonneg)
+
+    def steps() -> StepElem:
+        return random_steps(rng, algebra, coeff_bound)
+
+    def nonneg_steps() -> StepElem:
+        return step_join(steps(), zero)
 
     def p3():
-        t, r = sample_related_pair(rng, rel, coeff_bound)
-        down = step_join(random_steps(rng, algebra, coeff_bound), zero)
-        up = step_join(random_steps(rng, algebra, coeff_bound), zero)
-        s = _sum(t, step_neg(down))
-        u = _sum(r, up)
-        return None if step_leq(s, u) else (s, t, r, u)
+        t, r = pair()
+        down, up = nonneg_steps(), nonneg_steps()
+        return _sum(t, step_neg(down)), t, r, _sum(r, up)
 
     def p4():
-        s1, t = sample_related_pair(rng, rel, coeff_bound)
-        s2, r = sample_related_pair(rng, rel, coeff_bound)
-        s = step_meet(s1, s2)
-        # meets of related pairs stay related; if the first two checks
-        # fail the relation itself is broken, so report it the same way
-        holds = (
-            step_leq(s, t)
-            and step_leq(s, r)
-            and step_leq(s, step_meet(t, r))
-        )
-        return None if holds else (s, t, r)
-
-    def p5():
-        s, t = sample_related_pair(rng, rel, coeff_bound)
-        return None if step_leq(step_neg(t), step_neg(s)) else (s, t)
-
-    def p6():
-        s, t = sample_related_pair(rng, rel, coeff_bound)
-        r, u = sample_related_pair(rng, rel, coeff_bound)
-        return None if step_leq(_sum(s, r), _sum(t, u)) else (s, t, r, u)
+        (s1, t), (s2, r) = pair(), pair()
+        return step_meet(s1, s2), t, r
 
     def p7():
         if rng.random() < 0.5:
-            s, t = sample_related_pair(rng, rel, coeff_bound)
+            s, t = pair()
         else:
-            s = random_steps(rng, algebra, coeff_bound)
-            t = random_steps(rng, algebra, coeff_bound)
-        a = rng.randint(1, coeff_bound)
-        scaled = step_leq(step_scale_pos(a, s), step_scale_pos(a, t))
-        return None if scaled == step_leq(s, t) else (a, s, t)
-
-    def p8():
-        s, t = sample_related_pair(rng, rel, coeff_bound, nonneg=True)
-        r, u = sample_related_pair(rng, rel, coeff_bound, nonneg=True)
-        holds = step_leq(step_mul_nonneg(s, r), step_mul_nonneg(t, u))
-        return None if holds else (s, t, r, u)
+            s, t = steps(), steps()
+        return rng.randint(1, coeff_bound), s, t
 
     def p9():
-        s, t = sample_related_pair(rng, rel, coeff_bound)
-        r = interpolate_lifted(rel, s, t)
-        return None if step_leq(s, r) and step_leq(r, t) else (s, r, t)
+        s, t = pair()
+        return s, interpolate_lifted(rel, s, t), t
 
     def p10():
-        s = step_join(random_steps(rng, algebra, coeff_bound), zero)
+        s = nonneg_steps()
         if s == zero:
             s = _sum(s, one)
-        t = positive_approximant(rel, s)
-        positive = t.thresholds[0] >= 0 and t != zero
-        return None if positive and step_leq(t, s) else (t, s)
+        return positive_approximant(rel, s), s
 
-    _record_sampled(
-        results,
-        samples,
-        [
-            ("P2", p2), ("P3", p3), ("P4", p4), ("P5", p5), ("P6", p6),
-            ("P7", p7), ("P8", p8), ("P9", p9), ("P10", p10),
-        ],
-    )
-
-    return ProxReport("lifted proximity axioms", tuple(results))
+    return [
+        ("P2", pair, step_leq),
+        ("P3", p3, lambda s, t, r, u: step_leq(s, u)),
+        # meets of related pairs stay related; if the first two checks
+        # fail the relation itself is broken, so report it the same way
+        (
+            "P4",
+            p4,
+            lambda s, t, r: step_leq(s, t) and step_leq(s, r) and step_leq(s, step_meet(t, r)),
+        ),
+        ("P5", pair, lambda s, t: step_leq(step_neg(t), step_neg(s))),
+        ("P6", lambda: pair() + pair(), lambda s, t, r, u: step_leq(_sum(s, r), _sum(t, u))),
+        (
+            "P7",
+            p7,
+            lambda a, s, t: step_leq(step_scale_pos(a, s), step_scale_pos(a, t))
+            == step_leq(s, t),
+        ),
+        (
+            "P8",
+            lambda: pair(True) + pair(True),
+            lambda s, t, r, u: step_leq(step_mul_nonneg(s, r), step_mul_nonneg(t, u)),
+        ),
+        ("P9", p9, lambda s, r, t: step_leq(s, r) and step_leq(r, t)),
+        ("P10", p10, lambda t, s: t.thresholds[0] >= 0 and t != zero and step_leq(t, s)),
+    ]
 
 
 def interpolate_lifted(rel: ProxRel, s: StepElem, t: StepElem) -> StepElem:

@@ -25,16 +25,23 @@ Scalar = Union[int, Fraction]
 # optional sign, digits, optional "/digits"; no whitespace inside a literal
 _LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
+# the most digits a numerator or denominator may have: CPython's default
+# int-to-string limit, refused here with this package's own message
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS  # the least int over the bound
+
 
 def parse_scalar(text: str) -> Scalar:
     """Parse an integer or ``p/q`` rational literal into an exact scalar.
 
     Rationals are normalized; a rational that reduces to an integer is
-    returned as ``int``.  Raises ``ValueError`` on malformed text or a
-    zero denominator.
+    returned as ``int``.  Raises ``ValueError`` on malformed text, a
+    zero denominator, or a part over ``_MAX_DIGITS`` digits.
     """
     if not isinstance(text, str) or not _LITERAL.fullmatch(text):
         raise ValueError(f"malformed scalar literal: {_shown(text)}")
+    if len(text) > _MAX_DIGITS and max(map(len, text.lstrip("-").split("/"))) > _MAX_DIGITS:
+        raise ValueError(f"scalar literal over the bound of {_MAX_DIGITS} digits")
     if "/" in text:
         num_text, den_text = text.split("/")
         den = int(den_text)
@@ -46,7 +53,10 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Canonical text for a scalar; inverse of :func:`parse_scalar`."""
+    """Canonical text for a scalar; inverse of :func:`parse_scalar`, and
+    refuses, as it does, a numerator or denominator over the bound."""
+    if max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+        raise ValueError(f"scalar over the bound of {_MAX_DIGITS} digits")
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)

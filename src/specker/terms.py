@@ -271,7 +271,7 @@ class _Parser:
         if kind == "number":
             try:
                 value = parse_scalar(text)
-            except ValueError as exc:  # a zero denominator
+            except ValueError as exc:  # a zero denominator or too many digits
                 raise ParseError(str(exc), position) from None
             return Lit(value), 0, 1
         if kind == "ident":

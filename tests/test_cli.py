@@ -150,6 +150,53 @@ def test_a_long_token_is_quoted_in_one_short_line(files, capsys, expr, line):
     assert captured.err == line + "\n"
 
 
+WIDE = "7" * 5000  # a literal past the 4,300-digit scalar bound
+OVER = "error: scalar over the bound of 4300 digits"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # 99999^1000 has 5,000 digits
+        (["normalize", "--expr", "(99999*x_p)^1000"], OVER),
+        (["normalize", "--json", "--expr", "(99999*x_p)^1000"], OVER),
+        (["eval", "--expr", "(99999*x_p)^1000"], OVER),
+        (
+            ["normalize", "--expr", WIDE],
+            "syntax error: scalar literal over the bound of 4300 digits at position 0",
+        ),
+    ],
+    ids=["normalize", "normalize-json", "eval", "literal"],
+)
+def test_a_scalar_past_the_digit_bound_is_refused_in_one_line(files, capsys, argv, line):
+    assert run([*argv, "--algebra", files["b4"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert "set_int_max_str_digits" not in captured.err
+
+
+def test_an_element_file_past_the_digit_bound_is_refused_in_one_line(files, capsys):
+    path = files["dir"] / "wide.json"
+    path.write_text(json.dumps({"rep": "flat", "steps": [{"upto": WIDE, "idem": "1"}]}))
+    assert run(["convert", "--algebra", files["b4"], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: scalar literal over the bound of 4300 digits\n"
+
+
+def test_a_scalar_within_the_digit_bound_prints_and_reloads(files, capsys):
+    # 99999^800 has 4,000 digits
+    argv = ["normalize", "--algebra", files["b4"], "--expr", "(99999*x_p)^800"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.strip() == f"{99999**800}·[p] + 0·[q]"
+    assert run([*argv, "--json"]) == 0
+    path = files["dir"] / "wide.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run(["convert", "--algebra", files["b4"], str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rep"] == "flat"
+
+
 def test_convert_round_trip(files, capsys):
     assert run(["convert", "--algebra", files["b4"], files["s"], "--json"]) == 0
     flat = json.loads(capsys.readouterr().out)

@@ -14,9 +14,10 @@ quadratic.
 
 ``normalize_term`` runs one fixed term over three generators, so that
 only the algebra grows: a sum over all n generators would grow the term
-with it.  ``orth_scale``, ``step_scale`` and ``step_neg`` have no row:
-they work in comprehensions, which no event sees, so their counts stay
-constant.
+with it.  ``sample_proximity_axioms`` runs one sample of each of P2-P10
+on ``<=``, at its default seed and coefficient bound.  ``orth_scale``,
+``step_scale`` and ``step_neg`` have no row: they work in
+comprehensions, which no event sees, so their counts stay constant.
 
 ``ProxRel.pair_at`` on ``<=`` unranks its pair in two loops over the
 atoms that call nothing, so its row counts ``line`` events under
@@ -36,7 +37,7 @@ import pytest
 
 from helpers import capped
 from specker.boolalg import make_algebra
-from specker.proximity import leq_proximity
+from specker.proximity import leq_proximity, lift_check, sample_proximity_axioms
 from specker.orthogonal import (
     orth_add,
     orth_join,
@@ -127,6 +128,18 @@ ROWS = {
     "to_steps": (to_steps, random_orth, lambda f, g: (f,)),
     "to_orth": (to_orth, random_steps, lambda f, g: (f,)),
     "normalize_term": (normalize_term, _algebra, lambda a, b: (TERM, a)),
+    # a related pair under <=, so that the lift walks every threshold
+    "lift_check": (
+        lift_check,
+        random_steps,
+        lambda f, g: (leq_proximity(f.algebra), step_meet(f, g), g),
+    ),
+    # one sample of each of P2-P10 on <=, at the suite's default seed
+    "sample_proximity_axioms": (
+        sample_proximity_axioms,
+        _algebra,
+        lambda a, b: (leq_proximity(a), 1),
+    ),
 }
 
 

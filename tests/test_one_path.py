@@ -14,7 +14,8 @@ reached: ``ba_apply`` with ``_CONNECTIVE_ARITY`` (a second spelling of
 and ``functor_id_morphism`` (aliases of ``lift_morphism`` and
 ``restrict_prox_morphism``), nor ``_morphism_from_json`` and its
 ``bounded`` flag, which refused a morphism side over the exhaustive
-bound before ``<=`` was built.  These tests read the source, so a
+bound before ``<=`` was built, nor ``PointFn.value_at``, which nothing
+called.  These tests read the source, so a
 definition or use added anywhere in the package is caught.
 """
 
@@ -45,6 +46,7 @@ ABSENT = REFERENCES | {
     "functor_id_morphism",
     "_morphism_from_json",
     "bounded",
+    "value_at",
 }
 
 

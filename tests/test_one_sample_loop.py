@@ -1,8 +1,8 @@
 """The sampled checks share one case loop.
 
-P2-P10, M2-M7 and the eta-square each hand a one-sample case to
-``proximity._record_sampled``, which decides how many cases run, in what
-order, and where a check stops.  No other code in ``specker`` may loop
+P2-P10, M2-M7 and the eta-square each hand a ``(name, draw, holds)``
+row to ``proximity._record_sampled``, which decides how many samples
+run, in what order, where a check stops and what its witness is.  No other code in ``specker`` may loop
 over ``samples`` itself; ``pointwise``, the independent oracle, keeps its
 own.  These tests read the source, so a loop added anywhere in the
 package is caught.

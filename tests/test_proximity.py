@@ -333,23 +333,54 @@ def test_sample_related_pair_rejects_coeff_bound_below_1(b4, bound):
     assert rng.getstate() == state
 
 
+def test_a_failing_sample_is_witnessed_by_its_drawn_operands():
+    drawn = iter(range(10))
+    results = []
+    proximity._record_sampled(
+        results, 5, [("A", lambda: (next(drawn), "x"), lambda k, x: k < 2)]
+    )
+    assert str(results[0]) == "A: FAIL (2, x)"
+    assert results[0].checked == 3
+    assert results[0].counterexample == (2, "x")
+
+
 def test_a_sampled_case_that_raises_fails_its_own_check_only():
+    # A raises in its draw and B in its predicate, each at its third
+    # sample; both count that sample, and C still runs all five
     calls = []
 
-    def raising():
-        calls.append("raising")
-        if len(calls) == 3:
-            raise ValueError("thresholds must strictly increase")
+    def draw(name):
+        def drawn():
+            calls.append(f"draw {name}")
+            if name == "A" and calls.count("draw A") == 3:
+                raise ValueError("thresholds must strictly increase")
+            return (calls.count(f"draw {name}"),)
 
-    def holding():
-        calls.append("holding")
+        return drawn
+
+    def holds(name):
+        def decide(k):
+            calls.append(f"holds {name}")
+            if name == "B" and k == 3:
+                raise ValueError("a positive approximant needs s > 0")
+            return True
+
+        return decide
 
     results = []
-    proximity._record_sampled(results, 5, [("A", raising), ("B", holding)])
-    assert calls == ["raising"] * 3 + ["holding"] * 5
+    proximity._record_sampled(
+        results, 5, [(name, draw(name), holds(name)) for name in "ABC"]
+    )
+    assert calls == (
+        ["draw A", "holds A"] * 2 + ["draw A"]
+        + ["draw B", "holds B"] * 3
+        + ["draw C", "holds C"] * 5
+    )
     assert [str(result) for result in results] == [
         "A: FAIL (thresholds must strictly increase)",
-        "B: pass (5 checks)",
+        "B: FAIL (a positive approximant needs s > 0)",
+        "C: pass (5 checks)",
     ]
-    assert results[0].checked == 3
+    assert [result.checked for result in results] == [3, 3, 5]
     assert results[0].counterexample == ("thresholds must strictly increase",)
+    assert results[1].counterexample == ("a positive approximant needs s > 0",)

@@ -54,6 +54,43 @@ def test_parse_rejects_zero_denominator():
         parse_scalar("3/0")
 
 
+# CPython's default int-to-string limit, which the scalar bound equals
+DIGITS = 4300
+WIDEST = 10**DIGITS - 1  # 4,300 nines
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_scalars_at_the_digit_bound_round_trip(sign):
+    for value in (sign * WIDEST, Fraction(sign * WIDEST, 7), Fraction(sign, WIDEST)):
+        text = format_scalar(value)
+        assert max(len(part.lstrip("-")) for part in text.split("/")) == DIGITS
+        assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize(
+    "digits",
+    ["9" * (DIGITS + 1), "9" * (DIGITS + 1) + "/7", "1/" + "9" * (DIGITS + 1), "0" * (DIGITS + 1)],
+    ids=["int", "numerator", "denominator", "zeros"],
+)
+def test_parse_refuses_a_part_past_the_bound(sign, digits):
+    with pytest.raises(ValueError) as caught:
+        parse_scalar(sign + digits)
+    assert str(caught.value) == f"scalar literal over the bound of {DIGITS} digits"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "value",
+    [WIDEST + 1, Fraction(WIDEST + 1, 7), Fraction(1, WIDEST + 1)],
+    ids=["int", "numerator", "denominator"],
+)
+def test_format_refuses_a_part_past_the_bound(sign, value):
+    with pytest.raises(ValueError) as caught:
+        format_scalar(sign * value)
+    assert str(caught.value) == f"scalar over the bound of {DIGITS} digits"
+
+
 def test_format_examples():
     assert format_scalar(0) == "0"
     assert format_scalar(-3) == "-3"
