@@ -6,8 +6,9 @@ aligned with the atom order.  Free algebras on ``n`` generators are
 realized as powerset algebras over the ``2**n`` minterms, with each
 generator bound to the minterms in which its variable is true.
 
-Elements carry a reference to their algebra and every operation rejects
-operands from different algebras rather than coercing silently.
+Elements carry a reference to their algebra, and every operation rejects
+operands from different algebras rather than coercing silently: in every
+layer the one refusal is :func:`_check_same_algebra`, with its one message.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class Algebra(_Frozen):
         for gen_name, mask in self.generators:
             if gen_name == name:
                 return BoolElem(self, mask)
-        raise ValueError(f"unknown generator: {name!r}")
+        raise ValueError(f"unknown generator: {_shown(name)}")
 
     def from_mask(self, mask: int) -> "BoolElem":
         return BoolElem(self, mask)
@@ -178,7 +179,7 @@ class BoolElem(_Frozen):
     # elements built (the benchmark's tracer does)
     def __post_init__(self) -> None:
         if not 0 <= self.mask <= self.algebra.full_mask:
-            raise ValueError(f"mask {self.mask} out of range for {self.algebra!r}")
+            raise ValueError(f"mask {_shown(self.mask)} out of range for {_shown(self.algebra)}")
 
     # --- boolean operations -------------------------------------------------
 
@@ -231,10 +232,13 @@ _MIXED = "mixed algebras: operands belong to different algebras"
 def _check_same_algebra(*items) -> Algebra:
     """The algebra that all ``items`` belong to; ``ValueError`` if they differ.
 
-    Every layer checks its operands with this one helper.  Identity is
-    compared first: operands almost always share one ``Algebra`` object.
+    The one refusal of operands from two algebras: no other code raises
+    it.  The first item may be an ``Algebra``, which the rest must then
+    belong to.  Identity is compared first: operands almost always share
+    one ``Algebra`` object.
     """
-    algebra = items[0].algebra
+    first = items[0]
+    algebra = first if first.__class__ is Algebra else first.algebra
     for item in items[1:]:
         other = item.algebra
         if other is not algebra and other != algebra:
@@ -292,9 +296,17 @@ def make_free_algebra(n: int) -> Algebra:
 
 _QUOTED = 40  # the longest repr a refusal quotes, so that it stays one short line
 
+# the most digits an int may have: CPython's default int-to-string limit,
+# past which ``repr`` raises, refused with this package's own message
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS  # the least int over the bound
+
 
 def _shown(value) -> str:
-    """``repr(value)`` if short, else an object's keys, or the type and length."""
+    """``repr(value)`` if short, else an object's keys, or the type and
+    length; an int over ``_MAX_DIGITS`` digits is named by its bits."""
+    if isinstance(value, int) and abs(value) >= _TOO_LONG:
+        return f"an int of {value.bit_length()} bits"
     text = repr(value)
     if len(text) <= _QUOTED:
         return text
@@ -302,6 +314,8 @@ def _shown(value) -> str:
         return f"an object with keys {keys}"
     if isinstance(value, (dict, list, str)):
         return f"a {type(value).__name__} of length {len(value)}"
+    if isinstance(value, Algebra):
+        return f"an algebra of {len(value.atoms)} atoms"
     return f"{text[:_QUOTED]}..."
 
 

@@ -28,7 +28,7 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .boolalg import Algebra, algebra_from_json, make_algebra
+from .boolalg import _MAX_DIGITS, Algebra, algebra_from_json, make_algebra
 from .orthogonal import (
     OrthElem,
     orth_from_json,
@@ -76,6 +76,10 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise UsageError(f"{path} is nested too deeply to read") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text") from exc
+    except ValueError as exc:  # an integer past CPython's int-to-string limit
+        raise UsageError(f"{path}: integer over the bound of {_MAX_DIGITS} digits") from exc
 
 
 def _parsed(path: str, parse, *args, prefix: str = ""):

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 from .boolalg import (
     Algebra,
     BoolElem,
+    _check_same_algebra,
     _field,
     _Frozen,
     _setattr,
@@ -126,8 +127,7 @@ class DVMorphism(_Frozen):
         _setattr(self, "table", table)
 
     def apply(self, e: BoolElem) -> BoolElem:
-        if e.algebra != self.source.algebra:
-            raise ValueError("element from a different algebra")
+        _check_same_algebra(self.source, e)
         return self.target.algebra.from_mask(self.table[e.mask])
 
     def __repr__(self) -> str:
@@ -323,8 +323,7 @@ def apply_prox_morphism(pm: ProxMorphism, f: StepElem) -> StepElem:
     For lifted morphisms the tier-1 tests compare the result with the
     decreasing-decomposition formula ``a0 + sum(b_i * m(e_i))``.
     """
-    if f.algebra != pm.source.algebra:
-        raise ValueError("element from a different algebra")
+    _check_same_algebra(pm.source, f)
     return pm.action(f)
 
 

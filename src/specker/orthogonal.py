@@ -103,8 +103,8 @@ class OrthElem(_Frozen):
         entries = tuple((value, c) for value, c in entries)  # pairs, as ``entries`` reads
         values = tuple(value for value, _ in entries)
         _require_exact(*values)
-        homes = [c.algebra is algebra or c.algebra == algebra for _, c in entries]
-        _fill(self, algebra, values, tuple(c.mask for _, c in entries), homes)
+        _check_same_algebra(algebra, *(c for _, c in entries))
+        _fill(self, algebra, values, tuple(c.mask for _, c in entries))
         _setattr(self, "_entries", entries)
 
     @property
@@ -161,18 +161,15 @@ def _fill(
     algebra: Algebra,
     values: tuple[Scalar, ...],
     masks: tuple[int, ...],
-    homes: Sequence[bool] = (),
 ) -> OrthElem:
     """Check the invariants of an orthogonal element on its masks, then
-    store them; ``homes`` tells which given components are of ``algebra``."""
+    store them; the masks are of ``algebra``, which the caller has checked."""
     if not values:
         raise ValueError("an orthogonal decomposition cannot be empty")
     covered = 0
     for i, mask in enumerate(masks):
         if i and not values[i - 1] < values[i]:
             raise ValueError("values must be strictly increasing")
-        if homes and not homes[i]:
-            raise ValueError("component from a different algebra")
         if mask == 0:
             raise ValueError("zero component in canonical form")
         if mask & covered:
@@ -205,8 +202,7 @@ def orth_normalize(
     merged: dict[Scalar, int] = {}
     for value, component in entries:
         _require_exact(value)
-        if component.algebra != algebra:
-            raise ValueError("component from a different algebra")
+        _check_same_algebra(algebra, component)
         if component.mask == 0:
             continue
         merged[value] = merged.get(value, 0) | component.mask
@@ -401,11 +397,9 @@ def annihilator_idempotent(gens: Sequence[OrthElem]) -> BoolElem:
     """
     if not gens:
         raise ValueError("annihilator of an empty generator list is undefined")
-    algebra = gens[0].algebra
+    algebra = _check_same_algebra(*gens)
     support_mask = 0
     for g in gens:
-        if g.algebra != algebra:
-            raise ValueError("mixed algebras in generator list")
         support_mask |= g.support().mask
     return algebra.from_mask(algebra.full_mask & ~support_mask)
 

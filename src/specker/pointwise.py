@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator, Sequence, Union
 
-from .boolalg import Algebra, _first_failure, _Frozen, _setattr
+from .boolalg import Algebra, _check_same_algebra, _first_failure, _Frozen, _setattr, _shown
 from .orthogonal import OrthElem
 from .scalars import (
     Scalar,
@@ -108,10 +108,7 @@ def pointwise_apply(
     """Coordinatewise add/mul/min/max, scalar multiple, or negation."""
     if not args:
         raise ValueError("no operands")
-    algebra = args[0].algebra
-    for arg in args[1:]:
-        if arg.algebra != algebra:
-            raise ValueError("mixed algebras in pointwise operation")
+    algebra = _check_same_algebra(*args)
     if op == "scalar":
         if len(args) != 1 or scalar is None:
             raise ValueError("scalar multiplication takes one operand and a scalar")
@@ -121,7 +118,7 @@ def pointwise_apply(
             raise ValueError("negation takes one operand")
         return PointFn(algebra, tuple(-v for v in args[0].values))
     if op not in _POINTWISE_OPS:
-        raise ValueError(f"unknown pointwise operation: {op!r}")
+        raise ValueError(f"unknown pointwise operation: {_shown(op)}")
     if len(args) != 2:
         raise ValueError(f"{op} takes two operands, got {len(args)}")
     fn = _POINTWISE_OPS[op]
@@ -306,7 +303,7 @@ def oracle_diff(
     }
     for name in overrides or {}:
         if name not in ops:
-            raise ValueError(f"cannot override {name!r}: the oracle checks no such op")
+            raise ValueError(f"cannot override {_shown(name)}: the oracle checks no such op")
     ops.update(overrides or {})
 
     records: list[dict] = []

@@ -147,8 +147,7 @@ class ProxRel(_Frozen):
         _setattr(self, "_sorted", None if pairs is None else tuple(sorted(pairs)))
 
     def related(self, e: BoolElem, f: BoolElem) -> bool:
-        if e.algebra != self.algebra or f.algebra != self.algebra:
-            raise ValueError("elements from a different algebra")
+        _check_same_algebra(self, e, f)
         return e.mask & ~f.mask == 0 if self.pairs is None else (e.mask, f.mask) in self.pairs
 
     def has(self, e: int, f: int) -> bool:
@@ -446,20 +445,13 @@ def interpolant(rel: ProxRel, e: BoolElem, f: BoolElem) -> BoolElem:
     return e
 
 
-def _require_lift_operands(rel: ProxRel, *elems: StepElem) -> None:
-    try:
-        _check_same_algebra(rel, *elems)
-    except ValueError:
-        raise ValueError("mixed algebras in lifted proximity check") from None
-
-
 def lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
     """The pointwise lift: related iff step values are related everywhere.
 
     Past the gate the relation is ``<=``, so its lift is the pointwise
     order :func:`steps.step_leq`.
     """
-    _require_lift_operands(rel, s, t)
+    _check_same_algebra(rel, s, t)
     _require_devries(rel)
     return step_leq(s, t)
 
@@ -642,7 +634,7 @@ def positive_approximant(rel: ProxRel, s: StepElem) -> StepElem:
     ``t`` is an atom below the last step component of ``s``, the one
     whose name sorts first, spread over the window (0, top threshold].
     """
-    _require_lift_operands(rel, s)
+    _check_same_algebra(rel, s)
     _require_devries(rel)
     algebra = rel.algebra
     if not (s.thresholds[0] >= 0 and s != step_zero(algebra)):

@@ -18,17 +18,12 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .boolalg import _shown
+from .boolalg import _MAX_DIGITS, _TOO_LONG, _shown
 
 Scalar = Union[int, Fraction]
 
 # optional sign, digits, optional "/digits"; no whitespace inside a literal
 _LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-# the most digits a numerator or denominator may have: CPython's default
-# int-to-string limit, refused here with this package's own message
-_MAX_DIGITS = 4300
-_TOO_LONG = 10**_MAX_DIGITS  # the least int over the bound
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -82,7 +77,7 @@ def _require_coeff_bound(coeff_bound: int) -> None:
 def _require_domain(domain: str) -> None:
     """Refuse a coefficient domain other than ``"int"`` and ``"fraction"``."""
     if domain not in ("int", "fraction"):
-        raise ValueError(f"unknown coefficient domain: {domain!r}")
+        raise ValueError(f"unknown coefficient domain: {_shown(domain)}")
 
 
 def _random_values(

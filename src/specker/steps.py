@@ -50,7 +50,6 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .boolalg import (
-    _MIXED,
     Algebra,
     BoolElem,
     _check_same_algebra,
@@ -125,9 +124,8 @@ class StepElem(_Frozen):
     ) -> None:
         thresholds, idems = tuple(thresholds), tuple(idems)  # so that lists still hash
         _require_exact(*thresholds)
-        homes = [idem.algebra is algebra or idem.algebra == algebra for idem in idems]
-        full = idems[0].algebra.full_mask if idems else 0
-        _fill(self, algebra, full, thresholds, tuple(e.mask for e in idems), homes)
+        _check_same_algebra(algebra, *idems)
+        _fill(self, algebra, thresholds, tuple(e.mask for e in idems))
         _setattr(self, "_idems", idems)
 
     @property
@@ -225,35 +223,23 @@ def _assemble_masks(algebra: Algebra, points: Sequence[tuple[Scalar, int]]) -> S
 def _fill(
     elem: StepElem,
     algebra: Algebra,
-    full: int,
     thresholds: tuple[Scalar, ...],
     masks: tuple[int, ...],
-    homes: Sequence[bool] = (),
 ) -> StepElem:
-    """Check the invariants of a step element on its masks, then store them.
-
-    ``full`` is the mask of 1; ``homes`` tells which given components are
-    of ``algebra``.
-    """
+    """Check the invariants of a step element on its masks, then store them;
+    the masks are of ``algebra``, which the caller has checked."""
     if not thresholds or len(thresholds) != len(masks):
         raise ValueError("thresholds and components must align and be nonempty")
-    if masks[0] != full:
+    if masks[0] != algebra.full_mask:
         raise ValueError("the first step must have component 1")
     if masks[-1] == 0:
         raise ValueError("the last step must have a nonzero component")
     for i in range(1, len(masks)):
         if not thresholds[i - 1] < thresholds[i]:
             raise ValueError("thresholds must strictly increase")
-        if homes and not homes[i]:
-            raise ValueError("components must strictly decrease")
-        if homes and not homes[0]:
-            # idems[i] belongs here and idems[0] does not: a mixed pair
-            raise ValueError(_MIXED)
         below, here = masks[i - 1], masks[i]
         if here & below != here or here == below:
             raise ValueError("components must strictly decrease")
-    if homes and not homes[0]:
-        raise ValueError("component from a different algebra")
     _setattr(elem, "algebra", algebra)
     _setattr(elem, "thresholds", thresholds)
     _setattr(elem, "_masks", masks)
@@ -264,8 +250,7 @@ def _from_masks(
     algebra: Algebra, thresholds: Sequence[Scalar], masks: Sequence[int]
 ) -> StepElem:
     """The step element with these component masks; builds no ``BoolElem``."""
-    elem = StepElem.__new__(StepElem)
-    return _fill(elem, algebra, algebra.full_mask, tuple(thresholds), tuple(masks))
+    return _fill(StepElem.__new__(StepElem), algebra, tuple(thresholds), tuple(masks))
 
 
 # --- the bijection with orthogonal form ----------------------------------
@@ -542,8 +527,7 @@ def from_decomposition(
     """Rebuild the element ``a0 + sum(b * e)`` by refining value classes."""
     masks = []
     for b, e in pairs:
-        if e.algebra is not algebra and e.algebra != algebra:
-            raise ValueError(_MIXED)
+        _check_same_algebra(algebra, e)
         masks.append((b, e.mask))
     return _from_masks(algebra, *_refine_classes(algebra.full_mask, a0, masks))
 

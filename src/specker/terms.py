@@ -128,7 +128,7 @@ class BinOp(_Frozen):
 
     def __init__(self, op: str, left: Term, right: Term) -> None:
         if op not in _BINARY:
-            raise ValueError(f"unknown operator {op!r}")
+            raise ValueError(f"unknown operator {_shown(op)}")
         _setattr(self, "op", op)
         _setattr(self, "left", left)
         _setattr(self, "right", right)

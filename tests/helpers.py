@@ -503,7 +503,7 @@ def ref_check_dv_morphism(m: DVMorphism) -> ProxReport:
 def ref_lift_check(rel: ProxRel, s: StepElem, t: StepElem) -> bool:
     """The lifted relation read through ``value`` at every merged threshold."""
     if s.algebra != rel.algebra or t.algebra != rel.algebra:
-        raise ValueError("mixed algebras in lifted proximity check")
+        raise ValueError("mixed algebras: operands belong to different algebras")
     grid = sorted(set(s.thresholds) | set(t.thresholds))
     return all((s.value(b).mask, t.value(b).mask) in pairs_of(rel) for b in grid)
 

@@ -188,3 +188,25 @@ def test_first_failure_counts_up_to_the_first_witness():
     assert _first_failure(cases()) == (2, ("witness", 1))
     # the runner stops at the first failure and draws no further case
     assert drawn == [0, 1]
+
+
+def test_an_int_past_the_digit_bound_is_shown_by_its_bits():
+    # ``repr`` refuses an int over CPython's 4,300-digit limit with its own
+    # hint; the refusal names the int by its size instead
+    assert boolalg._shown(10**5000) == "an int of 16610 bits"
+    assert boolalg._shown(-(10**4300)) == "an int of 14285 bits"
+    assert boolalg._shown(10**4300 - 1) == "9" * 40 + "..."
+    with pytest.raises(ValueError) as refused:
+        make_free_algebra(10**5000)
+    assert str(refused.value) == "generator count an int of 16610 bits outside 1..4"
+
+
+def test_an_algebra_is_shown_by_its_atom_count_past_the_quoted_length():
+    wide = make_algebra([f"a{i}" for i in range(64)])
+    assert boolalg._shown(make_algebra(["p", "q"])) == "Algebra(atoms=['p', 'q'])"
+    assert boolalg._shown(wide) == "an algebra of 64 atoms"
+    with pytest.raises(ValueError) as refused:
+        wide.from_mask(1 << 64)
+    assert str(refused.value) == (
+        "mask 18446744073709551616 out of range for an algebra of 64 atoms"
+    )

@@ -206,7 +206,7 @@ def test_lift_check_rejects_mixed_algebras(b4):
     rel = leq_proximity(b4)
     s = steps_from_values(b4, [0, 1])
     foreign = steps_from_values(other, [0, 1])
-    message = "^mixed algebras in lifted proximity check$"
+    message = "^mixed algebras: operands belong to different algebras$"
     for left, right in ((s, foreign), (foreign, s), (foreign, foreign)):
         with pytest.raises(ValueError, match=message):
             lift_check(rel, left, right)

@@ -185,6 +185,29 @@ def test_an_element_file_past_the_digit_bound_is_refused_in_one_line(files, caps
     assert captured.err == f"error: {path}: scalar literal over the bound of 4300 digits\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"atoms": ["p"], "n": %s}' % ("9" * 5000), '{"free_generators": %s}' % WIDE],
+    ids=["unread-key", "free-generators"],
+)
+def test_an_integer_past_the_digit_bound_in_a_json_file_is_refused_in_one_line(
+    files, capsys, text
+):
+    # the decoder itself meets CPython's int-to-string limit: the line names
+    # the file and the bound, not CPython's hint
+    path = files["dir"] / "big.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check-devries", "--algebra", str(path)]) == 2
+    assert _one_line_error(capsys) == f"error: {path}: integer over the bound of 4300 digits"
+
+
+def test_a_json_file_that_is_not_utf8_is_refused_in_one_line(files, capsys):
+    path = files["dir"] / "latin1.json"
+    path.write_bytes(b'{"atoms": ["\xff"]}')
+    assert run(["check-devries", "--algebra", str(path)]) == 2
+    assert _one_line_error(capsys) == f"error: {path} is not UTF-8 text"
+
+
 def test_a_scalar_within_the_digit_bound_prints_and_reloads(files, capsys):
     # 99999^800 has 4,000 digits
     argv = ["normalize", "--algebra", files["b4"], "--expr", "(99999*x_p)^800"]

@@ -7,7 +7,8 @@ or the type at fault and quotes only a short input, so it stays one
 short line however large the document.  The documents are those
 of ``test_cli_fuzz``: a well-formed one for the loader's role, the same
 with one entry dropped or replaced (at the top, or at any depth), or
-random JSON.
+random JSON.  The library's own refusals that quote an argument, an
+algebra included, keep the same bound.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from specker.boolalg import (
     make_algebra,
 )
 from specker.morphisms import morphism_from_json
-from specker.orthogonal import orth_from_json
+from specker.orthogonal import orth_add, orth_from_json
+from specker.pointwise import PointFn, oracle_diff, pointwise_apply
 from specker.proximity import prox_from_json
+from specker.scalars import _require_domain
 from specker.steps import step_from_json
+from specker.terms import BinOp, Lit
 
 B4 = make_algebra(["p", "q"])  # the atoms of the templates
 MESSAGE_BOUND = 200  # characters in a refusal, which the command line prints on one line
@@ -177,4 +181,27 @@ def test_a_refusal_of_a_large_document_is_one_short_line(name, obj):
     with pytest.raises(ValueError) as refused:
         LOADERS[name][0](obj)
     message = str(refused.value)
+    assert len(message) <= MESSAGE_BOUND and "\n" not in message, message
+
+
+_WIDE = make_algebra([f"a{i}" for i in range(64)])
+
+
+# the library's own refusals that quote their input, each given one long
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: _WIDE.from_mask(1 << 64),
+        lambda: _WIDE.generator("g" * 500),
+        lambda: _require_domain("x" * 300),
+        lambda: oracle_diff(B4, samples=1, overrides={"o" * 300: orth_add}),
+        lambda: BinOp("?" * 300, Lit(1), Lit(2)),
+        lambda: pointwise_apply("?" * 300, [PointFn(B4, (0, 0))]),
+    ],
+    ids=["from_mask", "generator", "domain", "oracle_override", "binop", "pointwise_op"],
+)
+def test_a_library_refusal_of_a_long_input_is_one_short_line(refused):
+    with pytest.raises(ValueError) as refusal:
+        refused()
+    message = str(refusal.value)
     assert len(message) <= MESSAGE_BOUND and "\n" not in message, message

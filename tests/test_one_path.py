@@ -15,7 +15,11 @@ and ``functor_id_morphism`` (aliases of ``lift_morphism`` and
 ``restrict_prox_morphism``), nor ``_morphism_from_json`` and its
 ``bounded`` flag, which refused a morphism side over the exhaustive
 bound before ``<=`` was built, nor ``PointFn.value_at``, which nothing
-called.  These tests read the source, so a
+called, nor ``_require_lift_operands`` and the ``homes`` parameter of
+both ``_fill`` functions, which worded the refusal of operands from two
+algebras their own way.  That refusal is ``boolalg._check_same_algebra`` with its
+one message: no other module holds a string saying "different algebra"
+or "mixed algebras".  These tests read the source, so a
 definition or use added anywhere in the package is caught.
 """
 
@@ -27,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+from specker.boolalg import _MIXED
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "specker").glob("*.py"))
 REFERENCES = {
@@ -47,7 +52,10 @@ ABSENT = REFERENCES | {
     "_morphism_from_json",
     "bounded",
     "value_at",
+    "_require_lift_operands",
+    "homes",
 }
+MIXED_WORDS = ("different algebra", "mixed algebras")
 
 
 # the field holding the name: of a definition, of a parameter, of a load
@@ -86,3 +94,27 @@ def test_the_guard_sees_a_call():
         "def _lift(m):\n    return steps.step_mul_nonneg_formula(m, m)\n"
     )
     assert _uses(tree) == [(1, "_lift"), (2, "step_mul_nonneg_formula")]
+
+
+def _mixed_wordings(path: Path) -> list[tuple[int, str]]:
+    """``(line, text)`` of every string constant that words a mixed-algebra refusal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(words in node.value for words in MIXED_WORDS)
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "boolalg.py"], ids=lambda path: path.name
+)
+def test_only_boolalg_words_the_mixed_algebra_refusal(path):
+    assert _mixed_wordings(path) == [], f"{path.name} refuses mixed algebras in its own words"
+
+
+def test_boolalg_holds_the_one_wording():
+    boolalg = next(path for path in SOURCES if path.name == "boolalg.py")
+    assert _MIXED in [text for _, text in _mixed_wordings(boolalg)]

@@ -127,7 +127,7 @@ def test_related_refuses_one_foreign_operand(side):
     ours, foreign = ALGEBRAS[2].zero, ALGEBRAS[3].zero
     assert rel.related(ours, ours) and rel.has(0, 0)
     operands = (foreign, ours) if side == "left" else (ours, foreign)
-    with pytest.raises(ValueError, match="elements from a different algebra"):
+    with pytest.raises(ValueError, match="mixed algebras: operands belong to"):
         rel.related(*operands)
 
 
