@@ -307,7 +307,11 @@ def _shown(value) -> str:
     length; an int over ``_MAX_DIGITS`` digits is named by its bits."""
     if isinstance(value, int) and abs(value) >= _TOO_LONG:
         return f"an int of {value.bit_length()} bits"
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # it holds an int over the bound, which repr refuses
+        size = f" of length {len(value)}" if hasattr(value, "__len__") else ""
+        return f"a {type(value).__name__}{size}"
     if len(text) <= _QUOTED:
         return text
     if isinstance(value, dict) and len(keys := repr(sorted(map(str, value)))) <= _QUOTED:

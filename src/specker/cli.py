@@ -28,7 +28,7 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .boolalg import _MAX_DIGITS, Algebra, algebra_from_json, make_algebra
+from .boolalg import _MAX_DIGITS, _QUOTED, Algebra, _shown, algebra_from_json, make_algebra
 from .orthogonal import (
     OrthElem,
     orth_from_json,
@@ -60,18 +60,44 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are one :class:`UsageError` line,
-    not usage text and an exit; ``--help`` still prints and exits 0."""
+    not usage text and an exit; ``--help`` still prints and exits 0.
+
+    argparse quotes the token at fault whole: an argument, or what follows
+    its ``=`` or its one-letter flag.  A long one is named by ``_shown``.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
+        for token in self._tokens:
+            for quoted in (token, token.partition("=")[2], token[2:]):
+                if len(quoted) > _QUOTED:
+                    shown = _shown(quoted)
+                    message = message.replace(repr(quoted), shown).replace(quoted, shown)
         raise UsageError(message)
 
 
+def _at_least_1(option: str, token: str) -> int:
+    """The int value of ``--samples`` or ``--coeff-bound``, refused below 1."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(token)}") from None
+    if value < 1:  # an ArgumentError naming no argument gets no "argument --x:" prefix
+        raise argparse.ArgumentError(None, f"{option} must be at least 1, got {_shown(value)}")
+    return value
+
+
 def _load_json(path: str):
+    if "\0" in path:  # open() refuses it with a ValueError, not an OSError
+        raise UsageError(f"cannot read {_shown(path)}: embedded null byte")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise UsageError(f"cannot read {_shown(path)}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -394,8 +420,8 @@ _OPTIONS = {
     "--proximity": {"default": "leq", "help": "proximity JSON file or 'leq'"},
     "--expr": {"help": "term to normalize or evaluate"},
     "--morphism": {"action": "append", "default": [], "help": "morphism JSON file"},
-    "--samples": {"type": int, "default": 200},
-    "--coeff-bound": {"type": int, "default": 10},
+    "--samples": {"type": partial(_at_least_1, "--samples"), "default": 200},
+    "--coeff-bound": {"type": partial(_at_least_1, "--coeff-bound"), "default": 10},
     "--seed": {"type": int, "default": 0},
     "--json": {"action": "store_true", "dest": "as_json"},
     "--domain": {
@@ -443,10 +469,6 @@ def run(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
         args = _build_parser(argv).parse_args(argv)
-        for option in ("samples", "coeff_bound"):
-            value = getattr(args, option, 1)  # absent where a subcommand lacks it
-            if value < 1:
-                raise UsageError(f"--{option.replace('_', '-')} must be at least 1, got {value}")
         return _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # --help, which argparse prints and exits 0 on
         return int(exc.code) if exc.code else 0

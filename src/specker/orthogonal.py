@@ -261,14 +261,10 @@ def _classes(at: Iterable[Scalar]) -> tuple[list[Scalar], list[int]]:
     return values, [classes[value] for value in values]
 
 
-def random_orth(
-    rng: random.Random, algebra: Algebra, bound: int, domain: str = "int"
-) -> OrthElem:
-    """A random element: one value per atom, drawn by ``scalars._random_values``.
-
-    ``bound`` must be at least 1; ``domain`` is ``"int"`` or ``"fraction"``.
-    """
-    values = _random_values(rng, len(algebra.atoms), bound, domain)
+def random_orth(rng: random.Random, algebra: Algebra, bound: int) -> OrthElem:
+    """A random element: one int per atom in [-bound, bound], drawn by
+    ``scalars._random_values``; ``bound`` must be at least 1."""
+    values = _random_values(rng, len(algebra.atoms), bound)
     return _from_masks(algebra, *_classes(values))
 
 

@@ -162,22 +162,20 @@ def random_pointfn(
 ) -> PointFn:
     """Random atom valuation with entries bounded by ``bound``.
 
-    The values are the draws of ``scalars._random_values``, so equal
-    seeds give the atom values of ``specker.random_orth`` and
-    ``specker.random_steps``; ``domain`` is ``"int"`` or ``"fraction"``.
+    The values are the draws of ``scalars._random_values``: ``domain``
+    ``"int"`` gives, seed for seed, the atom values of ``specker.random_orth``
+    and ``specker.random_steps``, and ``"fraction"`` rational ones.
     """
     return PointFn(algebra, _random_values(rng, len(algebra.atoms), bound, domain))
 
 
-def random_steps(
-    rng: random.Random, algebra: Algebra, bound: int, domain: str = "int"
-) -> StepElem:
+def random_steps(rng: random.Random, algebra: Algebra, bound: int) -> StepElem:
     """The oracle's step sampler, built through :class:`PointFn`.
 
     The library samples with ``steps.random_steps`` on the atom-value
     kernel; the tier-1 tests hold it to this construction, draw for draw.
     """
-    return steps_of_pointfn(random_pointfn(rng, algebra, bound, domain))
+    return steps_of_pointfn(random_pointfn(rng, algebra, bound))
 
 
 # --- differential runner ---------------------------------------------------
@@ -275,7 +273,6 @@ def oracle_diff(
     seed: int = 0,
     samples: int = 200,
     coeff_bound: int = 10,
-    overrides: dict[str, Callable] | None = None,
     domain: str = "int",
 ) -> list[dict]:
     """Run every public arithmetic/order operation against this oracle.
@@ -286,9 +283,9 @@ def oracle_diff(
     that checked no case (``samples=0``) fails, with ``case`` 0 and no
     witness.  Each operation draws its cases from its own generator,
     seeded by ``seed`` and its name, so a record does not depend on the
-    others.  ``overrides`` substitutes implementations by name, which is
-    how fault-injection tests exercise the mismatch path; a name that is
-    not checked is refused.  ``coeff_bound`` must be at least 1.
+    others.  Each operation is looked up on ``specker.orthogonal`` or
+    ``specker.steps`` as its row runs, so a test injects a fault by
+    patching it there.  ``coeff_bound`` must be at least 1.
     ``domain`` (``"int"`` or ``"fraction"``) is the coefficient domain of
     the elements' atom values; scalar operands are always ints.
     """
@@ -297,22 +294,14 @@ def oracle_diff(
 
     _require_coeff_bound(coeff_bound)
     _require_domain(domain)
-    ops = {
-        name: getattr(og if name.startswith("orth_") else st, name)
-        for name, *_ in _ORACLE
-    }
-    for name in overrides or {}:
-        if name not in ops:
-            raise ValueError(f"cannot override {_shown(name)}: the oracle checks no such op")
-    ops.update(overrides or {})
-
     records: list[dict] = []
     for row in _ORACLE:
         name = row[0]
+        op = getattr(og if name.startswith("orth_") else st, name)
         # string seeding is stable across processes, unlike hash() of a str
         rng = random.Random(f"{seed}:{name}")
         checked, witness = _first_failure(
-            _oracle_cases(row, ops[name], rng, algebra, coeff_bound, samples, domain)
+            _oracle_cases(row, op, rng, algebra, coeff_bound, samples, domain)
         )
         record = {"op": name, "seed": seed, "case": checked, "status": "pass"}
         if witness is not None:

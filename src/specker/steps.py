@@ -282,11 +282,9 @@ def to_orth(g: StepElem) -> OrthElem:
     return _orth_from_masks(g.algebra, g.thresholds, _differences(g._masks))
 
 
-def random_steps(
-    rng: random.Random, algebra: Algebra, bound: int, domain: str = "int"
-) -> StepElem:
+def random_steps(rng: random.Random, algebra: Algebra, bound: int) -> StepElem:
     """:func:`orthogonal.random_orth` in step form, from the same draws."""
-    values, masks = _classes(_random_values(rng, len(algebra.atoms), bound, domain))
+    values, masks = _classes(_random_values(rng, len(algebra.atoms), bound))
     return _from_masks(algebra, values, _tail_masks(masks))
 
 

@@ -1,13 +1,18 @@
 """Fuzzing the command line: small argv and JSON files, well-formed or not.
 
 Every run must end with exit code 0, 1 or 2 and print no traceback; 2
-covers every malformed invocation or input.  Each input file has a role
-(algebra, element, proximity, morphism) and holds a well-formed document
-for it, the same document with one entry dropped or replaced, or random
-JSON.  Most invocations have the shape their subcommand expects, with
-options it takes (from ``cli._COMMANDS``) mixed in; the rest are random
-and may name options it does not take.  Inputs stay small (at most
-two atoms, at most three samples), so the examples run in a few seconds.
+covers every malformed invocation or input, and prints exactly one
+stderr line of at most 300 bytes.  Each input file has a role (algebra,
+element, proximity, morphism) and holds a well-formed document for it,
+the same document with one entry dropped or replaced, or random JSON.
+Most invocations have the shape their subcommand expects, with options
+it takes (from ``cli._COMMANDS``) mixed in; the rest are random and may
+name options it does not take.  Inputs stay small (at most two atoms, at
+most three samples), so the examples run in a few seconds, except for
+one over-long argument in some of them: a 5,000-character string or a
+5,000-digit integer, alone or after an option's ``=``, put anywhere in
+argv.  argparse quotes such a token, and a file name, an ``--expr`` or
+an integer option reach their own refusals.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -136,6 +142,18 @@ SHAPES = {
 }
 OPTIONS = sorted({option for _, _, options in _COMMANDS.values() for option in options})
 
+LONG = 5000
+over_long_values = st.one_of(
+    st.text(min_size=1, max_size=3).map(lambda unit: (unit * LONG)[:LONG]),
+    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=3)).map(
+        lambda t: t[0] + ("9" + t[1] * LONG)[:LONG]
+    ),
+)
+over_long = st.one_of(
+    over_long_values,
+    st.tuples(st.sampled_from([*OPTIONS, "-h"]), over_long_values).map("=".join),
+)
+
 
 @st.composite
 def invocations(draw):
@@ -162,10 +180,32 @@ def invocations(draw):
             argv.append(draw(st.sampled_from(FILES)))
         else:
             argv += [option, draw(st.sampled_from(FILES))]
-    return [draw(exprs) if arg == "EXPR" else arg for arg in argv]
+    argv = [draw(exprs) if arg == "EXPR" else arg for arg in argv]
+    if draw(st.booleans()):
+        # one over-long token, in place of an argument or between two
+        at = draw(st.integers(0, len(argv)))
+        argv[at : at + draw(st.integers(0, 1))] = [draw(over_long)]
+    return argv
 
 
-@settings(max_examples=150, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+STDERR_BOUND = 300  # bytes in the one line a refusal prints
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def _assert_refused_on_one_short_line(argv: list[str], err: str) -> None:
+    shown = [arg if len(arg) <= 80 else f"<{len(arg)} characters>" for arg in argv]
+    assert err.endswith("\n") and err.count("\n") == 1, (shown, err[:500])
+    assert len(err.encode("utf-8")) <= STDERR_BOUND, (shown, err[:500])
+    assert "set_int_max_str_digits" not in err, (shown, err[:500])
+
+
+@settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations(), st.fixed_dictionaries({n: documents(n) for n in TEMPLATES}))
 def test_cli_exits_0_1_or_2_without_a_traceback(argv, docs):
     with tempfile.TemporaryDirectory() as directory:
@@ -174,10 +214,45 @@ def test_cli_exits_0_1_or_2_without_a_traceback(argv, docs):
             (folder / name).write_text(json.dumps(doc), encoding="utf-8")
         (folder / "broken.json").write_text("{not json", encoding="utf-8")
         argv = [str(folder / arg) if arg in FILES else arg for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+        code, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
     if code == 2:
-        assert err.getvalue().strip(), argv
+        _assert_refused_on_one_short_line(argv, err)
+
+
+NINES = "9" * LONG
+XS = "x" * LONG
+
+
+# each printed a line of about 5 KB, or CPython's digit-limit line, before
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-prox", "--algebra", "alg.json", "--samples", NINES],
+        ["check-prox", "--algebra", "alg.json", f"--coeff-bound={NINES}"],
+        ["check-prox", "--algebra", "alg.json", "--samples", "-" + NINES[:4000]],
+        ["check-prox", "--algebra", "alg.json", "--seed", NINES],
+        [XS],
+        ["check-prox", "--algebra", "alg.json", "--" + XS],
+        ["oracle-diff", "--algebra", "alg.json", "--domain", XS],
+        ["check-prox", "--algebra", "alg.json", f"--json={XS}"],
+        ["check-prox", "--algebra", "alg.json", "-h" + XS],
+        ["convert", "--algebra", "alg.json", "s.json", XS],
+        ["check-prox", "--algebra", "d" * 300],
+        ["check-prox", "--algebra", "missing/" * 40 + "alg.json"],
+        ["check-prox", "--algebra", "nul\0" + XS],
+    ],
+    ids=[
+        "samples", "coeff-bound=", "samples-below-1", "seed", "command", "option", "domain",
+        "explicit-argument", "short-flag", "extra-positional", "long-file-name", "missing-path",
+        "nul-in-path",
+    ],
+)  # fmt: skip
+def test_an_over_long_argument_is_refused_on_one_short_line(tmp_path, monkeypatch, argv):
+    (tmp_path / "alg.json").write_text(json.dumps(TEMPLATES["alg.json"][0]), encoding="utf-8")
+    (tmp_path / "s.json").write_text(json.dumps(TEMPLATES["s.json"][0]), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, err = _run(argv)
+    assert code == 2
+    _assert_refused_on_one_short_line(argv, err)

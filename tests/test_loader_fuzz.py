@@ -27,8 +27,8 @@ from specker.boolalg import (
     make_algebra,
 )
 from specker.morphisms import morphism_from_json
-from specker.orthogonal import orth_add, orth_from_json
-from specker.pointwise import PointFn, oracle_diff, pointwise_apply
+from specker.orthogonal import orth_from_json
+from specker.pointwise import PointFn, pointwise_apply
 from specker.proximity import prox_from_json
 from specker.scalars import _require_domain
 from specker.steps import step_from_json
@@ -194,11 +194,14 @@ _WIDE = make_algebra([f"a{i}" for i in range(64)])
         lambda: _WIDE.from_mask(1 << 64),
         lambda: _WIDE.generator("g" * 500),
         lambda: _require_domain("x" * 300),
-        lambda: oracle_diff(B4, samples=1, overrides={"o" * 300: orth_add}),
         lambda: BinOp("?" * 300, Lit(1), Lit(2)),
         lambda: pointwise_apply("?" * 300, [PointFn(B4, (0, 0))]),
+        # repr of a container refuses an int over the digit bound inside it
+        lambda: algebra_from_json({"atoms": [10**5000]}),
+        lambda: algebra_from_json({"atoms": {"p": [1, -(10**5000)]}}),
     ],
-    ids=["from_mask", "generator", "domain", "oracle_override", "binop", "pointwise_op"],
+    ids=["from_mask", "generator", "domain", "binop", "pointwise_op", "huge_int_in_list",
+         "huge_int_in_object"],
 )
 def test_a_library_refusal_of_a_long_input_is_one_short_line(refused):
     with pytest.raises(ValueError) as refusal:

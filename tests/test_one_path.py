@@ -17,7 +17,8 @@ and ``functor_id_morphism`` (aliases of ``lift_morphism`` and
 bound before ``<=`` was built, nor ``PointFn.value_at``, which nothing
 called, nor ``_require_lift_operands`` and the ``homes`` parameter of
 both ``_fill`` functions, which worded the refusal of operands from two
-algebras their own way.  That refusal is ``boolalg._check_same_algebra`` with its
+algebras their own way, nor ``oracle_diff``'s ``overrides``, which only
+the fault-injection tests set (they patch the module instead).  That refusal is ``boolalg._check_same_algebra`` with its
 one message: no other module holds a string saying "different algebra"
 or "mixed algebras".  These tests read the source, so a
 definition or use added anywhere in the package is caught.
@@ -54,6 +55,7 @@ ABSENT = REFERENCES | {
     "value_at",
     "_require_lift_operands",
     "homes",
+    "overrides",
 }
 MIXED_WORDS = ("different algebra", "mixed algebras")
 

@@ -2,8 +2,8 @@
 
 ``specker.pointwise`` may take only the two element types from the
 orthogonal and step layers at module level (to build elements and to
-evaluate them); the operations under test reach it only as the ``ops``
-that ``oracle_diff`` is handed.  In the other direction the core layers
+evaluate them); ``oracle_diff`` looks the operations under test up on
+their modules only when it runs.  In the other direction the core layers
 (``boolalg``, ``scalars``, ``orthogonal``, ``steps``) never import the
 oracle, not even lazily inside a function.  These tests read the source,
 so an import added anywhere in those modules is caught.

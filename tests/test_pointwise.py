@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import specker
 from specker.boolalg import make_algebra
 from specker.orthogonal import orth_add
 from specker.pointwise import (
@@ -93,16 +94,17 @@ def test_oracle_diff_deterministic(b4):
     assert first == second
 
 
-def test_oracle_diff_fault_injection(b4):
+def test_oracle_diff_fault_injection(b4, monkeypatch):
     def broken_step_add(f, g):
         true = step_add(f, g)
         return StepElem(
             true.algebra, tuple(t + 1 for t in true.thresholds), true.idems
         )
 
-    records = oracle_diff(
-        b4, seed=1, samples=100, coeff_bound=6, overrides={"step_add": broken_step_add}
-    )
+    # the runner looks each operation up on its module, so patching it there
+    # is the fault; pytest refuses a misspelt name
+    monkeypatch.setattr(specker.steps, "step_add", broken_step_add)
+    records = oracle_diff(b4, seed=1, samples=100, coeff_bound=6)
     by_op = {r["op"]: r for r in records}
     assert by_op["step_add"]["status"] == "fail"
     assert "witness" in by_op["step_add"]
@@ -141,23 +143,19 @@ def test_oracle_diff_passes_on_fraction_values(atoms, seed):
     assert len(records) == 18 and all(r["status"] == "pass" for r in records)
 
 
-def test_oracle_diff_draws_elements_from_its_domain(b4):
+def test_oracle_diff_draws_elements_from_its_domain(b4, monkeypatch):
     seen = {}
 
     def recording_add(f, g):
         seen.setdefault(domain, set()).update(map(type, f.values() + g.values()))
         return orth_add(f, g)
 
+    monkeypatch.setattr(specker.orthogonal, "orth_add", recording_add)
     for domain in ("int", "fraction"):
-        oracle_diff(b4, seed=2, samples=10, overrides={"orth_add": recording_add}, domain=domain)
+        oracle_diff(b4, seed=2, samples=10, domain=domain)
+    monkeypatch.undo()
     assert seen == {"int": {int}, "fraction": {Fraction}}
     # int is the default, so earlier runs replay unchanged
     assert oracle_diff(b4, seed=2, samples=5) == oracle_diff(b4, seed=2, samples=5, domain="int")
     with pytest.raises(ValueError, match="unknown coefficient domain: 'real'"):
         oracle_diff(b4, samples=0, domain="real")
-
-
-def test_oracle_diff_refuses_unknown_override(b4):
-    # a misspelt name would otherwise check the real operation and pass
-    with pytest.raises(ValueError, match="'step_ad'"):
-        oracle_diff(b4, samples=3, overrides={"step_ad": step_add})

@@ -4,7 +4,8 @@ The sampled suite draws 200 tuples from one seed; a pass says nothing
 about the tuples it did not draw.  Here the predicates of
 ``proximity._proximity_checks`` run on every step element of 1 and 2
 atoms whose atom values lie in {-1, 0, 1} ({0, 1} for an operand that
-must be nonnegative: P8's pairs, P3's shifts and P10's element), in the
+must be nonnegative: P8's pairs, P3's shifts and P10's element), and of
+1 atom with values in {-1, -1/2, 0, 1/2, 1} ({0, 1/2, 1}), in the
 manner of SmallCheck (Runciman, Naylor and Lindblad, Haskell Symposium
 2008).  Under ``<=`` two elements are related exactly when they are
 ordered at every atom, so the related pairs are enumerated from the atom
@@ -19,6 +20,7 @@ drew would fail here.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -31,10 +33,14 @@ from specker.proximity import (
     positive_approximant,
 )
 
-# atoms: the operand tuples each axiom checks
+HALF = Fraction(1, 2)
+# scope: the atom values, and those of an operand that must be nonnegative
+SCOPES = {"int": ((-1, 0, 1), (0, 1)), "fraction": ((-1, -HALF, 0, HALF, 1), (0, HALF, 1))}
+# (scope, atoms): the operand tuples each axiom checks
 EXPECTED = {
-    1: {"P2": 6, "P3": 24, "P4": 36, "P5": 6, "P6": 36, "P7": 18, "P8": 9, "P9": 6, "P10": 1},
-    2: {
+    ("int", 1): {"P2": 6, "P3": 24, "P4": 36, "P5": 6, "P6": 36, "P7": 18, "P8": 9, "P9": 6,
+                 "P10": 1},
+    ("int", 2): {
         "P2": 36,
         "P3": 576,
         "P4": 1296,
@@ -45,7 +51,9 @@ EXPECTED = {
         "P9": 36,
         "P10": 3,
     },
-}
+    ("fraction", 1): {"P2": 15, "P3": 135, "P4": 225, "P5": 15, "P6": 225, "P7": 50, "P8": 36,
+                      "P9": 15, "P10": 2},
+}  # fmt: skip
 
 
 def _tuples(algebra, choices) -> list[tuple]:
@@ -60,13 +68,21 @@ def _ordered(values) -> list[tuple]:
     return [(a, b) for a in values for b in values if a <= b]
 
 
-@pytest.mark.parametrize("atoms", sorted(EXPECTED))
+@pytest.mark.parametrize("atoms", [1, 2])
 def test_lifted_axioms_hold_on_every_related_tuple_of_the_scope(atoms):
+    _check_scope("int", atoms)
+
+
+def test_lifted_axioms_hold_on_every_related_tuple_of_the_fraction_scope():
+    _check_scope("fraction", 1)
+
+
+def _check_scope(scope: str, atoms: int) -> None:
     algebra = make_algebra([f"a{i}" for i in range(atoms)])
     rel = leq_proximity(algebra)
     checks = _proximity_checks(rel, None, 1)
     holds = {name: predicate for name, _, predicate in checks}
-    values, shifts = (-1, 0, 1), (0, 1)
+    values, shifts = SCOPES[scope]
     pairs = _tuples(algebra, _ordered(values))
     nonneg = _tuples(algebra, _ordered(shifts))
     positive = [
@@ -110,4 +126,4 @@ def test_lifted_axioms_hold_on_every_related_tuple_of_the_scope(atoms):
         for name, cases in tuples.items()
     }
     assert failing == dict.fromkeys(tuples), f"checked {checked}: {failing}"
-    assert checked == EXPECTED[atoms], f"checked {checked}"
+    assert checked == EXPECTED[scope, atoms], f"checked {checked}"
