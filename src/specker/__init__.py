@@ -32,7 +32,6 @@ from .orthogonal import (
     orth_sub,
     orth_unit,
     orth_zero,
-    random_orth,
 )
 from .scalars import Scalar, format_scalar, parse_scalar
 from .steps import (

@@ -76,11 +76,8 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state) -> None:
-        # what copy and pickle restore: ``(None, {slot: value})`` for a
-        # class with ``__slots__``, else the instance ``__dict__``
-        if isinstance(state, tuple):
-            state = state[1]
-        for name, value in state.items():
+        # what copy and pickle restore of a value type, which has ``__slots__``
+        for name, value in state[1].items():
             _setattr(self, name, value)
 
 
@@ -198,9 +195,6 @@ class BoolElem(_Frozen):
         _check_same_algebra(self, other)
         return self.mask & other.mask == self.mask
 
-    def __ge__(self, other: "BoolElem") -> bool:
-        return other.__le__(self)
-
     # --- queries ------------------------------------------------------------
 
     @property
@@ -215,9 +209,6 @@ class BoolElem(_Frozen):
         return tuple(
             name for i, name in enumerate(self.algebra.atoms) if self.mask >> i & 1
         )
-
-    def atom_count(self) -> int:
-        return bin(self.mask).count("1")
 
     def __repr__(self) -> str:
         return f"BoolElem({element_to_literal(self)})"

@@ -62,13 +62,26 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are one :class:`UsageError` line,
     not usage text and an exit; ``--help`` still prints and exits 0.
 
+    An option that takes a value gets a following ``-`` token that starts
+    no option string as ``option=token``, as in ``--expr -x_p``.
+
     argparse quotes the token at fault whole: an argument, or what follows
     its ``=`` or its one-letter flag.  A long one is named by ``_shown``.
     """
 
     def parse_known_args(self, args=None, namespace=None):
-        self._tokens = sys.argv[1:] if args is None else args
-        return super().parse_known_args(args, namespace)
+        options = self._option_string_actions
+        tokens: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            taker = options.get(tokens[-1]) if tokens else None
+            name = token.partition("=")[0]
+            value = name[:1] == "-" and not any(option.startswith(name) for option in options)
+            if value and taker is not None and taker.nargs is None:
+                tokens[-1] += f"={token}"
+            else:
+                tokens.append(token)
+        self._tokens = tokens
+        return super().parse_known_args(tokens, namespace)
 
     def error(self, message: str):
         for token in self._tokens:
@@ -90,6 +103,13 @@ def _at_least_1(option: str, token: str) -> int:
     return value
 
 
+def _about(path: str, rest: str) -> str:
+    """``path + rest``: the path whole while the printed line, ``error: ``
+    and newline included, fits in 300 bytes, else as ``_shown`` names it."""
+    whole = len(f"error: {path}{rest}\n".encode("utf-8", "backslashreplace")) <= 300
+    return (path if whole else _shown(path)) + rest
+
+
 def _load_json(path: str):
     if "\0" in path:  # open() refuses it with a ValueError, not an OSError
         raise UsageError(f"cannot read {_shown(path)}: embedded null byte")
@@ -99,22 +119,23 @@ def _load_json(path: str):
     except OSError as exc:
         raise UsageError(f"cannot read {_shown(path)}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+        raise UsageError(_about(path, f" is not valid JSON: {exc}")) from exc
     except RecursionError as exc:
-        raise UsageError(f"{path} is nested too deeply to read") from exc
+        raise UsageError(_about(path, " is nested too deeply to read")) from exc
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path} is not UTF-8 text") from exc
+        raise UsageError(_about(path, " is not UTF-8 text")) from exc
     except ValueError as exc:  # an integer past CPython's int-to-string limit
-        raise UsageError(f"{path}: integer over the bound of {_MAX_DIGITS} digits") from exc
+        over = f": integer over the bound of {_MAX_DIGITS} digits"
+        raise UsageError(_about(path, over)) from exc
 
 
-def _parsed(path: str, parse, *args, prefix: str = ""):
-    """``parse(*args, obj)`` on the JSON in ``path``; its refusal is a :class:`UsageError`."""
+def _parsed(path: str, parse, *args, named: bool = False):
+    """``parse(*args, obj)`` on the JSON in ``path``; a refusal is a :class:`UsageError`."""
     obj = _load_json(path)
     try:
         return parse(*args, obj)
     except ValueError as exc:
-        raise UsageError(f"{prefix}{exc}") from exc
+        raise UsageError(_about(path, f": {exc}") if named else str(exc)) from exc
 
 
 def _load_algebra(path: str | None) -> Algebra:
@@ -130,7 +151,7 @@ def _element_from_json(algebra: Algebra, obj) -> Element:
 
 
 def _load_element(algebra: Algebra, path: str) -> Element:
-    return _parsed(path, _element_from_json, algebra, prefix=f"{path}: ")
+    return _parsed(path, _element_from_json, algebra, named=True)
 
 
 def _load_proximity(algebra: Algebra, spec: str) -> ProxRel:
@@ -473,11 +494,10 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # --help, which argparse prints and exits 0 on
         return int(exc.code) if exc.code else 0
     except ValueError as exc:  # a UsageError, or a library's own
-        # a gate's refusal carries the failing report that says why, and a
-        # ParseError comes from the term layer: each only once its layer is loaded
-        proximity = sys.modules.get("specker.proximity")
+        # a gate's refusal (``proximity._Refused``) carries the failing report
+        # that says why; a ParseError comes from the term layer, once it is loaded
         report = getattr(exc, "report", None)
-        if proximity is not None and isinstance(report, proximity.ProxReport):
+        if report is not None:
             return _print_report(report, args.as_json)
         terms = sys.modules.get("specker.terms")
         syntax = terms is not None and isinstance(exc, terms.ParseError)

@@ -32,7 +32,6 @@ Everything is immutable and exact.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 from operator import add, le, mul, sub
@@ -52,7 +51,6 @@ from .boolalg import (
 )
 from .scalars import (
     Scalar,
-    _random_values,
     _require_exact,
     format_scalar,
     parse_scalar,
@@ -75,7 +73,6 @@ __all__ = [
     "orth_meet",
     "orth_join",
     "annihilator_idempotent",
-    "random_orth",
     "orth_to_json",
     "orth_from_json",
 ]
@@ -123,14 +120,6 @@ class OrthElem(_Frozen):
 
     def values(self) -> tuple[Scalar, ...]:
         return self._values
-
-    def support(self) -> BoolElem:
-        """Join of the components at nonzero values."""
-        mask = 0
-        for value, component in zip(self._values, self._masks):
-            if value != 0:
-                mask |= component
-        return self.algebra.from_mask(mask)
 
     # operator sugar; the module-level functions are the primary surface
     def __add__(self, other: "OrthElem") -> "OrthElem":
@@ -261,13 +250,6 @@ def _classes(at: Iterable[Scalar]) -> tuple[list[Scalar], list[int]]:
     return values, [classes[value] for value in values]
 
 
-def random_orth(rng: random.Random, algebra: Algebra, bound: int) -> OrthElem:
-    """A random element: one int per atom in [-bound, bound], drawn by
-    ``scalars._random_values``; ``bound`` must be at least 1."""
-    values = _random_values(rng, len(algebra.atoms), bound)
-    return _from_masks(algebra, *_classes(values))
-
-
 def _int_mask(values: Sequence[Scalar], masks: Sequence[int]) -> int:
     """The join of the classes whose value is an ``int``."""
     joined = 0
@@ -387,17 +369,17 @@ def orth_join(f: OrthElem, g: OrthElem) -> OrthElem:
 def annihilator_idempotent(gens: Sequence[OrthElem]) -> BoolElem:
     """Idempotent generating the annihilator of the ideal the ``gens`` span.
 
-    Computed as the complement of the join of the generators' supports;
-    the tier-1 tests check the defining property ``e * g == 0`` for every
-    generator.
+    Computed as the complement of the join of the generators' supports
+    (their components at nonzero values); the tier-1 tests check the
+    defining property ``e * g == 0`` for every generator.
     """
     if not gens:
         raise ValueError("annihilator of an empty generator list is undefined")
     algebra = _check_same_algebra(*gens)
-    support_mask = 0
-    for g in gens:
-        support_mask |= g.support().mask
-    return algebra.from_mask(algebra.full_mask & ~support_mask)
+    support = 0
+    for g in gens:  # a generator's components are disjoint: their sum is their join
+        support |= sum(mask for value, mask in zip(g._values, g._masks) if value != 0)
+    return algebra.from_mask(algebra.full_mask & ~support)
 
 
 # --- JSON ---------------------------------------------------------------

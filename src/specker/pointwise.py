@@ -13,9 +13,9 @@ operands are drawn, its pointwise reference and the form of its expected
 value, and one generic check runs every row.  An operation passes when
 every case held and at least one case ran; a check of nothing fails.
 
-The library's random elements (``orthogonal.random_orth``,
-``steps.random_steps``) are built on the core kernel, so no sampled axiom
-suite loads this module: of the command line, only ``oracle-diff`` and
+The library's random elements (``steps.random_steps``, and ``to_orth``
+of it in orthogonal form) are built on the core kernel, so no sampled
+axiom suite loads this module: of the command line, only ``oracle-diff`` and
 ``eval`` do.  :func:`random_steps` here is the oracle's own construction
 of the same element, which the tests compare with the core's.
 """
@@ -163,8 +163,8 @@ def random_pointfn(
     """Random atom valuation with entries bounded by ``bound``.
 
     The values are the draws of ``scalars._random_values``: ``domain``
-    ``"int"`` gives, seed for seed, the atom values of ``specker.random_orth``
-    and ``specker.random_steps``, and ``"fraction"`` rational ones.
+    ``"int"`` gives, seed for seed, the atom values of
+    ``specker.random_steps``, and ``"fraction"`` rational ones.
     """
     return PointFn(algebra, _random_values(rng, len(algebra.atoms), bound, domain))
 

@@ -283,7 +283,8 @@ def to_orth(g: StepElem) -> OrthElem:
 
 
 def random_steps(rng: random.Random, algebra: Algebra, bound: int) -> StepElem:
-    """:func:`orthogonal.random_orth` in step form, from the same draws."""
+    """A random element, one int per atom in [-bound, bound] (``bound`` >= 1);
+    :func:`to_orth` of it is the same element in orthogonal form."""
     values, masks = _classes(_random_values(rng, len(algebra.atoms), bound))
     return _from_masks(algebra, values, _tail_masks(masks))
 

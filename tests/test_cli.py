@@ -8,7 +8,7 @@ import pytest
 
 from helpers import capped, leq_pairs, within
 from specker.boolalg import make_algebra
-from specker.cli import run
+from specker.cli import _about, run
 
 
 @pytest.fixture
@@ -258,6 +258,55 @@ def test_meet_json_reloads(files, capsys):
 def test_eval_prints_atom_values(files, capsys):
     assert run(["eval", "--algebra", files["b4"], "--expr", "x_p + x_q"]) == 0
     assert capsys.readouterr().out.strip() == "p=1 q=1"
+
+
+# argparse reads a space-free token that starts with "-" and is no number as
+# an option; after an option that takes a value, one that names no option
+# is that value
+@pytest.mark.parametrize(
+    "command, expr, out",
+    [
+        ("eval", "-x_p", "p=-1 q=0"),
+        ("normalize", "-x_q", "0·[p] + -1·[q]"),
+        ("eval", "-2*x_p", "p=-2 q=0"),
+        ("eval", "-meet(x_p,x_q)", "p=0 q=0"),
+        ("eval", "--x_p", "p=1 q=0"),
+        ("eval", "-1", "p=-1 q=-1"),
+        ("eval", "-x_p + 1", "p=0 q=1"),
+    ],
+    ids=["atom", "normalize", "product", "meet", "double", "number", "spaced"],
+)
+def test_a_term_with_a_leading_minus_is_the_value_of_expr(files, capsys, command, expr, out):
+    assert run([command, "--algebra", files["b4"], "--expr", expr]) == 0
+    assert capsys.readouterr().out.strip() == out
+    assert run([command, "--algebra", files["b4"], f"--expr={expr}"]) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
+@pytest.mark.parametrize("token", ["--json", "--js", "--algebra", "-h", "--"])
+def test_an_option_after_expr_leaves_expr_without_a_value(files, capsys, token):
+    assert run(["eval", "--algebra", files["b4"], "--expr", token]) == 2
+    assert _one_line_error(capsys) == "error: argument --expr: expected one argument"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["check-prox", "--algebra", "B4", "--seed", "-x"],
+         "error: argument --seed: invalid int value: '-x'"),
+        (["check-prox", "--algebra", "B4", "--samples", "-2"],
+         "error: --samples must be at least 1, got -2"),
+        (["oracle-diff", "--algebra", "B4", "--domain", "-int"],
+         "error: argument --domain: invalid choice: '-int' (choose from "),
+        (["check-morphism", "--morphism", "-m.json"],
+         "error: cannot read '-m.json': No such file or directory"),
+    ],
+    ids=["seed", "samples", "domain", "morphism"],
+)  # fmt: skip
+def test_every_option_that_takes_a_value_takes_a_leading_minus(files, capsys, argv, line):
+    assert run([files["b4"] if arg == "B4" else arg for arg in argv]) == 2
+    # how argparse lists the choices differs between Python versions
+    assert _one_line_error(capsys).startswith(line)
 
 
 def test_lift_element_check(files, capsys):
@@ -907,6 +956,53 @@ def test_deeply_nested_json_is_usage_error(files, capsys, loader):
     argv = [arg.format(deep=deep, b4=files["b4"]) for arg in loader]
     assert run(argv) == 2
     assert _one_line_error(capsys) == f"error: {deep} is nested too deeply to read"
+
+
+# (content, argv): each refusal that names an existing file by its path
+CHECK_ALGEBRA = ["check-devries", "--algebra", "{path}"]
+LONG_PATH_CASES = {
+    "not-json": (b"{not json", CHECK_ALGEBRA),
+    "nested": (b"[" * 100_000 + b"]" * 100_000, CHECK_ALGEBRA),
+    "not-utf8": (b'{"atoms": ["\xff"]}', CHECK_ALGEBRA),
+    "digit-bound": (b'{"atoms": ["p"], "n": %s}' % (b"9" * 5000), CHECK_ALGEBRA),
+    "element": (
+        b'{"rep": "perp", "entries": [{"value": "2"}]}',
+        ["convert", "--algebra", "{b4}", "{path}"],
+    ),
+}
+LONG_PATH_LINES = {
+    "not-json": " is not valid JSON: Expecting property name enclosed in double quotes: "
+    "line 1 column 2 (char 1)",
+    "nested": " is nested too deeply to read",
+    "not-utf8": " is not UTF-8 text",
+    "digit-bound": ": integer over the bound of 4300 digits",
+    "element": ": malformed orthogonal-form JSON: missing key 'idem'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_PATH_CASES))
+def test_a_long_path_is_named_by_its_length_in_one_short_line(files, capsys, case):
+    # 15 nested directories of 200 characters: a path over 3,000 characters
+    folder = files["dir"].joinpath(*[f"{i:02d}" + "d" * 198 for i in range(15)])
+    folder.mkdir(parents=True)
+    content, argv = LONG_PATH_CASES[case]
+    path = folder / "input.json"
+    path.write_bytes(content)
+    assert len(str(path)) > 3000
+    assert run([arg.format(path=path, b4=files["b4"]) for arg in argv]) == 2
+    line = _one_line_error(capsys)
+    assert line == f"error: a str of length {len(str(path))}{LONG_PATH_LINES[case]}"
+    assert len(line.encode("utf-8")) < 300
+
+
+def test_a_path_is_named_whole_while_its_line_fits_in_300_bytes():
+    rest = " is not UTF-8 text"
+    fits = "p" * (300 - len("error: \n") - len(rest))
+    assert _about(fits, rest) == fits + rest
+    assert _about(fits + "p", rest) == f"a str of length {len(fits) + 1}{rest}"
+    # bytes, not characters: "é" is two
+    assert _about("é" + fits[2:], rest) == "é" + fits[2:] + rest
+    assert _about("é" + fits[1:], rest) == f"a str of length {len(fits)}{rest}"
 
 
 @pytest.mark.parametrize("count", [2.5, True])

@@ -12,12 +12,15 @@ most three samples), so the examples run in a few seconds, except for
 one over-long argument in some of them: a 5,000-character string or a
 5,000-digit integer, alone or after an option's ``=``, put anywhere in
 argv.  argparse quotes such a token, and a file name, an ``--expr`` or
-an integer option reach their own refusals.
+an integer option reach their own refusals.  About one file in four
+holds such a value too, nested in lists and objects at any position of
+its document, a string also as a key.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -143,12 +146,12 @@ SHAPES = {
 OPTIONS = sorted({option for _, _, options in _COMMANDS.values() for option in options})
 
 LONG = 5000
-over_long_values = st.one_of(
-    st.text(min_size=1, max_size=3).map(lambda unit: (unit * LONG)[:LONG]),
-    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=3)).map(
-        lambda t: t[0] + ("9" + t[1] * LONG)[:LONG]
-    ),
-)
+long_strings = st.text(min_size=1, max_size=3).map(lambda unit: (unit * LONG)[:LONG])
+# the text of an integer of LONG digits
+long_digits = st.tuples(
+    st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=3)
+).map(lambda t: t[0] + ("9" + t[1] * LONG)[:LONG])
+over_long_values = st.one_of(long_strings, long_digits)
 over_long = st.one_of(
     over_long_values,
     st.tuples(st.sampled_from([*OPTIONS, "-h"]), over_long_values).map("=".join),
@@ -188,6 +191,51 @@ def invocations(draw):
     return argv
 
 
+@st.composite
+def planted(draw, docs, value):
+    """A document from ``docs`` with ``value`` at any position, wrapped in
+    up to two lists or objects: in place of the whole or of an entry at any
+    depth, or added to a list or an object there; a string may be a key."""
+    for _ in range(draw(st.integers(0, 2))):
+        value = [value] if draw(st.booleans()) else {draw(st.sampled_from(KEYS)): value}
+    holder = [copy.deepcopy(draw(docs))]
+    node, key = holder, 0
+    while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    target, how = node[key], draw(st.integers(0, 2))
+    if how and isinstance(target, list):
+        target.insert(draw(st.integers(0, len(target))), value)
+    elif how == 1 and isinstance(target, dict):
+        target[draw(st.sampled_from(KEYS))] = value
+    elif how == 2 and isinstance(target, dict) and isinstance(value, str):
+        target[value] = draw(json_scalars)
+    else:
+        node[key] = value
+    return holder[0]
+
+
+MARK = "@over-long@"  # a planted value, replaced in a file's text
+
+
+@st.composite
+def file_texts(draw, name: str):
+    """The text of a document for the file, with an over-long string or
+    integer planted in about one in four: written as text, since
+    ``json.dumps`` refuses an integer past CPython's digit limit."""
+    doc = draw(documents(name))
+    if draw(st.integers(0, 3)):
+        return json.dumps(doc)
+    text = json.dumps(draw(planted(st.just(doc), MARK)))
+    if draw(st.booleans()):
+        return text.replace(json.dumps(MARK), json.dumps(draw(long_strings)))
+    digits = draw(long_digits)
+    # as a key, the integer's digits are a string
+    return text.replace(json.dumps(MARK) + ":", json.dumps(digits) + ":").replace(
+        json.dumps(MARK), digits
+    )
+
+
 STDERR_BOUND = 300  # bytes in the one line a refusal prints
 
 
@@ -206,12 +254,12 @@ def _assert_refused_on_one_short_line(argv: list[str], err: str) -> None:
 
 
 @settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
-@given(invocations(), st.fixed_dictionaries({n: documents(n) for n in TEMPLATES}))
-def test_cli_exits_0_1_or_2_without_a_traceback(argv, docs):
+@given(invocations(), st.fixed_dictionaries({n: file_texts(n) for n in TEMPLATES}))
+def test_cli_exits_0_1_or_2_without_a_traceback(argv, texts):
     with tempfile.TemporaryDirectory() as directory:
         folder = Path(directory)
-        for name, doc in docs.items():
-            (folder / name).write_text(json.dumps(doc), encoding="utf-8")
+        for name, text in texts.items():
+            (folder / name).write_text(text, encoding="utf-8")
         (folder / "broken.json").write_text("{not json", encoding="utf-8")
         argv = [str(folder / arg) if arg in FILES else arg for arg in argv]
         code, err = _run(argv)

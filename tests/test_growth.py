@@ -45,7 +45,6 @@ from specker.orthogonal import (
     orth_meet,
     orth_mul,
     orth_sub,
-    random_orth,
 )
 from specker.steps import (
     _sum,
@@ -106,6 +105,10 @@ def _algebra(rng, algebra, bound):
     return algebra
 
 
+def _orth(rng, algebra, bound):
+    return to_orth(random_steps(rng, algebra, bound))
+
+
 # name: (operation, operand draw, the arguments it takes from two operands)
 ROWS = {
     "_sum": (_sum, random_steps, lambda f, g: (f, g)),
@@ -118,14 +121,14 @@ ROWS = {
     "step_leq": (step_leq, random_steps, lambda f, g: (step_meet(f, g), g)),
     "compatible_decreasing": (compatible_decreasing, random_steps, lambda f, g: (f, g)),
     "decreasing_decomposition": (decreasing_decomposition, random_steps, lambda f, g: (f,)),
-    "orth_add": (orth_add, random_orth, lambda f, g: (f, g)),
-    "orth_sub": (orth_sub, random_orth, lambda f, g: (f, g)),
-    "orth_mul": (orth_mul, random_orth, lambda f, g: (f, g)),
-    "orth_meet": (orth_meet, random_orth, lambda f, g: (f, g)),
-    "orth_join": (orth_join, random_orth, lambda f, g: (f, g)),
+    "orth_add": (orth_add, _orth, lambda f, g: (f, g)),
+    "orth_sub": (orth_sub, _orth, lambda f, g: (f, g)),
+    "orth_mul": (orth_mul, _orth, lambda f, g: (f, g)),
+    "orth_meet": (orth_meet, _orth, lambda f, g: (f, g)),
+    "orth_join": (orth_join, _orth, lambda f, g: (f, g)),
     # a related pair, so that the order reads every atom
-    "orth_leq": (orth_leq, random_orth, lambda f, g: (orth_meet(f, g), g)),
-    "to_steps": (to_steps, random_orth, lambda f, g: (f,)),
+    "orth_leq": (orth_leq, _orth, lambda f, g: (orth_meet(f, g), g)),
+    "to_steps": (to_steps, _orth, lambda f, g: (f,)),
     "to_orth": (to_orth, random_steps, lambda f, g: (f,)),
     "normalize_term": (normalize_term, _algebra, lambda a, b: (TERM, a)),
     # a related pair under <=, so that the lift walks every threshold

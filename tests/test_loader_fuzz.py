@@ -7,8 +7,10 @@ or the type at fault and quotes only a short input, so it stays one
 short line however large the document.  The documents are those
 of ``test_cli_fuzz``: a well-formed one for the loader's role, the same
 with one entry dropped or replaced (at the top, or at any depth), or
-random JSON.  The library's own refusals that quote an argument, an
-algebra included, keep the same bound.
+random JSON.  The same holds with a 5,000-character string or a
+5,000-digit integer planted anywhere in a document.  The library's own
+refusals that quote an argument, an algebra included, keep the same
+bound.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cli_fuzz import TEMPLATES, documents, json_values
+from test_cli_fuzz import TEMPLATES, documents, json_values, long_strings, planted
 
 from specker.boolalg import (
     algebra_from_json,
@@ -87,6 +89,28 @@ def test_a_loader_returns_or_raises_value_error(name, data):
         loader(data.draw(docs))
     except ValueError as refused:
         assert len(str(refused)) <= MESSAGE_BOUND
+
+
+# an int of 5,000 digits, past CPython's int-to-string limit, which ``int``
+# of its text refuses, so it is built by arithmetic
+long_ints = st.tuples(st.sampled_from([1, -1]), st.integers(1, 9), st.integers(0, 10**6)).map(
+    lambda t: t[0] * (t[1] * 10**4999 + t[2])
+)
+DOCUMENT_LOADERS = sorted(set(LOADERS) - {"element_from_literal"})
+
+
+# a 5,000-character string or 5,000-digit int nested anywhere in a document
+@pytest.mark.parametrize("name", DOCUMENT_LOADERS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_loader_refuses_an_over_long_value_anywhere_in_one_short_line(name, data):
+    loader, docs = LOADERS[name]
+    obj = data.draw(planted(docs, data.draw(st.one_of(long_strings, long_ints))))
+    try:
+        loader(obj)
+    except ValueError as refused:
+        message = str(refused)
+        assert len(message) <= MESSAGE_BOUND and "\n" not in message, message
 
 
 _SIDE = {"algebra": {"atoms": ["p"]}}

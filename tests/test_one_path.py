@@ -18,7 +18,10 @@ bound before ``<=`` was built, nor ``PointFn.value_at``, which nothing
 called, nor ``_require_lift_operands`` and the ``homes`` parameter of
 both ``_fill`` functions, which worded the refusal of operands from two
 algebras their own way, nor ``oracle_diff``'s ``overrides``, which only
-the fault-injection tests set (they patch the module instead).  That refusal is ``boolalg._check_same_algebra`` with its
+the fault-injection tests set (they patch the module instead), nor
+``random_orth``, which is ``to_orth`` of ``random_steps`` draw for draw,
+nor ``BoolElem.atom_count``, which only its own tests called.  That
+refusal is ``boolalg._check_same_algebra`` with its
 one message: no other module holds a string saying "different algebra"
 or "mixed algebras".  These tests read the source, so a
 definition or use added anywhere in the package is caught.
@@ -56,6 +59,8 @@ ABSENT = REFERENCES | {
     "_require_lift_operands",
     "homes",
     "overrides",
+    "random_orth",
+    "atom_count",
 }
 MIXED_WORDS = ("different algebra", "mixed algebras")
 

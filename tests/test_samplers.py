@@ -1,11 +1,13 @@
 """The library's random elements, built on the core kernel.
 
-``orthogonal.random_orth`` and ``steps.random_steps`` draw one int per
-atom through ``scalars._random_values`` and group the atoms by value on
-the masks; they take no coefficient domain, since only the tests ever
-asked for another.  The oracle builds the same element through ``PointFn``; the
-two must agree element for element and draw for draw, so every seeded
-suite that switched from one to the other reports what it did before.
+``steps.random_steps`` draws one int per atom through
+``scalars._random_values`` and groups the atoms by value on the masks; it
+takes no coefficient domain, since only the tests ever asked for another.
+The orthogonal form of the same element is ``to_orth`` of it, by the
+bijection between the two forms.  The oracle builds the same element
+through ``PointFn``; the two must agree element for element and draw for
+draw, so every seeded suite that switched from one to the other reports
+what it did before.
 
 The seeded suites of the library draw from seed 0 unless told otherwise.
 """
@@ -19,12 +21,16 @@ import specker
 from specker import pointwise
 from specker.boolalg import BoolElem, make_algebra
 from specker.morphisms import naturality_check, sample_morphism_axioms
-from specker.orthogonal import random_orth
 from specker.pointwise import orth_of_pointfn, random_pointfn, steps_of_pointfn
 from specker.proximity import _random_grid, sample_proximity_axioms
-from specker.steps import random_steps
+from specker.steps import random_steps, to_orth
 
 ALGEBRAS = [make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 7)]
+
+
+def to_orth_of_random_steps(rng, algebra, bound):
+    """A random element in orthogonal form."""
+    return to_orth(random_steps(rng, algebra, bound))
 
 
 # the samplers draw ints only; rational elements come from random_pointfn
@@ -38,7 +44,7 @@ def test_core_samplers_match_the_oracle(algebra, domain):
         for sampler, reference in (
             (random_steps, lambda rng: steps_of_pointfn(valuation(rng))),
             (random_steps, lambda rng: pointwise.random_steps(rng, algebra, 6)),
-            (random_orth, lambda rng: orth_of_pointfn(valuation(rng))),
+            (to_orth_of_random_steps, lambda rng: orth_of_pointfn(valuation(rng))),
         ):
             core, oracle = random.Random(seed), random.Random(seed)
             got, expected = sampler(core, algebra, 6), reference(oracle)
@@ -48,8 +54,7 @@ def test_core_samplers_match_the_oracle(algebra, domain):
 
 def test_package_exports_the_core_samplers():
     assert specker.random_steps is random_steps
-    assert specker.random_orth is random_orth
-    for sampler in (random_steps, random_orth, pointwise.random_steps):
+    for sampler in (random_steps, pointwise.random_steps):
         assert list(inspect.signature(sampler).parameters) == ["rng", "algebra", "bound"]
 
 
@@ -66,11 +71,13 @@ def test_core_samplers_build_no_bool_elem(monkeypatch):
     monkeypatch.setattr(BoolElem, "__post_init__", counted)
     for _ in range(20):
         random_steps(rng, algebra, 10)
-        random_orth(rng, algebra, 10)
+        to_orth_of_random_steps(rng, algebra, 10)
     assert built == []
 
 
-@pytest.mark.parametrize("sampler", [random_steps, random_orth])
+@pytest.mark.parametrize(
+    "sampler", [random_steps, to_orth_of_random_steps], ids=lambda f: f.__name__
+)
 def test_core_samplers_refuse_what_the_oracle_refuses(sampler):
     algebra = ALGEBRAS[1]
     with pytest.raises(ValueError, match="coeff_bound must be at least 1"):
