@@ -483,23 +483,6 @@ def step_join(f: StepElem, g: StepElem) -> StepElem:
     return _lattice(f, g, False)
 
 
-def _join_all(elems: Iterable[StepElem]) -> StepElem:
-    """The join of one or more step functions of one algebra, in one pass.
-
-    A step function is at ``c`` the union of its components at thresholds
-    ``>= c``, so the join is the upper-tail union of all their steps.
-    No elements at all leave no points, which ``_assemble_masks`` refuses.
-    """
-    elems = list(elems)
-    algebra = _check_same_algebra(*elems) if elems else None
-    at: dict[Scalar, int] = {}
-    for f in elems:
-        for threshold, mask in zip(f.thresholds, f._masks):
-            at[threshold] = at.get(threshold, 0) | mask
-    grid = sorted(at)
-    return _assemble_masks(algebra, list(zip(grid, _tail_masks([at[c] for c in grid]))))
-
-
 def step_leq(f: StepElem, g: StepElem) -> bool:
     """Pointwise order; checking the merged thresholds is exhaustive."""
     _check_same_algebra(f, g)

@@ -39,8 +39,11 @@ condition is tested, and the lift reads step values through
 report, verdict and counterexample.  ``ref_approximant_join`` is the
 object-based M4 join: one ``from_decomposition`` per combination of
 approximants (the full one and the same draws the library makes), joined
-pairwise with ``step_join``.  ``ref_full_approximant_join`` joins every
-combination: a drawn join may differ from the action only where it does.
+pairwise with ``step_join``.  The library's M4 verdict, which compares
+images with ``step_leq`` and builds no join, must equal the reference
+join's comparison with the action (``m4_outcomes``).
+``ref_full_approximant_join`` joins every combination: a drawn verdict
+may fail only where it does.
 
 ``ref_enumerate_devries`` finds the de Vries proximities of a very
 small algebra by brute force: it runs the checker on every relation
@@ -81,7 +84,7 @@ import signal
 from typing import Callable, Iterable, Iterator, Sequence
 
 from specker.boolalg import Algebra, BoolElem, _check_same_algebra
-from specker.morphisms import DVMorphism, ProxMorphism
+from specker.morphisms import DVMorphism, ProxMorphism, _morphism_checks
 from specker.orthogonal import OrthElem, orth_normalize
 from specker.pointwise import PointFn
 from specker.proximity import (
@@ -572,6 +575,49 @@ def ref_approximant_join(
         if combo not in combos:
             combos.append(combo)
     return _ref_join(pm, a0, pairs, combos)
+
+
+def result_of(call: Callable, *args):
+    """What ``call`` returns, or the arguments of the ``ValueError`` it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return exc.args
+
+
+def _recorded(pm: ProxMorphism) -> tuple[ProxMorphism, list[StepElem]]:
+    """``pm`` with an action that also lists each element it runs on."""
+    ran: list[StepElem] = []
+
+    def action(f: StepElem) -> StepElem:
+        ran.append(f)
+        return pm.action(f)
+
+    return ProxMorphism(pm.source, pm.target, action, label=pm.label), ran
+
+
+def m4_holds(pm: ProxMorphism, t: StepElem, rng: random.Random) -> bool:
+    """The library's M4 verdict on ``t``: the ``holds`` of its sampled row."""
+    (holds,) = [holds for name, _, holds in _morphism_checks(pm, rng, 1) if name == "M4"]
+    return holds(t)
+
+
+def m4_outcomes(pm: ProxMorphism, t: StepElem, seed: int) -> tuple[tuple, tuple]:
+    """M4 on ``t`` by the library and by the reference, each from
+    ``random.Random(seed)``, as ``(verdict, rng state after, elements the
+    action ran on)``; a ``ValueError`` stands for its arguments.  The
+    reference verdict is ``ref_approximant_join(...) == pm.action(t)``,
+    the last action run not listed."""
+    library, ran = _recorded(pm)
+    reference, ref_ran = _recorded(pm)
+    outcomes = []
+    for decide, listed in (
+        (lambda rng: m4_holds(library, t, rng), ran),
+        (lambda rng: ref_approximant_join(reference, t, rng) == pm.action(t), ref_ran),
+    ):
+        rng = random.Random(seed)
+        outcomes.append((result_of(decide, rng), rng.getstate(), listed))
+    return outcomes[0], outcomes[1]
 
 
 def ref_full_approximant_join(pm: ProxMorphism, t: StepElem) -> StepElem:

@@ -5,13 +5,14 @@ Relations and morphism tables are drawn at random over 1-3 atoms, most of
 them not de Vries proximities and not homomorphisms, so that every axiom
 fails somewhere and the counterexamples are compared too.  The lifted
 check is compared on step elements with integer or rational thresholds.
-The M4 approximant join is compared on ``<=`` over 1-4 atoms, for lifted
-homomorphisms and for actions broken on purpose, with the same draws on
-objects and with the walk of every combination, and its memory is
-bounded where it draws a few of 2^20 combinations.
+The M4 verdict is compared on ``<=`` over 1-4 atoms, for lifted
+homomorphisms and for actions broken on purpose, with the object-based
+join of the same draws and with the walk of every combination, and its
+memory is bounded where it draws a few of 2^20 combinations.
 """
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -20,31 +21,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    m4_holds,
+    m4_outcomes,
     ref_approximant_join,
     ref_full_approximant_join,
     ref_check_devries,
     ref_check_dv_morphism,
     ref_lift_check,
     ref_star_compose_table,
+    result_of,
     steps_from_values,
     within,
 )
-from specker.boolalg import make_algebra
+from specker.boolalg import _MIXED, make_algebra
 from specker.morphisms import (
     DVMorphism,
     ProxMorphism,
-    _approximant_join,
+    _APPROXIMANT_DRAWS,
     _compose_with_steps,
+    _drawn_approximants,
     _dv_ok,
     check_dv_morphism,
     star_compose_dv,
 )
 from specker.proximity import ProxRel, check_devries, leq_proximity, lift_check
 from specker.steps import (
-    StepElem,
     step_add,
     step_const,
-    step_leq,
     step_neg,
     step_one,
     step_zero,
@@ -258,45 +261,26 @@ def approximant_cases(draw):
     )
 
 
-def _result(call, *args):
-    """What ``call`` returns, or the arguments of the ``ValueError`` it raises."""
-    try:
-        return call(*args)
-    except ValueError as exc:
-        return exc.args
-
-
-def _outcome(join, pm, t, seed):
-    rng = random.Random(seed)
-    return _result(join, pm, t, rng), rng.getstate()
-
-
-def _recorded(pm):
-    """``pm`` with an action that also lists each element it runs on."""
-    ran = []
-
-    def action(f):
-        ran.append(f)
-        return pm.action(f)
-
-    return ProxMorphism(pm.source, pm.target, action, label=pm.label), ran
+def _assert_m4_as_reference(pm, t, seed):
+    """M4's verdict on ``t``, held to ``ref_approximant_join(...) ==
+    action(t)``: the same verdict, the action run on the same elements in
+    the same order, at most ``_APPROXIMANT_DRAWS + 1`` of them, and the
+    random stream moved alike."""
+    (verdict, state, ran), (expected, expected_state, expected_ran) = m4_outcomes(
+        pm, t, seed
+    )
+    assert verdict == expected
+    assert state == expected_state
+    assert ran == expected_ran
+    assert [str(f) for f in ran] == [str(f) for f in expected_ran]
+    assert 0 < len(ran) <= _APPROXIMANT_DRAWS + 1
+    return verdict
 
 
 @kernel
 @given(approximant_cases())
 def test_approximant_join_matches_reference(case):
-    pm, t, seed = case
-    library, ran = _recorded(pm)
-    reference, expected_ran = _recorded(pm)
-    joined, state = _outcome(_approximant_join, library, t, seed)
-    expected, expected_state = _outcome(ref_approximant_join, reference, t, seed)
-    assert joined == expected
-    assert str(joined) == str(expected)
-    # the same combinations are drawn, in the same order, and the random
-    # stream moves alike
-    assert ran == expected_ran
-    assert [str(f) for f in ran] == [str(f) for f in expected_ran]
-    assert state == expected_state
+    _assert_m4_as_reference(*case)
 
 
 def test_approximant_join_draws_without_listing_the_product():
@@ -309,30 +293,46 @@ def test_approximant_join_draws_without_listing_the_product():
     t = steps_from_values(source.algebra, [0, 1, 2, 3, 4, 5, 5])
     tracemalloc.start()
     try:
-        joined = _approximant_join(pm, t, random.Random(3))
+        verdict = m4_holds(pm, t, random.Random(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # the full combination is t itself, and every approximant lies below it
-    assert joined == t
+    # every approximant's image lies below the image of t
+    assert verdict is True
+    assert _assert_m4_as_reference(pm, t, 3) is True
 
 
 @kernel
 @given(approximant_cases())
 def test_a_drawn_join_fails_only_where_the_full_walk_fails(case):
-    # the full combination builds t, so the drawn join lies above the
-    # action, and only an approximant whose image does not can lift it
+    # the full combination builds t, so the full join is the action
+    # exactly when every approximant's image lies below it
     pm, t, seed = case
-    action = _result(pm.action, t)
-    drawn, _ = _outcome(_approximant_join, pm, t, seed)
-    full = _result(ref_full_approximant_join, pm, t)
-    if drawn != action:
+    action = result_of(pm.action, t)
+    verdict = _assert_m4_as_reference(pm, t, seed)
+    full = result_of(ref_full_approximant_join, pm, t)
+    if verdict is False:
         assert full != action
-    if isinstance(action, StepElem) and isinstance(drawn, StepElem):
-        assert step_leq(action, drawn)
     if pm.label == "lifted":
-        assert drawn == full == action
+        assert verdict is True and full == action
+
+
+def test_m4_refuses_mixed_images_before_it_compares_any():
+    # the first approximant's image is not below the image of t, and the
+    # next is of another algebra: the verdict is the refusal, as the
+    # reference's join of all the images gives it
+    source = leq_proximity(ALGEBRAS[3])
+    t = steps_from_values(source.algebra, [0, 1, 2])
+    assert len(_drawn_approximants(t, random.Random(0))) >= 2
+
+    def in_turn():
+        images = iter([step_zero(ALGEBRAS[1]), step_one(ALGEBRAS[1])])
+        return ProxMorphism(source, source, lambda f: next(images, step_zero(ALGEBRAS[2])))
+
+    for decide in (m4_holds, ref_approximant_join):
+        with pytest.raises(ValueError, match=f"^{re.escape(_MIXED)}$"):
+            decide(in_turn(), t, random.Random(0))
 
 
 def test_approximant_join_past_sys_maxsize():
@@ -343,4 +343,4 @@ def test_approximant_join_past_sys_maxsize():
     pm = ProxMorphism(source, source, _compose_with_steps(identity))
     t = steps_from_values(source.algebra, list(range(12)))
     with within(30):
-        assert _approximant_join(pm, t, random.Random(5)) == pm.action(t)
+        assert _assert_m4_as_reference(pm, t, 5) is True

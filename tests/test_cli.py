@@ -917,6 +917,11 @@ def test_element_without_idem_is_usage_error(files, capsys):
     )
     assert run(["convert", "--algebra", files["b4"], str(scalar_entries)]) == 2
     _one_line_error(capsys)
+    repeated = files["dir"] / "repeated.json"
+    steps = [{"upto": "1", "idem": "1"}, {"upto": "1", "idem": ["p"]}]
+    repeated.write_text(json.dumps({"rep": "flat", "steps": steps}), encoding="utf-8")
+    assert run(["convert", "--algebra", files["b4"], str(repeated)]) == 2
+    assert _one_line_error(capsys) == f"error: {repeated}: step thresholds must strictly increase"
 
 
 def test_atoms_string_is_usage_error(files, capsys):

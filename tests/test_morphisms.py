@@ -7,6 +7,7 @@ from helpers import leq_pairs
 from specker.morphisms import (
     DVMorphism,
     ProxMorphism,
+    _compose_with_steps,
     apply_prox_morphism,
     check_dv_morphism,
     enumerate_boolean_homs,
@@ -379,6 +380,21 @@ def test_morphism_out_of_empty_relation_fails_m3(b4, leq4):
     report = check_dv_morphism(m)
     assert report.summary() == "FAIL (M3: FAIL (no cases checked))"
     assert [result.checked for result in report.results] == [1, 16, 0, 4]
+
+
+def test_an_action_that_refuses_zero_fails_m1_with_its_message(b2):
+    # the table (0, 0) sends 1 to 0: composed stepwise, past no gate, it
+    # assembles no image at all, 0 included
+    leq = leq_proximity(b2)
+    pm = ProxMorphism(leq, leq, _compose_with_steps(DVMorphism(leq, leq, (0, 0))))
+    report = sample_morphism_axioms(pm, samples=5)
+    m1 = report.results[0]
+    assert (m1.name, m1.passed, m1.checked) == ("M1", False, 1)
+    assert m1.counterexample == ("assembly requires the first sampled value to be 1",)
+    # the other axioms still run, and fail on the same refusal
+    assert [(r.name, r.passed, r.counterexample) for r in report.results[1:]] == [
+        (f"M{i}", False, m1.counterexample) for i in range(2, 8)
+    ]
 
 
 @pytest.mark.parametrize("bound", [0, -1])

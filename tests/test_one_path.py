@@ -20,7 +20,10 @@ both ``_fill`` functions, which worded the refusal of operands from two
 algebras their own way, nor ``oracle_diff``'s ``overrides``, which only
 the fault-injection tests set (they patch the module instead), nor
 ``random_orth``, which is ``to_orth`` of ``random_steps`` draw for draw,
-nor ``BoolElem.atom_count``, which only its own tests called.  That
+nor ``BoolElem.atom_count``, which only its own tests called, nor
+``steps._join_all`` and ``morphisms._approximant_join``, the n-ary join
+that M4 built where, past the gate, comparing each image with ``m(t)``
+decides it.  That
 refusal is ``boolalg._check_same_algebra`` with its
 one message: no other module holds a string saying "different algebra"
 or "mixed algebras".  These tests read the source, so a
@@ -61,6 +64,8 @@ ABSENT = REFERENCES | {
     "overrides",
     "random_orth",
     "atom_count",
+    "_join_all",
+    "_approximant_join",
 }
 MIXED_WORDS = ("different algebra", "mixed algebras")
 

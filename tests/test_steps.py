@@ -9,8 +9,10 @@ from specker.orthogonal import (
     orth_const,
     orth_embed,
     orth_mul,
+    orth_neg,
     orth_normalize,
     orth_scale,
+    orth_sub,
     orth_zero,
 )
 from specker.pointwise import (
@@ -309,3 +311,17 @@ def test_json_round_trip(b4, s_steps, t_steps):
     )
     with pytest.raises(ValueError):
         step_from_json(b4, {"rep": "flat", "steps": [{"upto": "2", "idem": ["p"]}]})
+
+
+@pytest.mark.parametrize("domain", ["int", "fraction"])
+def test_operators_are_their_module_functions(b8, domain):
+    rng = random.Random(f"operators:{domain}")
+    forms = [
+        (orth_of_pointfn, orth_add, orth_sub, orth_mul, orth_neg),
+        (steps_of_pointfn, step_add, step_sub, step_mul, step_neg),
+    ]
+    for _ in range(30):
+        f, g = random_pointfn(rng, b8, 6, domain), random_pointfn(rng, b8, 6, domain)
+        for form, add, sub, mul, neg in forms:
+            x, y = form(f), form(g)
+            assert (x + y, x - y, x * y, -x) == (add(x, y), sub(x, y), mul(x, y), neg(x))

@@ -2,8 +2,8 @@
 
 Elements are drawn as atom valuations on 1-6 atoms, with integer or
 rational values, and built with the constructor alone; every operation
-is compared with the docstring formula evaluated in ``helpers``, and the
-one-pass join of many elements with pairwise joins.  Subtraction runs on
+is compared with the docstring formula evaluated in ``helpers``.
+Subtraction runs on
 the atom-value kernel: it is held equal to the formula route
 ``f + (-g)`` and, on seeded draws at 1-16 atoms, to the pointwise
 oracle.  Meet and join are also drawn on 8-64 atoms, with int and
@@ -13,7 +13,6 @@ or late, and held equal to the ``_merged`` composition they replaced.
 
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +36,6 @@ from specker.pointwise import atom_values, pointwise_apply, random_pointfn, step
 from specker.steps import (
     StepElem,
     _assemble_masks,
-    _join_all,
     _sum,
     from_decomposition,
     step_add,
@@ -179,16 +177,6 @@ def test_meet_join_leq_match_reference(case):
     assert step_leq(f, join) and ref_leq(f, join)
 
 
-@kernel
-@given(st.integers(1, 5).flatmap(lambda count: operands(count=count)))
-def test_join_all_matches_pairwise_joins(case):
-    _, elems = case
-    joined = _join_all(iter(elems))
-    assert joined == reduce(step_join, elems)
-    if len(elems) == 2:
-        assert table_of(joined) == ref_join(*elems)
-
-
 @st.composite
 def decompositions(draw):
     """``a0`` and pairs ``(b, e)`` with arbitrary, not nested, idempotents."""
@@ -230,10 +218,6 @@ def test_mixed_algebras_rejected_with_old_messages(b4, b2):
         StepElem(b4, (0,), (b2.one,))
     with pytest.raises(ValueError, match="^mixed algebras"):
         from_decomposition(b4, 0, [(1, p), (2, b2.one)])
-    with pytest.raises(ValueError, match="^mixed algebras"):
-        _join_all([StepElem(b4, (0,), (b4.one,)), StepElem(b2, (0,), (b2.one,))])
-    with pytest.raises(ValueError, match="^cannot assemble a step function from no"):
-        _join_all([])
     one4, one2 = StepElem(b4, (0,), (b4.one,)), StepElem(b2, (0,), (b2.one,))
     for op in (step_add, _sum, step_sub):
         with pytest.raises(ValueError, match="^mixed algebras"):

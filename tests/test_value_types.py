@@ -49,6 +49,8 @@ from specker.steps import (
     StepElem,
     compatible_decreasing,
     random_steps,
+    step_from_json,
+    step_scale,
     step_zero,
     to_steps,
 )
@@ -258,6 +260,7 @@ def test_validation_messages_are_unchanged():
         ),
         (lambda: OrthElem(b4, ()), "an orthogonal decomposition cannot be empty"),
         (lambda: OrthElem(b4, ((0, b4.atom("p")),)), "components do not join to 1"),
+        (lambda: OrthElem(b4, ((0, b4.atom("p")), (1, b4.one))), "components overlap"),
         (lambda: StepElem(b4, (0,), ()), "thresholds and components must align"),
         (
             lambda: StepElem(b4, (0,), (b4.atom("p"),)),
@@ -267,6 +270,21 @@ def test_validation_messages_are_unchanged():
         (
             lambda: DVMorphism(leq_proximity(b4), leq_proximity(b4), (0,)),
             "morphism table must cover every source element",
+        ),
+        (
+            lambda: DVMorphism(leq_proximity(b4), leq_proximity(b4), (0, 1, 2, 4)),
+            "morphism table value out of range",
+        ),
+        (
+            # doubling sends the idempotent [p] to 2 * [p], which is none
+            lambda: restrict_prox_morphism(
+                ProxMorphism(leq_proximity(b4), leq_proximity(b4), lambda f: step_scale(2, f))
+            ),
+            r"action does not send idempotents to idempotents at \[p\]",
+        ),
+        (
+            lambda: step_from_json(b4, {"rep": "flat", "steps": [{"upto": "1", "idem": "1"}] * 2}),
+            "step thresholds must strictly increase",
         ),
         (lambda: PointFn(b4, (1,)), "one value per atom required"),
         (lambda: Pow(Var("x"), -1), "exponents must be nonnegative"),

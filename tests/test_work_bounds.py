@@ -19,9 +19,9 @@ for their seeded draws of related pairs.
 ``normalize_term`` embeds each generator of a term once, however often
 the term names it: wrapping ``terms.orth_embed`` counts the embeddings.
 
-One M4 approximant join runs a morphism's action on the full
-combination and on at most ``_APPROXIMANT_DRAWS`` drawn ones, however
-many combinations there are: wrapping the action counts its runs.
+One M4 case runs a morphism's action on the sampled element and on at
+most ``_APPROXIMANT_DRAWS`` drawn approximants, however many
+combinations there are: wrapping the action counts its runs.
 
 A morphism file whose map is too short to cover its source is refused
 before either side's proximity is read: wrapping ``leq_proximity``
@@ -42,14 +42,13 @@ import random
 
 import pytest
 
-from helpers import capped, steps_from_values, within
+from helpers import capped, m4_outcomes, steps_from_values, within
 from specker import proximity, terms
 from specker.boolalg import element_from_json, element_from_literal, make_algebra
 from specker.cli import run
 from specker.morphisms import (
     _APPROXIMANT_DRAWS,
     ProxMorphism,
-    _approximant_join,
     enumerate_boolean_homs,
     identity_prox,
     lift_morphism,
@@ -250,15 +249,13 @@ def test_an_m4_join_runs_the_action_at_most_draws_plus_one_times(atoms):
     # a full chain: components of atoms - 1, ..., 1 atoms under <= make
     # 2^(atoms * (atoms - 1) / 2) approximant combinations, 1,024 at 5 atoms
     leq = leq_proximity(make_algebra([f"a{i}" for i in range(atoms)]))
-    runs = []
-
-    def identity(f):
-        runs.append(f)
-        return f
-
-    pm = ProxMorphism(leq, leq, identity)
+    pm = ProxMorphism(leq, leq, lambda f: f)
     t = steps_from_values(leq.algebra, list(range(atoms)))
-    assert _approximant_join(pm, t, random.Random(5)) == t
+    (verdict, state, runs), (expected, expected_state, expected_runs) = m4_outcomes(pm, t, 5)
+    assert verdict is expected is True
+    assert state == expected_state
+    assert runs == expected_runs
+    assert runs[0] == t
     assert 1 < len(runs) <= _APPROXIMANT_DRAWS + 1
 
 
