@@ -19,9 +19,11 @@ decomposition: gaps between the ascending orthogonal values, with the
 join of the components above each gap.  ``decreasing_decomposition``
 must agree with it.
 
-``step_mul_nonneg_formula`` is the product formula of the
-``specker.steps`` docstring on step elements: the library's kernel
-product must equal it.
+``step_add_formula`` and ``step_mul_nonneg_formula`` are the sum and
+product formulas of the ``specker.steps`` docstring on step elements,
+evaluated at every candidate threshold through ``StepElem.value``:
+``step_add`` and the library's kernel product must equal them, in every
+threshold's value and type and in every mask.
 
 ``ref_orth_by_refinement`` is the convolution formula of
 ``specker.orthogonal`` run literally: refine both operands to the common
@@ -243,6 +245,22 @@ def ref_add(f: StepElem, g: StepElem) -> Table:
 def ref_mul_nonneg(f: StepElem, g: StepElem) -> Table:
     """(f g)(a) = join of f(b1) & g(b2) over b1, b2 >= 0, b1 b2 >= a."""
     return _pairwise(f, g, lambda u, v: u * v)
+
+
+def step_add_formula(f: StepElem, g: StepElem) -> StepElem:
+    """The sum formula, evaluated at every candidate threshold through
+    ``StepElem.value`` on the scalars as given."""
+    algebra = _check_same_algebra(f, g)
+    candidates = sorted({u + v for u in f.thresholds for v in g.thresholds})
+    points = []
+    for c in candidates:
+        mask = 0
+        for u in f.thresholds:
+            for v in g.thresholds:
+                if u + v >= c:
+                    mask |= (f.value(u) & g.value(v)).mask
+        points.append((c, mask))
+    return _assemble_masks(algebra, points)
 
 
 def step_mul_nonneg_formula(f: StepElem, g: StepElem) -> StepElem:

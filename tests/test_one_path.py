@@ -1,7 +1,7 @@
 """One path per operation: the reference formulas live in the tests.
 
-``step_mul_nonneg_formula`` and ``_lattice_by_formula`` evaluate the
-paper's formulas at every candidate threshold, and ``orth_to_decreasing``
+``step_add_formula``, ``step_mul_nonneg_formula`` and
+``_lattice_by_formula`` evaluate the paper's formulas at every candidate threshold, and ``orth_to_decreasing``
 reads the decreasing decomposition straight off the orthogonal one, and
 ``leq_pairs`` builds ``<=`` as its 3^n pairs, which ``ProxRel`` does not
 store; ``tests/helpers.py`` defines them, and the tests compare the library
@@ -42,6 +42,7 @@ from specker.boolalg import _MIXED
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "specker").glob("*.py"))
 REFERENCES = {
+    "step_add_formula",
     "step_mul_nonneg_formula",
     "_lattice_by_formula",
     "orth_to_decreasing",

@@ -3,6 +3,9 @@
 Elements are drawn as atom valuations on 1-6 atoms, with integer or
 rational values, and built with the constructor alone; every operation
 is compared with the docstring formula evaluated in ``helpers``.
+Addition is also drawn on 1-8 atoms with int, ``Fraction`` and integral
+``Fraction`` values in one operand, and held equal to
+``helpers.step_add_formula`` in every threshold's value and type.
 Subtraction runs on
 the atom-value kernel: it is held equal to the formula route
 ``f + (-g)`` and, on seeded draws at 1-16 atoms, to the pointwise
@@ -28,6 +31,7 @@ from helpers import (
     ref_mul_nonneg,
     ref_neg,
     ref_scale_pos,
+    step_add_formula,
     steps_from_values,
     table_of,
 )
@@ -49,7 +53,7 @@ from specker.steps import (
     step_sub,
 )
 
-ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 7)}
+ALGEBRAS = {n: make_algebra([f"a{i}" for i in range(n)]) for n in range(1, 9)}
 
 ints = st.integers(-6, 6)
 fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
@@ -79,6 +83,32 @@ def test_add_matches_reference(case):
     assert table_of(total) == ref_add(f, g)
     # the kernel sum of the sampled axiom suites, also in its printed form
     assert _sum(f, g) == total and str(_sum(f, g)) == str(total)
+
+
+# an int, a ``Fraction``, or a ``Fraction`` that is an integer
+any_scalar = st.one_of(ints, fractions, ints.map(Fraction))
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Two step elements on 1-8 atoms, each taking values of all three kinds."""
+    algebra = ALGEBRAS[draw(st.integers(1, 8))]
+    n = len(algebra.atoms)
+    return [
+        steps_from_values(algebra, draw(st.lists(any_scalar, min_size=n, max_size=n)))
+        for _ in range(2)
+    ]
+
+
+def _typed(f: StepElem) -> tuple[list, tuple[int, ...]]:
+    return [(t, type(t)) for t in f.thresholds], f._masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_pairs())
+def test_add_matches_its_formula_in_values_types_and_masks(pair):
+    f, g = pair
+    assert _typed(step_add(f, g)) == _typed(step_add_formula(f, g))
 
 
 @kernel
