@@ -103,11 +103,25 @@ def _at_least_1(option: str, token: str) -> int:
     return value
 
 
-def _about(path: str, rest: str) -> str:
-    """``path + rest``: the path whole while the printed line, ``error: ``
-    and newline included, fits in 300 bytes, else as ``_shown`` names it."""
-    whole = len(f"error: {path}{rest}\n".encode("utf-8", "backslashreplace")) <= 300
-    return (path if whole else _shown(path)) + rest
+def _fits(text: str) -> bool:
+    """Whether the printed line ``error: text``, newline included, fits in 300 bytes."""
+    return len(f"error: {text}\n".encode("utf-8", "backslashreplace")) <= 300
+
+
+def _about(path: str, rest: str, lead: str = "", quoted: bool = False) -> str:
+    """``lead + path + rest``, the path quoted if asked, while the printed
+    line fits in 300 bytes; past that the path is named by its length and
+    the longest tail of its file name that keeps the line inside."""
+    text = lead + (repr(path) if quoted else path) + rest
+    if _fits(text):
+        return text
+    name = os.path.basename(path) or path
+    # a tail of over 300 characters has a repr of over 300 bytes
+    for start in range(max(0, len(name) - 300), len(name) + 1):
+        text = f"{lead}a path of {len(path)} characters ending in {name[start:]!r}{rest}"
+        if _fits(text):
+            break
+    return text
 
 
 def _load_json(path: str):
@@ -117,7 +131,7 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise UsageError(f"cannot read {_shown(path)}: {exc.strerror}") from exc
+        raise UsageError(_about(path, f": {exc.strerror}", "cannot read ", quoted=True)) from exc
     except json.JSONDecodeError as exc:
         raise UsageError(_about(path, f" is not valid JSON: {exc}")) from exc
     except RecursionError as exc:

@@ -20,7 +20,9 @@ The direct arithmetic formulas on step functions are
 
 each evaluated only at candidate thresholds, which suffices because both
 sides are step functions whose breakpoints lie in those candidate sets.
-Addition runs its formula.  Multiplication and subtraction hand the
+Addition runs its formula on ints: both operands' thresholds times their
+least common denominator, while the candidates and the result keep the
+given scalars and their types.  Multiplication and subtraction hand the
 classes of ``to_orth`` (the thresholds and the differences of the chain)
 to the atom-value kernel of :mod:`specker.orthogonal` (``_by_atoms``, on
 scaled ints when a threshold is a ``Fraction``) and turn the classes it
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -315,14 +318,21 @@ def step_embed(e: BoolElem) -> StepElem:
 
 def step_add(f: StepElem, g: StepElem) -> StepElem:
     algebra = _check_same_algebra(f, g)
+    # the loop runs on ints: every threshold times the least common denominator
+    scale = lcm(*[t.denominator for t in f.thresholds + g.thresholds])
+    fs, gs = (
+        StepElem(algebra, [t.numerator * (scale // t.denominator) for t in h.thresholds], h.idems)
+        for h in (f, g)
+    )
     candidates = sorted({u + v for u in f.thresholds for v in g.thresholds})
     points = []
     for c in candidates:
+        cs = c.numerator * (scale // c.denominator)
         mask = 0
-        for u in f.thresholds:
-            for v in g.thresholds:
-                if u + v >= c:
-                    mask |= (f.value(u) & g.value(v)).mask
+        for u in fs.thresholds:
+            for v in gs.thresholds:
+                if u + v >= cs:
+                    mask |= (fs.value(u) & gs.value(v)).mask
         points.append((c, mask))
     return _assemble_masks(algebra, points)
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -996,18 +997,58 @@ def test_a_long_path_is_named_by_its_length_in_one_short_line(files, capsys, cas
     assert len(str(path)) > 3000
     assert run([arg.format(path=path, b4=files["b4"]) for arg in argv]) == 2
     line = _one_line_error(capsys)
-    assert line == f"error: a str of length {len(str(path))}{LONG_PATH_LINES[case]}"
+    named = f"a path of {len(str(path))} characters ending in 'input.json'"
+    assert line == f"error: {named}{LONG_PATH_LINES[case]}"
     assert len(line.encode("utf-8")) < 300
+
+
+def _line_bytes(text: str) -> int:
+    return len(f"error: {text}\n".encode("utf-8", "backslashreplace"))
 
 
 def test_a_path_is_named_whole_while_its_line_fits_in_300_bytes():
     rest = " is not UTF-8 text"
     fits = "p" * (300 - len("error: \n") - len(rest))
     assert _about(fits, rest) == fits + rest
-    assert _about(fits + "p", rest) == f"a str of length {len(fits) + 1}{rest}"
+    over = _about(fits + "p", rest)
+    assert over.startswith(f"a path of {len(fits) + 1} characters ending in 'ppp")
+    assert over.endswith(rest) and _line_bytes(over) <= 300
     # bytes, not characters: "é" is two
     assert _about("é" + fits[2:], rest) == "é" + fits[2:] + rest
-    assert _about("é" + fits[1:], rest) == f"a str of length {len(fits)}{rest}"
+    assert _about("é" + fits[1:], rest).startswith(f"a path of {len(fits)} characters")
+    # quoted, as a path that cannot be read is named
+    assert _about("-m.json", ": gone", "cannot read ", quoted=True) == "cannot read '-m.json': gone"
+
+
+@pytest.mark.parametrize("lead, quoted", [("", False), ("cannot read ", True)])
+@pytest.mark.parametrize(
+    "name",
+    ["input.json", "n" * 5000, "é" * 5000, "\udcff" * 5000],
+    ids=["short", "n", "é", "surrogate"],
+)
+def test_a_long_path_is_named_by_the_longest_tail_of_its_file_name_that_fits(lead, quoted, name):
+    path = "d" * 3000 + "/" + name
+    rest = ": File name too long"
+    text = _about(path, rest, lead, quoted)
+    head = f"{lead}a path of {len(path)} characters ending in "
+    assert text.startswith(head) and text.endswith(rest) and "\n" not in text
+    assert _line_bytes(text) <= 300
+    tail = ast.literal_eval(text[len(head) : -len(rest)])
+    assert tail and name.endswith(tail)
+    if tail != name:  # one more character of the name would not fit
+        assert _line_bytes(f"{head}{name[-len(tail) - 1:]!r}{rest}") > 300
+
+
+@pytest.mark.parametrize(
+    "path, tail",
+    [("n" * 5000, "nnnnnnnnnn"), ("missing/" * 40 + "alg.json", "'alg.json'")],
+    ids=["5000-character-name", "long-missing-path"],
+)
+def test_a_path_that_cannot_be_read_is_named_by_its_tail(capsys, path, tail):
+    assert run(["check-devries", "--algebra", path]) == 2
+    line = _one_line_error(capsys)
+    assert line.startswith(f"error: cannot read a path of {len(path)} characters ending in ")
+    assert tail in line and len(line.encode("utf-8")) <= 300
 
 
 @pytest.mark.parametrize("count", [2.5, True])

@@ -1,8 +1,9 @@
 """One path per operation: the reference formulas live in the tests.
 
 ``step_add_formula``, ``step_mul_nonneg_formula`` and
-``_lattice_by_formula`` evaluate the paper's formulas at every candidate threshold, and ``orth_to_decreasing``
-reads the decreasing decomposition straight off the orthogonal one, and
+``_lattice_by_formula`` evaluate the paper's formulas at every candidate
+threshold, and ``orth_to_decreasing`` reads the decreasing decomposition
+straight off the orthogonal one, and
 ``leq_pairs`` builds ``<=`` as its 3^n pairs, which ``ProxRel`` does not
 store; ``tests/helpers.py`` defines them, and the tests compare the library
 with them.  No code in ``specker`` may define, call, import or export

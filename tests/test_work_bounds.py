@@ -9,6 +9,13 @@ multiplication and of subtraction 64 * 64 candidates of 64 * 64 cells
 each.  An element literal names its atoms, and reading one builds only
 the element it names.
 
+``step_add`` still runs its formula, but on ints: one all-``Fraction``
+sum at 16 atoms makes fewer Python-level calls into ``fractions.py``
+than 20,000, the order of 16 * 16 candidates (counted with
+``sys.setprofile``; the loop on ``Fraction`` scalars made 1.78 million),
+and rational operands read as many step values as int operands of the
+same class structure.
+
 Past the de Vries gate the relation is ``<=``, and the lifted layer reads
 it by its definition.  Wrapping ``ProxRel.has``, the one read that
 tests a given pair, counts the searches of a relation: the public lifted
@@ -37,8 +44,11 @@ are ``helpers.capped``: one that built ``<=``'s pairs again would fail
 with ``MemoryError`` in seconds, even where ``within`` cannot stop it.
 """
 
+import fractions
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -76,7 +86,9 @@ from specker.proximity import (
     sample_related_pair,
 )
 from specker.steps import (
+    StepElem,
     random_steps,
+    step_add,
     step_join,
     step_meet,
     step_mul,
@@ -178,6 +190,54 @@ def test_step_mul_nonneg_at_64_atoms_is_interactive():
     s, t = to_steps(F_NONNEG), to_steps(G_NONNEG)
     with within(1):
         step_mul_nonneg(s, t)
+
+
+# 16 classes each, with denominators 1-4, and the same values times 12 as ints
+SMALL = make_algebra([f"a{i}" for i in range(16)])
+F_VALUES = [Fraction(3 * i - 20, 1 + i % 4) for i in range(16)]
+G_VALUES = [Fraction(7 * i % 16 - 5, 4 - i % 4) for i in range(16)]
+F_RATIONAL, G_RATIONAL = (steps_from_values(SMALL, values) for values in (F_VALUES, G_VALUES))
+F_INT, G_INT = (steps_from_values(SMALL, [int(12 * v) for v in vs]) for vs in (F_VALUES, G_VALUES))
+
+
+def _fraction_calls(call) -> int:
+    """Python-level calls into ``fractions.py`` while ``call()`` runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_a_rational_step_add_makes_order_k_squared_fraction_calls():
+    assert len(F_RATIONAL.thresholds) == len(G_RATIONAL.thresholds) == 16
+    assert all(type(t) is Fraction for t in F_RATIONAL.thresholds + G_RATIONAL.thresholds)
+    assert 0 < _fraction_calls(lambda: step_add(F_RATIONAL, G_RATIONAL)) < 20_000
+
+
+def test_step_add_reads_as_many_values_on_rationals_as_on_ints(monkeypatch):
+    reads = [0]
+    value = StepElem.value
+
+    def counted(self, a):
+        reads[0] += 1
+        return value(self, a)
+
+    assert all(type(t) is int for t in F_INT.thresholds + G_INT.thresholds)
+    monkeypatch.setattr(StepElem, "value", counted)
+    total = step_add(F_RATIONAL, G_RATIONAL)
+    rational, reads[0] = reads[0], 0
+    assert step_scale(12, total) == step_add(F_INT, G_INT)
+    assert rational == reads[0] > 0
 
 
 def test_a_literal_builds_one_element(built):
